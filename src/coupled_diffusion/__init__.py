@@ -7,16 +7,14 @@ from . import errors
 from .engine import (
     AdmmState,
     EngineConfig,
-    NetworkAssembly,
     RunState,
     admm_linearized_step,
     agent_streams,
-    assemble_network_form,
     centralized_step,
     coupled_diffusion_step,
     init_admm_state,
+    init_batch,
     init_state,
-    network_form_oracle_step,
     suggest_step_size,
 )
 from .harness import (

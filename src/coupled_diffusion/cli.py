@@ -17,7 +17,7 @@ from pathlib import Path
 
 import yaml
 
-from .errors import SimulationError
+from .errors import ConfigError, SimulationError
 from .harness import ScenarioConfig, config_from_dict, emit_results, run_scenario
 
 
@@ -35,21 +35,28 @@ def _parse_args(argv):
     return parser.parse_args(argv)
 
 
-def _apply_overrides(raw: dict, args) -> dict:
+def _apply_overrides(raw, args) -> dict:
+    if not isinstance(raw, dict):
+        raise ConfigError("a config file holds a mapping of sections")
     raw = dict(raw)
-    raw.setdefault("scenario", {})
-    raw.setdefault("engine", {})
-    raw.setdefault("penalty", {})
+
+    def section(name: str) -> dict:
+        sec = raw.get(name) or {}
+        if not isinstance(sec, dict):
+            raise ConfigError(f"config section {name!r} must be a mapping")
+        raw[name] = sec = dict(sec)
+        return sec
+
     if args.scenario:
-        raw["scenario"]["id"] = args.scenario
+        section("scenario")["id"] = args.scenario
     if args.seeds:
-        raw["scenario"]["seeds"] = [int(s) for s in args.seeds.split(",")]
+        section("scenario")["seeds"] = [int(s) for s in args.seeds.split(",")]
     if args.mu:
-        raw["engine"]["mu"] = [float(m) for m in args.mu.split(",")]
+        section("engine")["mu"] = [float(m) for m in args.mu.split(",")]
     if args.eta:
-        raw["penalty"]["eta"] = [float(e) for e in args.eta.split(",")]
+        section("penalty")["eta"] = [float(e) for e in args.eta.split(",")]
     if args.iters is not None:
-        raw["engine"]["iterations"] = args.iters
+        section("engine")["iterations"] = args.iters
     return raw
 
 

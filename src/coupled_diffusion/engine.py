@@ -1,10 +1,19 @@
-"""Per-agent recursion, its network-form twin, and the baseline solvers.
+"""The coupled diffusion recursion, its baselines, and the batched engine.
 
 A run is synchronous: within one iteration every agent finishes both
 gradient half-steps before any combination happens. Agents own separate
-counter-based RNG streams, so per-agent computations inside an iteration
-are order-independent and could execute concurrently. Runs for different
-seeds or sweep points are fully independent.
+counter-based RNG streams keyed by (seed, agent), so an iteration's
+variates do not depend on the order in which agents or seeds are
+processed.
+
+Two forms of each algorithm live here. The per-agent steps
+(`coupled_diffusion_step`, `admm_linearized_step`, `centralized_step`)
+follow the equations agent by agent for one seed; they are the reference
+the tests hold the batched engine to. The batched engine (`init_batch`)
+is the network form of the same recursion: one state advances all S
+seeds of a (mu, eta) point at once, viewed as an (S, n_flat) array, and
+every iteration is a fixed handful of array operations whatever the
+number of agents.
 """
 
 from __future__ import annotations
@@ -13,8 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFiniteIterate
-from .objective import MultiAgentProblem
+from .errors import ConfigError, NonFiniteIterate
+from .objective import MultiAgentProblem, PaddedOracle, QuadraticRiskOracle
 from .topology import ClusterMap
 from .weights import CombinationMatrix, StepScaling
 
@@ -152,90 +161,6 @@ def coupled_diffusion_step(
     return state
 
 
-@dataclass(frozen=True)
-class NetworkAssembly:
-    """Globally assembled combination and scaling operators.
-
-    a_big is blkdiag over blocks of (A_l kron I_{M_l}); r_inv holds the
-    stacked Perron reciprocals. Together with the stacked gradient maps
-    this is the same algebra as the per-agent recursion written as one
-    global affine map, which makes it a useful cross-check oracle.
-    """
-
-    a_big: np.ndarray
-    r_inv: np.ndarray
-    perm: np.ndarray  # stacked = flat[perm]
-
-    @property
-    def dim(self) -> int:
-        return self.r_inv.shape[0]
-
-    def stack(self, flat: np.ndarray) -> np.ndarray:
-        return flat[self.perm]
-
-    def unstack(self, stacked: np.ndarray) -> np.ndarray:
-        flat = np.empty_like(stacked)
-        flat[self.perm] = stacked
-        return flat
-
-
-def assemble_network_form(cmap: ClusterMap, weights) -> NetworkAssembly:
-    matrices = _as_matrix_dict(weights)
-    blocks, rinv = [], []
-    for l in range(len(cmap.clusters)):
-        m = matrices[l]
-        blocks.append(np.kron(m.matrix, np.eye(cmap.layout.dims[l])))
-        rinv.append(np.repeat(1.0 / m.perron, cmap.layout.dims[l]))
-    dim = sum(b.shape[0] for b in blocks)
-    a_big = np.zeros((dim, dim))
-    pos = 0
-    for b in blocks:
-        a_big[pos : pos + b.shape[0], pos : pos + b.shape[0]] = b
-        pos += b.shape[0]
-    return NetworkAssembly(
-        a_big=a_big, r_inv=np.concatenate(rinv), perm=cmap.stacked_permutation()
-    )
-
-
-def network_form_oracle_step(
-    stacked_w: np.ndarray,
-    assembly: NetworkAssembly,
-    problem: MultiAgentProblem,
-    cfg: EngineConfig,
-    rngs,
-) -> np.ndarray:
-    """One round of the stacked recursion driven by the assembled operators.
-
-    zeta = w - mu*eta R^-1 grad P(w); psi = zeta - mu R^-1 ghat_J(zeta);
-    next = a_big' psi. The stacked gradients collect, block by block and
-    cluster member by cluster member, the per-agent gradient entries.
-    """
-    if stacked_w.shape[0] != assembly.dim:
-        raise DimensionMismatch("stacked state has wrong dimension")
-    cmap = problem.cmap
-
-    if cfg.eta != 0.0:
-        flat_w = assembly.unstack(stacked_w)
-        p_flat = np.zeros_like(flat_w)
-        for k in range(problem.agent_count):
-            if not problem.constraints[k]:
-                continue
-            sl = cmap.flat_slice(k)
-            p_flat[sl] = problem.penalty_gradient_local(k, flat_w[sl])
-        zeta = stacked_w - (cfg.mu * cfg.eta) * assembly.r_inv * assembly.stack(p_flat)
-    else:
-        zeta = stacked_w.copy()
-
-    zeta_flat = assembly.unstack(zeta)
-    g_flat = np.empty_like(zeta_flat)
-    for k in range(problem.agent_count):
-        sl = cmap.flat_slice(k)
-        g_flat[sl] = _risk_gradient(problem, k, zeta_flat[sl], rngs[k], cfg.noise)
-    psi = zeta - cfg.mu * assembly.r_inv * assembly.stack(g_flat)
-
-    return assembly.a_big.T @ psi
-
-
 def centralized_step(
     w: np.ndarray,
     d_blocks,
@@ -320,6 +245,301 @@ def admm_linearized_step(
     state.iteration += 1
     _check_finite(state.w, cmap, state.iteration)
     return state
+
+
+# Bytes of pre-drawn noise per refill, all seeds and agents together. The
+# chunk length in iterations follows from it, so the buffer stays this small
+# whatever the network and the number of seeds.
+NOISE_CHUNK_BYTES = 64 * 1024
+
+
+def _quadratic_part(oracle) -> tuple[QuadraticRiskOracle, np.ndarray]:
+    """The quadratic oracle behind `oracle` and its coordinates in w_k."""
+    positions = np.arange(oracle.dim)
+    if isinstance(oracle, PaddedOracle):
+        oracle, positions = oracle.inner, oracle.positions
+    if not isinstance(oracle, QuadraticRiskOracle):
+        raise ConfigError(
+            f"the batched engine needs quadratic risk oracles, got {type(oracle).__name__}"
+        )
+    return oracle, positions
+
+
+class _RiskGradients:
+    """Every agent's risk gradient for every seed in a few array operations.
+
+    Agent k's quadratic oracle acts on d_k coordinates of w_k (all of them,
+    or the inner positions of a PaddedOracle). Its factor, the scaled
+    basis or in exact mode the covariance, sits zero-padded in an
+    (N, D, D) tensor with D = max d_k, so padded coordinates add nothing.
+    Stochastic mode pre-draws each (seed, agent) stream's d_k + 1 normals
+    per iteration in chunks: one draw of T (d_k + 1) values equals T
+    successive draws of d_k + 1, so iteration i sees the variates the
+    per-agent step would.
+    """
+
+    def __init__(self, problem: MultiAgentProblem, seeds, cfg: EngineConfig):
+        cmap = problem.cmap
+        parts = [_quadratic_part(o) for o in problem.oracles]
+        dims = np.array([o.dim for o, _ in parts])
+        width = int(dims.max())
+        self.exact = cfg.noise == "exact"
+        self.gather = np.zeros((len(parts), width), dtype=np.intp)
+        self.factor = np.zeros((len(parts), width, width))
+        self.w_ref = np.zeros((len(parts), width, 1))
+        for k, (o, positions) in enumerate(parts):
+            self.gather[k, : o.dim] = cmap.agent_starts[k] + positions
+            self.factor[k, : o.dim, : o.dim] = o.covariance if self.exact else o._scaled_basis
+            self.w_ref[k, : o.dim, 0] = o.w_ref
+        valid = np.arange(width) < dims[:, None]
+        # gradients land in rows k*D + j of an (N*D + 1, S) buffer whose last
+        # row stays zero; flat entries outside every oracle (bridge copies)
+        # read that row
+        self.rows = np.zeros((valid.size + 1, len(seeds)))
+        self.slot = np.full(cmap.total_local_dim, valid.size)
+        self.slot[self.gather[valid]] = np.flatnonzero(valid)
+        if self.exact:
+            return
+        self.noise_std = np.array([[o.noise_std] for o, _ in parts])
+        self.streams = [agent_streams(seed, len(parts)) for seed in seeds]
+        self.per_iteration = dims + 1  # normals each agent draws per iteration
+        # column j < D of agent k reads its j-th feature draw (padding reads
+        # draw 0, which meets a zero factor column); column D its noise draw
+        self.column = np.concatenate([np.where(valid, np.arange(width), 0), dims[:, None]], axis=1)
+        self.chunk = max(1, NOISE_CHUNK_BYTES // (8 * len(seeds) * int(self.per_iteration.sum())))
+        self.left = cfg.iterations
+        self.used = self.length = 0
+
+    def _refill(self):
+        t = min(self.chunk, max(self.left, 1))
+        self.left -= t
+        starts = np.concatenate([[0], np.cumsum(t * self.per_iteration)])
+        buffer = np.empty((len(self.streams), int(starts[-1])))
+        for row, streams in zip(buffer, self.streams):
+            for rng, a, b in zip(streams, starts[:-1], starts[1:]):
+                rng.standard_normal(out=row[a:b])
+        self.buffer = buffer.T  # (draws, S): gathers give seeds-last arrays
+        self.base = starts[:-1, None] + self.column
+        self.used, self.length = 0, t
+
+    def _next_draws(self) -> np.ndarray:
+        """(N, D + 1, S): this iteration's feature draws, then the noise draw."""
+        if self.used == self.length:
+            self._refill()
+        idx = self.base + self.used * self.per_iteration[:, None]
+        self.used += 1
+        return self.buffer[idx]
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        """Gradients at the points x, (n_flat, S) in and out."""
+        z = x[self.gather]
+        g = self.rows[:-1].reshape(z.shape)
+        if self.exact:
+            np.matmul(self.factor, 2.0 * (z - self.w_ref), out=g)
+        else:
+            draws = self._next_draws()
+            h = self.factor @ draws[:, :-1]
+            y = (self.w_ref.transpose(0, 2, 1) @ h)[:, 0] + self.noise_std * draws[:, -1]
+            np.multiply((2.0 * (np.einsum("kis,kis->ks", h, z) - y))[:, None], h, out=g)
+        return self.rows[self.slot]
+
+
+class _ClusterMix:
+    """x -> A_l' x^l for every block l at once, (n_flat, S) in and out.
+
+    Clusters are padded to the largest cluster and block
+    (`ClusterMap.padded_cluster_indices`), so one batched product
+    (L, N, N) @ (L, N, M S) does every block; the padded rows and columns
+    of the matrices are zero and padded outputs are dropped.
+    """
+
+    def __init__(self, cmap: ClusterMap, matrices):
+        self.gather = cmap.padded_cluster_indices
+        n_blocks, n_max, m_max = self.gather.shape
+        self.mats = np.zeros((n_blocks, n_max, n_max))
+        self.slot = np.empty(cmap.total_local_dim, dtype=np.intp)
+        for l, cluster in enumerate(cmap.clusters):
+            n, m = len(cluster), cmap.layout.dims[l]
+            self.mats[l, :n, :n] = np.asarray(matrices[l]).T
+            self.slot[self.gather[l, :n, :m]] = (l * n_max + np.arange(n)[:, None]) * m_max + np.arange(m)
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        n_blocks, n_max, _ = self.gather.shape
+        mixed = self.mats @ x[self.gather].reshape(n_blocks, n_max, -1)
+        return mixed.reshape(-1, x.shape[1])[self.slot]
+
+
+def _penalty_rows(problem: MultiAgentProblem, flat: bool):
+    """Lifted constraint rows (G, b) in the flat or the global layout, or
+    None without constraints. The penalty gradient is G' 2 (G w - b)."""
+    cmap = problem.cmap
+    rows, rhs = [], []
+    for k, cons in enumerate(problem.constraints):
+        index = cmap.flat_slice(k) if flat else cmap.global_indices(k)
+        for c in cons:
+            row = np.zeros(cmap.total_local_dim if flat else cmap.layout.total_dim)
+            row[index] = c.coeffs
+            rows.append(row)
+            rhs.append(c.offset)
+    if not rows:
+        return None
+    return np.array(rows), np.array(rhs)[:, None]
+
+
+def _penalty_gradient(rows, w: np.ndarray) -> np.ndarray:
+    g, b = rows
+    return g.T @ (2.0 * (g @ w - b))
+
+
+class _Batch:
+    """Common part of the batched engines: set-up, the divergence check,
+    and the `step` / `view` / `set_constraints` interface.
+
+    States are stored seeds-last, (n, S), so that each agent's coordinates
+    are contiguous across seeds for the batched matrix products; `view()`
+    returns the local copies as (S, n_flat), one row per seed.
+    """
+
+    def __init__(self, problem: MultiAgentProblem, cfg: EngineConfig, seeds):
+        self.cfg = cfg
+        self.cmap = problem.cmap
+        self.seeds = tuple(seeds)
+        self.iteration = 0
+        self.set_constraints(problem)
+        self._risk = _RiskGradients(problem, self.seeds, cfg)
+
+    def _start(self, init_global, index: np.ndarray) -> np.ndarray:
+        """Initial (len(index), S) state: zeros, or init_global[index] for every seed."""
+        w = np.zeros((len(index), len(self.seeds)))
+        if init_global is not None:
+            w[:] = np.asarray(init_global, dtype=float)[index, None]
+        return w
+
+    def set_constraints(self, problem: MultiAgentProblem):
+        """Swap in the constraints of `problem` (same network and oracles)."""
+        for cons in problem.constraints:
+            for c in cons:
+                if c.kind != "equality" or c.coeffs is None:
+                    raise ConfigError("the batched engine supports affine equality constraints only")
+
+    def view(self) -> np.ndarray:
+        raise NotImplementedError
+
+    def _advance(self):
+        raise NotImplementedError
+
+    def step(self):
+        self._advance()
+        self.iteration += 1
+        w = self.view()
+        if not np.abs(w).max() <= DIVERGENCE_NORM:  # also catches NaN
+            seed, entry = np.argwhere(~(np.abs(w) <= DIVERGENCE_NORM))[0]
+            agent = int(np.searchsorted(self.cmap.agent_starts, entry, side="right")) - 1
+            raise NonFiniteIterate(
+                self.iteration, agent,
+                f"non-finite iterate at iteration {self.iteration}, agent {agent}, "
+                f"seed {self.seeds[seed]}",
+            )
+
+
+class CoupledBatch(_Batch):
+    """Coupled diffusion: penalty step, risk step, per-block combination."""
+
+    def __init__(self, problem, weights, scaling: StepScaling, cfg, seeds, init_global=None):
+        super().__init__(problem, cfg, seeds)
+        mats = _as_matrix_dict(weights)
+        self._mix = _ClusterMix(self.cmap, {l: m.matrix for l, m in mats.items()})
+        self._risk_step = (cfg.mu * scaling.flat)[:, None]
+        self._penalty_step = ((cfg.mu * cfg.eta) * scaling.flat)[:, None]
+        self.w = self._start(init_global, self.cmap.flat_global_indices)
+
+    def set_constraints(self, problem):
+        super().set_constraints(problem)
+        self._rows = _penalty_rows(problem, flat=True) if self.cfg.eta != 0.0 else None
+
+    def view(self):
+        return self.w.T
+
+    def _advance(self):
+        zeta = self.w
+        if self._rows is not None:
+            zeta = zeta - self._penalty_step * _penalty_gradient(self._rows, zeta)
+        self.w = self._mix(zeta - self._risk_step * self._risk(zeta))
+
+
+class AdmmBatch(_Batch):
+    """Gradient-linearized consensus; the cluster mean is the combination
+    with weights 1/N_l, and z is kept as every member's copy of it."""
+
+    def __init__(self, problem, weights, scaling, cfg, seeds, init_global=None):
+        if cfg.eta != 0.0:
+            raise ConfigError("the admm baseline has no penalty half-step; it needs eta = 0")
+        super().__init__(problem, cfg, seeds)
+        self._mean = _ClusterMix(
+            self.cmap, [np.full((len(c), len(c)), 1.0 / len(c)) for c in self.cmap.clusters]
+        )
+        self.w = self._start(init_global, self.cmap.flat_global_indices)
+        self.y = np.zeros_like(self.w)
+        self.z = np.zeros_like(self.w)
+
+    def view(self):
+        return self.w.T
+
+    def _advance(self):
+        mu, rho = self.cfg.mu, self.cfg.rho_admm
+        w = self.w
+        w_new = w - mu * (self._risk(w) + self.y + rho * (w - self.z))
+        self.z = self._mean(w_new + self.y / rho)
+        self.y = self.y + rho * (w_new - self.z)
+        self.w = w_new
+
+
+class CentralizedBatch(_Batch):
+    """Centralized incremental steps on the global vector with D = 1/N_l
+    per block; the agents' flat gradients are summed over each cluster."""
+
+    def __init__(self, problem, weights, scaling, cfg, seeds, init_global=None):
+        super().__init__(problem, cfg, seeds)
+        cmap = self.cmap
+        d_vec = np.concatenate(
+            [np.full(m, 1.0 / len(c)) for m, c in zip(cmap.layout.dims, cmap.clusters)]
+        )[:, None]
+        self._risk_step = cfg.mu * d_vec
+        self._penalty_step = (cfg.mu * cfg.eta) * d_vec
+        self._sum = _ClusterMix(cmap, [np.ones((len(c), len(c))) for c in cmap.clusters])
+        # the global layout holds one copy per coordinate: the first member's
+        self._first = np.concatenate(
+            [cmap.flat_cluster_indices(l)[:m] for l, m in enumerate(cmap.layout.dims)]
+        )
+        self.w = self._start(init_global, np.arange(cmap.layout.total_dim))
+
+    def set_constraints(self, problem):
+        super().set_constraints(problem)
+        self._rows = _penalty_rows(problem, flat=False) if self.cfg.eta != 0.0 else None
+
+    def view(self):
+        return self.w[self.cmap.flat_global_indices].T
+
+    def _advance(self):
+        psi = self.w
+        if self._rows is not None:
+            psi = psi - self._penalty_step * _penalty_gradient(self._rows, psi)
+        grads = self._risk(psi[self.cmap.flat_global_indices])
+        self.w = psi - self._risk_step * self._sum(grads)[self._first]
+
+
+_BATCHES = {"coupled": CoupledBatch, "admm": AdmmBatch, "centralized": CentralizedBatch}
+
+
+def init_batch(problem: MultiAgentProblem, weights, scaling: StepScaling, cfg: EngineConfig,
+               seeds, init_global=None) -> _Batch:
+    """Batched engine for `cfg.algorithm` over all `seeds` at once.
+
+    Local copies start at zero or gathered from the global `init_global`
+    (the admm duals and averages start at zero either way). Seed s draws
+    from `agent_streams(s, N)` exactly as the per-agent step does.
+    """
+    return _BATCHES[cfg.algorithm](problem, weights, scaling, cfg, seeds, init_global)
 
 
 def suggest_step_size(nu: float, delta: float, delta_p: float = 0.0,

@@ -19,15 +19,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .engine import (
-    EngineConfig,
-    admm_linearized_step,
-    agent_streams,
-    centralized_step,
-    coupled_diffusion_step,
-    init_admm_state,
-    init_state,
-)
+from .engine import EngineConfig, init_batch
 from .errors import ConfigError, SingularSystem
 from .metrics import MetricsLog, ReferenceSolution, db, reference_solution
 from .objective import (
@@ -71,17 +63,61 @@ def load_network(source: str, block_dims=None) -> NetworkDescription:
         )
     else:
         raw = json.loads(Path(source).read_text())
-    base = int(raw.get("index_base", 0))
+    if not isinstance(raw, dict):
+        raise ConfigError(f"network {source}: expected a JSON object")
+    required = ("agent_count", "edges", "interest_sets") + (() if block_dims else ("block_dims",))
+    missing = [key for key in required if key not in raw]
+    if missing:
+        raise ConfigError(f"network {source}: missing {', '.join(missing)}")
+    base = _integer(raw.get("index_base", 0), "index_base")
     if base not in (0, 1):
         raise ConfigError(f"index_base must be 0 or 1, got {base}")
-    edges = frozenset((a - base, b - base) for a, b in raw["edges"])
-    interest = tuple(tuple(l - base for l in s) for s in raw["interest_sets"])
-    net = NetworkSpec(agent_count=int(raw["agent_count"]), edges=edges, interest_sets=interest)
-    dims = tuple(block_dims) if block_dims else tuple(raw["block_dims"])
+    edges = _integer_lists(raw["edges"], "edges")
+    if any(len(e) != 2 for e in edges):
+        raise ConfigError("network edges must be [agent, agent] pairs")
+    edges = frozenset((a - base, b - base) for a, b in edges)
+    interest = tuple(tuple(l - base for l in s)
+                     for s in _integer_lists(raw["interest_sets"], "interest_sets"))
+    net = NetworkSpec(agent_count=_integer(raw["agent_count"], "agent_count"), edges=edges,
+                      interest_sets=interest)
+    dims = tuple(block_dims) if block_dims else _integers(raw["block_dims"], "block_dims")
     owners = raw.get("constraint_owners")
     if owners is not None:
-        owners = tuple(int(o) - base for o in owners)
+        owners = tuple(o - base for o in _integers(owners, "constraint_owners"))
     return NetworkDescription(net=net, layout=BlockLayout(dims), constraint_owners=owners)
+
+
+def _integer(value, name: str) -> int:
+    """`value` as an int; anything without an integral value is a ConfigError."""
+    try:
+        if isinstance(value, bool) or float(value) != int(value):
+            raise ValueError
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _real(value, name: str) -> float:
+    """`value` as a finite float, or a ConfigError."""
+    try:
+        if isinstance(value, bool) or not np.isfinite(float(value)):
+            raise ValueError
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{name} must be a finite number, got {value!r}") from None
+
+
+def _integers(value, name: str) -> tuple[int, ...]:
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{name} must be a list of integers, got {value!r}")
+    return tuple(_integer(v, name) for v in value)
+
+
+def _integer_lists(value, name: str) -> tuple[tuple[int, ...], ...]:
+    """A list of lists of integers, such as edges or interest sets."""
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{name} must be a list of lists of integers, got {value!r}")
+    return tuple(_integers(v, name) for v in value)
 
 
 @dataclass
@@ -105,6 +141,20 @@ class ScenarioConfig:
     constrained: Optional[bool] = None
 
     def __post_init__(self):
+        self.mu_list = tuple(_real(m, "mu") for m in self.mu_list)
+        self.eta_list = tuple(_real(e, "eta") for e in self.eta_list)
+        self.seeds = tuple(_integer(s, "seeds") for s in self.seeds)
+        self.iterations = _integer(self.iterations, "iterations")
+        self.problem_seed = _integer(self.problem_seed, "problem_seed")
+        self.rho = _real(self.rho, "rho")
+        self.rho_admm = _real(self.rho_admm, "rho_admm")
+        self.log_every = _integer(self.log_every, "log_every")
+        if self.change_point is not None:
+            self.change_point = _integer(self.change_point, "change_point")
+        if self.block_dims is not None:
+            self.block_dims = _integers(self.block_dims, "block dims")
+        if not isinstance(self.network, str):
+            raise ConfigError(f"network source must be a name or a path, got {self.network!r}")
         if self.scenario not in SCENARIOS:
             raise ConfigError(f"unknown scenario {self.scenario!r}")
         if not self.mu_list or any(m <= 0 for m in self.mu_list):
@@ -125,9 +175,10 @@ class ScenarioConfig:
             raise ConfigError("log_every must be at least 1")
         if self.init not in (None, "zeros", "reference"):
             raise ConfigError(f"unknown init {self.init!r}")
-        self.mu_list = tuple(float(m) for m in self.mu_list)
-        self.eta_list = tuple(float(e) for e in self.eta_list)
-        self.seeds = tuple(int(s) for s in self.seeds)
+        if self.algorithm == "admm" and any(e > 0 for e in self.eta_list):
+            # the admm step has no penalty half-step: it would silently solve
+            # the unpenalized problem
+            raise ConfigError("algorithm admm does not support penalties; use eta 0")
 
     @property
     def uses_constraints(self) -> bool:
@@ -151,12 +202,14 @@ class ScenarioConfig:
 
 def config_from_dict(raw: dict) -> ScenarioConfig:
     """Build a ScenarioConfig from the sectioned config-file layout."""
-    network = raw.get("network", {}) or {}
-    blocks = raw.get("blocks", {}) or {}
-    objective = raw.get("objective", {}) or {}
-    penalty = raw.get("penalty", {}) or {}
-    engine = raw.get("engine", {}) or {}
-    scenario = raw.get("scenario", {}) or {}
+    if not isinstance(raw, dict):
+        raise ConfigError("a config holds a mapping of sections")
+    sections = {}
+    for name in ("network", "blocks", "objective", "penalty", "engine", "scenario"):
+        sections[name] = raw.get(name) or {}
+        if not isinstance(sections[name], dict):
+            raise ConfigError(f"config section {name!r} must be a mapping")
+    network, blocks, objective, penalty, engine, scenario = sections.values()
     if "id" not in scenario:
         raise ConfigError("scenario section must carry an 'id'")
 
@@ -166,26 +219,25 @@ def config_from_dict(raw: dict) -> ScenarioConfig:
     kwargs = dict(
         scenario=scenario["id"],
         network=network.get("source", "benchmark20"),
-        block_dims=tuple(blocks["dims"]) if blocks.get("dims") else None,
-        problem_seed=int(objective.get("problem_seed", 7)),
-        rho=float(penalty.get("rho", 1.0)),
-        iterations=int(engine.get("iterations", 2000)),
+        block_dims=blocks.get("dims") or None,
+        problem_seed=objective.get("problem_seed", 7),
+        rho=penalty.get("rho", 1.0),
+        iterations=engine.get("iterations", 2000),
         weight_rule=engine.get("weight_rule", "metropolis"),
         algorithm=engine.get("algorithm", "coupled"),
         noise=engine.get("noise", "stochastic"),
-        rho_admm=float(engine.get("rho_admm", 1.0)),
-        log_every=int(scenario.get("log_every", 1)),
+        rho_admm=engine.get("rho_admm", 1.0),
+        log_every=scenario.get("log_every", 1),
         init=engine.get("init"),
         constrained=objective.get("constrained"),
+        change_point=scenario.get("change_point"),
     )
     if engine.get("mu") is not None:
-        kwargs["mu_list"] = tuple(float(m) for m in as_list(engine["mu"]))
+        kwargs["mu_list"] = as_list(engine["mu"])
     if penalty.get("eta") is not None:
-        kwargs["eta_list"] = tuple(float(e) for e in as_list(penalty["eta"]))
+        kwargs["eta_list"] = as_list(penalty["eta"])
     if scenario.get("seeds") is not None:
-        kwargs["seeds"] = tuple(int(s) for s in as_list(scenario["seeds"]))
-    if scenario.get("change_point") is not None:
-        kwargs["change_point"] = int(scenario["change_point"])
+        kwargs["seeds"] = as_list(scenario["seeds"])
     return ScenarioConfig(**kwargs)
 
 
@@ -316,51 +368,22 @@ def _build_weights(cmap, net, rule: str):
     return {l: make(cmap, net, l) for l in range(len(cmap.clusters))}
 
 
-def _run_one(problem, weights, scaling, ecfg: EngineConfig, seed: int,
-             refs: ReferenceSolution, log_every: int, init_global,
-             change=None) -> MetricsLog:
-    """Execute one run of the selected algorithm, logging metrics.
+def _run_one(problem, weights, scaling, ecfg: EngineConfig, seeds, refs: ReferenceSolution,
+             log_every: int, init_global, change=None) -> MetricsLog:
+    """Run the selected algorithm for all seeds at once, logging metrics.
 
     `change` is an optional (iteration, problem, refs) triple applied
     before the step with that index (constraint regeneration).
     """
-    cmap = problem.cmap
-    log = MetricsLog()
-    flat_from_global = np.concatenate(
-        [cmap.global_indices(k) for k in range(problem.agent_count)]
-    )
-    if ecfg.algorithm == "coupled":
-        state = init_state(problem, seed, init_global)
-        for i in range(ecfg.iterations):
-            if change is not None and i == change[0]:
-                problem, refs = change[1], change[2]
-            coupled_diffusion_step(state, problem, weights, scaling, ecfg)
-            if state.iteration % log_every == 0 or state.iteration == ecfg.iterations:
-                log.record(state.iteration, state.w, cmap, weights, refs)
-    elif ecfg.algorithm == "admm":
-        state = init_admm_state(problem, seed)
-        if init_global is not None:
-            state.w = init_state(problem, seed, init_global).w
-        for i in range(ecfg.iterations):
-            if change is not None and i == change[0]:
-                problem, refs = change[1], change[2]
-            admm_linearized_step(state, problem, ecfg)
-            if state.iteration % log_every == 0 or state.iteration == ecfg.iterations:
-                log.record(state.iteration, state.w, cmap, weights, refs)
-    elif ecfg.algorithm == "centralized":
-        w = np.zeros(problem.layout.total_dim)
-        if init_global is not None:
-            w = np.asarray(init_global, dtype=float).copy()
-        d_blocks = [1.0 / len(c) for c in cmap.clusters]
-        rngs = agent_streams(seed, problem.agent_count)
-        for i in range(ecfg.iterations):
-            if change is not None and i == change[0]:
-                problem, refs = change[1], change[2]
-            w = centralized_step(w, d_blocks, problem, ecfg, rngs)
-            if (i + 1) % log_every == 0 or i + 1 == ecfg.iterations:
-                log.record(i + 1, w[flat_from_global], cmap, weights, refs)
-    else:  # pragma: no cover - EngineConfig already validates
-        raise ConfigError(f"unknown algorithm {ecfg.algorithm!r}")
+    engine = init_batch(problem, weights, scaling, ecfg, seeds, init_global)
+    log = MetricsLog(problem.cmap)
+    for i in range(ecfg.iterations):
+        if change is not None and i == change[0]:
+            engine.set_constraints(change[1])
+            refs = change[2]
+        engine.step()
+        if (i + 1) % log_every == 0 or i + 1 == ecfg.iterations:
+            log.record(i + 1, engine.view(), refs)
     return log
 
 
@@ -389,32 +412,29 @@ def run_scenario(cfg: ScenarioConfig) -> ResultTable:
             ecfg = EngineConfig(mu=mu, eta=eta, iterations=cfg.iterations,
                                 noise=cfg.noise, algorithm=cfg.algorithm,
                                 rho_admm=cfg.rho_admm)
-            logs = [
-                _run_one(base, weights, scaling, ecfg, seed, refs,
-                         cfg.log_every, init_global, change)
-                for seed in cfg.seeds
-            ]
+            log = _run_one(base, weights, scaling, ecfg, cfg.seeds, refs,
+                           cfg.log_every, init_global, change)
             if cfg.scenario == "sweep":
-                _append_steady_rows(table, cfg, mu, eta, logs)
+                _append_steady_rows(table, cfg, mu, eta, log)
             else:
-                _append_iteration_rows(table, cfg, mu, eta, logs)
+                _append_iteration_rows(table, cfg, mu, eta, log)
     return table
 
 
-def _append_iteration_rows(table, cfg, mu, eta, logs):
-    for seed, log in zip(cfg.seeds, logs):
-        for j, it in enumerate(log.iterations):
-            table.rows.append((
-                cfg.scenario, mu, eta, str(seed), it,
-                db(log.msd_star[j]), float(log.disagreement[j].max()), db(log.msd_o[j]),
-            ))
-    n_records = len(logs[0].iterations)
-    for j in range(n_records):
-        it = logs[0].iterations[j]
-        mean_star = float(np.mean([lg.msd_star[j] for lg in logs]))
-        mean_o = float(np.mean([lg.msd_o[j] for lg in logs]))
-        mean_dis = float(np.mean([lg.disagreement[j].max() for lg in logs]))
-        table.rows.append((cfg.scenario, mu, eta, "mean", it, db(mean_star), mean_dis, db(mean_o)))
+def _append_iteration_rows(table, cfg, mu, eta, log):
+    """Rows of every seed, record by record, then the seed-mean rows."""
+    def with_mean(a):  # (records, seeds) -> (seeds + 1, records), seed mean last
+        return np.column_stack([a, a.mean(axis=1)]).T
+
+    star = db(with_mean(log.msd_star)).tolist()
+    dis = with_mean(log.max_disagreement()).tolist()
+    dist_o = db(with_mean(log.msd_o)).tolist()
+    labels = [str(seed) for seed in cfg.seeds] + ["mean"]
+    for j, label in enumerate(labels):
+        table.rows.extend(
+            (cfg.scenario, mu, eta, label, it, s, d, o)
+            for it, s, d, o in zip(log.iterations, star[j], dis[j], dist_o[j])
+        )
 
 
 def steady_state(values, fraction: float = 0.1) -> float:
@@ -424,12 +444,13 @@ def steady_state(values, fraction: float = 0.1) -> float:
     return float(values[-tail:].mean())
 
 
-def _append_steady_rows(table, cfg, mu, eta, logs):
+def _append_steady_rows(table, cfg, mu, eta, log):
+    star, dist_o, dis = log.msd_star, log.msd_o, log.max_disagreement()
     stars, onorms, diss = [], [], []
-    for seed, log in zip(cfg.seeds, logs):
-        s = steady_state(log.msd_star)
-        o = steady_state(log.msd_o)
-        d = steady_state(log.max_disagreement())
+    for j, seed in enumerate(cfg.seeds):
+        s = steady_state(star[:, j])
+        o = steady_state(dist_o[:, j])
+        d = steady_state(dis[:, j])
         stars.append(s)
         onorms.append(o)
         diss.append(d)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -41,29 +41,38 @@ def msd(w_flat: np.ndarray, cmap: ClusterMap, reference: np.ndarray) -> float:
 
     sum over blocks of (1/N_l) sum over cluster members of
     ||ref^l - w_k^l||^2. Expectations over runs are taken by the caller
-    through seed averaging.
+    through seed averaging. Leading axes of `w_flat` (seeds, say) are
+    kept: an (S, n_flat) input gives S values.
     """
     w_flat = np.asarray(w_flat, dtype=float)
-    total = 0.0
+    lead = w_flat.shape[:-1]
+    total = np.zeros(lead) if lead else 0.0
     for l, cluster in enumerate(cmap.clusters):
         ref_l = reference[cmap.layout.global_slice(l)]
-        stack = w_flat[cmap.flat_cluster_indices(l)].reshape(len(cluster), -1)
-        total += float(((stack - ref_l) ** 2).sum()) / len(cluster)
-    return total
+        stack = w_flat[..., cmap.flat_cluster_indices(l)].reshape(lead + (len(cluster), -1))
+        total = total + ((stack - ref_l) ** 2).sum(axis=(-2, -1)) / len(cluster)
+    return total if lead else float(total)
 
 
 def disagreement(w_flat: np.ndarray, cmap: ClusterMap) -> np.ndarray:
-    """Per-block max pairwise distance between local copies (0 for singletons)."""
+    """Per-block max pairwise distance between local copies (0 for singletons).
+
+    Leading axes of `w_flat` (seeds, say) are kept: an (S, n_flat) input
+    gives an (S, L) result. All blocks are done at once on the padded
+    cluster layout, whose padding repeats real copies and so adds no
+    pairs. Squared distances come from the Gram matrix of the copies
+    taken relative to member 0's copy, which keeps them accurate to
+    rounding relative to the largest one.
+    """
     w_flat = np.asarray(w_flat, dtype=float)
-    out = np.zeros(len(cmap.clusters))
-    for l, cluster in enumerate(cmap.clusters):
-        n = len(cluster)
-        if n == 1:
-            continue
-        stack = w_flat[cmap.flat_cluster_indices(l)].reshape(n, -1)
-        diffs = stack[:, None, :] - stack[None, :, :]
-        out[l] = float(np.sqrt((diffs**2).sum(axis=2)).max())
-    return out
+    copies = w_flat[..., cmap.padded_cluster_indices]
+    copies -= copies[..., :1, :].copy()
+    dist2 = copies @ np.swapaxes(copies, -1, -2)
+    sq = np.diagonal(dist2, axis1=-2, axis2=-1).copy()
+    dist2 *= -2.0  # in place: this is the largest array here
+    dist2 += sq[..., :, None]
+    dist2 += sq[..., None, :]
+    return np.sqrt(np.maximum(dist2.max(axis=(-2, -1)), 0.0))
 
 
 def centroid(w_flat: np.ndarray, cmap: ClusterMap, weights) -> np.ndarray:
@@ -181,33 +190,51 @@ def reference_solution(problem: MultiAgentProblem, eta: Optional[float] = None) 
     )
 
 
-@dataclass
 class MetricsLog:
-    """Per-iteration metric records for one run."""
+    """Metric records of a batch of runs, one column per seed.
 
-    iterations: list = field(default_factory=list)
-    msd_star: list = field(default_factory=list)
-    msd_o: list = field(default_factory=list)
-    disagreement: list = field(default_factory=list)
-    centroid_dist_star: list = field(default_factory=list)
-    centroid_dist_o: list = field(default_factory=list)
+    `record` takes the (S, n_flat) local copies of all seeds. MSD is a
+    weighted sum over flat entries (weight 1/N_l for a copy of block l)
+    against the reference gathered into the flat layout; `msd` is the
+    per-vector reference for it.
+    """
 
-    def record(self, iteration: int, w_flat: np.ndarray, cmap: ClusterMap,
-               weights, refs: ReferenceSolution):
+    def __init__(self, cmap: ClusterMap):
+        self.cmap = cmap
+        self._weight = np.empty(cmap.total_local_dim)
+        for l, cluster in enumerate(cmap.clusters):
+            self._weight[cmap.flat_cluster_indices(l)] = 1.0 / len(cluster)
+        self.iterations = []
+        self._msd_star, self._msd_o, self._disagreement = [], [], []
+
+    def _msd(self, w: np.ndarray, reference: np.ndarray) -> np.ndarray:
+        err = w - reference[self.cmap.flat_global_indices]
+        return (err * err) @ self._weight
+
+    def record(self, iteration: int, w: np.ndarray, refs: ReferenceSolution):
         self.iterations.append(iteration)
-        self.msd_star.append(msd(w_flat, cmap, refs.w_star))
-        self.msd_o.append(msd(w_flat, cmap, refs.w_o))
-        self.disagreement.append(disagreement(w_flat, cmap))
-        c = centroid(w_flat, cmap, weights)
-        self.centroid_dist_star.append(float(np.linalg.norm(c - refs.w_star)))
-        self.centroid_dist_o.append(float(np.linalg.norm(c - refs.w_o)))
+        self._msd_star.append(self._msd(w, refs.w_star))
+        self._msd_o.append(self._msd(w, refs.w_o))
+        self._disagreement.append(disagreement(w, self.cmap))
 
     @property
-    def msd_star_db(self) -> np.ndarray:
-        return 10.0 * np.log10(np.asarray(self.msd_star))
+    def msd_star(self) -> np.ndarray:
+        """(records, seeds) MSD to the penalized optimum."""
+        return np.array(self._msd_star)
+
+    @property
+    def msd_o(self) -> np.ndarray:
+        """(records, seeds) MSD to the constrained optimum."""
+        return np.array(self._msd_o)
+
+    @property
+    def disagreement(self) -> np.ndarray:
+        """(records, seeds, blocks) per-block disagreement."""
+        return np.array(self._disagreement)
 
     def max_disagreement(self) -> np.ndarray:
-        return np.asarray([d.max() for d in self.disagreement])
+        """(records, seeds) disagreement of the worst block."""
+        return self.disagreement.max(axis=-1)
 
 
 def empirical_rate(msd_values, window: Optional[slice] = None) -> float:
@@ -216,10 +243,7 @@ def empirical_rate(msd_values, window: Optional[slice] = None) -> float:
     The sequence must be strictly decreasing over the window; intended
     for noise-free runs.
     """
-    values = np.asarray(
-        msd_values.msd_star if isinstance(msd_values, MetricsLog) else msd_values,
-        dtype=float,
-    )
+    values = np.asarray(msd_values, dtype=float)
     if window is not None:
         values = values[window]
     if values.shape[0] < 3:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -21,11 +22,14 @@ class BlockLayout:
     """Partition of the global vector into contiguous blocks."""
 
     dims: tuple[int, ...]
+    # start offset of each block within the global vector
+    offsets: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.dims) < 1 or any(d < 1 for d in self.dims):
             raise ValueError("block dims must be positive and non-empty")
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
+        object.__setattr__(self, "offsets", tuple(accumulate((0,) + self.dims[:-1])))
 
     @property
     def block_count(self) -> int:
@@ -34,15 +38,6 @@ class BlockLayout:
     @property
     def total_dim(self) -> int:
         return sum(self.dims)
-
-    @property
-    def offsets(self) -> tuple[int, ...]:
-        """Start offset of each block within the global vector."""
-        out, pos = [], 0
-        for d in self.dims:
-            out.append(pos)
-            pos += d
-        return tuple(out)
 
     def global_slice(self, block: int) -> slice:
         start = self.offsets[block]
@@ -56,6 +51,7 @@ class NetworkSpec:
     agent_count: int
     edges: frozenset[tuple[int, int]]
     interest_sets: tuple[tuple[int, ...], ...]
+    _adjacency: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.agent_count < 1:
@@ -77,24 +73,19 @@ class NetworkSpec:
             "interest_sets",
             tuple(tuple(sorted(set(int(l) for l in s))) for s in self.interest_sets),
         )
-
-    def adjacency(self) -> list[list[int]]:
-        """Sorted neighbor lists, self excluded."""
         adj = [[] for _ in range(self.agent_count)]
         for a, b in self.edges:
             adj[a].append(b)
             adj[b].append(a)
-        return [sorted(n) for n in adj]
+        object.__setattr__(self, "_adjacency", tuple(tuple(sorted(n)) for n in adj))
+
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """Sorted neighbor lists, self excluded."""
+        return self._adjacency
 
     def neighborhood(self, agent: int) -> tuple[int, ...]:
         """Neighbors of `agent` including the agent itself."""
-        nbrs = {agent}
-        for a, b in self.edges:
-            if a == agent:
-                nbrs.add(b)
-            elif b == agent:
-                nbrs.add(a)
-        return tuple(sorted(nbrs))
+        return tuple(sorted(self._adjacency[agent] + (agent,)))
 
     def is_connected(self) -> bool:
         seen = _bfs_reach(self.adjacency(), [0])
@@ -128,6 +119,8 @@ class ClusterMap:
     _cluster_pos: tuple[dict, ...] = field(repr=False, default=())
     _flat_cluster_idx: tuple = field(repr=False, default=())
     _global_idx: tuple = field(repr=False, default=())
+    _flat_global_idx: np.ndarray = field(repr=False, default=None)
+    _padded_cluster_idx: np.ndarray = field(repr=False, default=None)
 
     @property
     def agent_count(self) -> int:
@@ -170,6 +163,23 @@ class ClusterMap:
     def global_indices(self, agent: int) -> np.ndarray:
         """Global-vector indices corresponding to agent k's local vector."""
         return self._global_idx[agent]
+
+    @property
+    def padded_cluster_indices(self) -> np.ndarray:
+        """(L, N_max, M_max) flat indices of every block's copies at once.
+
+        Block l fills [l, :N_l, :M_l] with flat_cluster_indices(l) as an
+        (N_l, M_l) array. Padding repeats real entries so that it adds no
+        new values: extra rows repeat member 0's row and extra columns
+        repeat member 0's first entry, in every row.
+        """
+        return self._padded_cluster_idx
+
+    @property
+    def flat_global_indices(self) -> np.ndarray:
+        """Global-vector index of every flat-layout entry: the flat layout
+        of a global vector g is g[flat_global_indices]."""
+        return self._flat_global_idx
 
     def stacked_permutation(self) -> np.ndarray:
         """Indices p with stacked = flat[p]."""
@@ -248,7 +258,20 @@ def build_clusters(net: NetworkSpec, layout: BlockLayout) -> ClusterMap:
         _cluster_pos=cluster_pos,
         _flat_cluster_idx=tuple(flat_cluster_idx),
         _global_idx=tuple(global_idx),
+        _flat_global_idx=np.concatenate(global_idx),
+        _padded_cluster_idx=_pad_clusters(flat_cluster_idx, clusters, layout.dims),
     )
+
+
+def _pad_clusters(flat_cluster_idx, clusters, dims) -> np.ndarray:
+    n_max, m_max = max(len(c) for c in clusters), max(dims)
+    out = np.empty((len(clusters), n_max, m_max), dtype=np.intp)
+    for l, idx in enumerate(flat_cluster_idx):
+        n, m = len(clusters[l]), dims[l]
+        out[l] = idx[0]
+        out[l, :, :m] = idx[:m]
+        out[l, :n, :m] = idx.reshape(n, m)
+    return out
 
 
 def _bfs_reach(adj: list[list[int]], sources: list[int], allowed=None) -> set:

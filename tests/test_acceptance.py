@@ -15,8 +15,6 @@ from coupled_diffusion import (
     EngineConfig,
     NetworkSpec,
     admm_linearized_step,
-    agent_streams,
-    assemble_network_form,
     averaging_weights,
     build_clusters,
     constrained_optimum,
@@ -25,11 +23,11 @@ from coupled_diffusion import (
     empirical_rate,
     generate_benchmark_problem,
     init_admm_state,
+    init_batch,
     init_state,
     ip_penalty,
     metropolis_weights,
     msd,
-    network_form_oracle_step,
     penalized_optimum,
     penalty_gradient,
     penalty_value,
@@ -62,17 +60,18 @@ def bench():
     return problem, weights, scaling, refs
 
 
-def _steady_run(problem, weights, scaling, cfg, seed, ref, sample_every=10):
-    """Steady-state MSD and max-block disagreement from the final 10%."""
-    state = init_state(problem, seed)
+def _steady_runs(problem, weights, scaling, cfg, seeds, ref, sample_every=10):
+    """Per-seed steady-state MSD and max-block disagreement from the final
+    10%, all seeds advanced together by the batched engine."""
+    batch = init_batch(problem, weights, scaling, cfg, seeds)
     start = int(cfg.iterations * 0.9)
     vals, dis = [], []
     for i in range(cfg.iterations):
-        coupled_diffusion_step(state, problem, weights, scaling, cfg)
+        batch.step()
         if i >= start and (i - start) % sample_every == 0:
-            vals.append(msd(state.w, problem.cmap, ref))
-            dis.append(disagreement(state.w, problem.cmap).max())
-    return float(np.mean(vals)), float(np.mean(dis))
+            vals.append(msd(batch.view(), problem.cmap, ref))
+            dis.append(disagreement(batch.view(), problem.cmap).max(axis=1))
+    return np.mean(vals, axis=0), np.mean(dis, axis=0)
 
 
 @pytest.fixture(scope="module")
@@ -90,34 +89,29 @@ def ensemble_runs(bench):
     for mu in (MU_ENSEMBLE, MU_ENSEMBLE / 2):
         iters = int(18.0 / (2 * mu * nu))
         cfg = EngineConfig(mu=mu, eta=0.0, iterations=iters)
-        runs = [
-            _steady_run(problem, weights, scaling, cfg, seed, refs.w_star)
-            for seed in range(ENSEMBLE_SEEDS)
-        ]
-        out[mu] = {
-            "msd": float(np.mean([r[0] for r in runs])),
-            "disagreement": float(np.mean([r[1] for r in runs])),
-        }
+        msds, dis = _steady_runs(problem, weights, scaling, cfg, range(ENSEMBLE_SEEDS),
+                                 refs.w_star)
+        out[mu] = {"msd": float(np.mean(msds)), "disagreement": float(np.mean(dis))}
     out["elapsed"] = time.perf_counter() - t0
     return out
 
 
 def test_criterion_01_oracle_equivalence(bench):
-    """Per-agent recursion vs the assembled network-form recursion, shared
-    noise streams, 500 iterations, max deviation <= 1e-10, runtime < 10 s."""
+    """Per-agent recursion vs the batched network-form engine, shared noise
+    streams, three seeds, 500 iterations, max deviation <= 1e-10, runtime < 10 s."""
     problem, weights, scaling, _ = bench
     cfg = EngineConfig(mu=0.002, eta=50.0, iterations=500)
     constrained = generate_benchmark_problem(7, constrained=True)
-    asm = assemble_network_form(constrained.cmap, weights)
+    seeds = (123, 124, 125)
     t0 = time.perf_counter()
-    state = init_state(constrained, seed=123)
-    stacked = asm.stack(state.w.copy())
-    rngs = agent_streams(123, constrained.agent_count)
+    states = [init_state(constrained, seed=seed) for seed in seeds]
+    batch = init_batch(constrained, weights, scaling, cfg, seeds)
     dev = 0.0
     for _ in range(500):
-        coupled_diffusion_step(state, constrained, weights, scaling, cfg)
-        stacked = network_form_oracle_step(stacked, asm, constrained, cfg, rngs)
-        dev = max(dev, float(np.max(np.abs(asm.stack(state.w) - stacked))))
+        for state in states:
+            coupled_diffusion_step(state, constrained, weights, scaling, cfg)
+        batch.step()
+        dev = max(dev, float(np.max(np.abs(batch.view() - [st.w for st in states]))))
     elapsed = time.perf_counter() - t0
     _report(1, dev <= 1e-10 and elapsed < 10.0,
             f"max deviation {dev:.2e} (<=1e-10), runtime {elapsed:.1f}s (<10s)")
@@ -350,15 +344,13 @@ def test_criterion_10_eta_plateau():
     def steady(mu, eta, iters, seeds=3):
         refs = reference_solution(problem, eta)
         cfg = EngineConfig(mu=mu, eta=eta, iterations=iters)
-        vals = []
-        for seed in range(seeds):
-            state = init_state(problem, seed, init_global=refs.w_star)
-            run = []
-            for i in range(iters):
-                coupled_diffusion_step(state, problem, weights, scaling, cfg)
-                if i >= iters * 0.9 and i % 5 == 0:
-                    run.append(msd(state.w, problem.cmap, refs.w_o))
-            vals.append(np.mean(run))
+        batch = init_batch(problem, weights, scaling, cfg, range(seeds), init_global=refs.w_star)
+        run = []
+        for i in range(iters):
+            batch.step()
+            if i >= iters * 0.9 and i % 5 == 0:
+                run.append(msd(batch.view(), problem.cmap, refs.w_o))
+        vals = np.mean(run, axis=0)  # one steady value per seed
         return 10.0 * np.log10(np.mean(vals))
 
     low_eta = [steady(mus[0], 10.0, 15000), steady(mus[1], 10.0, 15000)]

@@ -1,0 +1,221 @@
+"""The batched engine against the per-agent steps it batches.
+
+Every test runs several seeds at once through `init_batch` and the same
+seeds one by one through `coupled_diffusion_step`, `admm_linearized_step`
+or `centralized_step`, on shared (seed, agent) noise streams.
+"""
+
+import numpy as np
+import pytest
+
+from coupled_diffusion import (
+    BlockLayout,
+    EngineConfig,
+    MetricsLog,
+    MultiAgentProblem,
+    NetworkSpec,
+    PaddedOracle,
+    admm_linearized_step,
+    agent_streams,
+    averaging_weights,
+    centralized_step,
+    coupled_diffusion_step,
+    disagreement,
+    generate_benchmark_problem,
+    inequality,
+    init_admm_state,
+    init_batch,
+    init_state,
+    metropolis_weights,
+    msd,
+    reference_solution,
+    step_scaling,
+)
+from coupled_diffusion.errors import ConfigError, NonFiniteIterate
+from coupled_diffusion.harness import NetworkDescription, build_problem, load_network, regenerate_constraints
+
+SEEDS = (11, 12, 13)
+TOL = 1e-10
+
+
+def _weights(problem, rule=metropolis_weights):
+    mats = {l: rule(problem.cmap, problem.net, l) for l in range(problem.layout.block_count)}
+    return mats, step_scaling(problem.cmap, mats)
+
+
+class _PerAgent:
+    """The per-agent reference for one seed, with the batched interface."""
+
+    def __init__(self, problem, weights, scaling, cfg, seed, init_global=None):
+        self.problem, self.weights, self.scaling, self.cfg = problem, weights, scaling, cfg
+        cmap = problem.cmap
+        if cfg.algorithm == "coupled":
+            self.state = init_state(problem, seed, init_global)
+        elif cfg.algorithm == "admm":
+            self.state = init_admm_state(problem, seed)
+            if init_global is not None:
+                self.state.w = init_state(problem, seed, init_global).w
+        else:
+            self.w = np.zeros(problem.layout.total_dim) if init_global is None else init_global.copy()
+            self.d_blocks = [1.0 / len(c) for c in cmap.clusters]
+            self.rngs = agent_streams(seed, problem.agent_count)
+
+    def step(self):
+        if self.cfg.algorithm == "coupled":
+            coupled_diffusion_step(self.state, self.problem, self.weights, self.scaling, self.cfg)
+        elif self.cfg.algorithm == "admm":
+            admm_linearized_step(self.state, self.problem, self.cfg)
+        else:
+            self.w = centralized_step(self.w, self.d_blocks, self.problem, self.cfg, self.rngs)
+
+    def view(self):
+        if self.cfg.algorithm == "centralized":
+            return self.w[self.problem.cmap.flat_global_indices]
+        return self.state.w
+
+
+def _max_deviation(problem, cfg, seeds=SEEDS, init_global=None, change=None,
+                   rule=metropolis_weights):
+    """Largest |batched - per-agent| entry over every iteration and seed.
+
+    `change` is an optional (iteration, problem) constraint swap applied
+    before the step with that index.
+    """
+    weights, scaling = _weights(problem, rule)
+    batch = init_batch(problem, weights, scaling, cfg, seeds, init_global)
+    refs = [_PerAgent(problem, weights, scaling, cfg, seed, init_global) for seed in seeds]
+    dev = 0.0
+    for i in range(cfg.iterations):
+        if change is not None and i == change[0]:
+            batch.set_constraints(change[1])
+            for ref in refs:
+                ref.problem = change[1]
+        batch.step()
+        for ref in refs:
+            ref.step()
+        assert batch.view().shape == (len(seeds), problem.cmap.total_local_dim)
+        dev = max(dev, float(np.max(np.abs(batch.view() - [ref.view() for ref in refs]))))
+    return dev
+
+
+@pytest.fixture(scope="module")
+def constrained():
+    return generate_benchmark_problem(7, constrained=True)
+
+
+@pytest.fixture(scope="module")
+def bridged():
+    """Five agents whose clusters of blocks 1 and 2 are split, so that
+    embedding recruits bridge agents and PaddedOracle runs."""
+    net = NetworkSpec(
+        agent_count=5,
+        edges=frozenset({(0, 1), (0, 3), (1, 2), (3, 4)}),
+        interest_sets=((0, 2), (0, 1), (0, 2), (0, 1), (0, 3)),
+    )
+    problem = build_problem(NetworkDescription(net=net, layout=BlockLayout((2, 3, 2, 1))), 4,
+                            constrained=True)
+    assert any(isinstance(o, PaddedOracle) for o in problem.oracles)
+    return problem
+
+
+@pytest.mark.parametrize("noise", ["stochastic", "exact"])
+@pytest.mark.parametrize("algorithm", ["coupled", "centralized", "admm"])
+def test_batch_matches_per_agent_steps(constrained, algorithm, noise):
+    eta = 0.0 if algorithm == "admm" else 50.0
+    cfg = EngineConfig(mu=0.002, eta=eta, iterations=150, noise=noise, algorithm=algorithm)
+    assert _max_deviation(constrained, cfg) <= TOL
+
+
+def test_batch_matches_per_agent_steps_with_averaging_weights(constrained):
+    """Averaging matrices are not symmetric and their Perron vectors not
+    uniform, so this catches a transposed combination or a lost scaling."""
+    cfg = EngineConfig(mu=0.002, eta=50.0, iterations=150)
+    assert _max_deviation(constrained, cfg, rule=averaging_weights) <= TOL
+
+
+@pytest.mark.parametrize("algorithm", ["coupled", "centralized", "admm"])
+def test_batch_matches_per_agent_steps_with_bridge_agents(bridged, algorithm):
+    eta = 0.0 if algorithm == "admm" else 20.0
+    cfg = EngineConfig(mu=0.01, eta=eta, iterations=200, algorithm=algorithm)
+    assert _max_deviation(bridged, cfg) <= TOL
+
+
+@pytest.mark.parametrize("algorithm", ["coupled", "centralized"])
+def test_batch_tracks_constraint_swap_from_reference_start(algorithm):
+    desc = load_network("benchmark20")
+    problem = build_problem(desc, 7, constrained=True)
+    changed = regenerate_constraints(problem, desc, 7, epoch=0)
+    start = reference_solution(problem, 100.0).w_star
+    cfg = EngineConfig(mu=0.001, eta=100.0, iterations=160, algorithm=algorithm)
+    assert _max_deviation(problem, cfg, init_global=start, change=(80, changed)) <= TOL
+
+
+def test_admm_warm_start_matches_per_agent(constrained):
+    start = reference_solution(constrained, 0.0).w_star
+    cfg = EngineConfig(mu=0.002, iterations=100, algorithm="admm")
+    assert _max_deviation(constrained, cfg, init_global=start) <= TOL
+
+
+def test_noise_chunks_see_the_per_agent_variates(constrained):
+    """An iteration count that is not a multiple of the chunk length: every
+    (seed, agent, iteration) reads exactly the per-agent stream's draws."""
+    weights, scaling = _weights(constrained)
+    risk = init_batch(constrained, weights, scaling, EngineConfig(mu=0.001), SEEDS)._risk
+    iterations = 2 * risk.chunk + 3
+    risk = init_batch(constrained, weights, scaling,
+                      EngineConfig(mu=0.001, iterations=iterations), SEEDS)._risk
+    assert risk.chunk > 1 and iterations % risk.chunk != 0
+    streams = [agent_streams(seed, constrained.agent_count) for seed in SEEDS]
+    dims = [o.dim for o in constrained.oracles]
+    for _ in range(iterations):
+        draws = risk._next_draws()
+        for s, rngs in enumerate(streams):
+            for k, (rng, d) in enumerate(zip(rngs, dims)):
+                expect = rng.standard_normal(d + 1)
+                assert np.array_equal(draws[k, :d, s], expect[:d])
+                assert draws[k, -1, s] == expect[d]
+    assert risk.left == 0  # the last chunk drew only what the run needs
+
+
+def test_metrics_log_matches_per_seed_metrics(constrained):
+    weights, scaling = _weights(constrained)
+    refs = reference_solution(constrained, 50.0)
+    batch = init_batch(constrained, weights, scaling, EngineConfig(mu=0.002, eta=50.0), SEEDS)
+    log = MetricsLog(constrained.cmap)
+    for i in range(3):
+        batch.step()
+        log.record(i + 1, batch.view(), refs)
+    w = batch.view()
+    assert log.iterations == [1, 2, 3]
+    assert log.msd_star.shape == (3, len(SEEDS))
+    for j in range(len(SEEDS)):
+        assert log.msd_star[-1, j] == pytest.approx(msd(w[j], constrained.cmap, refs.w_star), rel=1e-12)
+        assert log.msd_o[-1, j] == pytest.approx(msd(w[j], constrained.cmap, refs.w_o), rel=1e-12)
+        assert np.allclose(log.disagreement[-1, j], disagreement(w[j], constrained.cmap), rtol=1e-12)
+    assert np.array_equal(log.max_disagreement(), log.disagreement.max(axis=-1))
+
+
+def test_batch_rejects_unsupported_problems(constrained):
+    weights, scaling = _weights(constrained)
+    cons = list(constrained.constraints)
+    cons[1] = cons[1] + (inequality(1, np.ones(constrained.cmap.local_dims[1]), 0.5),)
+    with_inequality = MultiAgentProblem(
+        net=constrained.net, layout=constrained.layout, cmap=constrained.cmap,
+        oracles=constrained.oracles, constraints=tuple(cons), penalty=constrained.penalty,
+    )
+    with pytest.raises(ConfigError):
+        init_batch(with_inequality, weights, scaling, EngineConfig(mu=0.001, eta=1.0), SEEDS)
+    with pytest.raises(ConfigError):
+        init_batch(constrained, weights, scaling,
+                   EngineConfig(mu=0.001, eta=1.0, algorithm="admm"), SEEDS)
+
+
+def test_batch_divergence_names_iteration_agent_and_seed(constrained):
+    weights, scaling = _weights(constrained)
+    batch = init_batch(constrained, weights, scaling, EngineConfig(mu=5.0, noise="exact"), SEEDS)
+    with pytest.raises(NonFiniteIterate) as err:
+        for _ in range(2000):
+            batch.step()
+    assert err.value.iteration > 0
+    assert 0 <= err.value.agent < constrained.agent_count
+    assert "seed" in str(err.value)

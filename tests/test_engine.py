@@ -8,8 +8,6 @@ from coupled_diffusion import (
     NetworkSpec,
     PenaltyConfig,
     admm_linearized_step,
-    agent_streams,
-    assemble_network_form,
     build_clusters,
     centralized_step,
     centroid,
@@ -17,10 +15,10 @@ from coupled_diffusion import (
     disagreement,
     equality,
     init_admm_state,
+    init_batch,
     init_state,
     metropolis_weights,
     msd,
-    network_form_oracle_step,
     penalized_optimum,
     random_quadratic_oracle,
     reference_solution,
@@ -101,18 +99,20 @@ def test_single_agent_reduces_to_gradient_descent():
 
 
 def test_network_form_equivalence_small():
+    """The batched engine is the network form: it tracks the per-agent
+    recursion seed by seed on shared noise streams."""
     problem, cmap = _consistent_problem(seed=3, n=5, dims=(2, 2, 1), noise_std=None)
     mats = _weights(problem)
     scal = step_scaling(cmap, mats)
-    cfg = EngineConfig(mu=0.01, eta=0.0, noise="stochastic")
-    asm = assemble_network_form(cmap, mats)
-    state = init_state(problem, 17)
-    stacked = asm.stack(state.w.copy())
-    rngs = agent_streams(17, problem.agent_count)
+    cfg = EngineConfig(mu=0.01, eta=0.0, iterations=200, noise="stochastic")
+    seeds = (17, 18, 19)
+    batch = init_batch(problem, mats, scal, cfg, seeds)
+    states = [init_state(problem, seed) for seed in seeds]
     for _ in range(200):
-        coupled_diffusion_step(state, problem, mats, scal, cfg)
-        stacked = network_form_oracle_step(stacked, asm, problem, cfg, rngs)
-        assert np.max(np.abs(asm.stack(state.w) - stacked)) <= 1e-12
+        batch.step()
+        for j, state in enumerate(states):
+            coupled_diffusion_step(state, problem, mats, scal, cfg)
+            assert np.max(np.abs(batch.view()[j] - state.w)) <= 1e-12
 
 
 def test_network_form_equivalence_with_penalty():
@@ -128,15 +128,15 @@ def test_network_form_equivalence_with_penalty():
     )
     mats = _weights(problem)
     scal = step_scaling(cmap, mats)
-    cfg = EngineConfig(mu=0.005, eta=20.0, noise="stochastic")
-    asm = assemble_network_form(cmap, mats)
-    state = init_state(problem, 5)
-    stacked = asm.stack(state.w.copy())
-    rngs = agent_streams(5, problem.agent_count)
+    cfg = EngineConfig(mu=0.005, eta=20.0, iterations=200, noise="stochastic")
+    seeds = (5, 6, 7)
+    batch = init_batch(problem, mats, scal, cfg, seeds)
+    states = [init_state(problem, seed) for seed in seeds]
     for _ in range(200):
-        coupled_diffusion_step(state, problem, mats, scal, cfg)
-        stacked = network_form_oracle_step(stacked, asm, problem, cfg, rngs)
-    assert np.max(np.abs(asm.stack(state.w) - stacked)) <= 1e-12
+        batch.step()
+        for state in states:
+            coupled_diffusion_step(state, problem, mats, scal, cfg)
+    assert np.max(np.abs(batch.view() - np.array([st.w for st in states]))) <= 1e-12
 
 
 def test_combine_matches_neighbor_sums():
@@ -180,20 +180,18 @@ def test_centroid_identity_against_network_form():
     problem, cmap = _consistent_problem(seed=8, n=5, dims=(2, 2))
     mats = _weights(problem)
     scal = step_scaling(cmap, mats)
-    cfg = EngineConfig(mu=0.01, eta=0.0, noise="stochastic")
+    cfg = EngineConfig(mu=0.01, eta=0.0, iterations=20, noise="stochastic")
     state = init_state(problem, 3)
-    asm = assemble_network_form(cmap, mats)
+    batch = init_batch(problem, mats, scal, cfg, (3,))
     for _ in range(20):
         coupled_diffusion_step(state, problem, mats, scal, cfg)
+        batch.step()
     c1 = centroid(state.w, cmap, mats)
-    stacked = asm.stack(state.w)
-    pos = 0
+    w = batch.view()[0]
     for l, cluster in enumerate(cmap.clusters):
-        m_l = cmap.layout.dims[l]
-        block = stacked[pos : pos + len(cluster) * m_l].reshape(len(cluster), m_l)
+        block = w[cmap.flat_cluster_indices(l)].reshape(len(cluster), cmap.layout.dims[l])
         expect = mats[l].perron @ block
         assert np.max(np.abs(c1[cmap.layout.global_slice(l)] - expect)) <= 1e-12
-        pos += len(cluster) * m_l
 
 
 def test_noise_free_consensus_contraction():

@@ -33,6 +33,9 @@ def test_config_validation_errors():
         ScenarioConfig(scenario="unconstrained", mu_list=())
     with pytest.raises(ConfigError):
         ScenarioConfig(scenario="unconstrained", weight_rule="uniform")
+    with pytest.raises(ConfigError):  # admm has no penalty half-step
+        ScenarioConfig(scenario="constrained", algorithm="admm", eta_list=(0.0, 10.0))
+    assert ScenarioConfig(scenario="constrained", algorithm="admm", eta_list=(0.0,))
 
 
 def test_config_from_sections():
@@ -267,15 +270,38 @@ def test_cli_overrides(tmp_path):
     assert lines[1].split(",")[1] == "0.002"
 
 
-def test_cli_error_is_machine_readable(tmp_path, capsys):
+def _cli_error(tmp_path, capsys, raw) -> dict:
+    """Run the CLI on a config dict that must fail; the one error line's payload."""
     cfg = tmp_path / "bad.yaml"
-    cfg.write_text(yaml.safe_dump({"scenario": {"id": "nope", "seeds": [0]}}))
+    cfg.write_text(yaml.safe_dump(raw))
     rc = cli_main(["run", "--config", str(cfg), "--out", str(tmp_path)])
     assert rc == 2
     err = capsys.readouterr().err.strip()
-    assert err.startswith("error: ")
-    payload = json.loads(err[len("error: "):])
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    return json.loads(err[len("error: "):])
+
+
+def test_cli_error_is_machine_readable(tmp_path, capsys):
+    payload = _cli_error(tmp_path, capsys, {"scenario": {"id": "nope", "seeds": [0]}})
     assert payload["type"] == "ConfigError"
+
+
+def test_cli_error_network_without_edges(tmp_path, capsys):
+    net = tmp_path / "net.json"
+    net.write_text(json.dumps({"agent_count": 2, "block_dims": [1], "interest_sets": [[0], [0]]}))
+    payload = _cli_error(tmp_path, capsys, {
+        "network": {"source": str(net)},
+        "scenario": {"id": "unconstrained", "seeds": [0]},
+    })
+    assert payload["type"] == "ConfigError" and "edges" in payload["message"]
+
+
+def test_cli_error_null_iterations(tmp_path, capsys):
+    payload = _cli_error(tmp_path, capsys, {
+        "engine": {"iterations": None},
+        "scenario": {"id": "unconstrained", "seeds": [0]},
+    })
+    assert payload["type"] == "ConfigError" and "iterations" in payload["message"]
 
 
 def test_cli_subprocess_smoke(tmp_path):
