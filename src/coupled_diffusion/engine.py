@@ -28,6 +28,8 @@ from .topology import ClusterMap
 from .weights import CombinationMatrix, StepScaling
 
 DIVERGENCE_NORM = 1e9
+ALGORITHMS = ("coupled", "centralized", "admm")
+NOISE_MODES = ("stochastic", "exact")
 
 
 @dataclass
@@ -44,9 +46,9 @@ class EngineConfig:
             raise ValueError("step size mu must be positive")
         if self.iterations < 1:
             raise ValueError("iteration budget must be at least 1")
-        if self.noise not in ("stochastic", "exact"):
+        if self.noise not in NOISE_MODES:
             raise ValueError(f"unknown noise mode {self.noise!r}")
-        if self.algorithm not in ("coupled", "centralized", "admm"):
+        if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
 
 
@@ -73,9 +75,6 @@ class RunState:
     psi: np.ndarray
     iteration: int
     rngs: list = field(repr=False, default_factory=list)
-
-    def agent_vector(self, cmap: ClusterMap, agent: int) -> np.ndarray:
-        return self.w[cmap.flat_slice(agent)]
 
 
 def init_state(problem: MultiAgentProblem, seed: int, init_global=None) -> RunState:
@@ -201,15 +200,25 @@ class AdmmState:
     rngs: list = field(repr=False, default_factory=list)
 
 
-def init_admm_state(problem: MultiAgentProblem, seed: int) -> AdmmState:
-    n = problem.cmap.total_local_dim
-    return AdmmState(
-        w=np.zeros(n),
-        y=np.zeros(n),
-        z=np.zeros(problem.layout.total_dim),
-        iteration=0,
-        rngs=agent_streams(seed, problem.agent_count),
-    )
+def _exact_local_gradients(problem: MultiAgentProblem, w: np.ndarray) -> np.ndarray:
+    """Every agent's exact risk gradient at its copies in the flat vector w."""
+    grad = np.empty_like(w)
+    for k, oracle in enumerate(problem.oracles):
+        sl = problem.cmap.flat_slice(k)
+        grad[sl] = oracle.true_gradient(w[sl])
+    return grad
+
+
+def init_admm_state(problem: MultiAgentProblem, seed: int, init_global=None) -> AdmmState:
+    """Fresh state. A warm start from the global `init_global` sets every
+    copy and cluster average to it and each dual y_k to -grad J_k(w_k), so
+    that an exact-gradient run started at a stationary point stays there."""
+    state = init_state(problem, seed, init_global)
+    if init_global is None:
+        y, z = np.zeros_like(state.w), np.zeros(problem.layout.total_dim)
+    else:
+        y, z = -_exact_local_gradients(problem, state.w), np.array(init_global, dtype=float)
+    return AdmmState(w=state.w, y=y, z=z, iteration=0, rngs=state.rngs)
 
 
 def admm_linearized_step(
@@ -249,8 +258,10 @@ def admm_linearized_step(
 
 # Bytes of pre-drawn noise per refill, all seeds and agents together. The
 # chunk length in iterations follows from it, so the buffer stays this small
-# whatever the network and the number of seeds.
-NOISE_CHUNK_BYTES = 64 * 1024
+# whatever the network and the number of seeds, while each refill's S*N
+# per-stream draws still cover several iterations. The buffer is allocated
+# at the first refill and every later refill writes a prefix of it.
+NOISE_CHUNK_BYTES = 256 * 1024
 
 
 def _quadratic_part(oracle) -> tuple[QuadraticRiskOracle, np.ndarray]:
@@ -309,16 +320,17 @@ class _RiskGradients:
         self.chunk = max(1, NOISE_CHUNK_BYTES // (8 * len(seeds) * int(self.per_iteration.sum())))
         self.left = cfg.iterations
         self.used = self.length = 0
+        self.buffer = None  # (draws, S): gathers give seeds-last arrays
 
     def _refill(self):
         t = min(self.chunk, max(self.left, 1))
         self.left -= t
         starts = np.concatenate([[0], np.cumsum(t * self.per_iteration)])
-        buffer = np.empty((len(self.streams), int(starts[-1])))
-        for row, streams in zip(buffer, self.streams):
+        if self.buffer is None:  # the first chunk is the longest
+            self.buffer = np.empty((len(self.streams), int(starts[-1]))).T
+        for row, streams in zip(self.buffer.T, self.streams):
             for rng, a, b in zip(streams, starts[:-1], starts[1:]):
                 rng.standard_normal(out=row[a:b])
-        self.buffer = buffer.T  # (draws, S): gathers give seeds-last arrays
         self.base = starts[:-1, None] + self.column
         self.used, self.length = 0, t
 
@@ -479,8 +491,10 @@ class AdmmBatch(_Batch):
             self.cmap, [np.full((len(c), len(c)), 1.0 / len(c)) for c in self.cmap.clusters]
         )
         self.w = self._start(init_global, self.cmap.flat_global_indices)
+        self.z = self.w.copy()
         self.y = np.zeros_like(self.w)
-        self.z = np.zeros_like(self.w)
+        if init_global is not None:  # the warm start of init_admm_state
+            self.y[:] = -_exact_local_gradients(problem, self.w[:, 0])[:, None]
 
     def view(self):
         return self.w.T
@@ -536,7 +550,7 @@ def init_batch(problem: MultiAgentProblem, weights, scaling: StepScaling, cfg: E
     """Batched engine for `cfg.algorithm` over all `seeds` at once.
 
     Local copies start at zero or gathered from the global `init_global`
-    (the admm duals and averages start at zero either way). Seed s draws
+    (with the admm warm start of `init_admm_state`). Seed s draws
     from `agent_streams(s, N)` exactly as the per-agent step does.
     """
     return _BATCHES[cfg.algorithm](problem, weights, scaling, cfg, seeds, init_global)

@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .engine import EngineConfig, init_batch
+from .engine import ALGORITHMS, NOISE_MODES, EngineConfig, init_batch
 from .errors import ConfigError, SingularSystem
 from .metrics import MetricsLog, ReferenceSolution, db, reference_solution
 from .objective import (
@@ -34,6 +34,7 @@ from .weights import averaging_weights, metropolis_weights, step_scaling
 
 SCENARIOS = ("unconstrained", "constrained", "tracking", "sweep", "custom")
 WEIGHT_RULES = ("metropolis", "averaging")
+SEED_LIMIT = 2**63  # seeds become Philox keys, read as signed 64-bit integers
 BUILTIN_NETWORKS = ("benchmark20", "example5")
 
 # sub-stream tags so problem data, constraints, and engine noise never collide
@@ -163,10 +164,20 @@ class ScenarioConfig:
             raise ConfigError("eta list must be non-empty and non-negative")
         if not self.seeds:
             raise ConfigError("seed list must be non-empty")
+        if not all(0 <= s < SEED_LIMIT for s in self.seeds + (self.problem_seed,)):
+            raise ConfigError("seeds and problem_seed must lie in [0, 2**63)")
         if self.iterations < 1:
             raise ConfigError("iterations must be at least 1")
         if self.weight_rule not in WEIGHT_RULES:
             raise ConfigError(f"unknown weight rule {self.weight_rule!r}")
+        if self.algorithm not in ALGORITHMS:
+            raise ConfigError(f"unknown algorithm {self.algorithm!r}")
+        if self.noise not in NOISE_MODES:
+            raise ConfigError(f"unknown noise mode {self.noise!r}")
+        if self.rho_admm <= 0:
+            raise ConfigError("rho_admm must be positive")
+        if self.constrained not in (None, True, False):
+            raise ConfigError(f"constrained must be true or false, got {self.constrained!r}")
         if self.scenario == "tracking" and self.change_point is None:
             raise ConfigError("tracking scenario needs a change_point")
         if self.change_point is not None and not (0 < self.change_point < self.iterations):
@@ -375,15 +386,18 @@ def _run_one(problem, weights, scaling, ecfg: EngineConfig, seeds, refs: Referen
     `change` is an optional (iteration, problem, refs) triple applied
     before the step with that index (constraint regeneration).
     """
-    engine = init_batch(problem, weights, scaling, ecfg, seeds, init_global)
-    log = MetricsLog(problem.cmap)
-    for i in range(ecfg.iterations):
-        if change is not None and i == change[0]:
-            engine.set_constraints(change[1])
-            refs = change[2]
-        engine.step()
-        if (i + 1) % log_every == 0 or i + 1 == ecfg.iterations:
-            log.record(i + 1, engine.view(), refs)
+    # a diverging run stops with NonFiniteIterate; numpy's overflow warnings
+    # on the way there would only add lines to the CLI's one-line error
+    with np.errstate(over="ignore", invalid="ignore"):
+        engine = init_batch(problem, weights, scaling, ecfg, seeds, init_global)
+        log = MetricsLog(problem.cmap)
+        for i in range(ecfg.iterations):
+            if change is not None and i == change[0]:
+                engine.set_constraints(change[1])
+                refs = change[2]
+            engine.step()
+            if (i + 1) % log_every == 0 or i + 1 == ecfg.iterations:
+                log.record(i + 1, engine.view(), refs)
     return log
 
 

@@ -32,8 +32,10 @@ class ReferenceSolution:
 
 
 def db(x: float) -> float:
-    """Power quantity in decibels."""
-    return 10.0 * np.log10(x)
+    """Power quantity in decibels; zero (a run that sits exactly on its
+    reference) is -inf dB."""
+    with np.errstate(divide="ignore"):
+        return 10.0 * np.log10(x)
 
 
 def msd(w_flat: np.ndarray, cmap: ClusterMap, reference: np.ndarray) -> float:

@@ -319,9 +319,6 @@ class MultiAgentProblem:
         hess, _ = self.global_risk_quadratic()
         return float(np.linalg.eigvalsh(hess)[0])
 
-    def risk_lipschitz(self) -> float:
-        return max(float(np.linalg.eigvalsh(2.0 * o.covariance)[-1]) for o in self.oracles)
-
     def penalty_lipschitz(self) -> float:
         """Gradient-Lipschitz bound for the affine-constraint penalties."""
         worst = 0.0

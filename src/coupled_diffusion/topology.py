@@ -130,9 +130,6 @@ class ClusterMap:
     def total_local_dim(self) -> int:
         return sum(self.local_dims)
 
-    def cluster_size(self, block: int) -> int:
-        return len(self.clusters[block])
-
     def local_slice(self, agent: int, block: int) -> slice:
         """Position of w_k^l within agent k's local vector."""
         off = self._local_offsets[agent][block]

@@ -16,7 +16,6 @@ import numpy as np
 from .errors import DisconnectedCluster, NotPrimitive
 from .topology import ClusterMap, NetworkSpec, validate_connectivity
 
-PERRON_TOL = 1e-14
 PERRON_RESIDUAL_TOL = 1e-10
 MAX_DENSE_EIG = 100
 
@@ -34,9 +33,6 @@ class CombinationMatrix:
     @property
     def size(self) -> int:
         return len(self.agents)
-
-    def perron_entry(self, agent: int) -> float:
-        return float(self.perron[self.agents.index(agent)])
 
 
 @dataclass(frozen=True)
@@ -106,53 +102,47 @@ def _finish(block, agents, a) -> CombinationMatrix:
     return CombinationMatrix(block=block, agents=agents, matrix=a, perron=r, lambda2=lam2)
 
 
+def _unit_eigenpair(a: np.ndarray, vectors: bool):
+    """Split a dense eigendecomposition at the eigenvalue nearest one.
+
+    Returns that eigenvalue's eigenvector (None unless `vectors`) and the
+    largest magnitude among the other eigenvalues. Raises NotPrimitive when
+    that magnitude reaches one (reducible or periodic matrices); clusters
+    beyond desk scale are rejected.
+    """
+    n = a.shape[0]
+    if n > MAX_DENSE_EIG:
+        raise ValueError(f"cluster size {n} exceeds dense eigensolver limit {MAX_DENSE_EIG}")
+    eig, vecs = np.linalg.eig(a) if vectors else (np.linalg.eigvals(a), None)
+    unit = int(np.argmin(np.abs(eig - 1.0)))
+    lam2 = float(np.abs(np.delete(eig, unit)).max(initial=0.0))
+    if lam2 >= 1.0 - 1e-10:
+        raise NotPrimitive(f"second eigenvalue magnitude {lam2} is too close to one")
+    return (None if vecs is None else vecs[:, unit]), lam2
+
+
 def perron_vector(a: np.ndarray) -> np.ndarray:
     """Positive unit-sum right eigenvector of a left-stochastic matrix at 1.
 
-    Power iteration until the max-norm change drops below 1e-14, capped at
-    100*n^2 iterations. Raises NotPrimitive when the iteration fails to
-    converge or the limit has non-positive entries.
+    The eigenvector of the eigenvalue nearest one, divided by its sum,
+    which also removes its complex phase. Raises NotPrimitive for reducible
+    or periodic matrices, non-positive entries or a residual above
+    PERRON_RESIDUAL_TOL.
     """
     a = np.asarray(a, dtype=float)
-    n = a.shape[0]
-    # asymmetric positive start: a periodic matrix then oscillates instead of
-    # silently converging from one of its eigenvectors
-    x = np.arange(1.0, n + 1.0)
-    x /= x.sum()
-    for _ in range(100 * n * n):
-        y = a @ x
-        y /= y.sum()
-        if np.max(np.abs(y - x)) <= PERRON_TOL:
-            x = y
-            break
-        x = y
-    else:
-        raise NotPrimitive("power iteration did not converge")
-    if np.any(x <= 0):
-        raise NotPrimitive("limit vector has non-positive entries")
+    vec, _ = _unit_eigenpair(a, vectors=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = (vec / vec.sum()).real
+    if not np.all(x > 0):
+        raise NotPrimitive("Perron vector has non-positive entries")
     if np.max(np.abs(a @ x - x)) > PERRON_RESIDUAL_TOL:
         raise NotPrimitive("eigenvector residual too large")
     return x
 
 
 def second_eigenvalue_magnitude(a: np.ndarray) -> float:
-    """Largest |eigenvalue| after removing one instance of the value 1.
-
-    Dense eigendecomposition; clusters beyond desk scale are rejected.
-    """
-    a = np.asarray(a, dtype=float)
-    n = a.shape[0]
-    if n > MAX_DENSE_EIG:
-        raise ValueError(f"cluster size {n} exceeds dense eigensolver limit {MAX_DENSE_EIG}")
-    if n == 1:
-        return 0.0
-    eig = np.linalg.eigvals(a)
-    drop = int(np.argmin(np.abs(eig - 1.0)))
-    rest = np.abs(np.delete(eig, drop))
-    lam2 = float(rest.max())
-    if lam2 >= 1.0 - 1e-10:
-        raise NotPrimitive(f"second eigenvalue magnitude {lam2} is too close to one")
-    return lam2
+    """Largest |eigenvalue| after removing one instance of the value 1."""
+    return _unit_eigenpair(np.asarray(a, dtype=float), vectors=False)[1]
 
 
 def step_scaling(cmap: ClusterMap, matrices: dict[int, CombinationMatrix] | list[CombinationMatrix]) -> StepScaling:

@@ -14,7 +14,6 @@ from coupled_diffusion import (
     BlockLayout,
     EngineConfig,
     NetworkSpec,
-    admm_linearized_step,
     averaging_weights,
     build_clusters,
     constrained_optimum,
@@ -22,7 +21,6 @@ from coupled_diffusion import (
     disagreement,
     empirical_rate,
     generate_benchmark_problem,
-    init_admm_state,
     init_batch,
     init_state,
     ip_penalty,
@@ -269,18 +267,15 @@ def test_criterion_08_tracking():
     problem2 = regenerate_constraints(problem, desc, 7, epoch=0)
     refs2 = reference_solution(problem2, eta)
     cfg = EngineConfig(mu=mu, eta=eta, iterations=total)
-    curves = []
-    for seed in range(10):
-        state = init_state(problem, seed)
-        p, ref = problem, refs1.w_star
-        vals = []
-        for i in range(total):
-            if i == change:
-                p, ref = problem2, refs2.w_star
-            coupled_diffusion_step(state, p, weights, scaling, cfg)
-            vals.append(msd(state.w, problem.cmap, ref))
-        curves.append(vals)
-    mean = np.mean(curves, axis=0)
+    batch = init_batch(problem, weights, scaling, cfg, range(10))
+    ref = refs1.w_star
+    mean = np.empty(total)
+    for i in range(total):
+        if i == change:
+            batch.set_constraints(problem2)
+            ref = refs2.w_star
+        batch.step()
+        mean[i] = np.mean(msd(batch.view(), problem.cmap, ref))
     pre_db = 10 * np.log10(mean[change - 200 : change].mean())
     jump_db = 10 * np.log10(mean[change])
     recover = next(
@@ -310,24 +305,20 @@ def test_criterion_09_baseline_ordering(bench):
     problem, weights, scaling, refs = bench
     mu = 0.001
     cfg_c = EngineConfig(mu=mu, eta=0.0, iterations=3000)
-    cfg_a = EngineConfig(mu=mu, eta=0.0, iterations=6000, rho_admm=1.0)
-    coupled_vals, admm_vals = [], []
-    for seed in range(ENSEMBLE_SEEDS):
-        state = init_state(problem, seed)
+    cfg_a = EngineConfig(mu=mu, eta=0.0, iterations=6000, rho_admm=1.0, algorithm="admm")
+
+    def steady(cfg, seeds):
+        """Seed mean of each seed's MSD averaged over the final 10%."""
+        batch = init_batch(problem, weights, scaling, cfg, seeds)
         vals = []
-        for i in range(cfg_c.iterations):
-            coupled_diffusion_step(state, problem, weights, scaling, cfg_c)
-            if i >= cfg_c.iterations * 0.9:
-                vals.append(msd(state.w, problem.cmap, refs.w_star))
-        coupled_vals.append(np.mean(vals))
-        st = init_admm_state(problem, 100 + seed)
-        vals = []
-        for i in range(cfg_a.iterations):
-            admm_linearized_step(st, problem, cfg_a)
-            if i >= cfg_a.iterations * 0.9:
-                vals.append(msd(st.w, problem.cmap, refs.w_star))
-        admm_vals.append(np.mean(vals))
-    c, a = float(np.mean(coupled_vals)), float(np.mean(admm_vals))
+        for i in range(cfg.iterations):
+            batch.step()
+            if i >= cfg.iterations * 0.9:
+                vals.append(msd(batch.view(), problem.cmap, refs.w_star))
+        return float(np.mean(np.mean(vals, axis=0)))
+
+    c = steady(cfg_c, range(ENSEMBLE_SEEDS))
+    a = steady(cfg_a, range(100, 100 + ENSEMBLE_SEEDS))
     _report(9, a > c,
             f"admm steady MSD {a:.3e} vs coupled {c:.3e} (require strict admm > coupled)")
 

@@ -5,6 +5,8 @@ seeds one by one through `coupled_diffusion_step`, `admm_linearized_step`
 or `centralized_step`, on shared (seed, agent) noise streams.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from coupled_diffusion import (
     MultiAgentProblem,
     NetworkSpec,
     PaddedOracle,
+    QuadraticRiskOracle,
     admm_linearized_step,
     agent_streams,
     averaging_weights,
@@ -52,9 +55,7 @@ class _PerAgent:
         if cfg.algorithm == "coupled":
             self.state = init_state(problem, seed, init_global)
         elif cfg.algorithm == "admm":
-            self.state = init_admm_state(problem, seed)
-            if init_global is not None:
-                self.state.w = init_state(problem, seed, init_global).w
+            self.state = init_admm_state(problem, seed, init_global)
         else:
             self.w = np.zeros(problem.layout.total_dim) if init_global is None else init_global.copy()
             self.d_blocks = [1.0 / len(c) for c in cmap.clusters]
@@ -156,6 +157,32 @@ def test_admm_warm_start_matches_per_agent(constrained):
     assert _max_deviation(constrained, cfg, init_global=start) <= TOL
 
 
+@pytest.mark.parametrize("spread", [0.0, 0.1])
+def test_admm_warm_start_stays_at_the_optimum(spread):
+    """Exact gradients from the unconstrained optimum of benchmark20: the
+    averages start there and the duals at -grad J_k, which sum to zero over
+    each cluster, so nothing moves. With `spread`, each agent's own
+    minimizer is moved off the common model, so that grad J_k is not zero."""
+    problem = generate_benchmark_problem(7)
+    rng = np.random.default_rng(5)
+    oracles = tuple(
+        QuadraticRiskOracle(o.basis, o.spectrum, o.w_ref + spread * rng.standard_normal(o.dim),
+                            o.noise_std)
+        for o in problem.oracles
+    )
+    problem = dataclasses.replace(problem, oracles=oracles)
+    start = reference_solution(problem, 0.0).w_star
+    weights, scaling = _weights(problem)
+    cfg = EngineConfig(mu=0.002, iterations=10, noise="exact", algorithm="admm")
+    batch = init_batch(problem, weights, scaling, cfg, SEEDS, init_global=start)
+    state = init_admm_state(problem, SEEDS[0], start)
+    for _ in range(cfg.iterations):
+        batch.step()
+        admm_linearized_step(state, problem, cfg)
+    assert np.max(msd(batch.view(), problem.cmap, start)) <= 1e-20
+    assert msd(state.w, problem.cmap, start) <= 1e-20
+
+
 def test_noise_chunks_see_the_per_agent_variates(constrained):
     """An iteration count that is not a multiple of the chunk length: every
     (seed, agent, iteration) reads exactly the per-agent stream's draws."""
@@ -167,8 +194,11 @@ def test_noise_chunks_see_the_per_agent_variates(constrained):
     assert risk.chunk > 1 and iterations % risk.chunk != 0
     streams = [agent_streams(seed, constrained.agent_count) for seed in SEEDS]
     dims = [o.dim for o in constrained.oracles]
-    for _ in range(iterations):
+    for i in range(iterations):
         draws = risk._next_draws()
+        if i == 0:
+            buffer = risk.buffer
+        assert risk.buffer is buffer  # refills reuse the first chunk's buffer
         for s, rngs in enumerate(streams):
             for k, (rng, d) in enumerate(zip(rngs, dims)):
                 expect = rng.standard_normal(d + 1)

@@ -33,6 +33,11 @@ def test_config_validation_errors():
         ScenarioConfig(scenario="unconstrained", mu_list=())
     with pytest.raises(ConfigError):
         ScenarioConfig(scenario="unconstrained", weight_rule="uniform")
+    for bad in (dict(seeds=(-1,)), dict(seeds=(2**64,)), dict(problem_seed=2**63),
+                dict(algorithm="sgd"), dict(noise="gaussian"), dict(rho_admm=0.0),
+                dict(constrained="no")):
+        with pytest.raises(ConfigError):
+            ScenarioConfig(scenario="unconstrained", **bad)
     with pytest.raises(ConfigError):  # admm has no penalty half-step
         ScenarioConfig(scenario="constrained", algorithm="admm", eta_list=(0.0, 10.0))
     assert ScenarioConfig(scenario="constrained", algorithm="admm", eta_list=(0.0,))

@@ -8,12 +8,14 @@ from coupled_diffusion import (
     NetworkSpec,
     averaging_weights,
     build_clusters,
+    generate_benchmark_problem,
     metropolis_weights,
     perron_vector,
     second_eigenvalue_magnitude,
     step_scaling,
 )
 from coupled_diffusion.errors import DisconnectedCluster, NotPrimitive
+from coupled_diffusion.harness import NetworkDescription, build_problem
 
 
 def _one_cluster(n, edges):
@@ -75,6 +77,43 @@ def test_perron_examples():
 def test_perron_rejects_periodic():
     with pytest.raises(NotPrimitive):
         perron_vector(np.array([[0.0, 1.0], [1.0, 0.0]]))
+
+
+def _power_iteration(a, steps=20000):
+    """Reference Perron vector: a long power iteration from a positive start."""
+    x = np.arange(1.0, a.shape[0] + 1.0)
+    for _ in range(steps):
+        x = a @ x
+        x /= x.sum()
+    return x
+
+
+def test_perron_matches_long_power_iteration(bridge_net):
+    """Every Metropolis and averaging matrix of benchmark20 and of the
+    bridged five-agent network (whose split clusters are embedded first)."""
+    bridged = build_problem(NetworkDescription(net=bridge_net, layout=BlockLayout((2, 3, 2, 1))), 4)
+    checked = 0
+    for problem in (generate_benchmark_problem(7), bridged):
+        for make in (metropolis_weights, averaging_weights):
+            for l in range(problem.layout.block_count):
+                a = make(problem.cmap, problem.net, l).matrix
+                r = perron_vector(a)
+                assert np.max(np.abs(r - _power_iteration(a))) <= 1e-12
+                assert np.max(np.abs(a @ r - r)) <= 1e-14
+                checked += 1
+    assert checked == 2 * (5 + 4)
+
+
+@pytest.mark.parametrize("a", [
+    np.eye(3),  # reducible: three closed classes
+    np.array([[1.0, 0.5], [0.0, 0.5]]),  # reducible: agent 1 only sends
+    np.array([[0.5, 0.5, 0.0, 0.0], [0.5, 0.5, 0.0, 0.0],
+              [0.0, 0.0, 0.5, 0.5], [0.0, 0.0, 0.5, 0.5]]),  # two closed classes
+    np.roll(np.eye(3), 1, axis=0),  # periodic: a 3-cycle
+])
+def test_perron_rejects_reducible_and_periodic(a):
+    with pytest.raises(NotPrimitive):
+        perron_vector(a)
 
 
 def test_second_eigenvalue_examples():
