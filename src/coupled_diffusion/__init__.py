@@ -40,9 +40,7 @@ from .metrics import (
 )
 from .objective import (
     ConstraintSpec,
-    GradientSample,
     MultiAgentProblem,
-    PaddedOracle,
     PenaltyConfig,
     QuadraticRiskOracle,
     ep_penalty,
@@ -52,7 +50,6 @@ from .objective import (
     penalty_gradient,
     penalty_value,
     random_quadratic_oracle,
-    sample_stochastic_gradient,
     true_gradient,
 )
 from .topology import (

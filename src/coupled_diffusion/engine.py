@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, NonFiniteIterate
-from .objective import MultiAgentProblem, PaddedOracle, QuadraticRiskOracle
+from .objective import MultiAgentProblem, QuadraticRiskOracle
 from .topology import ClusterMap
 from .weights import CombinationMatrix, StepScaling
 
@@ -264,59 +264,53 @@ def admm_linearized_step(
 NOISE_CHUNK_BYTES = 256 * 1024
 
 
-def _quadratic_part(oracle) -> tuple[QuadraticRiskOracle, np.ndarray]:
-    """The quadratic oracle behind `oracle` and its coordinates in w_k."""
-    positions = np.arange(oracle.dim)
-    if isinstance(oracle, PaddedOracle):
-        oracle, positions = oracle.inner, oracle.positions
-    if not isinstance(oracle, QuadraticRiskOracle):
-        raise ConfigError(
-            f"the batched engine needs quadratic risk oracles, got {type(oracle).__name__}"
-        )
-    return oracle, positions
-
-
 class _RiskGradients:
     """Every agent's risk gradient for every seed in a few array operations.
 
-    Agent k's quadratic oracle acts on d_k coordinates of w_k (all of them,
-    or the inner positions of a PaddedOracle). Its factor, the scaled
-    basis or in exact mode the covariance, sits zero-padded in an
-    (N, D, D) tensor with D = max d_k, so padded coordinates add nothing.
-    Stochastic mode pre-draws each (seed, agent) stream's d_k + 1 normals
-    per iteration in chunks: one draw of T (d_k + 1) values equals T
-    successive draws of d_k + 1, so iteration i sees the variates the
-    per-agent step would.
+    Agent k's quadratic oracle acts on its Q_k flat coordinates through its
+    (Q_k, R_k) scaled basis, or in exact mode its (Q_k, Q_k) covariance;
+    the zero basis rows of a bridge agent's added blocks give zero
+    gradient entries there. The factors sit zero-padded in an (N, Q, R)
+    or (N, Q, Q) tensor with Q = max Q_k and R = max R_k, so padded cells
+    add nothing. Stochastic mode pre-draws each (seed, agent) stream's
+    R_k + 1 normals per iteration in chunks: one draw of T (R_k + 1)
+    values equals T successive draws of R_k + 1, so iteration i sees the
+    variates the per-agent step would.
     """
 
     def __init__(self, problem: MultiAgentProblem, seeds, cfg: EngineConfig):
         cmap = problem.cmap
-        parts = [_quadratic_part(o) for o in problem.oracles]
-        dims = np.array([o.dim for o, _ in parts])
+        for o in problem.oracles:
+            if not isinstance(o, QuadraticRiskOracle):
+                raise ConfigError(
+                    f"the batched engine needs quadratic risk oracles, got {type(o).__name__}"
+                )
+        dims, ranks = np.array(cmap.local_dims), np.array([o.rank for o in problem.oracles])
         width = int(dims.max())
         self.exact = cfg.noise == "exact"
-        self.gather = np.zeros((len(parts), width), dtype=np.intp)
-        self.factor = np.zeros((len(parts), width, width))
-        self.w_ref = np.zeros((len(parts), width, 1))
-        for k, (o, positions) in enumerate(parts):
-            self.gather[k, : o.dim] = cmap.agent_starts[k] + positions
-            self.factor[k, : o.dim, : o.dim] = o.covariance if self.exact else o._scaled_basis
-            self.w_ref[k, : o.dim, 0] = o.w_ref
         valid = np.arange(width) < dims[:, None]
-        # gradients land in rows k*D + j of an (N*D + 1, S) buffer whose last
-        # row stays zero; flat entries outside every oracle (bridge copies)
-        # read that row
-        self.rows = np.zeros((valid.size + 1, len(seeds)))
-        self.slot = np.full(cmap.total_local_dim, valid.size)
-        self.slot[self.gather[valid]] = np.flatnonzero(valid)
+        # padded cells gather flat entry 0, which meets a zero factor row;
+        # the valid cells, in row-major order, are the flat layout itself
+        self.gather = np.where(valid, np.array(cmap.agent_starts)[:, None] + np.arange(width), 0)
+        self.valid = np.flatnonzero(valid)
+        self.factor = np.zeros((len(dims), width, width if self.exact else int(ranks.max())))
+        self.w_ref = np.zeros((len(dims), width, 1))
+        for k, o in enumerate(problem.oracles):
+            f = o.covariance if self.exact else o._scaled_basis
+            self.factor[k, : f.shape[0], : f.shape[1]] = f
+            self.w_ref[k, : o.dim, 0] = o.w_ref
+        self.grads = np.empty(valid.shape + (len(seeds),))
         if self.exact:
             return
-        self.noise_std = np.array([[o.noise_std] for o, _ in parts])
-        self.streams = [agent_streams(seed, len(parts)) for seed in seeds]
-        self.per_iteration = dims + 1  # normals each agent draws per iteration
-        # column j < D of agent k reads its j-th feature draw (padding reads
-        # draw 0, which meets a zero factor column); column D its noise draw
-        self.column = np.concatenate([np.where(valid, np.arange(width), 0), dims[:, None]], axis=1)
+        self.noise_std = np.array([[o.noise_std] for o in problem.oracles])
+        self.streams = [agent_streams(seed, len(dims)) for seed in seeds]
+        self.per_iteration = ranks + 1  # normals each agent draws per iteration
+        # column j < R of agent k reads its j-th feature draw (padding reads
+        # draw 0, which meets a zero factor column); column R its noise draw
+        rank_cols = np.arange(self.factor.shape[2])
+        self.column = np.concatenate(
+            [np.where(rank_cols < ranks[:, None], rank_cols, 0), ranks[:, None]], axis=1
+        )
         self.chunk = max(1, NOISE_CHUNK_BYTES // (8 * len(seeds) * int(self.per_iteration.sum())))
         self.left = cfg.iterations
         self.used = self.length = 0
@@ -335,7 +329,7 @@ class _RiskGradients:
         self.used, self.length = 0, t
 
     def _next_draws(self) -> np.ndarray:
-        """(N, D + 1, S): this iteration's feature draws, then the noise draw."""
+        """(N, R + 1, S): this iteration's feature draws, then the noise draw."""
         if self.used == self.length:
             self._refill()
         idx = self.base + self.used * self.per_iteration[:, None]
@@ -344,8 +338,7 @@ class _RiskGradients:
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         """Gradients at the points x, (n_flat, S) in and out."""
-        z = x[self.gather]
-        g = self.rows[:-1].reshape(z.shape)
+        z, g = x[self.gather], self.grads
         if self.exact:
             np.matmul(self.factor, 2.0 * (z - self.w_ref), out=g)
         else:
@@ -353,7 +346,7 @@ class _RiskGradients:
             h = self.factor @ draws[:, :-1]
             y = (self.w_ref.transpose(0, 2, 1) @ h)[:, 0] + self.noise_std * draws[:, -1]
             np.multiply((2.0 * (np.einsum("kis,kis->ks", h, z) - y))[:, None], h, out=g)
-        return self.rows[self.slot]
+        return g.reshape(-1, g.shape[-1])[self.valid]
 
 
 class _ClusterMix:
@@ -381,23 +374,6 @@ class _ClusterMix:
         return mixed.reshape(-1, x.shape[1])[self.slot]
 
 
-def _penalty_rows(problem: MultiAgentProblem, flat: bool):
-    """Lifted constraint rows (G, b) in the flat or the global layout, or
-    None without constraints. The penalty gradient is G' 2 (G w - b)."""
-    cmap = problem.cmap
-    rows, rhs = [], []
-    for k, cons in enumerate(problem.constraints):
-        index = cmap.flat_slice(k) if flat else cmap.global_indices(k)
-        for c in cons:
-            row = np.zeros(cmap.total_local_dim if flat else cmap.layout.total_dim)
-            row[index] = c.coeffs
-            rows.append(row)
-            rhs.append(c.offset)
-    if not rows:
-        return None
-    return np.array(rows), np.array(rhs)[:, None]
-
-
 def _penalty_gradient(rows, w: np.ndarray) -> np.ndarray:
     g, b = rows
     return g.T @ (2.0 * (g @ w - b))
@@ -411,6 +387,8 @@ class _Batch:
     are contiguous across seeds for the batched matrix products; `view()`
     returns the local copies as (S, n_flat), one row per seed.
     """
+
+    flat = True  # the state and the penalty rows use the flat layout, else the global one
 
     def __init__(self, problem: MultiAgentProblem, cfg: EngineConfig, seeds):
         self.cfg = cfg
@@ -428,11 +406,14 @@ class _Batch:
         return w
 
     def set_constraints(self, problem: MultiAgentProblem):
-        """Swap in the constraints of `problem` (same network and oracles)."""
+        """Swap in the constraints of `problem` (same network and oracles):
+        their lifted rows (G, b), or None when the penalty step is void."""
         for cons in problem.constraints:
             for c in cons:
                 if c.kind != "equality" or c.coeffs is None:
                     raise ConfigError("the batched engine supports affine equality constraints only")
+        g, b = problem.constraint_system(flat=self.flat)
+        self._rows = (g, b[:, None]) if self.cfg.eta != 0.0 and b.size else None
 
     def view(self) -> np.ndarray:
         raise NotImplementedError
@@ -464,10 +445,6 @@ class CoupledBatch(_Batch):
         self._risk_step = (cfg.mu * scaling.flat)[:, None]
         self._penalty_step = ((cfg.mu * cfg.eta) * scaling.flat)[:, None]
         self.w = self._start(init_global, self.cmap.flat_global_indices)
-
-    def set_constraints(self, problem):
-        super().set_constraints(problem)
-        self._rows = _penalty_rows(problem, flat=True) if self.cfg.eta != 0.0 else None
 
     def view(self):
         return self.w.T
@@ -512,6 +489,8 @@ class CentralizedBatch(_Batch):
     """Centralized incremental steps on the global vector with D = 1/N_l
     per block; the agents' flat gradients are summed over each cluster."""
 
+    flat = False
+
     def __init__(self, problem, weights, scaling, cfg, seeds, init_global=None):
         super().__init__(problem, cfg, seeds)
         cmap = self.cmap
@@ -526,10 +505,6 @@ class CentralizedBatch(_Batch):
             [cmap.flat_cluster_indices(l)[:m] for l, m in enumerate(cmap.layout.dims)]
         )
         self.w = self._start(init_global, np.arange(cmap.layout.total_dim))
-
-    def set_constraints(self, problem):
-        super().set_constraints(problem)
-        self._rows = _penalty_rows(problem, flat=False) if self.cfg.eta != 0.0 else None
 
     def view(self):
         return self.w[self.cmap.flat_global_indices].T

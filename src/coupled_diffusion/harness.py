@@ -24,7 +24,6 @@ from .errors import ConfigError, SingularSystem
 from .metrics import MetricsLog, ReferenceSolution, db, reference_solution
 from .objective import (
     MultiAgentProblem,
-    PaddedOracle,
     PenaltyConfig,
     equality,
     random_quadratic_oracle,
@@ -280,7 +279,7 @@ def build_problem(desc: NetworkDescription, seed: int, constrained: bool = False
     receives a random orthogonal-basis covariance with spectrum uniform
     in [1, 3] and noise power uniform in [-30, -20] dB. Disconnected
     clusters are embedded first; agents recruited as bridges contribute
-    zero cost for the added blocks (their oracles are zero-padded). The
+    zero cost for the added blocks (zero basis rows in their oracles). The
     constrained variant adds one unit-norm affine equality per block at
     the owner. Deterministic per seed.
     """
@@ -295,15 +294,14 @@ def build_problem(desc: NetworkDescription, seed: int, constrained: bool = False
     model /= np.linalg.norm(model)
     oracles = []
     for k in range(net.agent_count):
-        inner = random_quadratic_oracle(cmap0.gather_local(model, k), rng)
-        if net.interest_sets[k] == cmap0.agent_blocks[k]:
-            oracles.append(inner)
-        else:
+        oracle = random_quadratic_oracle(cmap0.gather_local(model, k), rng)
+        if net.interest_sets[k] != cmap0.agent_blocks[k]:
             positions = np.concatenate([
                 np.arange(cmap.local_slice(k, l).start, cmap.local_slice(k, l).stop)
                 for l in cmap0.agent_blocks[k]
             ])
-            oracles.append(PaddedOracle(inner, positions, cmap.local_dims[k]))
+            oracle = oracle.embedded(positions, cmap.local_dims[k])
+        oracles.append(oracle)
     oracles = tuple(oracles)
     if constrained:
         constraints = _draw_constraints(desc, cmap, _problem_rng(seed, _CONSTRAINT_TAG))

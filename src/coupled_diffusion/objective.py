@@ -121,23 +121,18 @@ def penalty_gradient(constraints, w: np.ndarray, cfg: PenaltyConfig) -> np.ndarr
 
 
 @dataclass(frozen=True)
-class GradientSample:
-    """One stochastic gradient draw, optionally paired with the true gradient."""
-
-    grad: np.ndarray
-    true_grad: Optional[np.ndarray] = None
-
-
-@dataclass(frozen=True)
 class QuadraticRiskOracle:
     """Streaming least-squares risk E(h'w - y)^2 with y = h'w_ref + noise.
 
     Features h are Gaussian with covariance basis @ diag(spectrum) @ basis'.
-    One sample consumes dim + 1 standard normal draws from the supplied
-    generator, which keeps paired runs noise-for-noise identical.
+    The basis is (dim, rank) with orthonormal columns; its zero rows are
+    coordinates the risk does not depend on, such as the blocks cluster
+    embedding gives a bridge agent (see `embedded`). One sample consumes
+    rank + 1 standard normal draws from the supplied generator, which
+    keeps paired runs noise-for-noise identical.
     """
 
-    basis: np.ndarray  # orthogonal
+    basis: np.ndarray  # orthonormal columns
     spectrum: np.ndarray  # diagonal of the covariance eigenvalues
     w_ref: np.ndarray
     noise_std: float
@@ -156,6 +151,10 @@ class QuadraticRiskOracle:
         return self.w_ref.shape[0]
 
     @property
+    def rank(self) -> int:
+        return self.basis.shape[1]
+
+    @property
     def covariance(self) -> np.ndarray:
         return self._covariance
 
@@ -164,9 +163,9 @@ class QuadraticRiskOracle:
         return self.w_ref
 
     def stochastic_gradient(self, zeta: np.ndarray, rng) -> np.ndarray:
-        draws = rng.standard_normal(self.dim + 1)
-        h = self._scaled_basis @ draws[: self.dim]
-        y = h @ self.w_ref + self.noise_std * draws[self.dim]
+        draws = rng.standard_normal(self.rank + 1)
+        h = self._scaled_basis @ draws[: self.rank]
+        y = h @ self.w_ref + self.noise_std * draws[self.rank]
         return 2.0 * (h @ zeta - y) * h
 
     def true_gradient(self, w: np.ndarray) -> np.ndarray:
@@ -178,51 +177,13 @@ class QuadraticRiskOracle:
         d = w - self.w_ref
         return float(d @ self.covariance @ d) + self.noise_std**2
 
-
-@dataclass(frozen=True)
-class PaddedOracle:
-    """Oracle extended by zero cost onto extra coordinates.
-
-    Used when cluster embedding enlarges an agent's interest set: the new
-    blocks contribute nothing to the risk, so their gradient entries are
-    identically zero.
-    """
-
-    inner: QuadraticRiskOracle
-    positions: np.ndarray  # indices of the inner coordinates in the padded vector
-    dim: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "positions", np.asarray(self.positions, dtype=int))
-
-    @property
-    def covariance(self) -> np.ndarray:
-        cov = np.zeros((self.dim, self.dim))
-        cov[np.ix_(self.positions, self.positions)] = self.inner.covariance
-        return cov
-
-    @property
-    def model(self) -> np.ndarray:
-        m = np.zeros(self.dim)
-        m[self.positions] = self.inner.model
-        return m
-
-    def stochastic_gradient(self, zeta, rng):
-        grad = np.zeros(self.dim)
-        grad[self.positions] = self.inner.stochastic_gradient(zeta[self.positions], rng)
-        return grad
-
-    def true_gradient(self, w):
-        out = np.zeros(self.dim)
-        out[self.positions] = self.inner.true_gradient(w[self.positions])
-        return out
-
-
-def sample_stochastic_gradient(oracle, zeta: np.ndarray, rng, with_true: bool = True) -> GradientSample:
-    """Draw one stochastic gradient; the paired true gradient serves noise tests."""
-    zeta = np.asarray(zeta, dtype=float)
-    grad = oracle.stochastic_gradient(zeta, rng)
-    return GradientSample(grad=grad, true_grad=oracle.true_gradient(zeta) if with_true else None)
+    def embedded(self, positions, dim: int) -> "QuadraticRiskOracle":
+        """The same risk on a dim-vector whose `positions` hold this oracle's
+        coordinates; the other coordinates get zero basis rows, so they cost
+        nothing, and a sample still draws rank + 1 normals."""
+        basis, w_ref = np.zeros((dim, self.rank)), np.zeros(dim)
+        basis[positions], w_ref[positions] = self.basis, self.w_ref
+        return QuadraticRiskOracle(basis, self.spectrum, w_ref, self.noise_std)
 
 
 def true_gradient(oracle, w: np.ndarray) -> np.ndarray:
@@ -275,10 +236,6 @@ class MultiAgentProblem:
     def agent_count(self) -> int:
         return len(self.oracles)
 
-    @property
-    def has_constraints(self) -> bool:
-        return any(len(c) > 0 for c in self.constraints)
-
     def penalty_gradient_local(self, agent: int, w_k: np.ndarray) -> np.ndarray:
         return penalty_gradient(self.constraints[agent], w_k, self.penalty)
 
@@ -298,21 +255,22 @@ class MultiAgentProblem:
             lin[gidx] += cov2 @ o.model
         return hess, lin
 
-    def constraint_system(self) -> tuple[np.ndarray, np.ndarray]:
-        """Lifted equality constraints G w = b (one row per constraint)."""
+    def constraint_system(self, flat: bool = False) -> tuple[np.ndarray, np.ndarray]:
+        """Lifted equality constraints G w = b, one row per constraint, on the
+        global vector or, with `flat`, on the flat layout of local copies."""
+        cmap = self.cmap
+        width = cmap.total_local_dim if flat else self.layout.total_dim
         rows, rhs = [], []
         for k, cons in enumerate(self.constraints):
-            gidx = self.cmap.global_indices(k)
+            index = cmap.flat_slice(k) if flat else cmap.global_indices(k)
             for c in cons:
                 if c.kind != "equality":
                     continue
-                row = np.zeros(self.layout.total_dim)
-                row[gidx] = c.coeffs
+                row = np.zeros(width)
+                row[index] = c.coeffs
                 rows.append(row)
                 rhs.append(c.offset)
-        if not rows:
-            return np.zeros((0, self.layout.total_dim)), np.zeros(0)
-        return np.vstack(rows), np.asarray(rhs)
+        return np.array(rows).reshape(-1, width), np.array(rhs, dtype=float)
 
     def strong_convexity(self) -> float:
         """Smallest eigenvalue of the assembled global risk Hessian."""

@@ -178,10 +178,6 @@ class ClusterMap:
         of a global vector g is g[flat_global_indices]."""
         return self._flat_global_idx
 
-    def stacked_permutation(self) -> np.ndarray:
-        """Indices p with stacked = flat[p]."""
-        return np.concatenate([self._flat_cluster_idx[l] for l in range(len(self.clusters))])
-
     def gather_local(self, global_vec: np.ndarray, agent: int) -> np.ndarray:
         """Restrict a global vector to agent k's blocks."""
         return np.asarray(global_vec)[self._global_idx[agent]]

@@ -77,3 +77,32 @@ def single_agent_problem(dim=3, noise_std=0.0, w_ref=None, seed=0):
         net=net, layout=layout, cmap=cmap, oracles=(oracle,),
         constraints=((),), penalty=PenaltyConfig(), true_model=np.asarray(w_ref, float),
     )
+
+
+def assert_bridge_oracles_draw_like_their_inner_oracle(problem, net):
+    """The oracles of the agents that cluster embedding recruited, checked
+    against the un-embedded network `net`: each has rank < dim, zero basis
+    rows exactly on its added blocks, and stochastic gradients equal to the
+    un-padded oracle's (same nonzero rows, spectrum and noise) embedded in
+    the full vector, drawing the same rank + 1 normals."""
+    before = build_clusters(net, problem.layout)
+    cmap = problem.cmap
+    bridged = [k for k, o in enumerate(problem.oracles) if o.rank < o.dim]
+    assert bridged == [k for k in range(cmap.agent_count)
+                       if cmap.agent_blocks[k] != before.agent_blocks[k]]
+    for k in bridged:
+        o = problem.oracles[k]
+        added = np.zeros(o.dim, dtype=bool)
+        for l in set(cmap.agent_blocks[k]) - set(before.agent_blocks[k]):
+            added[cmap.local_slice(k, l)] = True
+        assert np.array_equal(np.all(o.basis == 0.0, axis=1), added)
+        kept = ~added
+        inner = QuadraticRiskOracle(o.basis[kept], o.spectrum, o.w_ref[kept], o.noise_std)
+        assert inner.basis.shape == (o.rank, o.rank) == (before.local_dims[k],) * 2
+        zeta = np.random.default_rng(k).standard_normal(o.dim)
+        full, part = np.random.default_rng(3), np.random.default_rng(3)
+        for _ in range(3):
+            expect = np.zeros(o.dim)
+            expect[kept] = inner.stochastic_gradient(zeta[kept], part)
+            assert np.max(np.abs(o.stochastic_gradient(zeta, full) - expect)) <= 1e-15
+            assert full.standard_normal() == part.standard_normal()

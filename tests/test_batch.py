@@ -15,8 +15,6 @@ from coupled_diffusion import (
     EngineConfig,
     MetricsLog,
     MultiAgentProblem,
-    NetworkSpec,
-    PaddedOracle,
     QuadraticRiskOracle,
     admm_linearized_step,
     agent_streams,
@@ -36,6 +34,7 @@ from coupled_diffusion import (
 )
 from coupled_diffusion.errors import ConfigError, NonFiniteIterate
 from coupled_diffusion.harness import NetworkDescription, build_problem, load_network, regenerate_constraints
+from conftest import assert_bridge_oracles_draw_like_their_inner_oracle
 
 SEEDS = (11, 12, 13)
 TOL = 1e-10
@@ -105,17 +104,12 @@ def constrained():
 
 
 @pytest.fixture(scope="module")
-def bridged():
+def bridged(bridge_net):
     """Five agents whose clusters of blocks 1 and 2 are split, so that
-    embedding recruits bridge agents and PaddedOracle runs."""
-    net = NetworkSpec(
-        agent_count=5,
-        edges=frozenset({(0, 1), (0, 3), (1, 2), (3, 4)}),
-        interest_sets=((0, 2), (0, 1), (0, 2), (0, 1), (0, 3)),
-    )
-    problem = build_problem(NetworkDescription(net=net, layout=BlockLayout((2, 3, 2, 1))), 4,
+    embedding recruits bridge agents, whose oracles have zero basis rows."""
+    problem = build_problem(NetworkDescription(net=bridge_net, layout=BlockLayout((2, 3, 2, 1))), 4,
                             constrained=True)
-    assert any(isinstance(o, PaddedOracle) for o in problem.oracles)
+    assert any(o.rank < o.dim for o in problem.oracles)
     return problem
 
 
@@ -134,11 +128,20 @@ def test_batch_matches_per_agent_steps_with_averaging_weights(constrained):
     assert _max_deviation(constrained, cfg, rule=averaging_weights) <= TOL
 
 
-@pytest.mark.parametrize("algorithm", ["coupled", "centralized", "admm"])
-def test_batch_matches_per_agent_steps_with_bridge_agents(bridged, algorithm):
+@pytest.mark.parametrize("algorithm, noise", [
+    pytest.param(algorithm, noise, id=algorithm if noise == "stochastic" else f"{algorithm}-exact")
+    for noise in ("stochastic", "exact") for algorithm in ("coupled", "centralized", "admm")
+])
+def test_batch_matches_per_agent_steps_with_bridge_agents(bridged, algorithm, noise):
+    """Exact mode takes the (N, Q, Q) covariances, stochastic mode the
+    (N, Q, R) scaled bases with R < Q for the bridge agents."""
     eta = 0.0 if algorithm == "admm" else 20.0
-    cfg = EngineConfig(mu=0.01, eta=eta, iterations=200, algorithm=algorithm)
+    cfg = EngineConfig(mu=0.01, eta=eta, iterations=200, noise=noise, algorithm=algorithm)
     assert _max_deviation(bridged, cfg) <= TOL
+
+
+def test_bridge_oracles_draw_like_their_inner_oracle(bridged, bridge_net):
+    assert_bridge_oracles_draw_like_their_inner_oracle(bridged, bridge_net)
 
 
 @pytest.mark.parametrize("algorithm", ["coupled", "centralized"])
@@ -183,28 +186,37 @@ def test_admm_warm_start_stays_at_the_optimum(spread):
     assert msd(state.w, problem.cmap, start) <= 1e-20
 
 
-def test_noise_chunks_see_the_per_agent_variates(constrained):
+def _check_noise_chunks(problem):
     """An iteration count that is not a multiple of the chunk length: every
-    (seed, agent, iteration) reads exactly the per-agent stream's draws."""
-    weights, scaling = _weights(constrained)
-    risk = init_batch(constrained, weights, scaling, EngineConfig(mu=0.001), SEEDS)._risk
+    (seed, agent, iteration) reads exactly the per-agent stream's rank + 1
+    draws."""
+    weights, scaling = _weights(problem)
+    risk = init_batch(problem, weights, scaling, EngineConfig(mu=0.001), SEEDS)._risk
     iterations = 2 * risk.chunk + 3
-    risk = init_batch(constrained, weights, scaling,
+    risk = init_batch(problem, weights, scaling,
                       EngineConfig(mu=0.001, iterations=iterations), SEEDS)._risk
     assert risk.chunk > 1 and iterations % risk.chunk != 0
-    streams = [agent_streams(seed, constrained.agent_count) for seed in SEEDS]
-    dims = [o.dim for o in constrained.oracles]
+    streams = [agent_streams(seed, problem.agent_count) for seed in SEEDS]
+    ranks = [o.rank for o in problem.oracles]
     for i in range(iterations):
         draws = risk._next_draws()
         if i == 0:
             buffer = risk.buffer
         assert risk.buffer is buffer  # refills reuse the first chunk's buffer
         for s, rngs in enumerate(streams):
-            for k, (rng, d) in enumerate(zip(rngs, dims)):
-                expect = rng.standard_normal(d + 1)
-                assert np.array_equal(draws[k, :d, s], expect[:d])
-                assert draws[k, -1, s] == expect[d]
+            for k, (rng, r) in enumerate(zip(rngs, ranks)):
+                expect = rng.standard_normal(r + 1)
+                assert np.array_equal(draws[k, :r, s], expect[:r])
+                assert draws[k, -1, s] == expect[r]
     assert risk.left == 0  # the last chunk drew only what the run needs
+
+
+def test_noise_chunks_see_the_per_agent_variates(constrained):
+    _check_noise_chunks(constrained)
+
+
+def test_noise_chunks_see_the_per_agent_variates_with_bridge_agents(bridged):
+    _check_noise_chunks(bridged)
 
 
 def test_metrics_log_matches_per_seed_metrics(constrained):

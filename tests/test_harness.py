@@ -18,6 +18,7 @@ from coupled_diffusion import (
 from coupled_diffusion.cli import main as cli_main
 from coupled_diffusion.errors import ConfigError
 from coupled_diffusion.harness import CSV_HEADER, ResultTable, steady_state
+from conftest import assert_bridge_oracles_draw_like_their_inner_oracle
 
 
 def test_config_validation_errors():
@@ -118,26 +119,29 @@ def test_benchmark_problem_bit_identical_per_seed():
             assert np.array_equal(x.coeffs, y.coeffs) and x.offset == y.offset
 
 
-def test_build_problem_embeds_with_zero_cost_bridges(tmp_path):
-    """A topology with a split cluster gets bridged; the bridge agent's risk
-    must not involve the added block."""
+def _split_network(tmp_path):
+    """Three agents on a path; block 0 lives on {0, 2}, which share no edge."""
     raw = {
         "index_base": 0,
         "agent_count": 3,
         "block_dims": [2, 2],
         "edges": [[0, 1], [1, 2]],
-        "interest_sets": [[0], [1], [0]],  # block 0 lives on {0, 2}: no edge
+        "interest_sets": [[0], [1], [0]],
     }
     path = tmp_path / "split.json"
     path.write_text(json.dumps(raw))
-    from coupled_diffusion.harness import build_problem
-    from coupled_diffusion.objective import PaddedOracle
+    return load_network(str(path))
 
-    desc = load_network(str(path))
-    problem = build_problem(desc, seed=0)
+
+def test_build_problem_embeds_with_zero_cost_bridges(tmp_path):
+    """A topology with a split cluster gets bridged; the bridge agent's risk
+    must not involve the added block."""
+    from coupled_diffusion.harness import build_problem
+
+    problem = build_problem(_split_network(tmp_path), seed=0)
     # agent 1 bridged block 0 and now holds both blocks, with zero cost on 0
     assert problem.cmap.clusters[0] == (0, 1, 2)
-    assert isinstance(problem.oracles[1], PaddedOracle)
+    assert problem.oracles[1].rank < problem.oracles[1].dim
     grad = problem.oracles[1].true_gradient(np.ones(problem.cmap.local_dims[1]))
     assert np.array_equal(grad[problem.cmap.local_slice(1, 0)], [0.0, 0.0])
     assert problem.strong_convexity() > 0
@@ -150,6 +154,13 @@ def test_build_problem_embeds_with_zero_cost_bridges(tmp_path):
     for _ in range(5):
         coupled_diffusion_step(state, problem, weights, scaling, EngineConfig(mu=0.01))
     assert np.isfinite(state.w).all()
+
+
+def test_bridge_oracles_draw_like_their_inner_oracle(tmp_path):
+    from coupled_diffusion.harness import build_problem
+
+    desc = _split_network(tmp_path)
+    assert_bridge_oracles_draw_like_their_inner_oracle(build_problem(desc, seed=0), desc.net)
 
 
 def _small_cfg(**over):

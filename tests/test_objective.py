@@ -12,7 +12,6 @@ from coupled_diffusion import (
     penalty_gradient,
     penalty_value,
     random_quadratic_oracle,
-    sample_stochastic_gradient,
     true_gradient,
 )
 from coupled_diffusion.errors import DimensionMismatch
@@ -132,8 +131,8 @@ def test_zero_residual_sample_is_exact_zero():
     w_ref = rng.standard_normal(4)
     oracle = random_quadratic_oracle(w_ref, rng)
     oracle = QuadraticRiskOracle(oracle.basis, oracle.spectrum, w_ref, noise_std=0.0)
-    s = sample_stochastic_gradient(oracle, w_ref, np.random.default_rng(3))
-    assert np.array_equal(s.grad, np.zeros(4))
+    grad = oracle.stochastic_gradient(w_ref, np.random.default_rng(3))
+    assert np.array_equal(grad, np.zeros(4))
 
 
 def test_stochastic_gradient_is_unbiased():

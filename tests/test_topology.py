@@ -134,7 +134,7 @@ def test_cluster_interest_duality_and_dimension_bookkeeping(case):
     copies = sum(len(c) * layout.dims[l] for l, c in enumerate(cmap.clusters))
     assert copies == sum(cmap.local_dims)
     # flat and stacked layouts are permutations of each other
-    perm = cmap.stacked_permutation()
+    perm = np.concatenate([cmap.flat_cluster_indices(l) for l in range(layout.block_count)])
     assert sorted(perm.tolist()) == list(range(copies))
 
 

@@ -193,12 +193,14 @@ def test_weight_matrix_properties(case):
 
 @given(random_clusters())
 @settings(max_examples=60, deadline=None)
-def test_perron_matches_dense_eigendecomposition(case):
+def test_perron_matches_null_space_solve(case):
+    """Against a reference independent of the eigenvector `perron_vector`
+    takes: the least-squares solution of [A - I; 1'] r = [0; 1], which is
+    exact and unique for a primitive A."""
     net, cmap = case
     for make in (metropolis_weights, averaging_weights):
         m = make(cmap, net, 0)
-        vals, vecs = np.linalg.eig(m.matrix)
-        idx = int(np.argmin(np.abs(vals - 1.0)))
-        ref = np.real(vecs[:, idx])
-        ref = ref / ref.sum()
-        assert np.max(np.abs(m.perron - ref)) <= 1e-8
+        n = len(m.perron)
+        system = np.vstack([m.matrix - np.eye(n), np.ones((1, n))])
+        ref = np.linalg.lstsq(system, np.eye(n + 1)[n], rcond=None)[0]
+        assert np.max(np.abs(m.perron - ref)) <= 1e-12
