@@ -21,8 +21,15 @@ from .errors import ConfigError, SimulationError
 from .harness import ScenarioConfig, config_from_dict, emit_results, run_scenario
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises its usage errors, so that they reach the one-line error report."""
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+
 def _parse_args(argv):
-    parser = argparse.ArgumentParser(prog="coupled-diffusion")
+    parser = _Parser(prog="coupled-diffusion")
     sub = parser.add_subparsers(dest="command", required=True)
     run = sub.add_parser("run", help="run a scenario described by a config file")
     run.add_argument("--config", required=True, help="YAML config file")
@@ -31,7 +38,7 @@ def _parse_args(argv):
     run.add_argument("--scenario", help="scenario id override")
     run.add_argument("--mu", help="comma-separated step-size list override")
     run.add_argument("--eta", help="comma-separated penalty list override")
-    run.add_argument("--iters", type=int, help="iteration budget override")
+    run.add_argument("--iters", help="iteration budget override")
     return parser.parse_args(argv)
 
 
@@ -56,13 +63,13 @@ def _apply_overrides(raw, args) -> dict:
     if args.eta:
         section("penalty")["eta"] = [float(e) for e in args.eta.split(",")]
     if args.iters is not None:
-        section("engine")["iterations"] = args.iters
+        section("engine")["iterations"] = int(args.iters)
     return raw
 
 
 def main(argv=None) -> int:
-    args = _parse_args(argv if argv is not None else sys.argv[1:])
     try:
+        args = _parse_args(argv if argv is not None else sys.argv[1:])
         raw = yaml.safe_load(Path(args.config).read_text()) or {}
         cfg: ScenarioConfig = config_from_dict(_apply_overrides(raw, args))
         table = run_scenario(cfg)
@@ -72,7 +79,7 @@ def main(argv=None) -> int:
         emit_results(table, out_path)
         print(out_path)
         return 0
-    except (SimulationError, OSError, yaml.YAMLError, ValueError) as exc:
+    except (argparse.ArgumentError, SimulationError, OSError, yaml.YAMLError, ValueError) as exc:
         print(
             "error: " + json.dumps({"type": type(exc).__name__, "message": str(exc)}),
             file=sys.stderr,

@@ -1,4 +1,4 @@
-"""The coupled diffusion recursion, its baselines, and the batched engine.
+"""The batched engine: coupled diffusion and its two baselines.
 
 A run is synchronous: within one iteration every agent finishes both
 gradient half-steps before any combination happens. Agents own separate
@@ -6,26 +6,24 @@ counter-based RNG streams keyed by (seed, agent), so an iteration's
 variates do not depend on the order in which agents or seeds are
 processed.
 
-Two forms of each algorithm live here. The per-agent steps
-(`coupled_diffusion_step`, `admm_linearized_step`, `centralized_step`)
-follow the equations agent by agent for one seed; they are the reference
-the tests hold the batched engine to. The batched engine (`init_batch`)
-is the network form of the same recursion: one state advances all S
-seeds of a (mu, eta) point at once, viewed as an (S, n_flat) array, and
-every iteration is a fixed handful of array operations whatever the
-number of agents.
+Each algorithm is written once, in network form (`init_batch`): one
+state advances all S seeds of a (mu, eta) point at once, viewed as an
+(S, n_flat) array, and every iteration is a fixed handful of array
+operations whatever the number of agents. The per-agent form that
+follows the equations agent by agent lives in `tests/reference.py`,
+which the tests hold this engine to draw for draw.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, NonFiniteIterate
 from .objective import MultiAgentProblem, QuadraticRiskOracle
 from .topology import ClusterMap
-from .weights import CombinationMatrix, StepScaling
+from .weights import StepScaling
 
 DIVERGENCE_NORM = 1e9
 ALGORITHMS = ("coupled", "centralized", "admm")
@@ -42,8 +40,12 @@ class EngineConfig:
     rho_admm: float = 1.0
 
     def __post_init__(self):
-        if self.mu <= 0:
-            raise ValueError("step size mu must be positive")
+        if not 0 < self.mu < np.inf:
+            raise ValueError("step size mu must be positive and finite")
+        if not 0 <= self.eta < np.inf:
+            raise ValueError("eta must be non-negative and finite")
+        if not 0 < self.rho_admm < np.inf:
+            raise ValueError("rho_admm must be positive and finite")
         if self.iterations < 1:
             raise ValueError("iteration budget must be at least 1")
         if self.noise not in NOISE_MODES:
@@ -66,140 +68,6 @@ def agent_streams(seed: int, agent_count: int) -> list:
     ]
 
 
-@dataclass
-class RunState:
-    """All agents' local copies in the flat layout plus scratch and streams."""
-
-    w: np.ndarray
-    zeta: np.ndarray
-    psi: np.ndarray
-    iteration: int
-    rngs: list = field(repr=False, default_factory=list)
-
-
-def init_state(problem: MultiAgentProblem, seed: int, init_global=None) -> RunState:
-    """Fresh state; local copies start at zero or gathered from a global vector."""
-    n = problem.cmap.total_local_dim
-    w = np.zeros(n)
-    if init_global is not None:
-        init_global = np.asarray(init_global, dtype=float)
-        for k in range(problem.agent_count):
-            w[problem.cmap.flat_slice(k)] = problem.cmap.gather_local(init_global, k)
-    return RunState(
-        w=w,
-        zeta=np.zeros(n),
-        psi=np.zeros(n),
-        iteration=0,
-        rngs=agent_streams(seed, problem.agent_count),
-    )
-
-
-def _as_matrix_dict(weights) -> dict[int, CombinationMatrix]:
-    if isinstance(weights, dict):
-        return weights
-    return {m.block: m for m in weights}
-
-
-def _check_finite(w: np.ndarray, cmap: ClusterMap, iteration: int):
-    if np.isfinite(w).all() and np.abs(w).max() <= DIVERGENCE_NORM:
-        return
-    for k in range(cmap.agent_count):
-        wk = w[cmap.flat_slice(k)]
-        if not np.isfinite(wk).all() or np.abs(wk).max() > DIVERGENCE_NORM:
-            raise NonFiniteIterate(iteration, k)
-
-
-def _risk_gradient(problem, k, point, rng, noise):
-    if noise == "stochastic":
-        return problem.oracles[k].stochastic_gradient(point, rng)
-    return problem.oracles[k].true_gradient(point)
-
-
-def coupled_diffusion_step(
-    state: RunState,
-    problem: MultiAgentProblem,
-    weights,
-    scaling: StepScaling,
-    cfg: EngineConfig,
-) -> RunState:
-    """One synchronous round: penalty step, risk step, per-block combination.
-
-    zeta_k = w_k - mu*eta * Omega_k grad p_k(w_k)
-    psi_k  = zeta_k - mu * Omega_k ghat_k(zeta_k)
-    w_k^l  = sum over s in N_k and C_l of a_{l,sk} psi_s^l, for every l in I_k
-
-    The combination consumes the current round's psi from all agents
-    (synchronous barrier); a_{l,sk} is zero outside N_k and C_l, so the
-    per-cluster matrix product below is exactly the neighbor sum.
-    """
-    matrices = _as_matrix_dict(weights)
-    cmap = problem.cmap
-    w, zeta, psi = state.w, state.zeta, state.psi
-
-    np.copyto(zeta, w)
-    if cfg.eta != 0.0:
-        for k in range(problem.agent_count):
-            if not problem.constraints[k]:
-                continue
-            sl = cmap.flat_slice(k)
-            grad = problem.penalty_gradient_local(k, w[sl])
-            zeta[sl] = w[sl] - (cfg.mu * cfg.eta) * scaling.flat[sl] * grad
-
-    for k in range(problem.agent_count):
-        sl = cmap.flat_slice(k)
-        grad = _risk_gradient(problem, k, zeta[sl], state.rngs[k], cfg.noise)
-        psi[sl] = zeta[sl] - cfg.mu * scaling.flat[sl] * grad
-
-    for l, cluster in enumerate(cmap.clusters):
-        idx = cmap.flat_cluster_indices(l)
-        stack = psi[idx].reshape(len(cluster), cmap.layout.dims[l])
-        w[idx] = (matrices[l].matrix.T @ stack).ravel()
-
-    state.iteration += 1
-    _check_finite(w, cmap, state.iteration)
-    return state
-
-
-def centralized_step(
-    w: np.ndarray,
-    d_blocks,
-    problem: MultiAgentProblem,
-    cfg: EngineConfig,
-    rngs=None,
-) -> np.ndarray:
-    """Two incremental steps on the aggregate penalized cost.
-
-    psi = w - mu*eta D grad p_glob(w); next = psi - mu D grad J_glob(psi),
-    with D a positive per-block diagonal scaling. Stochastic mode draws
-    one gradient sample per agent and assembles them into the global
-    gradient.
-    """
-    layout = problem.layout
-    d_vec = np.concatenate(
-        [np.full(layout.dims[l], float(d)) for l, d in enumerate(d_blocks)]
-    )
-    psi = w - (cfg.mu * cfg.eta) * d_vec * problem.global_penalty_gradient(w)
-    if cfg.noise == "stochastic":
-        grad = np.zeros(layout.total_dim)
-        for k in range(problem.agent_count):
-            gidx = problem.cmap.global_indices(k)
-            grad[gidx] += problem.oracles[k].stochastic_gradient(psi[gidx], rngs[k])
-    else:
-        grad = problem.global_risk_gradient(psi)
-    return psi - cfg.mu * d_vec * grad
-
-
-@dataclass
-class AdmmState:
-    """Primal copies, duals, and the per-block cluster averages."""
-
-    w: np.ndarray  # flat layout
-    y: np.ndarray  # flat layout duals
-    z: np.ndarray  # global layout
-    iteration: int
-    rngs: list = field(repr=False, default_factory=list)
-
-
 def _exact_local_gradients(problem: MultiAgentProblem, w: np.ndarray) -> np.ndarray:
     """Every agent's exact risk gradient at its copies in the flat vector w."""
     grad = np.empty_like(w)
@@ -207,53 +75,6 @@ def _exact_local_gradients(problem: MultiAgentProblem, w: np.ndarray) -> np.ndar
         sl = problem.cmap.flat_slice(k)
         grad[sl] = oracle.true_gradient(w[sl])
     return grad
-
-
-def init_admm_state(problem: MultiAgentProblem, seed: int, init_global=None) -> AdmmState:
-    """Fresh state. A warm start from the global `init_global` sets every
-    copy and cluster average to it and each dual y_k to -grad J_k(w_k), so
-    that an exact-gradient run started at a stationary point stays there."""
-    state = init_state(problem, seed, init_global)
-    if init_global is None:
-        y, z = np.zeros_like(state.w), np.zeros(problem.layout.total_dim)
-    else:
-        y, z = -_exact_local_gradients(problem, state.w), np.array(init_global, dtype=float)
-    return AdmmState(w=state.w, y=y, z=z, iteration=0, rngs=state.rngs)
-
-
-def admm_linearized_step(
-    state: AdmmState, problem: MultiAgentProblem, cfg: EngineConfig
-) -> AdmmState:
-    """Consensus solver with the primal minimization replaced by one
-    (stochastic) gradient step of step size mu.
-
-    w_k+ = w_k - mu (ghat_k(w_k) + y_k + rho (w_k - z_k))
-    z_l+ = mean over cluster of (w_k^l+ + y_k^l / rho)   [global knowledge]
-    y_k+ = y_k + rho (w_k+ - z_k+)
-    """
-    cmap = problem.cmap
-    rho = cfg.rho_admm
-    w_new = np.empty_like(state.w)
-    for k in range(problem.agent_count):
-        sl = cmap.flat_slice(k)
-        z_k = problem.cmap.gather_local(state.z, k)
-        grad = _risk_gradient(problem, k, state.w[sl], state.rngs[k], cfg.noise)
-        w_new[sl] = state.w[sl] - cfg.mu * (grad + state.y[sl] + rho * (state.w[sl] - z_k))
-
-    for l, cluster in enumerate(cmap.clusters):
-        idx = cmap.flat_cluster_indices(l)
-        stack = (w_new[idx] + state.y[idx] / rho).reshape(len(cluster), cmap.layout.dims[l])
-        state.z[cmap.layout.global_slice(l)] = stack.mean(axis=0)
-
-    for k in range(problem.agent_count):
-        sl = cmap.flat_slice(k)
-        z_k = problem.cmap.gather_local(state.z, k)
-        state.y[sl] += rho * (w_new[sl] - z_k)
-
-    state.w = w_new
-    state.iteration += 1
-    _check_finite(state.w, cmap, state.iteration)
-    return state
 
 
 # Bytes of pre-drawn noise per refill, all seeds and agents together. The
@@ -275,7 +96,7 @@ class _RiskGradients:
     add nothing. Stochastic mode pre-draws each (seed, agent) stream's
     R_k + 1 normals per iteration in chunks: one draw of T (R_k + 1)
     values equals T successive draws of R_k + 1, so iteration i sees the
-    variates the per-agent step would.
+    variates the per-agent reference would.
     """
 
     def __init__(self, problem: MultiAgentProblem, seeds, cfg: EngineConfig):
@@ -440,8 +261,7 @@ class CoupledBatch(_Batch):
 
     def __init__(self, problem, weights, scaling: StepScaling, cfg, seeds, init_global=None):
         super().__init__(problem, cfg, seeds)
-        mats = _as_matrix_dict(weights)
-        self._mix = _ClusterMix(self.cmap, {l: m.matrix for l, m in mats.items()})
+        self._mix = _ClusterMix(self.cmap, {l: m.matrix for l, m in weights.items()})
         self._risk_step = (cfg.mu * scaling.flat)[:, None]
         self._penalty_step = ((cfg.mu * cfg.eta) * scaling.flat)[:, None]
         self.w = self._start(init_global, self.cmap.flat_global_indices)
@@ -470,7 +290,7 @@ class AdmmBatch(_Batch):
         self.w = self._start(init_global, self.cmap.flat_global_indices)
         self.z = self.w.copy()
         self.y = np.zeros_like(self.w)
-        if init_global is not None:  # the warm start of init_admm_state
+        if init_global is not None:  # warm start: y_k = -grad J_k(w_k), z = init_global
             self.y[:] = -_exact_local_gradients(problem, self.w[:, 0])[:, None]
 
     def view(self):
@@ -524,9 +344,11 @@ def init_batch(problem: MultiAgentProblem, weights, scaling: StepScaling, cfg: E
                seeds, init_global=None) -> _Batch:
     """Batched engine for `cfg.algorithm` over all `seeds` at once.
 
-    Local copies start at zero or gathered from the global `init_global`
-    (with the admm warm start of `init_admm_state`). Seed s draws
-    from `agent_streams(s, N)` exactly as the per-agent step does.
+    `weights` maps each block to its CombinationMatrix. Local copies start
+    at zero or gathered from the global `init_global`; an admm warm start
+    also sets each dual y_k to -grad J_k(w_k), so that an exact-gradient
+    run started at a stationary point stays there. Seed s draws from
+    `agent_streams(s, N)`, as the per-agent reference in the tests does.
     """
     return _BATCHES[cfg.algorithm](problem, weights, scaling, cfg, seeds, init_global)
 

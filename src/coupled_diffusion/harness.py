@@ -313,7 +313,7 @@ def build_problem(desc: NetworkDescription, seed: int, constrained: bool = False
         cmap=cmap,
         oracles=oracles,
         constraints=constraints,
-        penalty=PenaltyConfig(eta=0.0, rho=rho),
+        penalty=PenaltyConfig(rho=rho),
         true_model=model,
     )
     nu = problem.strong_convexity()
@@ -412,14 +412,21 @@ def run_scenario(cfg: ScenarioConfig) -> ResultTable:
     weights = _build_weights(base.cmap, base.net, cfg.weight_rule)
     scaling = step_scaling(base.cmap, weights)
 
+    changed = None
+    if cfg.scenario == "tracking":
+        changed = regenerate_constraints(base, desc, cfg.problem_seed, epoch=0)
+    # the references depend on eta but not on mu: one solve per distinct eta
+    references = {
+        eta: (reference_solution(base, eta),
+              None if changed is None else reference_solution(changed, eta))
+        for eta in dict.fromkeys(cfg.eta_list)
+    }
+
     table = ResultTable(config=cfg.to_dict())
     for mu in cfg.mu_list:
         for eta in cfg.eta_list:
-            refs = reference_solution(base, eta)
-            change = None
-            if cfg.scenario == "tracking":
-                changed = regenerate_constraints(base, desc, cfg.problem_seed, epoch=0)
-                change = (cfg.change_point, changed, reference_solution(changed, eta))
+            refs, changed_refs = references[eta]
+            change = None if changed is None else (cfg.change_point, changed, changed_refs)
             init_global = refs.w_star if cfg.initial == "reference" else None
             ecfg = EngineConfig(mu=mu, eta=eta, iterations=cfg.iterations,
                                 noise=cfg.noise, algorithm=cfg.algorithm,

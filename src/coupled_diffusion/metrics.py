@@ -77,19 +77,7 @@ def disagreement(w_flat: np.ndarray, cmap: ClusterMap) -> np.ndarray:
     return np.sqrt(np.maximum(dist2.max(axis=(-2, -1)), 0.0))
 
 
-def centroid(w_flat: np.ndarray, cmap: ClusterMap, weights) -> np.ndarray:
-    """Perron-weighted per-block centroid sum_k r_l(k) w_k^l as a global vector."""
-    matrices = weights if isinstance(weights, dict) else {m.block: m for m in weights}
-    out = np.empty(cmap.layout.total_dim)
-    for l, cluster in enumerate(cmap.clusters):
-        stack = w_flat[cmap.flat_cluster_indices(l)].reshape(len(cluster), -1)
-        out[cmap.layout.global_slice(l)] = matrices[l].perron @ stack
-    return out
-
-
 def _quadratic_pieces(problem: MultiAgentProblem):
-    if not problem.is_quadratic():
-        return None
     if any(c.kind != "equality" for cons in problem.constraints for c in cons):
         return None
     hess, lin = problem.global_risk_quadratic()
@@ -97,15 +85,13 @@ def _quadratic_pieces(problem: MultiAgentProblem):
     return hess, lin, g, b
 
 
-def penalized_optimum(problem: MultiAgentProblem, eta: Optional[float] = None) -> np.ndarray:
+def penalized_optimum(problem: MultiAgentProblem, eta: float) -> np.ndarray:
     """Minimizer of the aggregate risk plus eta-weighted penalties.
 
-    Quadratic risks with affine equality penalties admit the closed form
-    (H + 2 eta G'G) w = f + 2 eta G'b; anything else falls back to exact
-    deterministic gradient descent.
+    Affine equality penalties on the quadratic risks admit the closed form
+    (H + 2 eta G'G) w = f + 2 eta G'b; inequality penalties fall back to
+    exact deterministic gradient descent.
     """
-    if eta is None:
-        eta = problem.penalty.eta
     pieces = _quadratic_pieces(problem)
     if pieces is not None:
         hess, lin, g, b = pieces
@@ -175,12 +161,12 @@ def constrained_optimum(problem: MultiAgentProblem) -> np.ndarray:
     return w
 
 
-def reference_solution(problem: MultiAgentProblem, eta: Optional[float] = None) -> ReferenceSolution:
+def reference_solution(problem: MultiAgentProblem, eta: float) -> ReferenceSolution:
     """Both reference optima for a problem, for metric logging.
 
-    Outside the quadratic-with-affine-equalities family the constrained
-    optimum has no closed form here; the penalized optimum then stands in
-    for both references (provenance "iterative").
+    With inequality constraints the constrained optimum has no closed form
+    here; the penalized optimum then stands in for both references
+    (provenance "iterative").
     """
     pieces = _quadratic_pieces(problem)
     w_star = penalized_optimum(problem, eta)

@@ -18,14 +18,11 @@ from .topology import BlockLayout, ClusterMap, NetworkSpec
 
 @dataclass(frozen=True)
 class PenaltyConfig:
-    """Penalty weight and inequality smoothing parameter."""
+    """Inequality smoothing parameter; the penalty weight eta is the engine's."""
 
-    eta: float = 0.0
     rho: float = 1.0
 
     def __post_init__(self):
-        if self.eta < 0:
-            raise ValueError("eta must be non-negative")
         if self.rho <= 0:
             raise ValueError("rho must be positive")
 
@@ -158,10 +155,6 @@ class QuadraticRiskOracle:
     def covariance(self) -> np.ndarray:
         return self._covariance
 
-    @property
-    def model(self) -> np.ndarray:
-        return self.w_ref
-
     def stochastic_gradient(self, zeta: np.ndarray, rng) -> np.ndarray:
         draws = rng.standard_normal(self.rank + 1)
         h = self._scaled_basis @ draws[: self.rank]
@@ -184,10 +177,6 @@ class QuadraticRiskOracle:
         basis, w_ref = np.zeros((dim, self.rank)), np.zeros(dim)
         basis[positions], w_ref[positions] = self.basis, self.w_ref
         return QuadraticRiskOracle(basis, self.spectrum, w_ref, self.noise_std)
-
-
-def true_gradient(oracle, w: np.ndarray) -> np.ndarray:
-    return oracle.true_gradient(np.asarray(w, dtype=float))
 
 
 def random_orthogonal(dim: int, rng) -> np.ndarray:
@@ -236,12 +225,6 @@ class MultiAgentProblem:
     def agent_count(self) -> int:
         return len(self.oracles)
 
-    def penalty_gradient_local(self, agent: int, w_k: np.ndarray) -> np.ndarray:
-        return penalty_gradient(self.constraints[agent], w_k, self.penalty)
-
-    def is_quadratic(self) -> bool:
-        return all(hasattr(o, "covariance") for o in self.oracles)
-
     def global_risk_quadratic(self) -> tuple[np.ndarray, np.ndarray]:
         """Hessian H = sum_k lift(2 R_k) and linear term f = sum_k lift(2 R_k w_ref_k)
         of the aggregate risk, so grad J_glob(w) = H w - f."""
@@ -252,7 +235,7 @@ class MultiAgentProblem:
             gidx = self.cmap.global_indices(k)
             cov2 = 2.0 * o.covariance
             hess[np.ix_(gidx, gidx)] += cov2
-            lin[gidx] += cov2 @ o.model
+            lin[gidx] += cov2 @ o.w_ref
         return hess, lin
 
     def constraint_system(self, flat: bool = False) -> tuple[np.ndarray, np.ndarray]:

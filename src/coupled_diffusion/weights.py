@@ -30,10 +30,6 @@ class CombinationMatrix:
     perron: np.ndarray
     lambda2: float
 
-    @property
-    def size(self) -> int:
-        return len(self.agents)
-
 
 @dataclass(frozen=True)
 class StepScaling:
@@ -145,10 +141,8 @@ def second_eigenvalue_magnitude(a: np.ndarray) -> float:
     return _unit_eigenpair(np.asarray(a, dtype=float), vectors=False)[1]
 
 
-def step_scaling(cmap: ClusterMap, matrices: dict[int, CombinationMatrix] | list[CombinationMatrix]) -> StepScaling:
+def step_scaling(cmap: ClusterMap, matrices: dict[int, CombinationMatrix]) -> StepScaling:
     """Assemble the per-agent scalings 1/r_l(k) from the Perron vectors."""
-    if not isinstance(matrices, dict):
-        matrices = {m.block: m for m in matrices}
     scalars = []
     flat = np.empty(cmap.total_local_dim)
     for k, blocks in enumerate(cmap.agent_blocks):
@@ -162,7 +156,6 @@ def step_scaling(cmap: ClusterMap, matrices: dict[int, CombinationMatrix] | list
     return StepScaling(scalars=tuple(scalars), flat=flat)
 
 
-def spectral_gap_bound(matrices) -> float:
+def spectral_gap_bound(matrices: dict[int, CombinationMatrix]) -> float:
     """max over clusters of the second-eigenvalue magnitude (rate predictor)."""
-    vals = matrices.values() if isinstance(matrices, dict) else matrices
-    return max((m.lambda2 for m in vals), default=0.0)
+    return max((m.lambda2 for m in matrices.values()), default=0.0)

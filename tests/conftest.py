@@ -1,15 +1,10 @@
 import numpy as np
 import pytest
 
-from coupled_diffusion import (
-    BlockLayout,
-    NetworkSpec,
-    QuadraticRiskOracle,
-    build_clusters,
-    generate_benchmark_problem,
-    metropolis_weights,
-    step_scaling,
-)
+from coupled_diffusion.harness import generate_benchmark_problem
+from coupled_diffusion.objective import QuadraticRiskOracle
+from coupled_diffusion.topology import BlockLayout, NetworkSpec, build_clusters
+from coupled_diffusion.weights import metropolis_weights, step_scaling
 
 
 @pytest.fixture(scope="session")
@@ -61,7 +56,7 @@ def benchmark_scaling(benchmark_problem, benchmark_weights):
 
 def single_agent_problem(dim=3, noise_std=0.0, w_ref=None, seed=0):
     """One agent, one block: the classic single-task reduction."""
-    from coupled_diffusion import MultiAgentProblem, PenaltyConfig, random_quadratic_oracle
+    from coupled_diffusion.objective import MultiAgentProblem, PenaltyConfig, random_quadratic_oracle
 
     net = NetworkSpec(agent_count=1, edges=frozenset(), interest_sets=((0,),))
     layout = BlockLayout((dim,))

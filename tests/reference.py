@@ -1,0 +1,206 @@
+"""The per-agent form of the coupled diffusion recursion and its baselines.
+
+These steps follow the equations agent by agent for one seed. They are
+the reference the tests hold the batched engine (`engine.init_batch`)
+to: both draw from `agent_streams(seed, N)`, so iteration i of agent k
+sees the same variates in either form.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from coupled_diffusion.engine import DIVERGENCE_NORM, EngineConfig, agent_streams
+from coupled_diffusion.errors import NonFiniteIterate
+from coupled_diffusion.objective import MultiAgentProblem, penalty_gradient
+from coupled_diffusion.topology import ClusterMap
+from coupled_diffusion.weights import StepScaling
+
+
+@dataclass
+class RunState:
+    """All agents' local copies in the flat layout plus scratch and streams."""
+
+    w: np.ndarray
+    zeta: np.ndarray
+    psi: np.ndarray
+    iteration: int
+    rngs: list = field(repr=False, default_factory=list)
+
+
+def init_state(problem: MultiAgentProblem, seed: int, init_global=None) -> RunState:
+    """Fresh state; local copies start at zero or gathered from a global vector."""
+    n = problem.cmap.total_local_dim
+    w = np.zeros(n)
+    if init_global is not None:
+        init_global = np.asarray(init_global, dtype=float)
+        for k in range(problem.agent_count):
+            w[problem.cmap.flat_slice(k)] = problem.cmap.gather_local(init_global, k)
+    return RunState(
+        w=w,
+        zeta=np.zeros(n),
+        psi=np.zeros(n),
+        iteration=0,
+        rngs=agent_streams(seed, problem.agent_count),
+    )
+
+
+def _check_finite(w: np.ndarray, cmap: ClusterMap, iteration: int):
+    if np.isfinite(w).all() and np.abs(w).max() <= DIVERGENCE_NORM:
+        return
+    for k in range(cmap.agent_count):
+        wk = w[cmap.flat_slice(k)]
+        if not np.isfinite(wk).all() or np.abs(wk).max() > DIVERGENCE_NORM:
+            raise NonFiniteIterate(iteration, k)
+
+
+def _risk_gradient(problem, k, point, rng, noise):
+    if noise == "stochastic":
+        return problem.oracles[k].stochastic_gradient(point, rng)
+    return problem.oracles[k].true_gradient(point)
+
+
+def coupled_diffusion_step(
+    state: RunState,
+    problem: MultiAgentProblem,
+    weights,
+    scaling: StepScaling,
+    cfg: EngineConfig,
+) -> RunState:
+    """One synchronous round: penalty step, risk step, per-block combination.
+
+    zeta_k = w_k - mu*eta * Omega_k grad p_k(w_k)
+    psi_k  = zeta_k - mu * Omega_k ghat_k(zeta_k)
+    w_k^l  = sum over s in N_k and C_l of a_{l,sk} psi_s^l, for every l in I_k
+
+    `weights` maps each block to its CombinationMatrix. The combination
+    consumes the current round's psi from all agents (synchronous
+    barrier); a_{l,sk} is zero outside N_k and C_l, so the per-cluster
+    matrix product below is exactly the neighbor sum.
+    """
+    cmap = problem.cmap
+    w, zeta, psi = state.w, state.zeta, state.psi
+
+    np.copyto(zeta, w)
+    if cfg.eta != 0.0:
+        for k in range(problem.agent_count):
+            if not problem.constraints[k]:
+                continue
+            sl = cmap.flat_slice(k)
+            grad = penalty_gradient(problem.constraints[k], w[sl], problem.penalty)
+            zeta[sl] = w[sl] - (cfg.mu * cfg.eta) * scaling.flat[sl] * grad
+
+    for k in range(problem.agent_count):
+        sl = cmap.flat_slice(k)
+        grad = _risk_gradient(problem, k, zeta[sl], state.rngs[k], cfg.noise)
+        psi[sl] = zeta[sl] - cfg.mu * scaling.flat[sl] * grad
+
+    for l, cluster in enumerate(cmap.clusters):
+        idx = cmap.flat_cluster_indices(l)
+        stack = psi[idx].reshape(len(cluster), cmap.layout.dims[l])
+        w[idx] = (weights[l].matrix.T @ stack).ravel()
+
+    state.iteration += 1
+    _check_finite(w, cmap, state.iteration)
+    return state
+
+
+def centralized_step(
+    w: np.ndarray,
+    d_blocks,
+    problem: MultiAgentProblem,
+    cfg: EngineConfig,
+    rngs=None,
+) -> np.ndarray:
+    """Two incremental steps on the aggregate penalized cost.
+
+    psi = w - mu*eta D grad p_glob(w); next = psi - mu D grad J_glob(psi),
+    with D a positive per-block diagonal scaling. Stochastic mode draws
+    one gradient sample per agent and assembles them into the global
+    gradient.
+    """
+    layout = problem.layout
+    d_vec = np.concatenate(
+        [np.full(layout.dims[l], float(d)) for l, d in enumerate(d_blocks)]
+    )
+    psi = w - (cfg.mu * cfg.eta) * d_vec * problem.global_penalty_gradient(w)
+    if cfg.noise == "stochastic":
+        grad = np.zeros(layout.total_dim)
+        for k in range(problem.agent_count):
+            gidx = problem.cmap.global_indices(k)
+            grad[gidx] += problem.oracles[k].stochastic_gradient(psi[gidx], rngs[k])
+    else:
+        grad = problem.global_risk_gradient(psi)
+    return psi - cfg.mu * d_vec * grad
+
+
+@dataclass
+class AdmmState:
+    """Primal copies, duals, and the per-block cluster averages."""
+
+    w: np.ndarray  # flat layout
+    y: np.ndarray  # flat layout duals
+    z: np.ndarray  # global layout
+    iteration: int
+    rngs: list = field(repr=False, default_factory=list)
+
+
+def init_admm_state(problem: MultiAgentProblem, seed: int, init_global=None) -> AdmmState:
+    """Fresh state. A warm start from the global `init_global` sets every
+    copy and cluster average to it and each dual y_k to -grad J_k(w_k), so
+    that an exact-gradient run started at a stationary point stays there."""
+    state = init_state(problem, seed, init_global)
+    y, z = np.zeros_like(state.w), np.zeros(problem.layout.total_dim)
+    if init_global is not None:
+        for k, oracle in enumerate(problem.oracles):
+            sl = problem.cmap.flat_slice(k)
+            y[sl] = -oracle.true_gradient(state.w[sl])
+        z = np.array(init_global, dtype=float)
+    return AdmmState(w=state.w, y=y, z=z, iteration=0, rngs=state.rngs)
+
+
+def admm_linearized_step(
+    state: AdmmState, problem: MultiAgentProblem, cfg: EngineConfig
+) -> AdmmState:
+    """Consensus solver with the primal minimization replaced by one
+    (stochastic) gradient step of step size mu.
+
+    w_k+ = w_k - mu (ghat_k(w_k) + y_k + rho (w_k - z_k))
+    z_l+ = mean over cluster of (w_k^l+ + y_k^l / rho)   [global knowledge]
+    y_k+ = y_k + rho (w_k+ - z_k+)
+    """
+    cmap = problem.cmap
+    rho = cfg.rho_admm
+    w_new = np.empty_like(state.w)
+    for k in range(problem.agent_count):
+        sl = cmap.flat_slice(k)
+        z_k = problem.cmap.gather_local(state.z, k)
+        grad = _risk_gradient(problem, k, state.w[sl], state.rngs[k], cfg.noise)
+        w_new[sl] = state.w[sl] - cfg.mu * (grad + state.y[sl] + rho * (state.w[sl] - z_k))
+
+    for l, cluster in enumerate(cmap.clusters):
+        idx = cmap.flat_cluster_indices(l)
+        stack = (w_new[idx] + state.y[idx] / rho).reshape(len(cluster), cmap.layout.dims[l])
+        state.z[cmap.layout.global_slice(l)] = stack.mean(axis=0)
+
+    for k in range(problem.agent_count):
+        sl = cmap.flat_slice(k)
+        z_k = problem.cmap.gather_local(state.z, k)
+        state.y[sl] += rho * (w_new[sl] - z_k)
+
+    state.w = w_new
+    state.iteration += 1
+    _check_finite(state.w, cmap, state.iteration)
+    return state
+
+
+def centroid(w_flat: np.ndarray, cmap: ClusterMap, weights) -> np.ndarray:
+    """Perron-weighted per-block centroid sum_k r_l(k) w_k^l as a global vector,
+    with `weights` mapping each block to its CombinationMatrix."""
+    out = np.empty(cmap.layout.total_dim)
+    for l, cluster in enumerate(cmap.clusters):
+        stack = w_flat[cmap.flat_cluster_indices(l)].reshape(len(cluster), -1)
+        out[cmap.layout.global_slice(l)] = weights[l].perron @ stack
+    return out

@@ -10,32 +10,28 @@ import time
 import numpy as np
 import pytest
 
-from coupled_diffusion import (
-    BlockLayout,
-    EngineConfig,
-    NetworkSpec,
-    averaging_weights,
-    build_clusters,
+from coupled_diffusion.engine import EngineConfig, init_batch
+from coupled_diffusion.harness import generate_benchmark_problem
+from coupled_diffusion.metrics import (
     constrained_optimum,
-    coupled_diffusion_step,
     disagreement,
     empirical_rate,
-    generate_benchmark_problem,
-    init_batch,
-    init_state,
-    ip_penalty,
-    metropolis_weights,
     msd,
     penalized_optimum,
+    reference_solution,
+)
+from coupled_diffusion.objective import (
+    ConstraintSpec,
+    PenaltyConfig,
+    ip_penalty,
     penalty_gradient,
     penalty_value,
     random_quadratic_oracle,
-    reference_solution,
-    spectral_gap_bound,
-    step_scaling,
-    true_gradient,
 )
-from coupled_diffusion.objective import ConstraintSpec, PenaltyConfig
+from coupled_diffusion.topology import BlockLayout, NetworkSpec, build_clusters
+from coupled_diffusion.weights import averaging_weights, metropolis_weights, spectral_gap_bound, step_scaling
+
+from reference import coupled_diffusion_step, init_state
 
 # Step sizes for the stochastic ensemble criteria. The O(mu) shift and the
 # higher-order consensus criterion both concern the small-step regime; these
@@ -180,7 +176,7 @@ def test_criterion_03_gradient_correctness():
         r2 = np.random.default_rng(seed)
         oracle = random_quadratic_oracle(r2.standard_normal(5), r2)
         w = r2.standard_normal(5)
-        grad = true_gradient(oracle, w)
+        grad = oracle.true_gradient(w)
         for i in range(5):
             e = np.zeros(5)
             e[i] = h

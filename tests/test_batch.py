@@ -1,8 +1,9 @@
 """The batched engine against the per-agent steps it batches.
 
 Every test runs several seeds at once through `init_batch` and the same
-seeds one by one through `coupled_diffusion_step`, `admm_linearized_step`
-or `centralized_step`, on shared (seed, agent) noise streams.
+seeds one by one through the per-agent reference steps of `reference.py`
+(`coupled_diffusion_step`, `admm_linearized_step` or `centralized_step`),
+on shared (seed, agent) noise streams.
 """
 
 import dataclasses
@@ -10,31 +11,27 @@ import dataclasses
 import numpy as np
 import pytest
 
-from coupled_diffusion import (
-    BlockLayout,
-    EngineConfig,
-    MetricsLog,
-    MultiAgentProblem,
-    QuadraticRiskOracle,
+from coupled_diffusion.engine import EngineConfig, agent_streams, init_batch
+from coupled_diffusion.errors import ConfigError, NonFiniteIterate
+from coupled_diffusion.harness import (
+    NetworkDescription,
+    build_problem,
+    generate_benchmark_problem,
+    load_network,
+    regenerate_constraints,
+)
+from coupled_diffusion.metrics import MetricsLog, disagreement, msd, reference_solution
+from coupled_diffusion.objective import MultiAgentProblem, QuadraticRiskOracle, inequality
+from coupled_diffusion.topology import BlockLayout
+from coupled_diffusion.weights import averaging_weights, metropolis_weights, step_scaling
+from conftest import assert_bridge_oracles_draw_like_their_inner_oracle
+from reference import (
     admm_linearized_step,
-    agent_streams,
-    averaging_weights,
     centralized_step,
     coupled_diffusion_step,
-    disagreement,
-    generate_benchmark_problem,
-    inequality,
     init_admm_state,
-    init_batch,
     init_state,
-    metropolis_weights,
-    msd,
-    reference_solution,
-    step_scaling,
 )
-from coupled_diffusion.errors import ConfigError, NonFiniteIterate
-from coupled_diffusion.harness import NetworkDescription, build_problem, load_network, regenerate_constraints
-from conftest import assert_bridge_oracles_draw_like_their_inner_oracle
 
 SEEDS = (11, 12, 13)
 TOL = 1e-10

@@ -10,8 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from coupled_diffusion import EngineConfig, init_batch, metropolis_weights, step_scaling
+from coupled_diffusion.engine import EngineConfig, init_batch
 from coupled_diffusion.harness import build_problem, load_network
+from coupled_diffusion.weights import metropolis_weights, step_scaling
 
 BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 

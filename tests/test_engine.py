@@ -1,35 +1,28 @@
 import numpy as np
 import pytest
 
-from coupled_diffusion import (
-    BlockLayout,
-    EngineConfig,
+from coupled_diffusion.engine import EngineConfig, init_batch, suggest_step_size
+from coupled_diffusion.errors import NonFiniteIterate
+from coupled_diffusion.metrics import disagreement, msd, penalized_optimum, reference_solution
+from coupled_diffusion.objective import (
     MultiAgentProblem,
-    NetworkSpec,
     PenaltyConfig,
+    QuadraticRiskOracle,
+    equality,
+    random_quadratic_oracle,
+)
+from coupled_diffusion.topology import BlockLayout, NetworkSpec, build_clusters
+from coupled_diffusion.weights import metropolis_weights, spectral_gap_bound, step_scaling
+
+from conftest import single_agent_problem
+from reference import (
     admm_linearized_step,
-    build_clusters,
     centralized_step,
     centroid,
     coupled_diffusion_step,
-    disagreement,
-    equality,
     init_admm_state,
-    init_batch,
     init_state,
-    metropolis_weights,
-    msd,
-    penalized_optimum,
-    random_quadratic_oracle,
-    reference_solution,
-    spectral_gap_bound,
-    step_scaling,
-    suggest_step_size,
 )
-from coupled_diffusion.errors import NonFiniteIterate
-from coupled_diffusion.objective import QuadraticRiskOracle
-
-from conftest import single_agent_problem
 
 
 def _consistent_problem(seed=0, n=4, dims=(2, 1), noise_std=0.0):
@@ -342,6 +335,14 @@ def test_divergence_detection():
             coupled_diffusion_step(state, problem, mats, scal, cfg)
     assert err.value.iteration > 0
     assert 0 <= err.value.agent < problem.agent_count
+
+
+def test_engine_config_rejects_bad_numbers():
+    for bad in (dict(eta=-5.0), dict(eta=np.inf), dict(eta=np.nan), dict(mu=np.nan),
+                dict(mu=np.inf), dict(mu=0.0), dict(rho_admm=-1.0), dict(rho_admm=0.0),
+                dict(rho_admm=np.nan)):
+        with pytest.raises(ValueError):
+            EngineConfig(**{"mu": 0.01, **bad})
 
 
 def test_suggest_step_size():

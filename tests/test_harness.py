@@ -7,17 +7,19 @@ import numpy as np
 import pytest
 import yaml
 
-from coupled_diffusion import (
+from coupled_diffusion.cli import main as cli_main
+from coupled_diffusion.errors import ConfigError
+from coupled_diffusion.harness import (
+    CSV_HEADER,
+    ResultTable,
     ScenarioConfig,
     config_from_dict,
     emit_results,
     generate_benchmark_problem,
     load_network,
     run_scenario,
+    steady_state,
 )
-from coupled_diffusion.cli import main as cli_main
-from coupled_diffusion.errors import ConfigError
-from coupled_diffusion.harness import CSV_HEADER, ResultTable, steady_state
 from conftest import assert_bridge_oracles_draw_like_their_inner_oracle
 
 
@@ -146,7 +148,9 @@ def test_build_problem_embeds_with_zero_cost_bridges(tmp_path):
     assert np.array_equal(grad[problem.cmap.local_slice(1, 0)], [0.0, 0.0])
     assert problem.strong_convexity() > 0
     # the whole pipeline still runs
-    from coupled_diffusion import EngineConfig, coupled_diffusion_step, init_state, metropolis_weights, step_scaling
+    from coupled_diffusion.engine import EngineConfig
+    from coupled_diffusion.weights import metropolis_weights, step_scaling
+    from reference import coupled_diffusion_step, init_state
 
     weights = {l: metropolis_weights(problem.cmap, problem.net, l) for l in range(2)}
     scaling = step_scaling(problem.cmap, weights)
@@ -286,11 +290,16 @@ def test_cli_overrides(tmp_path):
     assert lines[1].split(",")[1] == "0.002"
 
 
-def _cli_error(tmp_path, capsys, raw) -> dict:
-    """Run the CLI on a config dict that must fail; the one error line's payload."""
+def _bad_config(tmp_path, raw) -> list:
+    """CLI arguments that run the config dict `raw`."""
     cfg = tmp_path / "bad.yaml"
     cfg.write_text(yaml.safe_dump(raw))
-    rc = cli_main(["run", "--config", str(cfg), "--out", str(tmp_path)])
+    return ["run", "--config", str(cfg), "--out", str(tmp_path)]
+
+
+def _cli_error(capsys, argv) -> dict:
+    """Run the CLI on arguments that must fail; the one error line's payload."""
+    rc = cli_main(argv)
     assert rc == 2
     err = capsys.readouterr().err.strip()
     assert err.startswith("error: ") and len(err.splitlines()) == 1
@@ -298,26 +307,42 @@ def _cli_error(tmp_path, capsys, raw) -> dict:
 
 
 def test_cli_error_is_machine_readable(tmp_path, capsys):
-    payload = _cli_error(tmp_path, capsys, {"scenario": {"id": "nope", "seeds": [0]}})
+    payload = _cli_error(capsys, _bad_config(tmp_path, {"scenario": {"id": "nope", "seeds": [0]}}))
     assert payload["type"] == "ConfigError"
 
 
 def test_cli_error_network_without_edges(tmp_path, capsys):
     net = tmp_path / "net.json"
     net.write_text(json.dumps({"agent_count": 2, "block_dims": [1], "interest_sets": [[0], [0]]}))
-    payload = _cli_error(tmp_path, capsys, {
+    payload = _cli_error(capsys, _bad_config(tmp_path, {
         "network": {"source": str(net)},
         "scenario": {"id": "unconstrained", "seeds": [0]},
-    })
+    }))
     assert payload["type"] == "ConfigError" and "edges" in payload["message"]
 
 
 def test_cli_error_null_iterations(tmp_path, capsys):
-    payload = _cli_error(tmp_path, capsys, {
+    payload = _cli_error(capsys, _bad_config(tmp_path, {
         "engine": {"iterations": None},
         "scenario": {"id": "unconstrained", "seeds": [0]},
-    })
+    }))
     assert payload["type"] == "ConfigError" and "iterations" in payload["message"]
+
+
+@pytest.mark.parametrize("args, word", [
+    pytest.param(["--iters", "abc"], "abc", id="iters-abc"),
+    pytest.param(None, "--config", id="no-config"),
+    pytest.param(["--frobnicate"], "--frobnicate", id="unknown-flag"),
+])
+def test_cli_error_on_malformed_arguments(tmp_path, capsys, args, word):
+    argv = ["run"] if args is None else ["run", "--config", str(_write_cfg(tmp_path)), *args]
+    assert word in _cli_error(capsys, argv)["message"]
+
+
+def test_cli_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as stop:
+        cli_main(["run", "--help"])
+    assert stop.value.code == 0 and "--config" in capsys.readouterr().out
 
 
 def test_cli_subprocess_smoke(tmp_path):
@@ -329,3 +354,14 @@ def test_cli_subprocess_smoke(tmp_path):
     )
     assert res.returncode == 0, res.stderr
     assert (tmp_path / "sp" / "unconstrained.csv").exists()
+
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+@pytest.mark.parametrize("script", sorted(p.name for p in SCRIPTS.glob("*.py")))
+def test_script_help(script):
+    """Each experiment driver imports its names from the package top level."""
+    res = subprocess.run([sys.executable, str(SCRIPTS / script), "--help"],
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr

@@ -1,20 +1,16 @@
 import numpy as np
 import pytest
 
-from coupled_diffusion import (
-    BlockLayout,
-    MultiAgentProblem,
-    NetworkSpec,
-    PenaltyConfig,
-    build_clusters,
+from coupled_diffusion.metrics import (
     constrained_optimum,
     disagreement,
     empirical_rate,
-    equality,
     msd,
     penalized_optimum,
     reference_solution,
 )
+from coupled_diffusion.objective import MultiAgentProblem, PenaltyConfig, equality
+from coupled_diffusion.topology import BlockLayout, NetworkSpec, build_clusters
 from coupled_diffusion.errors import (
     InfeasibleConstraints,
     NonDecreasingMSD,

@@ -3,19 +3,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coupled_diffusion import (
+from coupled_diffusion.errors import DimensionMismatch
+from coupled_diffusion.objective import (
+    ConstraintSpec,
     PenaltyConfig,
+    QuadraticRiskOracle,
     ep_penalty,
     equality,
     inequality,
     ip_penalty,
     penalty_gradient,
     penalty_value,
+    random_orthogonal,
     random_quadratic_oracle,
-    true_gradient,
 )
-from coupled_diffusion.errors import DimensionMismatch
-from coupled_diffusion.objective import ConstraintSpec, QuadraticRiskOracle, random_orthogonal
 
 
 def test_ep_penalty_values():
@@ -57,7 +58,7 @@ def test_ip_penalty_shape(x, rho):
 
 
 def test_penalty_gradient_examples():
-    cfg = PenaltyConfig(eta=1.0, rho=1.0)
+    cfg = PenaltyConfig(rho=1.0)
     w = np.array([3.0, 5.0])
     assert np.array_equal(penalty_gradient([], w, cfg), [0.0, 0.0])
     on_surface = equality(0, np.array([1.0, 0.0]), 3.0)
@@ -68,7 +69,7 @@ def test_penalty_gradient_examples():
 
 def test_penalty_gradient_matches_finite_differences():
     rng = np.random.default_rng(5)
-    cfg = PenaltyConfig(eta=1.0, rho=0.5)
+    cfg = PenaltyConfig(rho=0.5)
     for _ in range(10):
         dim = rng.integers(2, 6)
         cons = []
@@ -140,7 +141,7 @@ def test_stochastic_gradient_is_unbiased():
     w_ref = rng.standard_normal(5)
     oracle = random_quadratic_oracle(w_ref, rng)
     zeta = rng.standard_normal(5)
-    expected = true_gradient(oracle, zeta)
+    expected = oracle.true_gradient(zeta)
     draws = np.random.default_rng(9)
     n = 100_000
     samples = np.empty((n, 5))
@@ -160,7 +161,7 @@ def test_noise_second_moment_relative_bound():
     def noise_power(zeta, n=20_000, seed=0):
         g = np.random.default_rng(seed)
         total = 0.0
-        t = true_gradient(oracle, zeta)
+        t = oracle.true_gradient(zeta)
         for _ in range(n):
             total += float(np.sum((oracle.stochastic_gradient(zeta, g) - t) ** 2))
         return total / n
@@ -179,9 +180,9 @@ def test_true_gradient_examples():
     rng = np.random.default_rng(4)
     w_ref = rng.standard_normal(3)
     oracle = random_quadratic_oracle(w_ref, rng)
-    assert np.allclose(true_gradient(oracle, w_ref), np.zeros(3), atol=1e-14)
+    assert np.allclose(oracle.true_gradient(w_ref), np.zeros(3), atol=1e-14)
     identity = QuadraticRiskOracle(np.eye(3), np.ones(3), np.zeros(3), 0.0)
-    assert np.allclose(true_gradient(identity, np.array([1.0, 0.0, 0.0])), [2.0, 0.0, 0.0])
+    assert np.allclose(identity.true_gradient(np.array([1.0, 0.0, 0.0])), [2.0, 0.0, 0.0])
 
 
 def test_true_gradient_matches_finite_differences_of_risk():
@@ -189,7 +190,7 @@ def test_true_gradient_matches_finite_differences_of_risk():
     w_ref = rng.standard_normal(5)
     oracle = random_quadratic_oracle(w_ref, rng)
     w = rng.standard_normal(5)
-    grad = true_gradient(oracle, w)
+    grad = oracle.true_gradient(w)
     h = 1e-6
     for i in range(5):
         e = np.zeros(5)

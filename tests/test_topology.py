@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coupled_diffusion import BlockLayout, NetworkSpec, build_clusters, embed_clusters, validate_connectivity
+from coupled_diffusion.topology import BlockLayout, NetworkSpec, build_clusters, embed_clusters, validate_connectivity
 from coupled_diffusion.errors import EmptyCluster, InvalidBlockIndex, NetworkDisconnected
 
 

@@ -3,19 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coupled_diffusion import (
-    BlockLayout,
-    NetworkSpec,
+from coupled_diffusion.errors import DisconnectedCluster, NotPrimitive
+from coupled_diffusion.harness import NetworkDescription, build_problem, generate_benchmark_problem
+from coupled_diffusion.topology import BlockLayout, NetworkSpec, build_clusters
+from coupled_diffusion.weights import (
     averaging_weights,
-    build_clusters,
-    generate_benchmark_problem,
     metropolis_weights,
     perron_vector,
     second_eigenvalue_magnitude,
     step_scaling,
 )
-from coupled_diffusion.errors import DisconnectedCluster, NotPrimitive
-from coupled_diffusion.harness import NetworkDescription, build_problem
 
 
 def _one_cluster(n, edges):
