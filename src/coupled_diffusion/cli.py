@@ -11,14 +11,15 @@ Exit code 0 on success; on failure a single machine-readable line
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
 
 import yaml
 
-from .errors import ConfigError, SimulationError
-from .harness import ScenarioConfig, config_from_dict, emit_results, run_scenario
+from .errors import SimulationError
+from .harness import config_from_dict, emit_results, run_scenario
 
 
 class _Parser(argparse.ArgumentParser):
@@ -42,36 +43,28 @@ def _parse_args(argv):
     return parser.parse_args(argv)
 
 
-def _apply_overrides(raw, args) -> dict:
-    if not isinstance(raw, dict):
-        raise ConfigError("a config file holds a mapping of sections")
-    raw = dict(raw)
-
-    def section(name: str) -> dict:
-        sec = raw.get(name) or {}
-        if not isinstance(sec, dict):
-            raise ConfigError(f"config section {name!r} must be a mapping")
-        raw[name] = sec = dict(sec)
-        return sec
-
+def _overrides(args) -> dict:
+    """The ScenarioConfig fields that the override flags set."""
+    fields = {}
     if args.scenario:
-        section("scenario")["id"] = args.scenario
+        fields["scenario"] = args.scenario
     if args.seeds:
-        section("scenario")["seeds"] = [int(s) for s in args.seeds.split(",")]
+        fields["seeds"] = [int(s) for s in args.seeds.split(",")]
     if args.mu:
-        section("engine")["mu"] = [float(m) for m in args.mu.split(",")]
+        fields["mu_list"] = [float(m) for m in args.mu.split(",")]
     if args.eta:
-        section("penalty")["eta"] = [float(e) for e in args.eta.split(",")]
+        fields["eta_list"] = [float(e) for e in args.eta.split(",")]
     if args.iters is not None:
-        section("engine")["iterations"] = int(args.iters)
-    return raw
+        fields["iterations"] = int(args.iters)
+    return fields
 
 
 def main(argv=None) -> int:
     try:
         args = _parse_args(argv if argv is not None else sys.argv[1:])
         raw = yaml.safe_load(Path(args.config).read_text()) or {}
-        cfg: ScenarioConfig = config_from_dict(_apply_overrides(raw, args))
+        # the file must be a valid config on its own; replace re-runs every check
+        cfg = dataclasses.replace(config_from_dict(raw), **_overrides(args))
         table = run_scenario(cfg)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)

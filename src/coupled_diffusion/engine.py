@@ -41,17 +41,19 @@ class EngineConfig:
 
     def __post_init__(self):
         if not 0 < self.mu < np.inf:
-            raise ValueError("step size mu must be positive and finite")
+            raise ConfigError("step size mu must be positive and finite")
         if not 0 <= self.eta < np.inf:
-            raise ValueError("eta must be non-negative and finite")
+            raise ConfigError("eta must be non-negative and finite")
         if not 0 < self.rho_admm < np.inf:
-            raise ValueError("rho_admm must be positive and finite")
+            raise ConfigError("rho_admm must be positive and finite")
         if self.iterations < 1:
-            raise ValueError("iteration budget must be at least 1")
+            raise ConfigError("iteration budget must be at least 1")
         if self.noise not in NOISE_MODES:
-            raise ValueError(f"unknown noise mode {self.noise!r}")
+            raise ConfigError(f"unknown noise mode {self.noise!r}")
         if self.algorithm not in ALGORITHMS:
-            raise ValueError(f"unknown algorithm {self.algorithm!r}")
+            raise ConfigError(f"unknown algorithm {self.algorithm!r}")
+        if self.algorithm == "admm" and self.eta != 0.0:  # admm has no penalty half-step
+            raise ConfigError("algorithm admm does not support penalties; use eta 0")
 
 
 def agent_streams(seed: int, agent_count: int) -> list:
@@ -281,8 +283,6 @@ class AdmmBatch(_Batch):
     with weights 1/N_l, and z is kept as every member's copy of it."""
 
     def __init__(self, problem, weights, scaling, cfg, seeds, init_global=None):
-        if cfg.eta != 0.0:
-            raise ConfigError("the admm baseline has no penalty half-step; it needs eta = 0")
         super().__init__(problem, cfg, seeds)
         self._mean = _ClusterMix(
             self.cmap, [np.full((len(c), len(c)), 1.0 / len(c)) for c in self.cmap.clusters]

@@ -56,5 +56,5 @@ class NonDecreasingMSD(SimulationError):
     """Rate fitting requires a strictly decreasing MSD sequence."""
 
 
-class ConfigError(SimulationError):
+class ConfigError(SimulationError, ValueError):
     """A scenario configuration failed validation."""

@@ -1,9 +1,9 @@
 """Scenario orchestration: configs, problem generation, runs, CSV output.
 
 Runs are deterministic functions of (config, seeds). A scenario run builds
-the topology -> weights -> objective -> engine pipeline, executes one run
-per (mu, eta, seed) triple, and merges the per-run logs into a result
-table with seed-mean rows marked "mean".
+the topology -> weights -> objective -> engine pipeline, executes one
+batched run of all seeds per (mu, eta) pair, and merges the logs into a
+result table with seed-mean rows marked "mean".
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .engine import ALGORITHMS, NOISE_MODES, EngineConfig, init_batch
+from .engine import EngineConfig, init_batch
 from .errors import ConfigError, SingularSystem
 from .metrics import MetricsLog, ReferenceSolution, db, reference_solution
 from .objective import (
@@ -120,6 +120,11 @@ def _integer_lists(value, name: str) -> tuple[tuple[int, ...], ...]:
     return tuple(_integers(v, name) for v in value)
 
 
+def _as_list(value) -> tuple:
+    """A list value as a tuple; a single value is a list of one."""
+    return tuple(value) if isinstance(value, (list, tuple)) else (value,)
+
+
 @dataclass
 class ScenarioConfig:
     scenario: str
@@ -141,9 +146,9 @@ class ScenarioConfig:
     constrained: Optional[bool] = None
 
     def __post_init__(self):
-        self.mu_list = tuple(_real(m, "mu") for m in self.mu_list)
-        self.eta_list = tuple(_real(e, "eta") for e in self.eta_list)
-        self.seeds = tuple(_integer(s, "seeds") for s in self.seeds)
+        self.mu_list = tuple(_real(m, "mu") for m in _as_list(self.mu_list))
+        self.eta_list = tuple(_real(e, "eta") for e in _as_list(self.eta_list))
+        self.seeds = tuple(_integer(s, "seeds") for s in _as_list(self.seeds))
         self.iterations = _integer(self.iterations, "iterations")
         self.problem_seed = _integer(self.problem_seed, "problem_seed")
         self.rho = _real(self.rho, "rho")
@@ -151,30 +156,23 @@ class ScenarioConfig:
         self.log_every = _integer(self.log_every, "log_every")
         if self.change_point is not None:
             self.change_point = _integer(self.change_point, "change_point")
-        if self.block_dims is not None:
-            self.block_dims = _integers(self.block_dims, "block dims")
+        if self.block_dims is not None:  # an empty list keeps the network's own dims
+            self.block_dims = _integers(self.block_dims, "block dims") or None
         if not isinstance(self.network, str):
             raise ConfigError(f"network source must be a name or a path, got {self.network!r}")
         if self.scenario not in SCENARIOS:
             raise ConfigError(f"unknown scenario {self.scenario!r}")
-        if not self.mu_list or any(m <= 0 for m in self.mu_list):
-            raise ConfigError("mu list must be non-empty and positive")
-        if not self.eta_list or any(e < 0 for e in self.eta_list):
-            raise ConfigError("eta list must be non-empty and non-negative")
+        if not (self.mu_list and self.eta_list):
+            raise ConfigError("mu and eta lists must be non-empty")
+        for mu in self.mu_list:
+            for eta in self.eta_list:
+                self.engine(mu, eta)
         if not self.seeds:
             raise ConfigError("seed list must be non-empty")
         if not all(0 <= s < SEED_LIMIT for s in self.seeds + (self.problem_seed,)):
             raise ConfigError("seeds and problem_seed must lie in [0, 2**63)")
-        if self.iterations < 1:
-            raise ConfigError("iterations must be at least 1")
         if self.weight_rule not in WEIGHT_RULES:
             raise ConfigError(f"unknown weight rule {self.weight_rule!r}")
-        if self.algorithm not in ALGORITHMS:
-            raise ConfigError(f"unknown algorithm {self.algorithm!r}")
-        if self.noise not in NOISE_MODES:
-            raise ConfigError(f"unknown noise mode {self.noise!r}")
-        if self.rho_admm <= 0:
-            raise ConfigError("rho_admm must be positive")
         if self.constrained not in (None, True, False):
             raise ConfigError(f"constrained must be true or false, got {self.constrained!r}")
         if self.scenario == "tracking" and self.change_point is None:
@@ -185,10 +183,11 @@ class ScenarioConfig:
             raise ConfigError("log_every must be at least 1")
         if self.init not in (None, "zeros", "reference"):
             raise ConfigError(f"unknown init {self.init!r}")
-        if self.algorithm == "admm" and any(e > 0 for e in self.eta_list):
-            # the admm step has no penalty half-step: it would silently solve
-            # the unpenalized problem
-            raise ConfigError("algorithm admm does not support penalties; use eta 0")
+
+    def engine(self, mu: float, eta: float) -> EngineConfig:
+        """The engine settings of the grid point (mu, eta); they check themselves."""
+        return EngineConfig(mu=mu, eta=eta, iterations=self.iterations, noise=self.noise,
+                            algorithm=self.algorithm, rho_admm=self.rho_admm)
 
     @property
     def uses_constraints(self) -> bool:
@@ -202,53 +201,42 @@ class ScenarioConfig:
             return self.init
         return "reference" if self.scenario == "sweep" else "zeros"
 
-    def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        for key, val in d.items():
-            if isinstance(val, tuple):
-                d[key] = list(val)
-        return d
+
+# section -> key -> ScenarioConfig field: the config-file layout. No other
+# section or key is accepted, and a missing one takes the field's default.
+CONFIG_KEYS = {
+    "network": {"source": "network"},
+    "blocks": {"dims": "block_dims"},
+    "objective": {"problem_seed": "problem_seed", "constrained": "constrained"},
+    "penalty": {"eta": "eta_list", "rho": "rho"},
+    "engine": {"mu": "mu_list", "iterations": "iterations", "weight_rule": "weight_rule",
+               "algorithm": "algorithm", "noise": "noise", "rho_admm": "rho_admm",
+               "init": "init"},
+    "scenario": {"id": "scenario", "seeds": "seeds", "log_every": "log_every",
+                 "change_point": "change_point"},
+}
 
 
 def config_from_dict(raw: dict) -> ScenarioConfig:
-    """Build a ScenarioConfig from the sectioned config-file layout."""
+    """Build a ScenarioConfig from the sectioned config-file layout; each key
+    present is passed on as given, null included, for ScenarioConfig to check."""
     if not isinstance(raw, dict):
         raise ConfigError("a config holds a mapping of sections")
-    sections = {}
-    for name in ("network", "blocks", "objective", "penalty", "engine", "scenario"):
-        sections[name] = raw.get(name) or {}
-        if not isinstance(sections[name], dict):
+    unknown = sorted(str(name) for name in raw if name not in CONFIG_KEYS)
+    if unknown:
+        raise ConfigError(f"unknown config section {unknown[0]!r}")
+    fields = {}
+    for name, keys in CONFIG_KEYS.items():  # a fixed order, so that the first error is too
+        section = raw.get(name) or {}
+        if not isinstance(section, dict):
             raise ConfigError(f"config section {name!r} must be a mapping")
-    network, blocks, objective, penalty, engine, scenario = sections.values()
-    if "id" not in scenario:
+        unknown = sorted(str(key) for key in section if key not in keys)
+        if unknown:
+            raise ConfigError(f"unknown key {unknown[0]!r} in config section {name!r}")
+        fields.update((keys[key], value) for key, value in section.items())
+    if "scenario" not in fields:
         raise ConfigError("scenario section must carry an 'id'")
-
-    def as_list(x):
-        return tuple(x) if isinstance(x, (list, tuple)) else (x,)
-
-    kwargs = dict(
-        scenario=scenario["id"],
-        network=network.get("source", "benchmark20"),
-        block_dims=blocks.get("dims") or None,
-        problem_seed=objective.get("problem_seed", 7),
-        rho=penalty.get("rho", 1.0),
-        iterations=engine.get("iterations", 2000),
-        weight_rule=engine.get("weight_rule", "metropolis"),
-        algorithm=engine.get("algorithm", "coupled"),
-        noise=engine.get("noise", "stochastic"),
-        rho_admm=engine.get("rho_admm", 1.0),
-        log_every=scenario.get("log_every", 1),
-        init=engine.get("init"),
-        constrained=objective.get("constrained"),
-        change_point=scenario.get("change_point"),
-    )
-    if engine.get("mu") is not None:
-        kwargs["mu_list"] = as_list(engine["mu"])
-    if penalty.get("eta") is not None:
-        kwargs["eta_list"] = as_list(penalty["eta"])
-    if scenario.get("seeds") is not None:
-        kwargs["seeds"] = as_list(scenario["seeds"])
-    return ScenarioConfig(**kwargs)
+    return ScenarioConfig(**fields)
 
 
 def _problem_rng(seed: int, tag: int):
@@ -372,11 +360,6 @@ def _fmt(v):
     return v
 
 
-def _build_weights(cmap, net, rule: str):
-    make = metropolis_weights if rule == "metropolis" else averaging_weights
-    return {l: make(cmap, net, l) for l in range(len(cmap.clusters))}
-
-
 def _run_one(problem, weights, scaling, ecfg: EngineConfig, seeds, refs: ReferenceSolution,
              log_every: int, init_global, change=None) -> MetricsLog:
     """Run the selected algorithm for all seeds at once, logging metrics.
@@ -404,12 +387,13 @@ def run_scenario(cfg: ScenarioConfig) -> ResultTable:
 
     Per-seed rows are followed by seed-mean rows (seed column "mean");
     means are taken over linear MSD values and converted to dB. The
-    sweep scenario emits only steady-state rows, one per run, using the
-    mean over the final 10% of iterations.
+    sweep scenario emits only steady-state rows, one per seed and the
+    seed mean, using the mean over the final 10% of records.
     """
     desc = load_network(cfg.network, cfg.block_dims)
     base = build_problem(desc, cfg.problem_seed, constrained=cfg.uses_constraints, rho=cfg.rho)
-    weights = _build_weights(base.cmap, base.net, cfg.weight_rule)
+    make = metropolis_weights if cfg.weight_rule == "metropolis" else averaging_weights
+    weights = {l: make(base.cmap, base.net, l) for l in range(len(base.cmap.clusters))}
     scaling = step_scaling(base.cmap, weights)
 
     changed = None
@@ -422,59 +406,45 @@ def run_scenario(cfg: ScenarioConfig) -> ResultTable:
         for eta in dict.fromkeys(cfg.eta_list)
     }
 
-    table = ResultTable(config=cfg.to_dict())
+    table = ResultTable(config=dataclasses.asdict(cfg))
     for mu in cfg.mu_list:
         for eta in cfg.eta_list:
             refs, changed_refs = references[eta]
             change = None if changed is None else (cfg.change_point, changed, changed_refs)
             init_global = refs.w_star if cfg.initial == "reference" else None
-            ecfg = EngineConfig(mu=mu, eta=eta, iterations=cfg.iterations,
-                                noise=cfg.noise, algorithm=cfg.algorithm,
-                                rho_admm=cfg.rho_admm)
-            log = _run_one(base, weights, scaling, ecfg, cfg.seeds, refs,
+            log = _run_one(base, weights, scaling, cfg.engine(mu, eta), cfg.seeds, refs,
                            cfg.log_every, init_global, change)
-            if cfg.scenario == "sweep":
-                _append_steady_rows(table, cfg, mu, eta, log)
-            else:
-                _append_iteration_rows(table, cfg, mu, eta, log)
+            iterations = log.iterations
+            series = (log.msd_star, log.max_disagreement(), log.msd_o)
+            if cfg.scenario == "sweep":  # one record: the steady-state tail mean
+                iterations = [cfg.iterations]
+                series = tuple(steady_state(a)[None] for a in series)
+            _append_iteration_rows(table, cfg, mu, eta, iterations, *series)
     return table
 
 
-def _append_iteration_rows(table, cfg, mu, eta, log):
-    """Rows of every seed, record by record, then the seed-mean rows."""
+def _append_iteration_rows(table, cfg, mu, eta, iterations, msd_star, disagreement, msd_o):
+    """Rows of every seed, record by record, then the seed-mean rows; the
+    series are (records, seeds) arrays in the linear domain."""
     def with_mean(a):  # (records, seeds) -> (seeds + 1, records), seed mean last
         return np.column_stack([a, a.mean(axis=1)]).T
 
-    star = db(with_mean(log.msd_star)).tolist()
-    dis = with_mean(log.max_disagreement()).tolist()
-    dist_o = db(with_mean(log.msd_o)).tolist()
+    star = db(with_mean(msd_star)).tolist()
+    dis = with_mean(disagreement).tolist()
+    dist_o = db(with_mean(msd_o)).tolist()
     labels = [str(seed) for seed in cfg.seeds] + ["mean"]
     for j, label in enumerate(labels):
         table.rows.extend(
             (cfg.scenario, mu, eta, label, it, s, d, o)
-            for it, s, d, o in zip(log.iterations, star[j], dis[j], dist_o[j])
+            for it, s, d, o in zip(iterations, star[j], dis[j], dist_o[j])
         )
 
 
-def steady_state(values, fraction: float = 0.1) -> float:
-    """Mean of the final `fraction` of a per-iteration series."""
+def steady_state(values, fraction: float = 0.1):
+    """Mean of the final `fraction` of a per-iteration series: a float for
+    a 1-D series, one value per column for a (records, columns) array."""
     values = np.asarray(values, dtype=float)
     tail = max(1, int(round(fraction * values.shape[0])))
-    return float(values[-tail:].mean())
-
-
-def _append_steady_rows(table, cfg, mu, eta, log):
-    star, dist_o, dis = log.msd_star, log.msd_o, log.max_disagreement()
-    stars, onorms, diss = [], [], []
-    for j, seed in enumerate(cfg.seeds):
-        s = steady_state(star[:, j])
-        o = steady_state(dist_o[:, j])
-        d = steady_state(dis[:, j])
-        stars.append(s)
-        onorms.append(o)
-        diss.append(d)
-        table.rows.append((cfg.scenario, mu, eta, str(seed), cfg.iterations,
-                           db(s), d, db(o)))
-    table.rows.append((cfg.scenario, mu, eta, "mean", cfg.iterations,
-                       db(float(np.mean(stars))), float(np.mean(diss)),
-                       db(float(np.mean(onorms)))))
+    # each column summed on its own, contiguously, rounds like its 1-D mean
+    mean = np.ascontiguousarray(values[-tail:].T).mean(-1)
+    return float(mean) if values.ndim == 1 else mean

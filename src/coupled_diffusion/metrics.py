@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -105,7 +106,8 @@ def penalized_optimum(problem: MultiAgentProblem, eta: float) -> np.ndarray:
         np.zeros_like(w)
     )
     grad = problem.global_risk_gradient(w) + eta * problem.global_penalty_gradient(w)
-    if np.linalg.norm(grad) > 1e-8 * (1.0 + np.linalg.norm(grad0)):
+    # hypot scales its arguments: a huge eta does not overflow the norms
+    if math.hypot(*grad) > 1e-8 * (1.0 + math.hypot(*grad0)):
         raise SimulationError("penalized optimum failed its stationarity check")
     return w
 

@@ -12,7 +12,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import ConfigError, DimensionMismatch
 from .topology import BlockLayout, ClusterMap, NetworkSpec
 
 
@@ -24,7 +24,7 @@ class PenaltyConfig:
 
     def __post_init__(self):
         if self.rho <= 0:
-            raise ValueError("rho must be positive")
+            raise ConfigError("rho must be positive")
 
 
 def ep_penalty(x):

@@ -14,7 +14,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import EmptyCluster, InvalidBlockIndex, NetworkDisconnected
+from .errors import ConfigError, EmptyCluster, InvalidBlockIndex, NetworkDisconnected
 
 
 @dataclass(frozen=True)
@@ -27,7 +27,7 @@ class BlockLayout:
 
     def __post_init__(self):
         if len(self.dims) < 1 or any(d < 1 for d in self.dims):
-            raise ValueError("block dims must be positive and non-empty")
+            raise ConfigError("block dims must be positive and non-empty")
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
         object.__setattr__(self, "offsets", tuple(accumulate((0,) + self.dims[:-1])))
 
@@ -55,19 +55,19 @@ class NetworkSpec:
 
     def __post_init__(self):
         if self.agent_count < 1:
-            raise ValueError("agent_count must be positive")
+            raise ConfigError("agent_count must be positive")
         norm = set()
         for a, b in self.edges:
             if a == b:
-                raise ValueError(f"self-loop edge ({a},{b}) not allowed")
+                raise ConfigError(f"self-loop edge ({a},{b}) not allowed")
             if not (0 <= a < self.agent_count and 0 <= b < self.agent_count):
-                raise ValueError(f"edge ({a},{b}) references unknown agent")
+                raise ConfigError(f"edge ({a},{b}) references unknown agent")
             norm.add((min(a, b), max(a, b)))
         object.__setattr__(self, "edges", frozenset(norm))
         if len(self.interest_sets) != self.agent_count:
-            raise ValueError("need one interest set per agent")
+            raise ConfigError("need one interest set per agent")
         if any(len(s) == 0 for s in self.interest_sets):
-            raise ValueError("every interest set must be non-empty")
+            raise ConfigError("every interest set must be non-empty")
         object.__setattr__(
             self,
             "interest_sets",
@@ -91,12 +91,6 @@ class NetworkSpec:
         seen = _bfs_reach(self.adjacency(), [0])
         return len(seen) == self.agent_count
 
-    def with_interest(self, agent: int, block: int) -> "NetworkSpec":
-        """Copy with `block` added to agent's interest set."""
-        sets = list(self.interest_sets)
-        sets[agent] = tuple(sorted(set(sets[agent]) | {block}))
-        return NetworkSpec(self.agent_count, self.edges, tuple(sets))
-
 
 @dataclass(frozen=True)
 class ClusterMap:
@@ -104,9 +98,8 @@ class ClusterMap:
 
     For every agent k the local vector w_k stacks the copies w_k^l for
     l in its interest set, in increasing block order. The flat layout
-    concatenates all agents' local vectors; the stacked layout
-    concatenates, block by block, the copies held by each cluster member.
-    Both have total length sum_l N_l*M_l = sum_k Q_k.
+    concatenates all agents' local vectors; its total length is
+    sum_l N_l*M_l = sum_k Q_k.
     """
 
     layout: BlockLayout
@@ -365,8 +358,9 @@ def embed_clusters(net: NetworkSpec, cmap: ClusterMap) -> tuple[NetworkSpec, Clu
     if not bad:
         return net, cmap
     adj = net.adjacency()
-    new = net
+    sets = [set(s) for s in net.interest_sets]
     for l in bad:
-        for k in sorted(_bridge_nodes(adj, cmap.clusters[l])):
-            new = new.with_interest(k, l)
+        for k in _bridge_nodes(adj, cmap.clusters[l]):
+            sets[k].add(l)
+    new = NetworkSpec(net.agent_count, net.edges, tuple(sets))
     return new, build_clusters(new, cmap.layout)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DisconnectedCluster, NotPrimitive
+from .errors import ConfigError, DisconnectedCluster, NotPrimitive
 from .topology import ClusterMap, NetworkSpec, validate_connectivity
 
 PERRON_RESIDUAL_TOL = 1e-10
@@ -108,7 +108,7 @@ def _unit_eigenpair(a: np.ndarray, vectors: bool):
     """
     n = a.shape[0]
     if n > MAX_DENSE_EIG:
-        raise ValueError(f"cluster size {n} exceeds dense eigensolver limit {MAX_DENSE_EIG}")
+        raise ConfigError(f"cluster size {n} exceeds dense eigensolver limit {MAX_DENSE_EIG}")
     eig, vecs = np.linalg.eig(a) if vectors else (np.linalg.eigvals(a), None)
     unit = int(np.argmin(np.abs(eig - 1.0)))
     lam2 = float(np.abs(np.delete(eig, unit)).max(initial=0.0))

@@ -1,7 +1,9 @@
-"""The generated 200-agent ring of the `ring200-tracking` benchmark workload,
-loaded from `benchmarks/` as it is, so that a library change that breaks
-the workload (for example one that loses its bridge agents) fails here
-before the benchmark runs."""
+"""The inputs of the benchmark workloads, loaded from `benchmarks/` as they
+are, so that a library change that breaks a workload fails here before the
+benchmark runs: the generated 200-agent ring of `ring200-tracking` (for
+example a change that loses its bridge agents), and every config the
+workloads write, which the strict config reader must accept, as it must
+the shipped configs."""
 
 import importlib.util
 import json
@@ -9,12 +11,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from coupled_diffusion.engine import EngineConfig, init_batch
-from coupled_diffusion.harness import build_problem, load_network
+from coupled_diffusion.harness import build_problem, config_from_dict, load_network
 from coupled_diffusion.weights import metropolis_weights, step_scaling
 
-BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
+ROOT = Path(__file__).resolve().parent.parent
+BENCHMARKS = ROOT / "benchmarks"
 
 
 def _load(name):
@@ -42,3 +46,12 @@ def test_ring_workload_network_builds_and_runs(tmp_path, seed):
     for _ in range(cfg.iterations):
         batch.step()
     assert np.isfinite(batch.view()).all()
+
+
+def test_workload_and_shipped_configs_pass_the_config_reader():
+    shipped = [yaml.safe_load(path.read_text()) for path in sorted(ROOT.glob("configs/*.yaml"))]
+    assert len(shipped) == 3
+    written = [call["config"] for name in workloads.NAMES for smoke in (False, True)
+               for call in workloads.calls(name, 14, smoke, "network.json")]
+    for raw in shipped + written:
+        config_from_dict(raw)

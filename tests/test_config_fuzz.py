@@ -49,7 +49,8 @@ VALID = st.fixed_dictionaries({
 })
 
 # Out-of-range values of each key; every key also gets null, wrong-typed
-# and non-finite values, and may go missing.
+# and non-finite values, and may go missing. The last two entries are an
+# unknown key and an unknown section.
 OUT_OF_RANGE = {
     ("network", "source"): ["no-such-network.json", "."],
     ("blocks", "dims"): [[1, 1, 1, 1], [0, 2], [-1], [2, 3], [1] * 9],
@@ -68,6 +69,8 @@ OUT_OF_RANGE = {
     ("scenario", "seeds"): [[], [-1], [2**64], 2.5],
     ("scenario", "log_every"): [0, -1],
     ("scenario", "change_point"): [0, 10**6],
+    ("engine", "iteratons"): [10],
+    ("solver", "tol"): [1e-6],
 }
 WRONG = [None, float("nan"), float("inf"), -float("inf"), True, "x", "", [], [[1]], {"a": 1}]
 SECTIONS = sorted({section for section, _ in OUT_OF_RANGE})
@@ -94,6 +97,9 @@ def configs(draw):
 @given(raw=configs())
 @example(raw={"engine": {"mu": 1e308, "iterations": 2}, "scenario": {"id": "custom", "seeds": [0]}})
 @example(raw={"scenario": {"id": "custom", "seeds": [2**64]}, "engine": {"iterations": 2}})
+@example(raw={"network": {"source": "example5"}, "objective": {"problem_seed": 0, "constrained": True},
+              "penalty": {"eta": 1e300}, "engine": {"iterations": 2},
+              "scenario": {"id": "custom", "seeds": [0]}})
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_fuzzed_config_runs_or_fails_with_one_error_line(raw):
     with tempfile.TemporaryDirectory() as tmp:

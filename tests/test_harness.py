@@ -219,6 +219,16 @@ def test_smaller_mu_gives_lower_steady_msd():
     assert steady_of(0.001) < steady_of(0.004)
 
 
+def test_steady_state_of_columns_rounds_like_each_column():
+    # a 100-record tail, past numpy's 8-wide unrolled sum, where summing
+    # rows into a running total rounds differently
+    series = np.random.default_rng(3).lognormal(size=(1000, 5))
+    columns = steady_state(series)
+    assert columns.shape == (5,)
+    assert all(columns[j] == steady_state(series[:, j]) for j in range(5))
+    assert isinstance(steady_state(series[:, 0]), float)
+
+
 def test_sweep_emits_steady_rows_only():
     cfg = ScenarioConfig(
         scenario="sweep", mu_list=(0.001,), eta_list=(10.0,),
@@ -252,7 +262,8 @@ def test_emit_results_empty_and_single(tmp_path):
     assert len(path2.read_text().strip().splitlines()) == 2
 
 
-def _write_cfg(tmp_path, scenario="unconstrained"):
+def _write_cfg(tmp_path, scenario="unconstrained", **sections):
+    """A small config file; `sections` entries are merged into its sections."""
     raw = {
         "network": {"source": "benchmark20"},
         "objective": {"problem_seed": 7},
@@ -260,6 +271,8 @@ def _write_cfg(tmp_path, scenario="unconstrained"):
         "engine": {"mu": [0.004], "iterations": 120},
         "scenario": {"id": scenario, "seeds": [0], "log_every": 20},
     }
+    for name, entries in sections.items():
+        raw[name] = {**raw.get(name, {}), **entries}
     path = tmp_path / "cfg.yaml"
     path.write_text(yaml.safe_dump(raw))
     return path
@@ -319,6 +332,13 @@ def test_cli_error_network_without_edges(tmp_path, capsys):
         "scenario": {"id": "unconstrained", "seeds": [0]},
     }))
     assert payload["type"] == "ConfigError" and "edges" in payload["message"]
+    net.write_text(json.dumps({"agent_count": 2, "block_dims": [1], "edges": [[0, 0]],
+                               "interest_sets": [[0], [0]]}))
+    payload = _cli_error(capsys, _bad_config(tmp_path, {
+        "network": {"source": str(net)},
+        "scenario": {"id": "unconstrained", "seeds": [0]},
+    }))
+    assert payload["type"] == "ConfigError" and "self-loop" in payload["message"]
 
 
 def test_cli_error_null_iterations(tmp_path, capsys):
@@ -329,14 +349,21 @@ def test_cli_error_null_iterations(tmp_path, capsys):
     assert payload["type"] == "ConfigError" and "iterations" in payload["message"]
 
 
-@pytest.mark.parametrize("args, word", [
-    pytest.param(["--iters", "abc"], "abc", id="iters-abc"),
-    pytest.param(None, "--config", id="no-config"),
-    pytest.param(["--frobnicate"], "--frobnicate", id="unknown-flag"),
+@pytest.mark.parametrize("args, sections, kind, word", [
+    pytest.param(["--iters", "abc"], {}, "ValueError", "abc", id="iters-abc"),
+    pytest.param(None, {}, "ArgumentError", "--config", id="no-config"),
+    pytest.param(["--frobnicate"], {}, "ArgumentError", "--frobnicate", id="unknown-flag"),
+    pytest.param([], {"solver": {"tol": 1e-6}}, "ConfigError", "solver", id="unknown-section"),
+    pytest.param([], {"engine": {"iteratons": 10}}, "ConfigError", "iteratons", id="unknown-key"),
+    pytest.param([], {"engine": {"mu": None}}, "ConfigError", "mu", id="null-mu"),
+    pytest.param([], {"penalty": {"rho": 0}}, "ConfigError", "rho", id="zero-rho"),
 ])
-def test_cli_error_on_malformed_arguments(tmp_path, capsys, args, word):
-    argv = ["run"] if args is None else ["run", "--config", str(_write_cfg(tmp_path)), *args]
-    assert word in _cli_error(capsys, argv)["message"]
+def test_cli_error_on_malformed_arguments(tmp_path, capsys, args, sections, kind, word):
+    """A malformed flag or config entry gives one error line that names it."""
+    argv = ["run"] if args is None else [
+        "run", "--config", str(_write_cfg(tmp_path, **sections)), *args]
+    payload = _cli_error(capsys, argv)
+    assert payload["type"] == kind and word in payload["message"]
 
 
 def test_cli_help_exits_zero(capsys):
