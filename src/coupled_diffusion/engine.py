@@ -7,9 +7,11 @@ variates do not depend on the order in which agents or seeds are
 processed.
 
 Each algorithm is written once, in network form (`init_batch`): one
-state advances all S seeds of a (mu, eta) point at once, viewed as an
-(S, n_flat) array, and every iteration is a fixed handful of array
-operations whatever the number of agents. The per-agent form that
+state of local copies in the flat layout advances all S seeds of a
+(mu, eta) point at once, viewed as an (S, n_flat) array, and every
+iteration is a fixed handful of array operations whatever the number of
+agents. The centralized baseline runs on local copies too and keeps
+every copy of a block at the global value. The per-agent form that
 follows the equations agent by agent lives in `tests/reference.py`,
 which the tests hold this engine to draw for draw.
 """
@@ -23,7 +25,6 @@ import numpy as np
 from .errors import ConfigError, NonFiniteIterate
 from .objective import MultiAgentProblem, QuadraticRiskOracle
 from .topology import ClusterMap
-from .weights import StepScaling
 
 DIVERGENCE_NORM = 1e9
 ALGORITHMS = ("coupled", "centralized", "admm")
@@ -206,12 +207,11 @@ class _Batch:
     """Common part of the batched engines: set-up, the divergence check,
     and the `step` / `view` / `set_constraints` interface.
 
-    States are stored seeds-last, (n, S), so that each agent's coordinates
-    are contiguous across seeds for the batched matrix products; `view()`
-    returns the local copies as (S, n_flat), one row per seed.
+    The state `w` holds the local copies in the flat layout, stored
+    seeds-last, (n_flat, S), so that each agent's coordinates are
+    contiguous across seeds for the batched matrix products; `view()`
+    returns them as (S, n_flat), one row per seed.
     """
-
-    flat = True  # the state and the penalty rows use the flat layout, else the global one
 
     def __init__(self, problem: MultiAgentProblem, cfg: EngineConfig, seeds):
         self.cfg = cfg
@@ -221,11 +221,12 @@ class _Batch:
         self.set_constraints(problem)
         self._risk = _RiskGradients(problem, self.seeds, cfg)
 
-    def _start(self, init_global, index: np.ndarray) -> np.ndarray:
-        """Initial (len(index), S) state: zeros, or init_global[index] for every seed."""
-        w = np.zeros((len(index), len(self.seeds)))
+    def _start(self, init_global) -> np.ndarray:
+        """Initial (n_flat, S) state: zeros, or every copy gathered from
+        init_global, for every seed."""
+        w = np.zeros((self.cmap.total_local_dim, len(self.seeds)))
         if init_global is not None:
-            w[:] = np.asarray(init_global, dtype=float)[index, None]
+            w[:] = np.asarray(init_global, dtype=float)[self.cmap.flat_global_indices, None]
         return w
 
     def set_constraints(self, problem: MultiAgentProblem):
@@ -235,11 +236,11 @@ class _Batch:
             for c in cons:
                 if c.kind != "equality" or c.coeffs is None:
                     raise ConfigError("the batched engine supports affine equality constraints only")
-        g, b = problem.constraint_system(flat=self.flat)
+        g, b = problem.constraint_system(flat=True)
         self._rows = (g, b[:, None]) if self.cfg.eta != 0.0 and b.size else None
 
     def view(self) -> np.ndarray:
-        raise NotImplementedError
+        return self.w.T
 
     def _advance(self):
         raise NotImplementedError
@@ -261,15 +262,12 @@ class _Batch:
 class CoupledBatch(_Batch):
     """Coupled diffusion: penalty step, risk step, per-block combination."""
 
-    def __init__(self, problem, weights, scaling: StepScaling, cfg, seeds, init_global=None):
+    def __init__(self, problem, weights, scaling: np.ndarray, cfg, seeds, init_global=None):
         super().__init__(problem, cfg, seeds)
         self._mix = _ClusterMix(self.cmap, {l: m.matrix for l, m in weights.items()})
-        self._risk_step = (cfg.mu * scaling.flat)[:, None]
-        self._penalty_step = ((cfg.mu * cfg.eta) * scaling.flat)[:, None]
-        self.w = self._start(init_global, self.cmap.flat_global_indices)
-
-    def view(self):
-        return self.w.T
+        self._risk_step = (cfg.mu * scaling)[:, None]
+        self._penalty_step = ((cfg.mu * cfg.eta) * scaling)[:, None]
+        self.w = self._start(init_global)
 
     def _advance(self):
         zeta = self.w
@@ -287,14 +285,11 @@ class AdmmBatch(_Batch):
         self._mean = _ClusterMix(
             self.cmap, [np.full((len(c), len(c)), 1.0 / len(c)) for c in self.cmap.clusters]
         )
-        self.w = self._start(init_global, self.cmap.flat_global_indices)
+        self.w = self._start(init_global)
         self.z = self.w.copy()
         self.y = np.zeros_like(self.w)
         if init_global is not None:  # warm start: y_k = -grad J_k(w_k), z = init_global
             self.y[:] = -_exact_local_gradients(problem, self.w[:, 0])[:, None]
-
-    def view(self):
-        return self.w.T
 
     def _advance(self):
         mu, rho = self.cfg.mu, self.cfg.rho_admm
@@ -307,47 +302,38 @@ class AdmmBatch(_Batch):
 
 class CentralizedBatch(_Batch):
     """Centralized incremental steps on the global vector with D = 1/N_l
-    per block; the agents' flat gradients are summed over each cluster."""
-
-    flat = False
+    per block, run on local copies: every copy of a block holds the global
+    value, because the agents' flat penalty and risk gradients are summed
+    over each cluster and the sum is applied to every copy."""
 
     def __init__(self, problem, weights, scaling, cfg, seeds, init_global=None):
         super().__init__(problem, cfg, seeds)
         cmap = self.cmap
-        d_vec = np.concatenate(
-            [np.full(m, 1.0 / len(c)) for m, c in zip(cmap.layout.dims, cmap.clusters)]
-        )[:, None]
+        d_vec = cmap.inverse_cluster_sizes()[:, None]
         self._risk_step = cfg.mu * d_vec
         self._penalty_step = (cfg.mu * cfg.eta) * d_vec
         self._sum = _ClusterMix(cmap, [np.ones((len(c), len(c))) for c in cmap.clusters])
-        # the global layout holds one copy per coordinate: the first member's
-        self._first = np.concatenate(
-            [cmap.flat_cluster_indices(l)[:m] for l, m in enumerate(cmap.layout.dims)]
-        )
-        self.w = self._start(init_global, np.arange(cmap.layout.total_dim))
-
-    def view(self):
-        return self.w[self.cmap.flat_global_indices].T
+        self.w = self._start(init_global)
 
     def _advance(self):
         psi = self.w
         if self._rows is not None:
-            psi = psi - self._penalty_step * _penalty_gradient(self._rows, psi)
-        grads = self._risk(psi[self.cmap.flat_global_indices])
-        self.w = psi - self._risk_step * self._sum(grads)[self._first]
+            psi = psi - self._penalty_step * self._sum(_penalty_gradient(self._rows, psi))
+        self.w = psi - self._risk_step * self._sum(self._risk(psi))
 
 
 _BATCHES = {"coupled": CoupledBatch, "admm": AdmmBatch, "centralized": CentralizedBatch}
 
 
-def init_batch(problem: MultiAgentProblem, weights, scaling: StepScaling, cfg: EngineConfig,
+def init_batch(problem: MultiAgentProblem, weights, scaling: np.ndarray, cfg: EngineConfig,
                seeds, init_global=None) -> _Batch:
     """Batched engine for `cfg.algorithm` over all `seeds` at once.
 
-    `weights` maps each block to its CombinationMatrix. Local copies start
-    at zero or gathered from the global `init_global`; an admm warm start
-    also sets each dual y_k to -grad J_k(w_k), so that an exact-gradient
-    run started at a stationary point stays there. Seed s draws from
+    `weights` maps each block to its CombinationMatrix and `scaling` is
+    the flat vector of step scalings from `weights.step_scaling`. Local
+    copies start at zero or gathered from the global `init_global`; an
+    admm warm start also sets each dual y_k to -grad J_k(w_k), so that an
+    exact-gradient run started at a stationary point stays there. Seed s draws from
     `agent_streams(s, N)`, as the per-agent reference in the tests does.
     """
     return _BATCHES[cfg.algorithm](problem, weights, scaling, cfg, seeds, init_global)

@@ -84,6 +84,10 @@ def load_network(source: str, block_dims=None) -> NetworkDescription:
     owners = raw.get("constraint_owners")
     if owners is not None:
         owners = tuple(o - base for o in _integers(owners, "constraint_owners"))
+        if len(owners) != len(dims) or not all(0 <= o < net.agent_count for o in owners):
+            raise ConfigError(
+                f"constraint_owners must name one agent in [{base}, {net.agent_count + base}) "
+                f"per block ({len(dims)} blocks), got {[o + base for o in owners]}")
     return NetworkDescription(net=net, layout=BlockLayout(dims), constraint_owners=owners)
 
 
@@ -251,7 +255,7 @@ def _draw_constraints(desc: NetworkDescription, cmap, rng) -> tuple:
     per_agent = [[] for _ in range(desc.net.agent_count)]
     for l, owner in enumerate(owners):
         if l not in cmap.agent_blocks[owner]:
-            raise ConfigError(f"constraint owner {owner} is not in the cluster of block {l}")
+            raise ConfigError(f"constraint_owners: agent {owner} is not in the cluster of block {l}")
         g = rng.standard_normal(cmap.local_dims[owner])
         g /= np.linalg.norm(g)
         b = float(rng.uniform(-1.0, 1.0))
@@ -284,10 +288,7 @@ def build_problem(desc: NetworkDescription, seed: int, constrained: bool = False
     for k in range(net.agent_count):
         oracle = random_quadratic_oracle(cmap0.gather_local(model, k), rng)
         if net.interest_sets[k] != cmap0.agent_blocks[k]:
-            positions = np.concatenate([
-                np.arange(cmap.local_slice(k, l).start, cmap.local_slice(k, l).stop)
-                for l in cmap0.agent_blocks[k]
-            ])
+            positions = np.isin(cmap.global_indices(k), cmap0.global_indices(k))
             oracle = oracle.embedded(positions, cmap.local_dims[k])
         oracles.append(oracle)
     oracles = tuple(oracles)

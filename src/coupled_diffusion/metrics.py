@@ -79,6 +79,8 @@ def disagreement(w_flat: np.ndarray, cmap: ClusterMap) -> np.ndarray:
 
 
 def _quadratic_pieces(problem: MultiAgentProblem):
+    """(H, f, G, b) of the global quadratic program, or None when some
+    constraint is not an affine equality."""
     if any(c.kind != "equality" for cons in problem.constraints for c in cons):
         return None
     hess, lin = problem.global_risk_quadratic()
@@ -93,7 +95,10 @@ def penalized_optimum(problem: MultiAgentProblem, eta: float) -> np.ndarray:
     (H + 2 eta G'G) w = f + 2 eta G'b; inequality penalties fall back to
     exact deterministic gradient descent.
     """
-    pieces = _quadratic_pieces(problem)
+    return _penalized_optimum(problem, eta, _quadratic_pieces(problem))
+
+
+def _penalized_optimum(problem: MultiAgentProblem, eta: float, pieces) -> np.ndarray:
     if pieces is not None:
         hess, lin, g, b = pieces
         a = hess + 2.0 * eta * g.T @ g
@@ -137,7 +142,10 @@ def constrained_optimum(problem: MultiAgentProblem) -> np.ndarray:
     pieces = _quadratic_pieces(problem)
     if pieces is None:
         raise ValueError("constrained_optimum needs quadratic risks and affine equalities")
-    hess, lin, g, b = pieces
+    return _kkt_solve(*pieces)
+
+
+def _kkt_solve(hess, lin, g, b) -> np.ndarray:
     m, p = hess.shape[0], g.shape[0]
     if p == 0:
         if float(np.linalg.eigvalsh(hess)[0]) <= MIN_EIG:
@@ -171,8 +179,8 @@ def reference_solution(problem: MultiAgentProblem, eta: float) -> ReferenceSolut
     (provenance "iterative").
     """
     pieces = _quadratic_pieces(problem)
-    w_star = penalized_optimum(problem, eta)
-    w_o = constrained_optimum(problem) if pieces is not None else w_star
+    w_star = _penalized_optimum(problem, eta, pieces)
+    w_o = _kkt_solve(*pieces) if pieces is not None else w_star
     return ReferenceSolution(
         w_star=w_star,
         w_o=w_o,
@@ -191,9 +199,7 @@ class MetricsLog:
 
     def __init__(self, cmap: ClusterMap):
         self.cmap = cmap
-        self._weight = np.empty(cmap.total_local_dim)
-        for l, cluster in enumerate(cmap.clusters):
-            self._weight[cmap.flat_cluster_indices(l)] = 1.0 / len(cluster)
+        self._weight = cmap.inverse_cluster_sizes()
         self.iterations = []
         self._msd_star, self._msd_o, self._disagreement = [], [], []
 

@@ -94,26 +94,31 @@ class NetworkSpec:
 
 @dataclass(frozen=True)
 class ClusterMap:
-    """Per-block clusters and the index bookkeeping for local copies.
+    """Per-block clusters and the flat layout of their local copies.
 
     For every agent k the local vector w_k stacks the copies w_k^l for
     l in its interest set, in increasing block order. The flat layout
     concatenates all agents' local vectors; its total length is
-    sum_l N_l*M_l = sum_k Q_k.
+    sum_l N_l*M_l = sum_k Q_k. The layout is held by four indexes, built
+    in build_clusters; every other position is read off them.
     """
 
     layout: BlockLayout
     clusters: tuple[tuple[int, ...], ...]
     agent_blocks: tuple[tuple[int, ...], ...]
     local_dims: tuple[int, ...]
-    # index machinery, all derived in build_clusters
+    # start of each agent's local vector within the flat layout
     agent_starts: tuple[int, ...] = field(repr=False, default=())
-    _local_offsets: tuple[dict, ...] = field(repr=False, default=())
-    _cluster_pos: tuple[dict, ...] = field(repr=False, default=())
+    # global-vector index of every flat entry: the flat layout of a global
+    # vector g is g[flat_global_indices]
+    flat_global_indices: np.ndarray = field(repr=False, default=None)
+    # (L, N_max, M_max) flat indices of every block's copies at once: block l
+    # fills [l, :N_l, :M_l] with flat_cluster_indices(l) as an (N_l, M_l)
+    # array. Padding repeats real entries so that it adds no new values:
+    # extra rows repeat member 0's row and extra columns repeat member 0's
+    # first entry, in every row.
+    padded_cluster_indices: np.ndarray = field(repr=False, default=None)
     _flat_cluster_idx: tuple = field(repr=False, default=())
-    _global_idx: tuple = field(repr=False, default=())
-    _flat_global_idx: np.ndarray = field(repr=False, default=None)
-    _padded_cluster_idx: np.ndarray = field(repr=False, default=None)
 
     @property
     def agent_count(self) -> int:
@@ -123,24 +128,10 @@ class ClusterMap:
     def total_local_dim(self) -> int:
         return sum(self.local_dims)
 
-    def local_slice(self, agent: int, block: int) -> slice:
-        """Position of w_k^l within agent k's local vector."""
-        off = self._local_offsets[agent][block]
-        return slice(off, off + self.layout.dims[block])
-
     def flat_slice(self, agent: int) -> slice:
         """Position of agent k's local vector within the flat layout."""
         start = self.agent_starts[agent]
         return slice(start, start + self.local_dims[agent])
-
-    def flat_block_slice(self, agent: int, block: int) -> slice:
-        loc = self.local_slice(agent, block)
-        start = self.agent_starts[agent]
-        return slice(start + loc.start, start + loc.stop)
-
-    def cluster_position(self, block: int, agent: int) -> int:
-        """Index of `agent` within the sorted cluster of `block`."""
-        return self._cluster_pos[block][agent]
 
     def flat_cluster_indices(self, block: int) -> np.ndarray:
         """Flat-layout indices of all copies of `block`, cluster order.
@@ -152,28 +143,19 @@ class ClusterMap:
 
     def global_indices(self, agent: int) -> np.ndarray:
         """Global-vector indices corresponding to agent k's local vector."""
-        return self._global_idx[agent]
-
-    @property
-    def padded_cluster_indices(self) -> np.ndarray:
-        """(L, N_max, M_max) flat indices of every block's copies at once.
-
-        Block l fills [l, :N_l, :M_l] with flat_cluster_indices(l) as an
-        (N_l, M_l) array. Padding repeats real entries so that it adds no
-        new values: extra rows repeat member 0's row and extra columns
-        repeat member 0's first entry, in every row.
-        """
-        return self._padded_cluster_idx
-
-    @property
-    def flat_global_indices(self) -> np.ndarray:
-        """Global-vector index of every flat-layout entry: the flat layout
-        of a global vector g is g[flat_global_indices]."""
-        return self._flat_global_idx
+        return self.flat_global_indices[self.flat_slice(agent)]
 
     def gather_local(self, global_vec: np.ndarray, agent: int) -> np.ndarray:
         """Restrict a global vector to agent k's blocks."""
-        return np.asarray(global_vec)[self._global_idx[agent]]
+        return np.asarray(global_vec)[self.global_indices(agent)]
+
+    def inverse_cluster_sizes(self) -> np.ndarray:
+        """1/N_l at every flat entry of a copy of block l: the weights that
+        average each block's copies over its cluster."""
+        out = np.empty(self.total_local_dim)
+        for l, cluster in enumerate(self.clusters):
+            out[self.flat_cluster_indices(l)] = 1.0 / len(cluster)
+        return out
 
 
 def build_clusters(net: NetworkSpec, layout: BlockLayout) -> ClusterMap:
@@ -200,52 +182,24 @@ def build_clusters(net: NetworkSpec, layout: BlockLayout) -> ClusterMap:
     local_dims = tuple(
         sum(layout.dims[l] for l in blocks) for blocks in net.interest_sets
     )
-    local_offsets = []
-    for blocks in net.interest_sets:
-        off, table = 0, {}
-        for l in blocks:
-            table[l] = off
-            off += layout.dims[l]
-        local_offsets.append(table)
-
-    agent_starts, pos = [], 0
-    for q in local_dims:
-        agent_starts.append(pos)
-        pos += q
-
-    cluster_pos = tuple({k: i for i, k in enumerate(c)} for c in clusters)
-    flat_cluster_idx = []
-    for l, c in enumerate(clusters):
-        idx = np.concatenate(
-            [
-                np.arange(
-                    agent_starts[k] + local_offsets[k][l],
-                    agent_starts[k] + local_offsets[k][l] + layout.dims[l],
-                )
-                for k in c
-            ]
-        )
-        flat_cluster_idx.append(idx)
-
-    global_idx = []
-    for k, blocks in enumerate(net.interest_sets):
-        idx = np.concatenate(
-            [np.arange(layout.offsets[l], layout.offsets[l] + layout.dims[l]) for l in blocks]
-        )
-        global_idx.append(idx)
+    span = np.arange(layout.total_dim)
+    flat_global = np.concatenate(
+        [span[layout.global_slice(l)] for blocks in net.interest_sets for l in blocks]
+    )
+    # an agent holds a block once, so the flat entries of block l, in flat
+    # order, are its copies in cluster order
+    flat_block = np.repeat(np.arange(L), layout.dims)[flat_global]
+    flat_cluster_idx = tuple(np.flatnonzero(flat_block == l) for l in range(L))
 
     return ClusterMap(
         layout=layout,
         clusters=clusters,
         agent_blocks=net.interest_sets,
         local_dims=local_dims,
-        agent_starts=tuple(agent_starts),
-        _local_offsets=tuple(local_offsets),
-        _cluster_pos=cluster_pos,
-        _flat_cluster_idx=tuple(flat_cluster_idx),
-        _global_idx=tuple(global_idx),
-        _flat_global_idx=np.concatenate(global_idx),
-        _padded_cluster_idx=_pad_clusters(flat_cluster_idx, clusters, layout.dims),
+        agent_starts=tuple(accumulate((0,) + local_dims[:-1])),
+        flat_global_indices=flat_global,
+        padded_cluster_indices=_pad_clusters(flat_cluster_idx, clusters, layout.dims),
+        _flat_cluster_idx=flat_cluster_idx,
     )
 
 
@@ -285,18 +239,19 @@ def _components(adj: list[list[int]], nodes: tuple[int, ...]) -> list[set]:
     return comps
 
 
+def cluster_connected(net: NetworkSpec, cluster: tuple[int, ...]) -> bool:
+    """Whether the agents of `cluster` induce a connected subgraph (a
+    singleton does)."""
+    return len(_bfs_reach(net.adjacency(), [cluster[0]], allowed=set(cluster))) == len(cluster)
+
+
 def validate_connectivity(net: NetworkSpec, cmap: ClusterMap) -> list[int]:
     """Block indices whose induced cluster subgraph is disconnected.
 
     An empty list means every cluster is a connected subgraph (singleton
     clusters count as connected).
     """
-    adj = net.adjacency()
-    bad = []
-    for l, cluster in enumerate(cmap.clusters):
-        if len(_components(adj, cluster)) > 1:
-            bad.append(l)
-    return bad
+    return [l for l, cluster in enumerate(cmap.clusters) if not cluster_connected(net, cluster)]
 
 
 def _bridge_nodes(adj: list[list[int]], cluster: tuple[int, ...]) -> set:

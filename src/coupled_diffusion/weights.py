@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DisconnectedCluster, NotPrimitive
-from .topology import ClusterMap, NetworkSpec, validate_connectivity
+from .topology import ClusterMap, NetworkSpec, cluster_connected
 
 PERRON_RESIDUAL_TOL = 1e-10
 MAX_DENSE_EIG = 100
@@ -31,21 +31,6 @@ class CombinationMatrix:
     lambda2: float
 
 
-@dataclass(frozen=True)
-class StepScaling:
-    """Per-agent diagonal step scalings 1/r_l(k), one scalar per block copy.
-
-    `flat` expands the scalars along the flat layout so the two gradient
-    half-steps reduce to elementwise multiplies.
-    """
-
-    scalars: tuple[tuple[float, ...], ...]  # aligned with cmap.agent_blocks
-    flat: np.ndarray
-
-    def per_agent(self, cmap: ClusterMap, agent: int) -> np.ndarray:
-        return self.flat[cmap.flat_slice(agent)]
-
-
 def _cluster_neighbor_counts(cmap: ClusterMap, net: NetworkSpec, block: int) -> dict[int, list[int]]:
     """For each cluster member, its neighbors within the cluster (self included)."""
     members = set(cmap.clusters[block])
@@ -56,7 +41,7 @@ def _cluster_neighbor_counts(cmap: ClusterMap, net: NetworkSpec, block: int) -> 
 
 
 def _require_connected(cmap: ClusterMap, net: NetworkSpec, block: int):
-    if block in validate_connectivity(net, cmap):
+    if not cluster_connected(net, cmap.clusters[block]):
         raise DisconnectedCluster(f"cluster of block {block} is not connected")
 
 
@@ -141,19 +126,14 @@ def second_eigenvalue_magnitude(a: np.ndarray) -> float:
     return _unit_eigenpair(np.asarray(a, dtype=float), vectors=False)[1]
 
 
-def step_scaling(cmap: ClusterMap, matrices: dict[int, CombinationMatrix]) -> StepScaling:
-    """Assemble the per-agent scalings 1/r_l(k) from the Perron vectors."""
-    scalars = []
+def step_scaling(cmap: ClusterMap, matrices: dict[int, CombinationMatrix]) -> np.ndarray:
+    """The step scalings 1/r_l(k) along the flat layout: every entry of
+    agent k's copy of block l holds 1/r_l(k), so that the two gradient
+    half-steps reduce to elementwise multiplies."""
     flat = np.empty(cmap.total_local_dim)
-    for k, blocks in enumerate(cmap.agent_blocks):
-        row = []
-        for l in blocks:
-            m = matrices[l]
-            s = 1.0 / float(m.perron[cmap.cluster_position(l, k)])
-            row.append(s)
-            flat[cmap.flat_block_slice(k, l)] = s
-        scalars.append(tuple(row))
-    return StepScaling(scalars=tuple(scalars), flat=flat)
+    for l, dim in enumerate(cmap.layout.dims):
+        flat[cmap.flat_cluster_indices(l)] = np.repeat(1.0 / matrices[l].perron, dim)
+    return flat
 
 
 def spectral_gap_bound(matrices: dict[int, CombinationMatrix]) -> float:

@@ -88,8 +88,10 @@ def assert_bridge_oracles_draw_like_their_inner_oracle(problem, net):
     for k in bridged:
         o = problem.oracles[k]
         added = np.zeros(o.dim, dtype=bool)
+        owned = cmap.global_indices(k)
         for l in set(cmap.agent_blocks[k]) - set(before.agent_blocks[k]):
-            added[cmap.local_slice(k, l)] = True
+            block = problem.layout.global_slice(l)
+            added |= (owned >= block.start) & (owned < block.stop)
         assert np.array_equal(np.all(o.basis == 0.0, axis=1), added)
         kept = ~added
         inner = QuadraticRiskOracle(o.basis[kept], o.spectrum, o.w_ref[kept], o.noise_std)

@@ -16,7 +16,6 @@ from coupled_diffusion.engine import DIVERGENCE_NORM, EngineConfig, agent_stream
 from coupled_diffusion.errors import NonFiniteIterate
 from coupled_diffusion.objective import MultiAgentProblem, penalty_gradient
 from coupled_diffusion.topology import ClusterMap
-from coupled_diffusion.weights import StepScaling
 
 
 @dataclass
@@ -66,7 +65,7 @@ def coupled_diffusion_step(
     state: RunState,
     problem: MultiAgentProblem,
     weights,
-    scaling: StepScaling,
+    scaling: np.ndarray,
     cfg: EngineConfig,
 ) -> RunState:
     """One synchronous round: penalty step, risk step, per-block combination.
@@ -75,7 +74,8 @@ def coupled_diffusion_step(
     psi_k  = zeta_k - mu * Omega_k ghat_k(zeta_k)
     w_k^l  = sum over s in N_k and C_l of a_{l,sk} psi_s^l, for every l in I_k
 
-    `weights` maps each block to its CombinationMatrix. The combination
+    `weights` maps each block to its CombinationMatrix and `scaling` holds
+    the flat step scalings of `weights.step_scaling`. The combination
     consumes the current round's psi from all agents (synchronous
     barrier); a_{l,sk} is zero outside N_k and C_l, so the per-cluster
     matrix product below is exactly the neighbor sum.
@@ -90,12 +90,12 @@ def coupled_diffusion_step(
                 continue
             sl = cmap.flat_slice(k)
             grad = penalty_gradient(problem.constraints[k], w[sl], problem.penalty)
-            zeta[sl] = w[sl] - (cfg.mu * cfg.eta) * scaling.flat[sl] * grad
+            zeta[sl] = w[sl] - (cfg.mu * cfg.eta) * scaling[sl] * grad
 
     for k in range(problem.agent_count):
         sl = cmap.flat_slice(k)
         grad = _risk_gradient(problem, k, zeta[sl], state.rngs[k], cfg.noise)
-        psi[sl] = zeta[sl] - cfg.mu * scaling.flat[sl] * grad
+        psi[sl] = zeta[sl] - cfg.mu * scaling[sl] * grad
 
     for l, cluster in enumerate(cmap.clusters):
         idx = cmap.flat_cluster_indices(l)

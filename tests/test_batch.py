@@ -137,6 +137,26 @@ def test_batch_matches_per_agent_steps_with_bridge_agents(bridged, algorithm, no
     assert _max_deviation(bridged, cfg) <= TOL
 
 
+@pytest.mark.parametrize("fixture", ["constrained", "bridged"])
+def test_centralized_copies_stay_equal(request, fixture):
+    """The centralized baseline applies the cluster sum of the gradients to
+    every copy, so every copy of a block stays bitwise equal, with
+    stochastic risk gradients and an active penalty step."""
+    problem = request.getfixturevalue(fixture)
+    weights, scaling = _weights(problem)
+    cfg = EngineConfig(mu=0.002, eta=50.0, iterations=50, algorithm="centralized")
+    start = np.random.default_rng(1).standard_normal(problem.layout.total_dim)
+    batch = init_batch(problem, weights, scaling, cfg, SEEDS, init_global=start)
+    cmap = problem.cmap
+    for _ in range(cfg.iterations):
+        batch.step()
+        w = batch.view()
+        for l, cluster in enumerate(cmap.clusters):
+            copies = w[:, cmap.flat_cluster_indices(l)].reshape(len(SEEDS), len(cluster), -1)
+            assert np.array_equal(copies, np.broadcast_to(copies[:, :1], copies.shape))
+    assert np.all(disagreement(batch.view(), cmap) == 0.0)
+
+
 def test_bridge_oracles_draw_like_their_inner_oracle(bridged, bridge_net):
     assert_bridge_oracles_draw_like_their_inner_oracle(bridged, bridge_net)
 

@@ -144,14 +144,16 @@ def test_combine_matches_neighbor_sums():
     nbrs = {k: set(problem.net.neighborhood(k)) for k in range(5)}
     for l, cluster in enumerate(cmap.clusters):
         m = mats[l]
+        # row i: the flat positions of cluster member i's copy of block l
+        copy = dict(zip(cluster, cmap.flat_cluster_indices(l).reshape(len(cluster), -1)))
         for k in cluster:
             total = np.zeros(cmap.layout.dims[l])
             for s in cluster:
                 if s not in nbrs[k]:
                     continue
                 a = m.matrix[m.agents.index(s), m.agents.index(k)]
-                total += a * psi[cmap.flat_block_slice(s, l)]
-            assert np.allclose(state.w[cmap.flat_block_slice(k, l)], total, atol=1e-14)
+                total += a * psi[copy[s]]
+            assert np.allclose(state.w[copy[k]], total, atol=1e-14)
 
 
 def test_combination_preserves_consensus():
@@ -207,7 +209,7 @@ def test_noise_free_consensus_contraction():
         coupled_diffusion_step(state, problem, mats, scal, cfg)
     w_star = penalized_optimum(problem, 0.0)
     grads = max(
-        np.linalg.norm(scal.per_agent(cmap, k) * problem.oracles[k].true_gradient(cmap.gather_local(w_star, k)))
+        np.linalg.norm(scal[cmap.flat_slice(k)] * problem.oracles[k].true_gradient(cmap.gather_local(w_star, k)))
         for k in range(problem.agent_count)
     )
     scale = grads / (1.0 - spectral_gap_bound(mats))

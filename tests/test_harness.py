@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from importlib.resources import files
 from pathlib import Path
 
 import numpy as np
@@ -145,7 +146,8 @@ def test_build_problem_embeds_with_zero_cost_bridges(tmp_path):
     assert problem.cmap.clusters[0] == (0, 1, 2)
     assert problem.oracles[1].rank < problem.oracles[1].dim
     grad = problem.oracles[1].true_gradient(np.ones(problem.cmap.local_dims[1]))
-    assert np.array_equal(grad[problem.cmap.local_slice(1, 0)], [0.0, 0.0])
+    in_block0 = np.isin(problem.cmap.global_indices(1), [0, 1])  # layout (2, 2)
+    assert in_block0.sum() == 2 and np.array_equal(grad[in_block0], [0.0, 0.0])
     assert problem.strong_convexity() > 0
     # the whole pipeline still runs
     from coupled_diffusion.engine import EngineConfig
@@ -339,6 +341,16 @@ def test_cli_error_network_without_edges(tmp_path, capsys):
         "scenario": {"id": "unconstrained", "seeds": [0]},
     }))
     assert payload["type"] == "ConfigError" and "self-loop" in payload["message"]
+    # benchmark20 has 5 blocks and 20 agents: owners out of range, too few, too many
+    bench = json.loads((files("coupled_diffusion.data") / "benchmark20.json").read_text())
+    for owners in ([1, 9, 15, 4, 99], [1, 9, 15, 4, -1], [1, 9, 15], [1, 9, 15, 4, 16, 3]):
+        net.write_text(json.dumps({**bench, "constraint_owners": owners}))
+        payload = _cli_error(capsys, _bad_config(tmp_path, {
+            "network": {"source": str(net)},
+            "engine": {"iterations": 2},
+            "scenario": {"id": "constrained", "seeds": [0]},
+        }))
+        assert payload["type"] == "ConfigError" and "constraint_owners" in payload["message"]
 
 
 def test_cli_error_null_iterations(tmp_path, capsys):

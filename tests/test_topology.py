@@ -151,15 +151,18 @@ def test_embed_connects_everything_and_is_idempotent(case):
 
 def test_index_machinery(five_agent_cmap):
     cmap = five_agent_cmap
-    # agent 3 owns blocks (0, 2, 3) with dims (2, 3, 1)
-    assert cmap.local_slice(3, 0) == slice(0, 2)
-    assert cmap.local_slice(3, 2) == slice(2, 5)
-    assert cmap.local_slice(3, 3) == slice(5, 6)
+    # agent 3 owns blocks (0, 2, 3) with dims (2, 3, 1) at global offsets
+    # (0, 3, 6): its local vector holds block 0 at 0:2, block 2 at 2:5 and
+    # block 3 at 5:6, after agents 0-2's local vectors of sizes 3, 2 and 5
+    assert cmap.flat_slice(3) == slice(10, 16)
+    assert np.array_equal(cmap.global_indices(3), [0, 1, 3, 4, 5, 6])
     w = np.arange(cmap.total_local_dim, dtype=float)
     for l, cluster in enumerate(cmap.clusters):
         gathered = w[cmap.flat_cluster_indices(l)].reshape(len(cluster), cmap.layout.dims[l])
+        block = cmap.layout.global_slice(l)
         for row, k in enumerate(cluster):
-            expect = w[cmap.flat_block_slice(k, l)]
+            owned = cmap.global_indices(k)
+            expect = w[cmap.flat_slice(k)][(owned >= block.start) & (owned < block.stop)]
             assert np.array_equal(gathered[row], expect)
 
 

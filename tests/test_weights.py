@@ -128,27 +128,39 @@ def test_second_eigenvalue_desk_scale_limit():
 def test_step_scaling_metropolis_and_averaging(five_agent_net, five_agent_cmap):
     mats = {l: metropolis_weights(five_agent_cmap, five_agent_net, l) for l in range(4)}
     scal = step_scaling(five_agent_cmap, mats)
-    # Metropolis Perron is uniform, so every scalar equals the cluster size
-    for k, blocks in enumerate(five_agent_cmap.agent_blocks):
-        for j, l in enumerate(blocks):
-            assert scal.scalars[k][j] == pytest.approx(len(five_agent_cmap.clusters[l]), abs=1e-9)
-    # singleton cluster scales by exactly one
-    assert scal.scalars[0][1] == pytest.approx(1.0, abs=1e-12)
+    # Metropolis Perron is uniform, so every copy's scaling equals the cluster size
+    for l, cluster in enumerate(five_agent_cmap.clusters):
+        assert np.allclose(scal[five_agent_cmap.flat_cluster_indices(l)], len(cluster), atol=1e-9)
+    # singleton cluster (block 1, agent 0) scales by exactly one
+    assert scal[five_agent_cmap.flat_cluster_indices(1)] == pytest.approx([1.0], abs=1e-12)
 
 
 def test_step_scaling_averaging_star():
     net, cmap = _one_cluster(3, {(0, 1), (0, 2)})
     mats = {0: averaging_weights(cmap, net, 0)}
     scal = step_scaling(cmap, mats)
-    assert scal.scalars[0][0] == pytest.approx(7 / 3, abs=1e-12)
-    assert scal.scalars[1][0] == pytest.approx(7 / 2, abs=1e-12)
+    assert scal[cmap.flat_slice(0)] == pytest.approx([7 / 3], abs=1e-12)
+    assert scal[cmap.flat_slice(1)] == pytest.approx([7 / 2], abs=1e-12)
 
 
 def test_scaling_flat_layout(five_agent_net, five_agent_cmap):
     mats = {l: metropolis_weights(five_agent_cmap, five_agent_net, l) for l in range(4)}
     scal = step_scaling(five_agent_cmap, mats)
     k = 3  # blocks (0, 2, 3) sized (2, 3, 1); clusters sized (5, 2, 2)
-    assert np.allclose(scal.per_agent(five_agent_cmap, k), [5, 5, 2, 2, 2, 2])
+    assert np.allclose(scal[five_agent_cmap.flat_slice(k)], [5, 5, 2, 2, 2, 2])
+
+
+def test_step_scaling_is_one_over_perron_per_copy(five_agent_net, five_agent_cmap):
+    """Averaging weights have non-uniform Perron vectors: agent k's copy of
+    block l is scaled by 1/r_l(k), agent by agent in the flat layout."""
+    cmap = five_agent_cmap
+    mats = {l: averaging_weights(cmap, five_agent_net, l) for l in range(4)}
+    expect = np.concatenate([
+        np.full(cmap.layout.dims[l], 1.0 / mats[l].perron[cmap.clusters[l].index(k)])
+        for k, blocks in enumerate(cmap.agent_blocks) for l in blocks
+    ])
+    assert len(set(expect.tolist())) > 2
+    assert np.array_equal(step_scaling(cmap, mats), expect)
 
 
 @st.composite
