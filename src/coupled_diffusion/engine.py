@@ -7,17 +7,24 @@ variates do not depend on the order in which agents or seeds are
 processed.
 
 Each algorithm is written once, in network form (`init_batch`): one
-state of local copies in the flat layout advances all S seeds of a
-(mu, eta) point at once, viewed as an (S, n_flat) array, and every
+state of local copies in the flat layout advances every (mu, eta, seed)
+of a grid at once, one column per grid point and seed, and every
 iteration is a fixed handful of array operations whatever the number of
-agents. The centralized baseline runs on local copies too and keeps
+agents, points or seeds. The grid points differ only in their step
+vectors; they share the draws of each seed, so one noise refill serves
+all of them. The centralized baseline runs on local copies too and keeps
 every copy of a block at the global value. The per-agent form that
 follows the equations agent by agent lives in `tests/reference.py`,
 which the tests hold this engine to draw for draw.
+
+Divergence is reported as if the grid points ran one after another:
+the error names the first point in grid order that diverges, with its
+first non-finite iteration, agent and seed (`_Batch.step`).
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,7 +96,7 @@ NOISE_CHUNK_BYTES = 256 * 1024
 
 
 class _RiskGradients:
-    """Every agent's risk gradient for every seed in a few array operations.
+    """Every agent's risk gradient for every column in a few array operations.
 
     Agent k's quadratic oracle acts on its Q_k flat coordinates through its
     (Q_k, R_k) scaled basis, or in exact mode its (Q_k, Q_k) covariance;
@@ -99,10 +106,12 @@ class _RiskGradients:
     add nothing. Stochastic mode pre-draws each (seed, agent) stream's
     R_k + 1 normals per iteration in chunks: one draw of T (R_k + 1)
     values equals T successive draws of R_k + 1, so iteration i sees the
-    variates the per-agent reference would.
+    variates the per-agent reference would. The draws are kept once per
+    seed, (draws, S), and broadcast over the P grid points, whose columns
+    come point-major (p S + s): every point reads its seed's variates.
     """
 
-    def __init__(self, problem: MultiAgentProblem, seeds, cfg: EngineConfig):
+    def __init__(self, problem: MultiAgentProblem, seeds, cfg: EngineConfig, points: int):
         cmap = problem.cmap
         for o in problem.oracles:
             if not isinstance(o, QuadraticRiskOracle):
@@ -123,7 +132,7 @@ class _RiskGradients:
             f = o.covariance if self.exact else o._scaled_basis
             self.factor[k, : f.shape[0], : f.shape[1]] = f
             self.w_ref[k, : o.dim, 0] = o.w_ref
-        self.grads = np.empty(valid.shape + (len(seeds),))
+        self.grads = np.empty(valid.shape + (points * len(seeds),))
         if self.exact:
             return
         self.noise_std = np.array([[o.noise_std] for o in problem.oracles])
@@ -161,7 +170,7 @@ class _RiskGradients:
         return self.buffer[idx]
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        """Gradients at the points x, (n_flat, S) in and out."""
+        """Gradients at the points x, (n_flat, P S) in and out."""
         z, g = x[self.gather], self.grads
         if self.exact:
             np.matmul(self.factor, 2.0 * (z - self.w_ref), out=g)
@@ -169,7 +178,9 @@ class _RiskGradients:
             draws = self._next_draws()
             h = self.factor @ draws[:, :-1]
             y = (self.w_ref.transpose(0, 2, 1) @ h)[:, 0] + self.noise_std * draws[:, -1]
-            np.multiply((2.0 * (np.einsum("kis,kis->ks", h, z) - y))[:, None], h, out=g)
+            z = z.reshape(z.shape[:2] + (-1, h.shape[-1]))  # (N, Q, P, S)
+            inner = np.einsum("kips,kis->kps", z, h)
+            np.multiply((2.0 * (inner - y[:, None]))[:, None], h[:, :, None], out=g.reshape(z.shape))
         return g.reshape(-1, g.shape[-1])[self.valid]
 
 
@@ -208,36 +219,48 @@ class _Batch:
     and the `step` / `view` / `set_constraints` interface.
 
     The state `w` holds the local copies in the flat layout, stored
-    seeds-last, (n_flat, S), so that each agent's coordinates are
-    contiguous across seeds for the batched matrix products; `view()`
-    returns them as (S, n_flat), one row per seed.
+    seeds-last, (n_flat, P S): column p S + s is grid point p's run of
+    seed s, so each point's seeds form one contiguous slice, and each
+    agent's coordinates are contiguous across columns for the batched
+    matrix products. `view()` returns them as (P S, n_flat), one row per
+    column. Every operation acts on each column on its own, so a column
+    that diverges leaves the others as they would be in a run without it.
     """
 
-    def __init__(self, problem: MultiAgentProblem, cfg: EngineConfig, seeds):
-        self.cfg = cfg
+    def __init__(self, problem: MultiAgentProblem, cfgs, seeds):
+        self.cfgs = cfgs
         self.cmap = problem.cmap
         self.seeds = tuple(seeds)
         self.iteration = 0
+        self._diverged = {}  # grid point -> its first NonFiniteIterate
         self.set_constraints(problem)
-        self._risk = _RiskGradients(problem, self.seeds, cfg)
+        self._risk = _RiskGradients(problem, self.seeds, cfgs[0], len(cfgs))
+
+    def _columns(self, per_point) -> np.ndarray:
+        """(1, P S): each point's value in each of its seed columns."""
+        return np.repeat(np.asarray(per_point, dtype=float), len(self.seeds))[None, :]
 
     def _start(self, init_global) -> np.ndarray:
-        """Initial (n_flat, S) state: zeros, or every copy gathered from
-        init_global, for every seed."""
-        w = np.zeros((self.cmap.total_local_dim, len(self.seeds)))
+        """Initial (n_flat, P S) state: zeros, or every copy gathered from
+        the point's init_global, for every seed."""
+        w = np.zeros((self.cmap.total_local_dim, len(self.cfgs) * len(self.seeds)))
         if init_global is not None:
-            w[:] = np.asarray(init_global, dtype=float)[self.cmap.flat_global_indices, None]
+            starts = np.broadcast_to(np.asarray(init_global, dtype=float),
+                                     (len(self.cfgs), self.cmap.layout.total_dim))
+            w[:] = np.repeat(starts[:, self.cmap.flat_global_indices].T, len(self.seeds), axis=1)
         return w
 
     def set_constraints(self, problem: MultiAgentProblem):
-        """Swap in the constraints of `problem` (same network and oracles):
-        their lifted rows (G, b), or None when the penalty step is void."""
+        """Swap in the constraints of `problem` (same network and oracles)
+        for every column: their lifted rows (G, b), or None when the
+        penalty step is void."""
         for cons in problem.constraints:
             for c in cons:
                 if c.kind != "equality" or c.coeffs is None:
                     raise ConfigError("the batched engine supports affine equality constraints only")
         g, b = problem.constraint_system(flat=True)
-        self._rows = (g, b[:, None]) if self.cfg.eta != 0.0 and b.size else None
+        eta = any(cfg.eta != 0.0 for cfg in self.cfgs)
+        self._rows = (g, b[:, None]) if eta and b.size else None
 
     def view(self) -> np.ndarray:
         return self.w.T
@@ -246,13 +269,32 @@ class _Batch:
         raise NotImplementedError
 
     def step(self):
+        """One iteration of every column.
+
+        A grid point whose columns leave the DIVERGENCE_NORM box has its
+        first such iteration, agent and seed kept as a NonFiniteIterate.
+        Point 0's is raised at once. Otherwise the lowest diverged
+        point's is raised at the end of the iteration budget, since a
+        lower point may diverge until then. That is the error that
+        running the points one after another, in order, would raise.
+        """
         self._advance()
         self.iteration += 1
-        w = self.view()
-        if not np.abs(w).max() <= DIVERGENCE_NORM:  # also catches NaN
-            seed, entry = np.argwhere(~(np.abs(w) <= DIVERGENCE_NORM))[0]
+        size = np.abs(self.view())
+        if not size.max() <= DIVERGENCE_NORM:  # also catches NaN
+            self._note_divergence(~(size <= DIVERGENCE_NORM))
+        if self._diverged and (0 in self._diverged or self.iteration >= self.cfgs[0].iterations):
+            raise self._diverged[min(self._diverged)]
+
+    def _note_divergence(self, bad: np.ndarray):
+        n_seeds = len(self.seeds)
+        for p in range(len(self.cfgs)):
+            cols = bad[p * n_seeds:(p + 1) * n_seeds]
+            if p in self._diverged or not cols.any():
+                continue
+            seed, entry = np.argwhere(cols)[0]
             agent = int(np.searchsorted(self.cmap.agent_starts, entry, side="right")) - 1
-            raise NonFiniteIterate(
+            self._diverged[p] = NonFiniteIterate(
                 self.iteration, agent,
                 f"non-finite iterate at iteration {self.iteration}, agent {agent}, "
                 f"seed {self.seeds[seed]}",
@@ -262,11 +304,11 @@ class _Batch:
 class CoupledBatch(_Batch):
     """Coupled diffusion: penalty step, risk step, per-block combination."""
 
-    def __init__(self, problem, weights, scaling: np.ndarray, cfg, seeds, init_global=None):
-        super().__init__(problem, cfg, seeds)
+    def __init__(self, problem, weights, scaling: np.ndarray, cfgs, seeds, init_global=None):
+        super().__init__(problem, cfgs, seeds)
         self._mix = _ClusterMix(self.cmap, {l: m.matrix for l, m in weights.items()})
-        self._risk_step = (cfg.mu * scaling)[:, None]
-        self._penalty_step = ((cfg.mu * cfg.eta) * scaling)[:, None]
+        self._risk_step = scaling[:, None] * self._columns([c.mu for c in cfgs])
+        self._penalty_step = scaling[:, None] * self._columns([c.mu * c.eta for c in cfgs])
         self.w = self._start(init_global)
 
     def _advance(self):
@@ -280,21 +322,25 @@ class AdmmBatch(_Batch):
     """Gradient-linearized consensus; the cluster mean is the combination
     with weights 1/N_l, and z is kept as every member's copy of it."""
 
-    def __init__(self, problem, weights, scaling, cfg, seeds, init_global=None):
-        super().__init__(problem, cfg, seeds)
+    def __init__(self, problem, weights, scaling, cfgs, seeds, init_global=None):
+        super().__init__(problem, cfgs, seeds)
         self._mean = _ClusterMix(
             self.cmap, [np.full((len(c), len(c)), 1.0 / len(c)) for c in self.cmap.clusters]
         )
+        self._mu = self._columns([c.mu for c in cfgs])
         self.w = self._start(init_global)
         self.z = self.w.copy()
         self.y = np.zeros_like(self.w)
         if init_global is not None:  # warm start: y_k = -grad J_k(w_k), z = init_global
-            self.y[:] = -_exact_local_gradients(problem, self.w[:, 0])[:, None]
+            n_seeds = len(self.seeds)
+            for p in range(len(cfgs)):
+                grad = _exact_local_gradients(problem, self.w[:, p * n_seeds])
+                self.y[:, p * n_seeds:(p + 1) * n_seeds] = -grad[:, None]
 
     def _advance(self):
-        mu, rho = self.cfg.mu, self.cfg.rho_admm
+        rho = self.cfgs[0].rho_admm
         w = self.w
-        w_new = w - mu * (self._risk(w) + self.y + rho * (w - self.z))
+        w_new = w - self._mu * (self._risk(w) + self.y + rho * (w - self.z))
         self.z = self._mean(w_new + self.y / rho)
         self.y = self.y + rho * (w_new - self.z)
         self.w = w_new
@@ -306,12 +352,12 @@ class CentralizedBatch(_Batch):
     value, because the agents' flat penalty and risk gradients are summed
     over each cluster and the sum is applied to every copy."""
 
-    def __init__(self, problem, weights, scaling, cfg, seeds, init_global=None):
-        super().__init__(problem, cfg, seeds)
+    def __init__(self, problem, weights, scaling, cfgs, seeds, init_global=None):
+        super().__init__(problem, cfgs, seeds)
         cmap = self.cmap
         d_vec = cmap.inverse_cluster_sizes()[:, None]
-        self._risk_step = cfg.mu * d_vec
-        self._penalty_step = (cfg.mu * cfg.eta) * d_vec
+        self._risk_step = d_vec * self._columns([c.mu for c in cfgs])
+        self._penalty_step = d_vec * self._columns([c.mu * c.eta for c in cfgs])
         self._sum = _ClusterMix(cmap, [np.ones((len(c), len(c))) for c in cmap.clusters])
         self.w = self._start(init_global)
 
@@ -325,18 +371,29 @@ class CentralizedBatch(_Batch):
 _BATCHES = {"coupled": CoupledBatch, "admm": AdmmBatch, "centralized": CentralizedBatch}
 
 
-def init_batch(problem: MultiAgentProblem, weights, scaling: np.ndarray, cfg: EngineConfig,
+def init_batch(problem: MultiAgentProblem, weights, scaling: np.ndarray, cfgs,
                seeds, init_global=None) -> _Batch:
-    """Batched engine for `cfg.algorithm` over all `seeds` at once.
+    """Batched engine for a grid of (mu, eta) points over all `seeds` at once.
 
-    `weights` maps each block to its CombinationMatrix and `scaling` is
-    the flat vector of step scalings from `weights.step_scaling`. Local
-    copies start at zero or gathered from the global `init_global`; an
-    admm warm start also sets each dual y_k to -grad J_k(w_k), so that an
-    exact-gradient run started at a stationary point stays there. Seed s draws from
-    `agent_streams(s, N)`, as the per-agent reference in the tests does.
+    `cfgs` is one EngineConfig, a grid of one, or a sequence of them that
+    differ only in `mu` and `eta`; anything else is a ConfigError. Every
+    point runs every seed, in column p S + s, and seed s draws from
+    `agent_streams(s, N)` for every point, as the per-agent reference in
+    the tests does. `weights` maps each block to its CombinationMatrix
+    and `scaling` is the flat vector of step scalings from
+    `weights.step_scaling`. Local copies start at zero or gathered from
+    `init_global`: one global vector for every point, or a (P, dim)
+    array of one per point. An admm warm start also sets each dual y_k
+    to -grad J_k(w_k), once per point, so that an exact-gradient run
+    started at a stationary point stays there.
     """
-    return _BATCHES[cfg.algorithm](problem, weights, scaling, cfg, seeds, init_global)
+    cfgs = (cfgs,) if isinstance(cfgs, EngineConfig) else tuple(cfgs)
+    if not cfgs:
+        raise ConfigError("a grid needs at least one engine config")
+    for cfg in cfgs:
+        if dataclasses.replace(cfg, mu=cfgs[0].mu, eta=cfgs[0].eta) != cfgs[0]:
+            raise ConfigError("the engine configs of one grid may differ only in mu and eta")
+    return _BATCHES[cfgs[0].algorithm](problem, weights, scaling, cfgs, seeds, init_global)
 
 
 def suggest_step_size(nu: float, delta: float, delta_p: float = 0.0,

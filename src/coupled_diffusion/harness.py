@@ -2,8 +2,9 @@
 
 Runs are deterministic functions of (config, seeds). A scenario run builds
 the topology -> weights -> objective -> engine pipeline, executes one
-batched run of all seeds per (mu, eta) pair, and merges the logs into a
-result table with seed-mean rows marked "mean".
+batched run that advances every (mu, eta, seed) of the grid at once, and
+slices its log into a result table, point by point in grid order, with
+seed-mean rows marked "mean". Grid points share the draws of each seed.
 """
 
 from __future__ import annotations
@@ -21,14 +22,14 @@ import numpy as np
 from . import __version__
 from .engine import EngineConfig, init_batch
 from .errors import ConfigError, SingularSystem
-from .metrics import MetricsLog, ReferenceSolution, db, reference_solution
+from .metrics import MetricsLog, column_references, db, reference_solution
 from .objective import (
     MultiAgentProblem,
     PenaltyConfig,
     equality,
     random_quadratic_oracle,
 )
-from .topology import BlockLayout, NetworkSpec, build_clusters, embed_clusters, validate_connectivity
+from .topology import BlockLayout, NetworkSpec, build_clusters, embed_clusters
 from .weights import averaging_weights, metropolis_weights, step_scaling
 
 SCENARIOS = ("unconstrained", "constrained", "tracking", "sweep", "custom")
@@ -276,11 +277,9 @@ def build_problem(desc: NetworkDescription, seed: int, constrained: bool = False
     the owner. Deterministic per seed.
     """
     cmap0 = build_clusters(desc.net, desc.layout)
-    net, cmap = desc.net, cmap0
-    if validate_connectivity(net, cmap0):
-        net, cmap = embed_clusters(net, cmap0)
-        desc = NetworkDescription(net=net, layout=desc.layout,
-                                  constraint_owners=desc.constraint_owners)
+    net, cmap = embed_clusters(desc.net, cmap0)
+    if net is not desc.net:
+        desc = dataclasses.replace(desc, net=net)
     rng = _problem_rng(seed, _PROBLEM_TAG)
     model = rng.standard_normal(desc.layout.total_dim)
     model /= np.linalg.norm(model)
@@ -361,35 +360,49 @@ def _fmt(v):
     return v
 
 
-def _run_one(problem, weights, scaling, ecfg: EngineConfig, seeds, refs: ReferenceSolution,
-             log_every: int, init_global, change=None) -> MetricsLog:
-    """Run the selected algorithm for all seeds at once, logging metrics.
+def _run_one(problem, weights, scaling, ecfgs, seeds, refs, log_every: int, init_global,
+             change=None) -> MetricsLog:
+    """Run the selected algorithm for every grid point and seed at once,
+    logging metrics.
 
-    `change` is an optional (iteration, problem, refs) triple applied
-    before the step with that index (constraint regeneration).
+    `ecfgs` holds the P grid points' engine settings and `refs` their
+    ReferenceSolutions; the log has one column per (point, seed), point
+    p's seeds in columns p S to p S + S - 1. `init_global` is None or one
+    start per point. `change` is an optional (iteration, problem, refs)
+    triple applied to every column before the step with that index
+    (constraint regeneration). A point that diverges raises the
+    NonFiniteIterate that running the points one by one, in grid order,
+    would raise (see `engine._Batch.step`).
     """
     # a diverging run stops with NonFiniteIterate; numpy's overflow warnings
     # on the way there would only add lines to the CLI's one-line error
     with np.errstate(over="ignore", invalid="ignore"):
-        engine = init_batch(problem, weights, scaling, ecfg, seeds, init_global)
+        engine = init_batch(problem, weights, scaling, ecfgs, seeds, init_global)
         log = MetricsLog(problem.cmap)
-        for i in range(ecfg.iterations):
+        references = column_references(problem.cmap, refs, len(seeds))
+        iterations = ecfgs[0].iterations
+        for i in range(iterations):
             if change is not None and i == change[0]:
                 engine.set_constraints(change[1])
-                refs = change[2]
+                references = column_references(problem.cmap, change[2], len(seeds))
             engine.step()
-            if (i + 1) % log_every == 0 or i + 1 == ecfg.iterations:
-                log.record(i + 1, engine.view(), refs)
+            if (i + 1) % log_every == 0 or i + 1 == iterations:
+                log.record(i + 1, engine.view(), *references)
     return log
 
 
 def run_scenario(cfg: ScenarioConfig) -> ResultTable:
     """Run every (mu, eta, seed) combination of a scenario and merge logs.
 
-    Per-seed rows are followed by seed-mean rows (seed column "mean");
-    means are taken over linear MSD values and converted to dB. The
-    sweep scenario emits only steady-state rows, one per seed and the
-    seed mean, using the mean over the final 10% of records.
+    One batched run covers the whole grid; each grid point sees the same
+    draws per seed that a run of that point alone would. Rows come point
+    by point, mu-major as in the config: per-seed rows followed by
+    seed-mean rows (seed column "mean"); means are taken over linear MSD
+    values and converted to dB. The sweep scenario emits only
+    steady-state rows, one per seed and the seed mean, using the mean
+    over the final 10% of records. If some point diverges, the run
+    raises NonFiniteIterate for the first such point in grid order, with
+    its first non-finite iteration, agent and seed.
     """
     desc = load_network(cfg.network, cfg.block_dims)
     base = build_problem(desc, cfg.problem_seed, constrained=cfg.uses_constraints, rho=cfg.rho)
@@ -407,20 +420,25 @@ def run_scenario(cfg: ScenarioConfig) -> ResultTable:
         for eta in dict.fromkeys(cfg.eta_list)
     }
 
+    points = [(mu, eta) for mu in cfg.mu_list for eta in cfg.eta_list]
+    refs = [references[eta][0] for _, eta in points]
+    change = None
+    if changed is not None:
+        change = (cfg.change_point, changed, [references[eta][1] for _, eta in points])
+    init_global = [r.w_star for r in refs] if cfg.initial == "reference" else None
+    log = _run_one(base, weights, scaling, [cfg.engine(mu, eta) for mu, eta in points],
+                   cfg.seeds, refs, cfg.log_every, init_global, change)
+
     table = ResultTable(config=dataclasses.asdict(cfg))
-    for mu in cfg.mu_list:
-        for eta in cfg.eta_list:
-            refs, changed_refs = references[eta]
-            change = None if changed is None else (cfg.change_point, changed, changed_refs)
-            init_global = refs.w_star if cfg.initial == "reference" else None
-            log = _run_one(base, weights, scaling, cfg.engine(mu, eta), cfg.seeds, refs,
-                           cfg.log_every, init_global, change)
-            iterations = log.iterations
-            series = (log.msd_star, log.max_disagreement(), log.msd_o)
-            if cfg.scenario == "sweep":  # one record: the steady-state tail mean
-                iterations = [cfg.iterations]
-                series = tuple(steady_state(a)[None] for a in series)
-            _append_iteration_rows(table, cfg, mu, eta, iterations, *series)
+    n_seeds = len(cfg.seeds)
+    all_series = (log.msd_star, log.max_disagreement(), log.msd_o)
+    for p, (mu, eta) in enumerate(points):
+        iterations = log.iterations
+        series = tuple(a[:, p * n_seeds:(p + 1) * n_seeds] for a in all_series)
+        if cfg.scenario == "sweep":  # one record: the steady-state tail mean
+            iterations = [cfg.iterations]
+            series = tuple(steady_state(a)[None] for a in series)
+        _append_iteration_rows(table, cfg, mu, eta, iterations, *series)
     return table
 
 

@@ -188,13 +188,25 @@ def reference_solution(problem: MultiAgentProblem, eta: float) -> ReferenceSolut
     )
 
 
-class MetricsLog:
-    """Metric records of a batch of runs, one column per seed.
+def column_references(cmap: ClusterMap, refs, seeds: int) -> tuple[np.ndarray, np.ndarray]:
+    """(w_star, w_o) of every grid point as (n_flat, P S) matrices, in the
+    state's seeds-last layout: point p's references gathered into the flat
+    layout fill its S seed columns p S to p S + S - 1."""
+    def columns(vectors):
+        flat = np.stack([np.asarray(v)[cmap.flat_global_indices] for v in vectors], axis=1)
+        return np.repeat(flat, seeds, axis=1)
 
-    `record` takes the (S, n_flat) local copies of all seeds. MSD is a
-    weighted sum over flat entries (weight 1/N_l for a copy of block l)
-    against the reference gathered into the flat layout; `msd` is the
-    per-vector reference for it.
+    return columns([r.w_star for r in refs]), columns([r.w_o for r in refs])
+
+
+class MetricsLog:
+    """Metric records of a batch of runs, one column per (point, seed).
+
+    `record` takes the (P S, n_flat) local copies of all columns and the
+    (n_flat, P S) references of each column (`column_references`). MSD
+    is a weighted sum over flat entries (weight 1/N_l for a copy of
+    block l) against the column's reference; `msd` is the per-vector
+    reference for it.
     """
 
     def __init__(self, cmap: ClusterMap):
@@ -204,32 +216,32 @@ class MetricsLog:
         self._msd_star, self._msd_o, self._disagreement = [], [], []
 
     def _msd(self, w: np.ndarray, reference: np.ndarray) -> np.ndarray:
-        err = w - reference[self.cmap.flat_global_indices]
+        err = w - reference.T
         return (err * err) @ self._weight
 
-    def record(self, iteration: int, w: np.ndarray, refs: ReferenceSolution):
+    def record(self, iteration: int, w: np.ndarray, w_star: np.ndarray, w_o: np.ndarray):
         self.iterations.append(iteration)
-        self._msd_star.append(self._msd(w, refs.w_star))
-        self._msd_o.append(self._msd(w, refs.w_o))
+        self._msd_star.append(self._msd(w, w_star))
+        self._msd_o.append(self._msd(w, w_o))
         self._disagreement.append(disagreement(w, self.cmap))
 
     @property
     def msd_star(self) -> np.ndarray:
-        """(records, seeds) MSD to the penalized optimum."""
+        """(records, columns) MSD to the penalized optimum."""
         return np.array(self._msd_star)
 
     @property
     def msd_o(self) -> np.ndarray:
-        """(records, seeds) MSD to the constrained optimum."""
+        """(records, columns) MSD to the constrained optimum."""
         return np.array(self._msd_o)
 
     @property
     def disagreement(self) -> np.ndarray:
-        """(records, seeds, blocks) per-block disagreement."""
+        """(records, columns, blocks) per-block disagreement."""
         return np.array(self._disagreement)
 
     def max_disagreement(self) -> np.ndarray:
-        """(records, seeds) disagreement of the worst block."""
+        """(records, columns) disagreement of the worst block."""
         return self.disagreement.max(axis=-1)
 
 

@@ -303,15 +303,15 @@ def embed_clusters(net: NetworkSpec, cmap: ClusterMap) -> tuple[NetworkSpec, Clu
     For each disconnected cluster, bridge agents along shortest paths
     between its components (lowest-id tie-breaking) receive the block in
     their interest set; their cost contribution for that block is the
-    zero function, so the optimization problem is unchanged. Requires
-    the full graph to be connected. Idempotent; already-connected maps
-    are returned as-is.
+    zero function, so the optimization problem is unchanged. Bridging
+    requires the full graph to be connected. Idempotent; already-connected
+    maps are returned as-is, after one connectivity pass.
     """
-    if not net.is_connected():
-        raise NetworkDisconnected("cannot embed clusters: the full graph is disconnected")
     bad = validate_connectivity(net, cmap)
     if not bad:
         return net, cmap
+    if not net.is_connected():
+        raise NetworkDisconnected("cannot embed clusters: the full graph is disconnected")
     adj = net.adjacency()
     sets = [set(s) for s in net.interest_sets]
     for l in bad:

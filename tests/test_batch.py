@@ -20,7 +20,13 @@ from coupled_diffusion.harness import (
     load_network,
     regenerate_constraints,
 )
-from coupled_diffusion.metrics import MetricsLog, disagreement, msd, reference_solution
+from coupled_diffusion.metrics import (
+    MetricsLog,
+    column_references,
+    disagreement,
+    msd,
+    reference_solution,
+)
 from coupled_diffusion.objective import MultiAgentProblem, QuadraticRiskOracle, inequality
 from coupled_diffusion.topology import BlockLayout
 from coupled_diffusion.weights import averaging_weights, metropolis_weights, step_scaling
@@ -237,19 +243,25 @@ def test_noise_chunks_see_the_per_agent_variates_with_bridge_agents(bridged):
 
 
 def test_metrics_log_matches_per_seed_metrics(constrained):
+    """A grid of two eta points: each column is logged against its own
+    point's references."""
     weights, scaling = _weights(constrained)
-    refs = reference_solution(constrained, 50.0)
-    batch = init_batch(constrained, weights, scaling, EngineConfig(mu=0.002, eta=50.0), SEEDS)
+    etas = (50.0, 10.0)
+    refs = [reference_solution(constrained, eta) for eta in etas]
+    batch = init_batch(constrained, weights, scaling,
+                       [EngineConfig(mu=0.002, eta=eta) for eta in etas], SEEDS)
+    columns = column_references(constrained.cmap, refs, len(SEEDS))
     log = MetricsLog(constrained.cmap)
     for i in range(3):
         batch.step()
-        log.record(i + 1, batch.view(), refs)
+        log.record(i + 1, batch.view(), *columns)
     w = batch.view()
     assert log.iterations == [1, 2, 3]
-    assert log.msd_star.shape == (3, len(SEEDS))
-    for j in range(len(SEEDS)):
-        assert log.msd_star[-1, j] == pytest.approx(msd(w[j], constrained.cmap, refs.w_star), rel=1e-12)
-        assert log.msd_o[-1, j] == pytest.approx(msd(w[j], constrained.cmap, refs.w_o), rel=1e-12)
+    assert log.msd_star.shape == (3, len(etas) * len(SEEDS))
+    for j in range(len(etas) * len(SEEDS)):
+        ref = refs[j // len(SEEDS)]
+        assert log.msd_star[-1, j] == pytest.approx(msd(w[j], constrained.cmap, ref.w_star), rel=1e-12)
+        assert log.msd_o[-1, j] == pytest.approx(msd(w[j], constrained.cmap, ref.w_o), rel=1e-12)
         assert np.allclose(log.disagreement[-1, j], disagreement(w[j], constrained.cmap), rtol=1e-12)
     assert np.array_equal(log.max_disagreement(), log.disagreement.max(axis=-1))
 
@@ -278,3 +290,97 @@ def test_batch_divergence_names_iteration_agent_and_seed(constrained):
     assert err.value.iteration > 0
     assert 0 <= err.value.agent < constrained.agent_count
     assert "seed" in str(err.value)
+
+
+def _grid_deviation(problem, cfgs, start=None, change=None):
+    """Largest deviation of a grid run from the single-point runs, each
+    column against its own point's run, relative to the largest entry of
+    the single-point runs, over every iteration. `start` holds one initial global vector
+    per point; `change` is an optional (iteration, problem) constraint
+    swap applied before the step with that index."""
+    weights, scaling = _weights(problem)
+    grid = init_batch(problem, weights, scaling, cfgs, SEEDS, start)
+    singles = [init_batch(problem, weights, scaling, cfg, SEEDS, None if start is None else start[p])
+               for p, cfg in enumerate(cfgs)]
+    worst = 0.0
+    for i in range(cfgs[0].iterations):
+        if change is not None and i == change[0]:
+            for batch in (grid, *singles):
+                batch.set_constraints(change[1])
+        grid.step()
+        for batch in singles:
+            batch.step()
+        expect = np.concatenate([batch.view() for batch in singles])
+        assert grid.view().shape == expect.shape
+        worst = max(worst, float(np.max(np.abs(grid.view() - expect)) / np.max(np.abs(expect))))
+    return worst
+
+
+@pytest.mark.parametrize("start", ["zeros", "reference", "tracking"])
+@pytest.mark.parametrize("noise", ["stochastic", "exact"])
+@pytest.mark.parametrize("algorithm", ["coupled", "centralized", "admm"])
+def test_grid_matches_single_point_runs(algorithm, noise, start):
+    """A (mu, eta) grid in one batch, against one batch per point. The
+    grid mixes eta 0 (a void penalty step) with eta > 0; a reference start
+    warm-starts each point at its own penalized optimum, and tracking
+    swaps the constraints of every column halfway."""
+    desc = load_network("benchmark20")
+    problem = build_problem(desc, 7, constrained=True)
+    etas = (0.0,) if algorithm == "admm" else (0.0, 50.0)
+    points = [(mu, eta) for mu in (0.002, 0.001) for eta in etas]
+    cfgs = [EngineConfig(mu=mu, eta=eta, iterations=120, noise=noise, algorithm=algorithm)
+            for mu, eta in points]
+    init = None
+    if start != "zeros":
+        init = np.array([reference_solution(problem, eta).w_star for _, eta in points])
+    change = None
+    if start == "tracking":
+        change = (60, regenerate_constraints(problem, desc, 7, epoch=0))
+    assert _grid_deviation(problem, cfgs, init, change) <= 1e-12
+
+
+def test_grid_rejects_configs_that_differ_beyond_mu_and_eta(constrained):
+    weights, scaling = _weights(constrained)
+    base = EngineConfig(mu=0.002, eta=10.0, iterations=50)
+    for other in (dict(iterations=60), dict(noise="exact"), dict(algorithm="centralized")):
+        with pytest.raises(ConfigError):
+            init_batch(constrained, weights, scaling,
+                       [base, dataclasses.replace(base, **other)], SEEDS)
+    with pytest.raises(ConfigError):
+        init_batch(constrained, weights, scaling, [], SEEDS)
+
+
+def _first_divergence_in_loop_order(problem, cfgs):
+    """The NonFiniteIterate that running each point alone, in order, raises."""
+    weights, scaling = _weights(problem)
+    for cfg in cfgs:
+        batch = init_batch(problem, weights, scaling, cfg, SEEDS)
+        try:
+            for _ in range(cfg.iterations):
+                batch.step()
+        except NonFiniteIterate as err:
+            return err
+    return None
+
+
+@pytest.mark.parametrize("mus, raised_at_once", [
+    pytest.param((0.04, 0.1), True, id="later-point-diverges-first"),
+    pytest.param((0.002, 0.1), False, id="only-a-later-point-diverges"),
+    pytest.param((0.002, 0.04, 0.1), False, id="two-later-points-the-last-first"),
+])
+def test_grid_divergence_is_raised_in_loop_order(constrained, mus, raised_at_once):
+    """mu 0.04 diverges at iteration 49 and mu 0.1 at iteration 15, on
+    different agents; 0.002 is stable. The grid raises what the points
+    run one by one raise: at once when point 0 diverges, otherwise at the
+    end of the budget."""
+    cfgs = [EngineConfig(mu=mu, iterations=80) for mu in mus]
+    expect = _first_divergence_in_loop_order(constrained, cfgs)
+    assert expect is not None
+    weights, scaling = _weights(constrained)
+    grid = init_batch(constrained, weights, scaling, cfgs, SEEDS)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteIterate) as err:
+        for _ in range(cfgs[0].iterations):
+            grid.step()
+    got = err.value
+    assert (got.iteration, got.agent, str(got)) == (expect.iteration, expect.agent, str(expect))
+    assert grid.iteration == (expect.iteration if raised_at_once else cfgs[0].iterations)

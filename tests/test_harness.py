@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -9,7 +10,7 @@ import pytest
 import yaml
 
 from coupled_diffusion.cli import main as cli_main
-from coupled_diffusion.errors import ConfigError
+from coupled_diffusion.errors import ConfigError, NonFiniteIterate
 from coupled_diffusion.harness import (
     CSV_HEADER,
     ResultTable,
@@ -160,6 +161,22 @@ def test_build_problem_embeds_with_zero_cost_bridges(tmp_path):
     for _ in range(5):
         coupled_diffusion_step(state, problem, weights, scaling, EngineConfig(mu=0.01))
     assert np.isfinite(state.w).all()
+
+
+def test_build_problem_checks_cluster_connectivity_once(tmp_path, monkeypatch):
+    """On a network that needs bridging, one connectivity pass over the
+    clusters: one `cluster_connected` call per block."""
+    from coupled_diffusion import topology
+    from coupled_diffusion.harness import build_problem
+
+    calls = []
+    check = topology.cluster_connected
+    monkeypatch.setattr(topology, "cluster_connected",
+                        lambda net, cluster: calls.append(cluster) or check(net, cluster))
+    desc = _split_network(tmp_path)
+    problem = build_problem(desc, seed=0)
+    assert problem.net is not desc.net  # bridged
+    assert len(calls) == desc.layout.block_count
 
 
 def test_bridge_oracles_draw_like_their_inner_oracle(tmp_path):
@@ -404,3 +421,47 @@ def test_script_help(script):
     res = subprocess.run([sys.executable, str(SCRIPTS / script), "--help"],
                          capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
+
+
+def _point_rows(cfg):
+    """The rows of running each (mu, eta) point of `cfg` alone, in grid order."""
+    return [row for mu in cfg.mu_list for eta in cfg.eta_list
+            for row in run_scenario(dataclasses.replace(cfg, mu_list=(mu,), eta_list=(eta,))).rows]
+
+
+def _linear(row):
+    """A row's MSD and distance in the linear domain, and its disagreement."""
+    return np.array([10 ** (row[5] / 10), row[6], 10 ** (row[7] / 10)])
+
+
+@pytest.mark.parametrize("scenario, algorithm, init", [
+    ("constrained", "coupled", "zeros"),
+    ("constrained", "centralized", "reference"),
+    ("unconstrained", "admm", "reference"),
+    ("tracking", "coupled", "zeros"),
+    ("sweep", "coupled", "reference"),
+])
+def test_grid_run_matches_single_point_runs(scenario, algorithm, init):
+    """One run of a whole grid writes the rows that one run per point
+    writes, in the same order, with values within 1e-12 relative."""
+    etas = (0.0,) if algorithm == "admm" else (10.0, 100.0)
+    cfg = ScenarioConfig(scenario=scenario, mu_list=(0.002, 0.001), eta_list=etas,
+                         iterations=200, seeds=(3, 4), log_every=10, algorithm=algorithm,
+                         init=init, change_point=100 if scenario == "tracking" else None)
+    rows, expect = run_scenario(cfg).rows, _point_rows(cfg)
+    assert [r[:5] for r in rows] == [r[:5] for r in expect]
+    for row, want in zip(rows, expect):
+        assert np.allclose(_linear(row), _linear(want), rtol=1e-12, atol=0.0)
+
+
+def test_grid_run_raises_the_first_diverging_point_in_grid_order():
+    """mu 0.1 diverges before mu 0.04 does; the run raises for 0.04, the
+    earlier point in grid order, as running the points one by one does."""
+    cfg = ScenarioConfig(scenario="constrained", mu_list=(0.002, 0.04, 0.1), eta_list=(10.0,),
+                         iterations=80, seeds=(3, 4), log_every=10)
+    with pytest.raises(NonFiniteIterate) as expect:
+        _point_rows(cfg)
+    with pytest.raises(NonFiniteIterate) as err:
+        run_scenario(cfg)
+    assert (err.value.iteration, err.value.agent, str(err.value)) == (
+        expect.value.iteration, expect.value.agent, str(expect.value))

@@ -100,6 +100,18 @@ def test_embed_requires_connected_graph():
         embed_clusters(net, cmap)
 
 
+def test_embed_keeps_connected_clusters_of_a_disconnected_graph():
+    """Bridging needs a connected graph; clusters that are connected
+    already need no bridge, so they are returned as they are."""
+    net = NetworkSpec(
+        agent_count=4,
+        edges=frozenset({(0, 1), (2, 3)}),
+        interest_sets=((0,), (0,), (1,), (1,)),
+    )
+    cmap = build_clusters(net, BlockLayout((1, 1)))
+    assert embed_clusters(net, cmap) == (net, cmap)
+
+
 @st.composite
 def connected_networks(draw):
     n = draw(st.integers(2, 7))
