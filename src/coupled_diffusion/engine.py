@@ -87,12 +87,16 @@ def _exact_local_gradients(problem: MultiAgentProblem, w: np.ndarray) -> np.ndar
     return grad
 
 
-# Bytes of pre-drawn noise per refill, all seeds and agents together. The
-# chunk length in iterations follows from it, so the buffer stays this small
-# whatever the network and the number of seeds, while each refill's S*N
-# per-stream draws still cover several iterations. The buffer is allocated
-# at the first refill and every later refill writes a prefix of it.
+# Pre-drawn noise per refill, all seeds and agents together. A chunk covers
+# as many iterations as fit in NOISE_CHUNK_BYTES, but at least
+# NOISE_CHUNK_MIN_ITERATIONS (or the iterations left, if fewer): a refill
+# makes S*N per-stream draws whatever its length, so the floor keeps that
+# cost per iteration small however many seeds and agents share the budget.
+# The buffer holds at most max(NOISE_CHUNK_BYTES,
+# 8 * NOISE_CHUNK_MIN_ITERATIONS * S * sum_k (R_k + 1)) bytes. It is
+# allocated at the first refill and every later refill writes a prefix of it.
 NOISE_CHUNK_BYTES = 256 * 1024
+NOISE_CHUNK_MIN_ITERATIONS = 32
 
 
 class _RiskGradients:
@@ -144,20 +148,21 @@ class _RiskGradients:
         self.column = np.concatenate(
             [np.where(rank_cols < ranks[:, None], rank_cols, 0), ranks[:, None]], axis=1
         )
-        self.chunk = max(1, NOISE_CHUNK_BYTES // (8 * len(seeds) * int(self.per_iteration.sum())))
+        self.chunk = max(NOISE_CHUNK_MIN_ITERATIONS,
+                         NOISE_CHUNK_BYTES // (8 * len(seeds) * int(self.per_iteration.sum())))
         self.left = cfg.iterations
         self.used = self.length = 0
-        self.buffer = None  # (draws, S): gathers give seeds-last arrays
+        self.buffer = None  # (draws, S): a take of rows gives C-ordered seeds-last draws
 
     def _refill(self):
         t = min(self.chunk, max(self.left, 1))
         self.left -= t
         starts = np.concatenate([[0], np.cumsum(t * self.per_iteration)])
         if self.buffer is None:  # the first chunk is the longest
-            self.buffer = np.empty((len(self.streams), int(starts[-1]))).T
-        for row, streams in zip(self.buffer.T, self.streams):
+            self.buffer = np.empty((int(starts[-1]), len(self.streams)))
+        for s, streams in enumerate(self.streams):
             for rng, a, b in zip(streams, starts[:-1], starts[1:]):
-                rng.standard_normal(out=row[a:b])
+                self.buffer[a:b, s] = rng.standard_normal(b - a)
         self.base = starts[:-1, None] + self.column
         self.used, self.length = 0, t
 
@@ -167,11 +172,12 @@ class _RiskGradients:
             self._refill()
         idx = self.base + self.used * self.per_iteration[:, None]
         self.used += 1
-        return self.buffer[idx]
+        return self.buffer.take(idx, axis=0)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         """Gradients at the points x, (n_flat, P S) in and out."""
-        z, g = x[self.gather], self.grads
+        # take copies whole rows: x[self.gather] gives the same array several times slower
+        z, g = x.take(self.gather, axis=0), self.grads
         if self.exact:
             np.matmul(self.factor, 2.0 * (z - self.w_ref), out=g)
         else:
@@ -181,7 +187,7 @@ class _RiskGradients:
             z = z.reshape(z.shape[:2] + (-1, h.shape[-1]))  # (N, Q, P, S)
             inner = np.einsum("kips,kis->kps", z, h)
             np.multiply((2.0 * (inner - y[:, None]))[:, None], h[:, :, None], out=g.reshape(z.shape))
-        return g.reshape(-1, g.shape[-1])[self.valid]
+        return g.reshape(-1, g.shape[-1]).take(self.valid, axis=0)
 
 
 class _ClusterMix:
@@ -205,8 +211,8 @@ class _ClusterMix:
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         n_blocks, n_max, _ = self.gather.shape
-        mixed = self.mats @ x[self.gather].reshape(n_blocks, n_max, -1)
-        return mixed.reshape(-1, x.shape[1])[self.slot]
+        mixed = self.mats @ x.take(self.gather, axis=0).reshape(n_blocks, n_max, -1)
+        return mixed.reshape(-1, x.shape[1]).take(self.slot, axis=0)
 
 
 def _penalty_gradient(rows, w: np.ndarray) -> np.ndarray:

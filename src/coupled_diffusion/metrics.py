@@ -68,7 +68,10 @@ def disagreement(w_flat: np.ndarray, cmap: ClusterMap) -> np.ndarray:
     rounding relative to the largest one.
     """
     w_flat = np.asarray(w_flat, dtype=float)
-    copies = w_flat[..., cmap.padded_cluster_indices]
+    index, lead = cmap.padded_cluster_indices, w_flat.ndim - 1
+    # take copies whole rows: w_flat[..., index] gives the same strides, several times slower
+    copies = w_flat.transpose(lead, *range(lead)).take(index, axis=0)
+    copies = copies.transpose(*range(index.ndim, copies.ndim), *range(index.ndim))
     copies -= copies[..., :1, :].copy()
     dist2 = copies @ np.swapaxes(copies, -1, -2)
     sq = np.diagonal(dist2, axis1=-2, axis2=-1).copy()

@@ -209,6 +209,8 @@ class MultiAgentProblem:
     constraints: tuple[tuple[ConstraintSpec, ...], ...]
     penalty: PenaltyConfig
     true_model: Optional[np.ndarray] = None
+    # (oracles, cmap, H, f) of the last global_risk_quadratic assembly
+    _risk_quadratic: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         for k, o in enumerate(self.oracles):
@@ -227,7 +229,19 @@ class MultiAgentProblem:
 
     def global_risk_quadratic(self) -> tuple[np.ndarray, np.ndarray]:
         """Hessian H = sum_k lift(2 R_k) and linear term f = sum_k lift(2 R_k w_ref_k)
-        of the aggregate risk, so grad J_glob(w) = H w - f."""
+        of the aggregate risk, so grad J_glob(w) = H w - f.
+
+        Both are assembled once and are read-only. A problem made from this
+        one by `dataclasses.replace` with the same oracles and cluster map,
+        such as a fresh constraint draw, shares them.
+        """
+        cached = self._risk_quadratic
+        if cached is None or cached[0] is not self.oracles or cached[1] is not self.cmap:
+            cached = (self.oracles, self.cmap) + self._assemble_risk_quadratic()
+            object.__setattr__(self, "_risk_quadratic", cached)
+        return cached[2:]
+
+    def _assemble_risk_quadratic(self) -> tuple[np.ndarray, np.ndarray]:
         m = self.layout.total_dim
         hess = np.zeros((m, m))
         lin = np.zeros(m)
@@ -236,6 +250,7 @@ class MultiAgentProblem:
             cov2 = 2.0 * o.covariance
             hess[np.ix_(gidx, gidx)] += cov2
             lin[gidx] += cov2 @ o.w_ref
+        hess.flags.writeable = lin.flags.writeable = False
         return hess, lin
 
     def constraint_system(self, flat: bool = False) -> tuple[np.ndarray, np.ndarray]:

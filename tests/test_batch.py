@@ -11,7 +11,13 @@ import dataclasses
 import numpy as np
 import pytest
 
-from coupled_diffusion.engine import EngineConfig, agent_streams, init_batch
+from coupled_diffusion.engine import (
+    NOISE_CHUNK_BYTES,
+    NOISE_CHUNK_MIN_ITERATIONS,
+    EngineConfig,
+    agent_streams,
+    init_batch,
+)
 from coupled_diffusion.errors import ConfigError, NonFiniteIterate
 from coupled_diffusion.harness import (
     NetworkDescription,
@@ -209,20 +215,22 @@ def test_admm_warm_start_stays_at_the_optimum(spread):
     assert msd(state.w, problem.cmap, start) <= 1e-20
 
 
-def _check_noise_chunks(problem):
+def _check_noise_chunks(problem, seeds=SEEDS):
     """An iteration count that is not a multiple of the chunk length: every
     (seed, agent, iteration) reads exactly the per-agent stream's rank + 1
-    draws."""
+    draws, from one buffer allocated at the first refill. Returns the
+    risk-gradient object of the run."""
     weights, scaling = _weights(problem)
-    risk = init_batch(problem, weights, scaling, EngineConfig(mu=0.001), SEEDS)._risk
+    risk = init_batch(problem, weights, scaling, EngineConfig(mu=0.001), seeds)._risk
     iterations = 2 * risk.chunk + 3
     risk = init_batch(problem, weights, scaling,
-                      EngineConfig(mu=0.001, iterations=iterations), SEEDS)._risk
+                      EngineConfig(mu=0.001, iterations=iterations), seeds)._risk
     assert risk.chunk > 1 and iterations % risk.chunk != 0
-    streams = [agent_streams(seed, problem.agent_count) for seed in SEEDS]
+    streams = [agent_streams(seed, problem.agent_count) for seed in seeds]
     ranks = [o.rank for o in problem.oracles]
     for i in range(iterations):
         draws = risk._next_draws()
+        assert draws.flags.c_contiguous  # the layout the risk step's matmul rounds with
         if i == 0:
             buffer = risk.buffer
         assert risk.buffer is buffer  # refills reuse the first chunk's buffer
@@ -232,10 +240,23 @@ def _check_noise_chunks(problem):
                 assert np.array_equal(draws[k, :r, s], expect[:r])
                 assert draws[k, -1, s] == expect[r]
     assert risk.left == 0  # the last chunk drew only what the run needs
+    return risk
 
 
 def test_noise_chunks_see_the_per_agent_variates(constrained):
     _check_noise_chunks(constrained)
+
+
+def test_noise_chunks_cover_at_least_the_floor_of_iterations(constrained):
+    """Twenty seeds on benchmark20, where the byte budget alone would give
+    chunks of fewer iterations than the floor: the floor sets the chunk
+    length and the buffer size, and the draws still match."""
+    seeds = tuple(range(20))
+    per_iteration = sum(o.rank + 1 for o in constrained.oracles)
+    assert NOISE_CHUNK_BYTES // (8 * len(seeds) * per_iteration) < NOISE_CHUNK_MIN_ITERATIONS
+    risk = _check_noise_chunks(constrained, seeds)
+    assert risk.chunk == NOISE_CHUNK_MIN_ITERATIONS
+    assert risk.buffer.shape == (NOISE_CHUNK_MIN_ITERATIONS * per_iteration, len(seeds))
 
 
 def test_noise_chunks_see_the_per_agent_variates_with_bridge_agents(bridged):

@@ -270,6 +270,20 @@ def test_tracking_scenario_shows_jump():
     assert means[700] < 0.5 * means[410]  # and the algorithm re-converges
 
 
+def test_tracking_set_up_assembles_the_risk_quadratic_once(monkeypatch):
+    """`strong_convexity` and the references before and after the change
+    point, for every eta, share one assembly of the global risk quadratic."""
+    from coupled_diffusion.objective import MultiAgentProblem
+
+    calls = []
+    assemble = MultiAgentProblem._assemble_risk_quadratic
+    monkeypatch.setattr(MultiAgentProblem, "_assemble_risk_quadratic",
+                        lambda self: calls.append(self) or assemble(self))
+    run_scenario(ScenarioConfig(scenario="tracking", mu_list=(0.002,), eta_list=(100.0, 10.0),
+                                iterations=4, seeds=(0,), change_point=2))
+    assert len(calls) == 1
+
+
 def test_emit_results_empty_and_single(tmp_path):
     path = tmp_path / "empty.csv"
     emit_results(ResultTable(rows=[], config={}), path)

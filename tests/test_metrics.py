@@ -85,6 +85,42 @@ def test_disagreement_examples():
     assert disagreement(np.array([1.0, 2.0]), single)[0] == 0.0
 
 
+def _pairwise_disagreement(w, cmap):
+    """Per-block max distance between cluster members' copies, pair by pair,
+    each copy read from its agent's local vector."""
+    out = np.zeros(len(cmap.clusters))
+    for l, cluster in enumerate(cmap.clusters):
+        block = cmap.layout.global_slice(l)
+        copies = []
+        for k in cluster:
+            owned = cmap.global_indices(k)
+            local = w[cmap.flat_slice(k)]
+            copies.append(local[(owned >= block.start) & (owned < block.stop)])
+        out[l] = max(np.linalg.norm(a - b) for a in copies for b in copies)
+    return out
+
+
+def test_disagreement_matches_pairwise_distances(benchmark_problem, benchmark_weights,
+                                                 benchmark_scaling):
+    """Clusters of unequal sizes, so the padded layout repeats copies: a flat
+    vector, and the (S, n_flat) transposed state of a batched run."""
+    from coupled_diffusion.engine import EngineConfig, init_batch
+
+    cmap = benchmark_problem.cmap
+    assert len({len(c) for c in cmap.clusters}) > 1
+    w = np.random.default_rng(0).standard_normal(cmap.total_local_dim)
+    batch = init_batch(benchmark_problem, benchmark_weights, benchmark_scaling,
+                       EngineConfig(mu=0.002, iterations=5), seeds=(1, 2, 3))
+    for _ in range(5):
+        batch.step()
+    state = batch.view()
+    assert state.shape == (3, cmap.total_local_dim) and not state.flags.c_contiguous
+    for vector, got in [(w, disagreement(w, cmap))] + list(zip(state, disagreement(state, cmap))):
+        want = _pairwise_disagreement(vector, cmap)
+        assert np.all(want > 0)
+        assert np.all(np.abs(got - want) <= 1e-14 * want)
+
+
 def test_penalized_optimum_unconstrained_recovers_model(benchmark_problem):
     w = penalized_optimum(benchmark_problem, 0.0)
     assert np.allclose(w, benchmark_problem.true_model, atol=1e-10)

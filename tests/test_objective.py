@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -201,6 +203,22 @@ def test_true_gradient_matches_finite_differences_of_risk():
 
 def test_benchmark_problem_is_strongly_convex(benchmark_problem):
     assert benchmark_problem.strong_convexity() > 0.0
+
+
+def test_risk_quadratic_is_shared_read_only_and_follows_the_oracles(benchmark_problem):
+    """A problem with other constraints shares the read-only (H, f); one with
+    other oracles assembles its own."""
+    hess, lin = benchmark_problem.global_risk_quadratic()
+    assert not hess.flags.writeable and not lin.flags.writeable
+    fresh_hess, fresh_lin = benchmark_problem._assemble_risk_quadratic()
+    assert np.array_equal(hess, fresh_hess) and np.array_equal(lin, fresh_lin)
+    swapped = dataclasses.replace(benchmark_problem, constraints=tuple(
+        (equality(k, np.ones(o.dim), 1.0),) for k, o in enumerate(benchmark_problem.oracles)))
+    assert all(a is b for a, b in zip(swapped.global_risk_quadratic(), (hess, lin)))
+    doubled = dataclasses.replace(benchmark_problem, oracles=tuple(
+        QuadraticRiskOracle(o.basis, 2.0 * o.spectrum, o.w_ref, o.noise_std)
+        for o in benchmark_problem.oracles))
+    assert np.array_equal(doubled.global_risk_quadratic()[0], 2.0 * hess)
 
 
 def test_inequality_constructor():
