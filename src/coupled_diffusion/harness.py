@@ -182,6 +182,12 @@ class ScenarioConfig:
             raise ConfigError(f"constrained must be true or false, got {self.constrained!r}")
         if self.scenario == "tracking" and self.change_point is None:
             raise ConfigError("tracking scenario needs a change_point")
+        if self.scenario != "tracking" and self.change_point is not None:
+            raise ConfigError(f"change_point applies only to the tracking scenario, "
+                              f"not to {self.scenario!r}")
+        if self.scenario == "tracking" and self.constrained is False:
+            raise ConfigError("the tracking scenario redraws its constraints at the change "
+                              "point, so it cannot run with constrained: false")
         if self.change_point is not None and not (0 < self.change_point < self.iterations):
             raise ConfigError("change_point must lie strictly inside the iteration budget")
         if self.log_every < 1:
@@ -310,12 +316,6 @@ def build_problem(desc: NetworkDescription, seed: int, constrained: bool = False
     return problem
 
 
-def generate_benchmark_problem(seed: int, constrained: bool = False,
-                               rho: float = 1.0) -> MultiAgentProblem:
-    """The bundled 20-agent, five-block benchmark instance for this seed."""
-    return build_problem(load_network("benchmark20"), seed, constrained=constrained, rho=rho)
-
-
 def regenerate_constraints(problem: MultiAgentProblem, desc: NetworkDescription,
                            seed: int, epoch: int) -> MultiAgentProblem:
     """Fresh constraint draw (sub-seeded) for tracking scenarios."""
@@ -329,9 +329,6 @@ class ResultTable:
 
     rows: list = field(default_factory=list)
     config: dict = field(default_factory=dict)
-
-    def mean_rows(self):
-        return [r for r in self.rows if r[3] == "mean"]
 
 
 CSV_HEADER = ("scenario", "mu", "eta", "seed", "iteration", "msd_db",

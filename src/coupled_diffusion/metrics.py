@@ -39,24 +39,6 @@ def db(x: float) -> float:
         return 10.0 * np.log10(x)
 
 
-def msd(w_flat: np.ndarray, cmap: ClusterMap, reference: np.ndarray) -> float:
-    """Cluster-averaged squared deviation from a global reference vector.
-
-    sum over blocks of (1/N_l) sum over cluster members of
-    ||ref^l - w_k^l||^2. Expectations over runs are taken by the caller
-    through seed averaging. Leading axes of `w_flat` (seeds, say) are
-    kept: an (S, n_flat) input gives S values.
-    """
-    w_flat = np.asarray(w_flat, dtype=float)
-    lead = w_flat.shape[:-1]
-    total = np.zeros(lead) if lead else 0.0
-    for l, cluster in enumerate(cmap.clusters):
-        ref_l = reference[cmap.layout.global_slice(l)]
-        stack = w_flat[..., cmap.flat_cluster_indices(l)].reshape(lead + (len(cluster), -1))
-        total = total + ((stack - ref_l) ** 2).sum(axis=(-2, -1)) / len(cluster)
-    return total if lead else float(total)
-
-
 def disagreement(w_flat: np.ndarray, cmap: ClusterMap) -> np.ndarray:
     """Per-block max pairwise distance between local copies (0 for singletons).
 
@@ -207,9 +189,10 @@ class MetricsLog:
 
     `record` takes the (P S, n_flat) local copies of all columns and the
     (n_flat, P S) references of each column (`column_references`). MSD
-    is a weighted sum over flat entries (weight 1/N_l for a copy of
-    block l) against the column's reference; `msd` is the per-vector
-    reference for it.
+    is the cluster-averaged squared deviation, sum over blocks l of
+    (1/N_l) sum over the cluster of ||ref^l - w_k^l||^2: one weighted sum
+    over flat entries, weight 1/N_l for a copy of block l, against the
+    column's reference.
     """
 
     def __init__(self, cmap: ClusterMap):

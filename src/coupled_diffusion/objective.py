@@ -91,18 +91,6 @@ def inequality(owner: int, coeffs, offset: float) -> ConstraintSpec:
     return ConstraintSpec(kind="inequality", owner=owner, coeffs=coeffs, offset=offset)
 
 
-def penalty_value(constraints, w: np.ndarray, cfg: PenaltyConfig) -> float:
-    """Sum of penalty terms at w (without the eta factor)."""
-    total = 0.0
-    for c in constraints:
-        val, _ = c.evaluate(w)
-        if c.kind == "equality":
-            total += float(ep_penalty(val)[0])
-        else:
-            total += float(ip_penalty(val, cfg.rho)[0])
-    return total
-
-
 def penalty_gradient(constraints, w: np.ndarray, cfg: PenaltyConfig) -> np.ndarray:
     """Gradient of the summed penalty at w (without the eta factor)."""
     grad = np.zeros_like(np.asarray(w, dtype=float))
@@ -124,9 +112,9 @@ class QuadraticRiskOracle:
     Features h are Gaussian with covariance basis @ diag(spectrum) @ basis'.
     The basis is (dim, rank) with orthonormal columns; its zero rows are
     coordinates the risk does not depend on, such as the blocks cluster
-    embedding gives a bridge agent (see `embedded`). One sample consumes
-    rank + 1 standard normal draws from the supplied generator, which
-    keeps paired runs noise-for-noise identical.
+    embedding gives a bridge agent (see `embedded`). The oracle holds the
+    risk and its exact gradient; the engine draws the samples of h and of
+    the noise (`engine._RiskGradients`).
     """
 
     basis: np.ndarray  # orthonormal columns
@@ -155,12 +143,6 @@ class QuadraticRiskOracle:
     def covariance(self) -> np.ndarray:
         return self._covariance
 
-    def stochastic_gradient(self, zeta: np.ndarray, rng) -> np.ndarray:
-        draws = rng.standard_normal(self.rank + 1)
-        h = self._scaled_basis @ draws[: self.rank]
-        y = h @ self.w_ref + self.noise_std * draws[self.rank]
-        return 2.0 * (h @ zeta - y) * h
-
     def true_gradient(self, w: np.ndarray) -> np.ndarray:
         if w.shape != self.w_ref.shape:
             raise DimensionMismatch(f"expected dim {self.dim}, got {w.shape}")
@@ -173,7 +155,7 @@ class QuadraticRiskOracle:
     def embedded(self, positions, dim: int) -> "QuadraticRiskOracle":
         """The same risk on a dim-vector whose `positions` hold this oracle's
         coordinates; the other coordinates get zero basis rows, so they cost
-        nothing, and a sample still draws rank + 1 normals."""
+        nothing and the rank does not change."""
         basis, w_ref = np.zeros((dim, self.rank)), np.zeros(dim)
         basis[positions], w_ref[positions] = self.basis, self.w_ref
         return QuadraticRiskOracle(basis, self.spectrum, w_ref, self.noise_std)

@@ -121,10 +121,6 @@ class ClusterMap:
     _flat_cluster_idx: tuple = field(repr=False, default=())
 
     @property
-    def agent_count(self) -> int:
-        return len(self.agent_blocks)
-
-    @property
     def total_local_dim(self) -> int:
         return sum(self.local_dims)
 

@@ -78,8 +78,7 @@ def averaging_weights(cmap: ClusterMap, net: NetworkSpec, block: int) -> Combina
 
 
 def _finish(block, agents, a) -> CombinationMatrix:
-    r = perron_vector(a)
-    lam2 = second_eigenvalue_magnitude(a)
+    r, lam2 = perron_vector(a)
     return CombinationMatrix(block=block, agents=agents, matrix=a, perron=r, lambda2=lam2)
 
 
@@ -102,8 +101,9 @@ def _unit_eigenpair(a: np.ndarray, vectors: bool):
     return (None if vecs is None else vecs[:, unit]), lam2
 
 
-def perron_vector(a: np.ndarray) -> np.ndarray:
-    """Positive unit-sum right eigenvector of a left-stochastic matrix at 1.
+def perron_vector(a: np.ndarray) -> tuple[np.ndarray, float]:
+    """Positive unit-sum right eigenvector of a left-stochastic matrix at 1,
+    and the second-eigenvalue magnitude, from one eigendecomposition.
 
     The eigenvector of the eigenvalue nearest one, divided by its sum,
     which also removes its complex phase. Raises NotPrimitive for reducible
@@ -111,14 +111,14 @@ def perron_vector(a: np.ndarray) -> np.ndarray:
     PERRON_RESIDUAL_TOL.
     """
     a = np.asarray(a, dtype=float)
-    vec, _ = _unit_eigenpair(a, vectors=True)
+    vec, lam2 = _unit_eigenpair(a, vectors=True)
     with np.errstate(divide="ignore", invalid="ignore"):
         x = (vec / vec.sum()).real
     if not np.all(x > 0):
         raise NotPrimitive("Perron vector has non-positive entries")
     if np.max(np.abs(a @ x - x)) > PERRON_RESIDUAL_TOL:
         raise NotPrimitive("eigenvector residual too large")
-    return x
+    return x, lam2
 
 
 def second_eigenvalue_magnitude(a: np.ndarray) -> float:

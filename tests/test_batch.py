@@ -22,7 +22,6 @@ from coupled_diffusion.errors import ConfigError, NonFiniteIterate
 from coupled_diffusion.harness import (
     NetworkDescription,
     build_problem,
-    generate_benchmark_problem,
     load_network,
     regenerate_constraints,
 )
@@ -30,7 +29,6 @@ from coupled_diffusion.metrics import (
     MetricsLog,
     column_references,
     disagreement,
-    msd,
     reference_solution,
 )
 from coupled_diffusion.objective import MultiAgentProblem, QuadraticRiskOracle, inequality
@@ -41,8 +39,10 @@ from reference import (
     admm_linearized_step,
     centralized_step,
     coupled_diffusion_step,
+    generate_benchmark_problem,
     init_admm_state,
     init_state,
+    msd,
 )
 
 SEEDS = (11, 12, 13)

@@ -3,7 +3,7 @@ import pytest
 
 from coupled_diffusion.engine import EngineConfig, init_batch, suggest_step_size
 from coupled_diffusion.errors import NonFiniteIterate
-from coupled_diffusion.metrics import disagreement, msd, penalized_optimum, reference_solution
+from coupled_diffusion.metrics import disagreement, penalized_optimum, reference_solution
 from coupled_diffusion.objective import (
     MultiAgentProblem,
     PenaltyConfig,
@@ -22,6 +22,7 @@ from reference import (
     coupled_diffusion_step,
     init_admm_state,
     init_state,
+    msd,
 )
 
 

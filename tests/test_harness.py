@@ -17,12 +17,12 @@ from coupled_diffusion.harness import (
     ScenarioConfig,
     config_from_dict,
     emit_results,
-    generate_benchmark_problem,
     load_network,
     run_scenario,
     steady_state,
 )
 from conftest import assert_bridge_oracles_draw_like_their_inner_oracle
+from reference import generate_benchmark_problem
 
 
 def test_config_validation_errors():
@@ -34,6 +34,10 @@ def test_config_validation_errors():
         ScenarioConfig(scenario="tracking")  # needs change_point
     with pytest.raises(ConfigError):
         ScenarioConfig(scenario="tracking", change_point=500, iterations=100)
+    with pytest.raises(ConfigError):  # only tracking has a change point
+        ScenarioConfig(scenario="constrained", change_point=20, iterations=100)
+    with pytest.raises(ConfigError):  # tracking redraws its constraints
+        ScenarioConfig(scenario="tracking", change_point=20, iterations=100, constrained=False)
     with pytest.raises(ConfigError):
         ScenarioConfig(scenario="unconstrained", mu_list=())
     with pytest.raises(ConfigError):
@@ -217,7 +221,7 @@ def test_result_rows_structure():
     cfg = _small_cfg()
     table = run_scenario(cfg)
     per_seed = [r for r in table.rows if r[3] != "mean"]
-    means = table.mean_rows()
+    means = [r for r in table.rows if r[3] == "mean"]
     # 30 logged iterations per run, 2 seeds, plus 30 mean rows
     assert len(per_seed) == 60 and len(means) == 30
     assert all(r[0] == "unconstrained" for r in table.rows)
@@ -232,7 +236,7 @@ def test_smaller_mu_gives_lower_steady_msd():
     table = run_scenario(cfg)
 
     def steady_of(mu):
-        vals = [10 ** (r[5] / 10) for r in table.mean_rows() if r[1] == mu]
+        vals = [10 ** (r[5] / 10) for r in table.rows if r[3] == "mean" and r[1] == mu]
         return steady_state(vals)
 
     assert steady_of(0.001) < steady_of(0.004)
@@ -265,7 +269,7 @@ def test_tracking_scenario_shows_jump():
         iterations=700, seeds=(0, 1), change_point=400, log_every=10,
     )
     table = run_scenario(cfg)
-    means = {r[4]: 10 ** (r[5] / 10) for r in table.mean_rows()}
+    means = {r[4]: 10 ** (r[5] / 10) for r in table.rows if r[3] == "mean"}
     assert means[410] > 3 * means[400]  # constraint regeneration bumps the MSD
     assert means[700] < 0.5 * means[410]  # and the algorithm re-converges
 
@@ -426,12 +430,27 @@ def test_cli_subprocess_smoke(tmp_path):
     assert (tmp_path / "sp" / "unconstrained.csv").exists()
 
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
+
+
+@pytest.mark.parametrize("config", sorted(p.name for p in (ROOT / "configs").glob("*.yaml")))
+def test_readme_command_runs(tmp_path, capsys, config):
+    """The README's command for each shipped config, with one seed and
+    the fewest iterations that pass its change point."""
+    command = f"coupled-diffusion run --config configs/{config} --out results"
+    assert command in (ROOT / "README.md").read_text().splitlines()
+    raw = yaml.safe_load((ROOT / "configs" / config).read_text())
+    iters = raw["scenario"].get("change_point", 0) + 20
+    assert cli_main(["run", "--config", str(ROOT / "configs" / config), "--out", str(tmp_path),
+                     "--seeds", "0", "--iters", str(iters)]) == 0
+    rows = Path(capsys.readouterr().out.strip()).read_text().splitlines()[1:]
+    assert rows and {row.split(",")[0] for row in rows} == {raw["scenario"]["id"]}
 
 
 @pytest.mark.parametrize("script", sorted(p.name for p in SCRIPTS.glob("*.py")))
 def test_script_help(script):
-    """Each experiment driver imports its names from the package top level."""
+    """Each script imports what it needs and prints its help."""
     res = subprocess.run([sys.executable, str(SCRIPTS / script), "--help"],
                          capture_output=True, text=True)
     assert res.returncode == 0, res.stderr

@@ -5,7 +5,6 @@ from coupled_diffusion.metrics import (
     constrained_optimum,
     disagreement,
     empirical_rate,
-    msd,
     penalized_optimum,
     reference_solution,
 )
@@ -17,11 +16,11 @@ from coupled_diffusion.errors import (
     SingularSystem,
     WindowTooShort,
 )
-from coupled_diffusion.harness import generate_benchmark_problem
 from coupled_diffusion.metrics import db
 from coupled_diffusion.objective import ConstraintSpec, QuadraticRiskOracle
 
 from conftest import single_agent_problem
+from reference import generate_benchmark_problem, msd
 
 
 def _pair_cmap():

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coupled_diffusion.errors import DisconnectedCluster, NotPrimitive
-from coupled_diffusion.harness import NetworkDescription, build_problem, generate_benchmark_problem
+from coupled_diffusion.harness import NetworkDescription, build_problem
 from coupled_diffusion.topology import BlockLayout, NetworkSpec, build_clusters
 from coupled_diffusion.weights import (
     averaging_weights,
@@ -13,6 +13,8 @@ from coupled_diffusion.weights import (
     second_eigenvalue_magnitude,
     step_scaling,
 )
+
+from reference import generate_benchmark_problem
 
 
 def _one_cluster(n, edges):
@@ -66,9 +68,10 @@ def test_disconnected_cluster_rejected():
 
 
 def test_perron_examples():
-    assert np.array_equal(perron_vector(np.array([[1.0]])), [1.0])
+    r, lam2 = perron_vector(np.array([[1.0]]))
+    assert np.array_equal(r, [1.0]) and lam2 == 0.0
     m = np.array([[0.5, 0.5], [0.5, 0.5]])
-    assert np.allclose(perron_vector(m), [0.5, 0.5], atol=1e-14)
+    assert np.allclose(perron_vector(m)[0], [0.5, 0.5], atol=1e-14)
 
 
 def test_perron_rejects_periodic():
@@ -87,14 +90,17 @@ def _power_iteration(a, steps=20000):
 
 def test_perron_matches_long_power_iteration(bridge_net):
     """Every Metropolis and averaging matrix of benchmark20 and of the
-    bridged five-agent network (whose split clusters are embedded first)."""
+    bridged five-agent network (whose split clusters are embedded first);
+    the second-eigenvalue magnitude that comes with the vector is the one
+    the eigenvalues alone give."""
     bridged = build_problem(NetworkDescription(net=bridge_net, layout=BlockLayout((2, 3, 2, 1))), 4)
     checked = 0
     for problem in (generate_benchmark_problem(7), bridged):
         for make in (metropolis_weights, averaging_weights):
             for l in range(problem.layout.block_count):
                 a = make(problem.cmap, problem.net, l).matrix
-                r = perron_vector(a)
+                r, lam2 = perron_vector(a)
+                assert lam2 == second_eigenvalue_magnitude(a)
                 assert np.max(np.abs(r - _power_iteration(a))) <= 1e-12
                 assert np.max(np.abs(a @ r - r)) <= 1e-14
                 checked += 1
