@@ -54,8 +54,8 @@ class EngineConfig:
             raise ConfigError("eta must be non-negative and finite")
         if not 0 < self.rho_admm < np.inf:
             raise ConfigError("rho_admm must be positive and finite")
-        if self.iterations < 1:
-            raise ConfigError("iteration budget must be at least 1")
+        if not 1 <= self.iterations < 2**63:  # the int64 range, as for seeds
+            raise ConfigError("iteration budget must lie in [1, 2**63)")
         if self.noise not in NOISE_MODES:
             raise ConfigError(f"unknown noise mode {self.noise!r}")
         if self.algorithm not in ALGORITHMS:
@@ -259,11 +259,8 @@ class _Batch:
     def set_constraints(self, problem: MultiAgentProblem):
         """Swap in the constraints of `problem` (same network and oracles)
         for every column: their lifted rows (G, b), or None when the
-        penalty step is void."""
-        for cons in problem.constraints:
-            for c in cons:
-                if c.kind != "equality" or c.coeffs is None:
-                    raise ConfigError("the batched engine supports affine equality constraints only")
+        penalty step is void. `constraint_system` rejects any constraint
+        but an affine equality."""
         g, b = problem.constraint_system(flat=True)
         eta = any(cfg.eta != 0.0 for cfg in self.cfgs)
         self._rows = (g, b[:, None]) if eta and b.size else None

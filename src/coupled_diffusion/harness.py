@@ -95,7 +95,8 @@ def load_network(source: str, block_dims=None) -> NetworkDescription:
 def _integer(value, name: str) -> int:
     """`value` as an int; anything without an integral value is a ConfigError."""
     try:
-        if isinstance(value, bool) or float(value) != int(value):
+        # is_integer, not float(value) == int(value): an int above 2**53 has no exact float
+        if isinstance(value, bool) or not float(value).is_integer():
             raise ValueError
         return int(value)
     except (TypeError, ValueError, OverflowError):

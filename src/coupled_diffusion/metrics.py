@@ -9,6 +9,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import (
+    ConfigError,
     InfeasibleConstraints,
     NonDecreasingMSD,
     SimulationError,
@@ -25,11 +26,10 @@ STATIONARITY_TOL = 1e-8
 
 @dataclass(frozen=True)
 class ReferenceSolution:
-    """Penalized optimum, constrained optimum, and how they were obtained."""
+    """Penalized optimum w*(eta) and constrained optimum w_o of a problem."""
 
     w_star: np.ndarray
     w_o: np.ndarray
-    provenance: str  # "closed-form" | "iterative"
 
 
 def db(x: float) -> float:
@@ -64,34 +64,28 @@ def disagreement(w_flat: np.ndarray, cmap: ClusterMap) -> np.ndarray:
 
 
 def _quadratic_pieces(problem: MultiAgentProblem):
-    """(H, f, G, b) of the global quadratic program, or None when some
-    constraint is not an affine equality."""
-    if any(c.kind != "equality" for cons in problem.constraints for c in cons):
-        return None
-    hess, lin = problem.global_risk_quadratic()
-    g, b = problem.constraint_system()
-    return hess, lin, g, b
+    """(H, f, G, b) of the global quadratic program; `constraint_system`
+    rejects any constraint but an affine equality."""
+    return problem.global_risk_quadratic() + problem.constraint_system()
 
 
 def penalized_optimum(problem: MultiAgentProblem, eta: float) -> np.ndarray:
-    """Minimizer of the aggregate risk plus eta-weighted penalties.
-
-    Affine equality penalties on the quadratic risks admit the closed form
-    (H + 2 eta G'G) w = f + 2 eta G'b; inequality penalties fall back to
-    exact deterministic gradient descent.
-    """
+    """Minimizer of the aggregate risk plus eta-weighted penalties, from the
+    closed form (H + 2 eta G'G) w = f + 2 eta G'b."""
     return _penalized_optimum(problem, eta, _quadratic_pieces(problem))
 
 
 def _penalized_optimum(problem: MultiAgentProblem, eta: float, pieces) -> np.ndarray:
-    if pieces is not None:
-        hess, lin, g, b = pieces
+    hess, lin, g, b = pieces
+    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
         a = hess + 2.0 * eta * g.T @ g
-        if float(np.linalg.eigvalsh(a)[0]) <= MIN_EIG:
-            raise SingularSystem("penalized Hessian is not positive definite")
-        w = np.linalg.solve(a, lin + 2.0 * eta * g.T @ b)
-    else:
-        w = _descend_penalized(problem, eta)
+        rhs = lin + 2.0 * eta * g.T @ b
+    if not (np.isfinite(a).all() and np.isfinite(rhs).all()):
+        raise ConfigError(f"eta {eta!r} is too large: the penalized Hessian overflows")
+    if float(np.linalg.eigvalsh(a)[0]) <= MIN_EIG:
+        raise SingularSystem("penalized Hessian is not positive definite")
+    w = np.linalg.solve(a, rhs)
+    # checked against the per-agent oracles, not the (H, G) the solve used
     grad0 = problem.global_risk_gradient(np.zeros_like(w)) + eta * problem.global_penalty_gradient(
         np.zeros_like(w)
     )
@@ -102,32 +96,9 @@ def _penalized_optimum(problem: MultiAgentProblem, eta: float, pieces) -> np.nda
     return w
 
 
-def _descend_penalized(problem: MultiAgentProblem, eta: float, tol: float = 1e-10,
-                       max_iter: int = 2_000_000) -> np.ndarray:
-    hess, _ = problem.global_risk_quadratic()
-    lipschitz = float(np.linalg.eigvalsh(hess)[-1]) + eta * max(
-        problem.penalty_lipschitz(), 1e-12
-    ) * problem.agent_count
-    step = 1.0 / lipschitz
-    w = np.zeros(problem.layout.total_dim)
-    g0 = None
-    for _ in range(max_iter):
-        grad = problem.global_risk_gradient(w) + eta * problem.global_penalty_gradient(w)
-        norm = np.linalg.norm(grad)
-        if g0 is None:
-            g0 = norm
-        if norm <= tol * (1.0 + g0):
-            return w
-        w -= step * grad
-    raise SimulationError("gradient descent for the penalized optimum did not converge")
-
-
 def constrained_optimum(problem: MultiAgentProblem) -> np.ndarray:
     """Solution of the equality-constrained quadratic program via its KKT system."""
-    pieces = _quadratic_pieces(problem)
-    if pieces is None:
-        raise ValueError("constrained_optimum needs quadratic risks and affine equalities")
-    return _kkt_solve(*pieces)
+    return _kkt_solve(*_quadratic_pieces(problem))
 
 
 def _kkt_solve(hess, lin, g, b) -> np.ndarray:
@@ -157,20 +128,11 @@ def _kkt_solve(hess, lin, g, b) -> np.ndarray:
 
 
 def reference_solution(problem: MultiAgentProblem, eta: float) -> ReferenceSolution:
-    """Both reference optima for a problem, for metric logging.
-
-    With inequality constraints the constrained optimum has no closed form
-    here; the penalized optimum then stands in for both references
-    (provenance "iterative").
-    """
+    """Both reference optima for a problem, for metric logging: the penalized
+    one in closed form and the constrained one from its KKT system."""
     pieces = _quadratic_pieces(problem)
-    w_star = _penalized_optimum(problem, eta, pieces)
-    w_o = _kkt_solve(*pieces) if pieces is not None else w_star
-    return ReferenceSolution(
-        w_star=w_star,
-        w_o=w_o,
-        provenance="closed-form" if pieces is not None else "iterative",
-    )
+    return ReferenceSolution(w_star=_penalized_optimum(problem, eta, pieces),
+                             w_o=_kkt_solve(*pieces))
 
 
 def column_references(cmap: ClusterMap, refs, seeds: int) -> tuple[np.ndarray, np.ndarray]:

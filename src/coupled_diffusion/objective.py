@@ -8,7 +8,7 @@ single evaluation serves multiple eta values in sweeps.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -50,32 +50,20 @@ def ip_penalty(x, rho: float):
 
 @dataclass(frozen=True)
 class ConstraintSpec:
-    """One local constraint h(w_k)=0 or g(w_k)<=0 owned by a single agent.
-
-    Affine constraints store (coeffs, offset) for c'w - b. General convex
-    inequalities may instead supply fn(w) -> (value, gradient).
-    """
+    """One local affine constraint c'w_k - b = 0 or <= 0 owned by a single
+    agent. Only equalities run: `MultiAgentProblem.constraint_system`
+    rejects any other kind."""
 
     kind: str  # "equality" | "inequality"
     owner: int
-    coeffs: Optional[np.ndarray] = None
+    coeffs: np.ndarray
     offset: float = 0.0
-    fn: Optional[Callable[[np.ndarray], tuple[float, np.ndarray]]] = None
 
     def __post_init__(self):
-        if self.kind not in ("equality", "inequality"):
-            raise ValueError(f"unknown constraint kind {self.kind!r}")
-        if self.kind == "equality" and self.fn is not None:
-            raise ValueError("equality constraints must be affine")
-        if (self.coeffs is None) == (self.fn is None):
-            raise ValueError("provide exactly one of coeffs or fn")
-        if self.coeffs is not None:
-            object.__setattr__(self, "coeffs", np.asarray(self.coeffs, dtype=float))
+        object.__setattr__(self, "coeffs", np.asarray(self.coeffs, dtype=float))
 
     def evaluate(self, w: np.ndarray) -> tuple[float, np.ndarray]:
         """Constraint value and gradient at w."""
-        if self.fn is not None:
-            return self.fn(w)
         if self.coeffs.shape != w.shape:
             raise DimensionMismatch(
                 f"constraint expects dim {self.coeffs.shape[0]}, got {w.shape[0]}"
@@ -87,17 +75,11 @@ def equality(owner: int, coeffs, offset: float) -> ConstraintSpec:
     return ConstraintSpec(kind="equality", owner=owner, coeffs=coeffs, offset=offset)
 
 
-def inequality(owner: int, coeffs, offset: float) -> ConstraintSpec:
-    return ConstraintSpec(kind="inequality", owner=owner, coeffs=coeffs, offset=offset)
-
-
 def penalty_gradient(constraints, w: np.ndarray, cfg: PenaltyConfig) -> np.ndarray:
     """Gradient of the summed penalty at w (without the eta factor)."""
     grad = np.zeros_like(np.asarray(w, dtype=float))
     for c in constraints:
         val, cgrad = c.evaluate(w)
-        if cgrad.shape != grad.shape:
-            raise DimensionMismatch("constraint gradient has wrong dimension")
         if c.kind == "equality":
             grad += float(ep_penalty(val)[1]) * cgrad
         else:
@@ -237,7 +219,10 @@ class MultiAgentProblem:
 
     def constraint_system(self, flat: bool = False) -> tuple[np.ndarray, np.ndarray]:
         """Lifted equality constraints G w = b, one row per constraint, on the
-        global vector or, with `flat`, on the flat layout of local copies."""
+        global vector or, with `flat`, on the flat layout of local copies.
+
+        Every run path and reference solve takes its constraints from here,
+        so this is where any kind but an affine equality is rejected."""
         cmap = self.cmap
         width = cmap.total_local_dim if flat else self.layout.total_dim
         rows, rhs = [], []
@@ -245,7 +230,8 @@ class MultiAgentProblem:
             index = cmap.flat_slice(k) if flat else cmap.global_indices(k)
             for c in cons:
                 if c.kind != "equality":
-                    continue
+                    raise ConfigError(f"agent {k} has a constraint of kind {c.kind!r}; only "
+                                      "affine equality constraints are supported")
                 row = np.zeros(width)
                 row[index] = c.coeffs
                 rows.append(row)
@@ -261,7 +247,7 @@ class MultiAgentProblem:
         """Gradient-Lipschitz bound for the affine-constraint penalties."""
         worst = 0.0
         for cons in self.constraints:
-            total = sum(2.0 * float(c.coeffs @ c.coeffs) for c in cons if c.coeffs is not None)
+            total = sum(2.0 * float(c.coeffs @ c.coeffs) for c in cons)
             worst = max(worst, total)
         return worst
 

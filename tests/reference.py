@@ -16,6 +16,7 @@ from coupled_diffusion.engine import DIVERGENCE_NORM, EngineConfig, agent_stream
 from coupled_diffusion.errors import NonFiniteIterate
 from coupled_diffusion.harness import build_problem, load_network
 from coupled_diffusion.objective import (
+    ConstraintSpec,
     MultiAgentProblem,
     PenaltyConfig,
     QuadraticRiskOracle,
@@ -40,6 +41,12 @@ def stochastic_gradient(oracle: QuadraticRiskOracle, zeta: np.ndarray, rng) -> n
     h = oracle._scaled_basis @ draws[: oracle.rank]
     y = h @ oracle.w_ref + oracle.noise_std * draws[oracle.rank]
     return 2.0 * (h @ zeta - y) * h
+
+
+def inequality(owner: int, coeffs, offset: float) -> ConstraintSpec:
+    """An affine inequality c'w - b <= 0: its penalty and gradient are
+    checked here, but no run path or reference solve accepts it."""
+    return ConstraintSpec(kind="inequality", owner=owner, coeffs=coeffs, offset=offset)
 
 
 def penalty_value(constraints, w: np.ndarray, cfg: PenaltyConfig) -> float:

@@ -28,10 +28,12 @@ from coupled_diffusion.harness import (
 from coupled_diffusion.metrics import (
     MetricsLog,
     column_references,
+    constrained_optimum,
     disagreement,
+    penalized_optimum,
     reference_solution,
 )
-from coupled_diffusion.objective import MultiAgentProblem, QuadraticRiskOracle, inequality
+from coupled_diffusion.objective import MultiAgentProblem, QuadraticRiskOracle
 from coupled_diffusion.topology import BlockLayout
 from coupled_diffusion.weights import averaging_weights, metropolis_weights, step_scaling
 from conftest import assert_bridge_oracles_draw_like_their_inner_oracle
@@ -40,6 +42,7 @@ from reference import (
     centralized_step,
     coupled_diffusion_step,
     generate_benchmark_problem,
+    inequality,
     init_admm_state,
     init_state,
     msd,
@@ -300,6 +303,27 @@ def test_batch_rejects_unsupported_problems(constrained):
     with pytest.raises(ConfigError):
         init_batch(constrained, weights, scaling,
                    EngineConfig(mu=0.001, eta=1.0, algorithm="admm"), SEEDS)
+
+
+GATED = {  # every solve and engine set-up reaches constraint_system
+    "constraint_system": lambda p, w, s: p.constraint_system(flat=True),
+    "reference_solution": lambda p, w, s: reference_solution(p, 10.0),
+    "penalized_optimum": lambda p, w, s: penalized_optimum(p, 10.0),
+    "constrained_optimum": lambda p, w, s: constrained_optimum(p),
+    "init_batch": lambda p, w, s: init_batch(p, w, s, EngineConfig(mu=0.001), SEEDS),
+}
+
+
+@pytest.mark.parametrize("kind", ["inequality", "equalty"])
+@pytest.mark.parametrize("call", sorted(GATED))
+def test_non_equality_constraints_are_rejected_at_the_one_gate(constrained, call, kind):
+    weights, scaling = _weights(constrained)
+    c = inequality(3, np.ones(constrained.cmap.local_dims[3]), 0.5)
+    cons = list(constrained.constraints)
+    cons[3] = cons[3] + (dataclasses.replace(c, kind=kind),)
+    problem = dataclasses.replace(constrained, constraints=tuple(cons))
+    with pytest.raises(ConfigError, match=f"agent 3 has a constraint of kind '{kind}'"):
+        GATED[call](problem, weights, scaling)
 
 
 def test_batch_divergence_names_iteration_agent_and_seed(constrained):

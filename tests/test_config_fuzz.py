@@ -111,6 +111,9 @@ def configs(draw):
 @example(raw={"network": {"source": "example5"}, "objective": {"problem_seed": 0, "constrained": True},
               "penalty": {"eta": 1e300}, "engine": {"iterations": 2},
               "scenario": {"id": "custom", "seeds": [0]}})
+@example(raw={"network": {"source": "benchmark20"}, "objective": {"constrained": True},
+              "penalty": {"eta": [1e308]}, "engine": {"iterations": 2},
+              "scenario": {"id": "custom", "seeds": [0]}})
 @settings(max_examples=100, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 def test_fuzzed_config_runs_or_fails_with_one_error_line(raw):

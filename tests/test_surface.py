@@ -4,7 +4,9 @@ Every public function and method defined in `src/` is named somewhere in
 `src/`, `benchmarks/` or `scripts/` besides its definition; code that
 only the tests call lives beside the reference in `tests/reference.py`.
 Matching is by name: as a variable, an attribute, an import, or a part
-of a dotted-name string (the benchmark tracer names its call sites so).
+of a dotted-name string such as "objective.penalty_gradient" (the
+benchmark tracer names its call sites so). A string without a dot is
+data, not a use: the kind name "equality" does not name `equality`.
 """
 
 import ast
@@ -12,7 +14,7 @@ import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
+DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)+")
 KEPT = {  # public, named nowhere outside the tests, and kept on purpose
     "risk": "criterion 3 calls QuadraticRiskOracle.risk as a method; criterion bodies "
             "do not change",
