@@ -7,12 +7,14 @@ variates do not depend on the order in which agents or seeds are
 processed.
 
 Each algorithm is written once, in network form (`init_batch`): one
-state of local copies in the flat layout advances every (mu, eta, seed)
-of a grid at once, one column per grid point and seed, and every
-iteration is a fixed handful of array operations whatever the number of
-agents, points or seeds. The grid points differ only in their step
-vectors; they share the draws of each seed, so one noise refill serves
-all of them. The centralized baseline runs on local copies too and keeps
+state of local copies in the flat layout, (n_flat, P S), advances every
+(mu, eta, seed) of a grid at once, one column per grid point and seed,
+and every iteration is a fixed handful of array operations whatever the
+number of agents, points or seeds. The metrics read that state as it is
+stored. Coupled diffusion derives its step scalings 1/r_l(k) from the
+combination weights. The grid points differ only in their step vectors;
+they share the draws of each seed, so one noise refill serves all of
+them. The centralized baseline runs on local copies too and keeps
 every copy of a block at the global value. The per-agent form that
 follows the equations agent by agent lives in `tests/reference.py`,
 which the tests hold this engine to draw for draw.
@@ -32,6 +34,7 @@ import numpy as np
 from .errors import ConfigError, NonFiniteIterate
 from .objective import MultiAgentProblem, QuadraticRiskOracle
 from .topology import ClusterMap
+from .weights import step_scaling
 
 DIVERGENCE_NORM = 1e9
 ALGORITHMS = ("coupled", "centralized", "admm")
@@ -76,15 +79,6 @@ def agent_streams(seed: int, agent_count: int) -> list:
         np.random.Generator(np.random.Philox(key=[int(seed), int(agent)]))
         for agent in range(agent_count)
     ]
-
-
-def _exact_local_gradients(problem: MultiAgentProblem, w: np.ndarray) -> np.ndarray:
-    """Every agent's exact risk gradient at its copies in the flat vector w."""
-    grad = np.empty_like(w)
-    for k, oracle in enumerate(problem.oracles):
-        sl = problem.cmap.flat_slice(k)
-        grad[sl] = oracle.true_gradient(w[sl])
-    return grad
 
 
 # Pre-drawn noise per refill, all seeds and agents together. A chunk covers
@@ -222,15 +216,16 @@ def _penalty_gradient(rows, w: np.ndarray) -> np.ndarray:
 
 class _Batch:
     """Common part of the batched engines: set-up, the divergence check,
-    and the `step` / `view` / `set_constraints` interface.
+    and the `step` / `set_constraints` interface.
 
-    The state `w` holds the local copies in the flat layout, stored
-    seeds-last, (n_flat, P S): column p S + s is grid point p's run of
-    seed s, so each point's seeds form one contiguous slice, and each
+    The state `w` holds the local copies in the flat layout, (n_flat, P S),
+    the one layout that the engine, the divergence check and the metrics
+    (`metrics.MetricsLog`) all read: column p S + s is grid point p's run
+    of seed s, so each point's seeds form one contiguous slice, and each
     agent's coordinates are contiguous across columns for the batched
-    matrix products. `view()` returns them as (P S, n_flat), one row per
-    column. Every operation acts on each column on its own, so a column
-    that diverges leaves the others as they would be in a run without it.
+    matrix products. Every operation acts on each column on its own, so a
+    column that diverges leaves the others as they would be in a run
+    without it.
     """
 
     def __init__(self, problem: MultiAgentProblem, cfgs, seeds):
@@ -249,12 +244,9 @@ class _Batch:
     def _start(self, init_global) -> np.ndarray:
         """Initial (n_flat, P S) state: zeros, or every copy gathered from
         the point's init_global, for every seed."""
-        w = np.zeros((self.cmap.total_local_dim, len(self.cfgs) * len(self.seeds)))
-        if init_global is not None:
-            starts = np.broadcast_to(np.asarray(init_global, dtype=float),
-                                     (len(self.cfgs), self.cmap.layout.total_dim))
-            w[:] = np.repeat(starts[:, self.cmap.flat_global_indices].T, len(self.seeds), axis=1)
-        return w
+        start = 0.0 if init_global is None else np.asarray(init_global, dtype=float)
+        starts = np.broadcast_to(start, (len(self.cfgs), self.cmap.layout.total_dim))
+        return self.cmap.columns(starts, len(self.seeds))
 
     def set_constraints(self, problem: MultiAgentProblem):
         """Swap in the constraints of `problem` (same network and oracles)
@@ -264,9 +256,6 @@ class _Batch:
         g, b = problem.constraint_system(flat=True)
         eta = any(cfg.eta != 0.0 for cfg in self.cfgs)
         self._rows = (g, b[:, None]) if eta and b.size else None
-
-    def view(self) -> np.ndarray:
-        return self.w.T
 
     def _advance(self):
         raise NotImplementedError
@@ -283,7 +272,7 @@ class _Batch:
         """
         self._advance()
         self.iteration += 1
-        size = np.abs(self.view())
+        size = np.abs(self.w)
         if not size.max() <= DIVERGENCE_NORM:  # also catches NaN
             self._note_divergence(~(size <= DIVERGENCE_NORM))
         if self._diverged and (0 in self._diverged or self.iteration >= self.cfgs[0].iterations):
@@ -292,10 +281,10 @@ class _Batch:
     def _note_divergence(self, bad: np.ndarray):
         n_seeds = len(self.seeds)
         for p in range(len(self.cfgs)):
-            cols = bad[p * n_seeds:(p + 1) * n_seeds]
+            cols = bad[:, p * n_seeds:(p + 1) * n_seeds]
             if p in self._diverged or not cols.any():
                 continue
-            seed, entry = np.argwhere(cols)[0]
+            seed, entry = np.argwhere(cols.T)[0]  # the lowest seed first
             agent = int(np.searchsorted(self.cmap.agent_starts, entry, side="right")) - 1
             self._diverged[p] = NonFiniteIterate(
                 self.iteration, agent,
@@ -307,9 +296,10 @@ class _Batch:
 class CoupledBatch(_Batch):
     """Coupled diffusion: penalty step, risk step, per-block combination."""
 
-    def __init__(self, problem, weights, scaling: np.ndarray, cfgs, seeds, init_global=None):
+    def __init__(self, problem, weights, cfgs, seeds, init_global=None):
         super().__init__(problem, cfgs, seeds)
         self._mix = _ClusterMix(self.cmap, {l: m.matrix for l, m in weights.items()})
+        scaling = step_scaling(self.cmap, weights)
         self._risk_step = scaling[:, None] * self._columns([c.mu for c in cfgs])
         self._penalty_step = scaling[:, None] * self._columns([c.mu * c.eta for c in cfgs])
         self.w = self._start(init_global)
@@ -325,7 +315,7 @@ class AdmmBatch(_Batch):
     """Gradient-linearized consensus; the cluster mean is the combination
     with weights 1/N_l, and z is kept as every member's copy of it."""
 
-    def __init__(self, problem, weights, scaling, cfgs, seeds, init_global=None):
+    def __init__(self, problem, weights, cfgs, seeds, init_global=None):
         super().__init__(problem, cfgs, seeds)
         self._mean = _ClusterMix(
             self.cmap, [np.full((len(c), len(c)), 1.0 / len(c)) for c in self.cmap.clusters]
@@ -333,12 +323,11 @@ class AdmmBatch(_Batch):
         self._mu = self._columns([c.mu for c in cfgs])
         self.w = self._start(init_global)
         self.z = self.w.copy()
-        self.y = np.zeros_like(self.w)
-        if init_global is not None:  # warm start: y_k = -grad J_k(w_k), z = init_global
-            n_seeds = len(self.seeds)
-            for p in range(len(cfgs)):
-                grad = _exact_local_gradients(problem, self.w[:, p * n_seeds])
-                self.y[:, p * n_seeds:(p + 1) * n_seeds] = -grad[:, None]
+        if init_global is None:
+            self.y = np.zeros_like(self.w)
+        else:  # warm start: y_k = -grad J_k(w_k), z = init_global
+            exact = dataclasses.replace(cfgs[0], noise="exact")
+            self.y = -_RiskGradients(problem, self.seeds, exact, len(cfgs))(self.w)
 
     def _advance(self):
         rho = self.cfgs[0].rho_admm
@@ -355,7 +344,7 @@ class CentralizedBatch(_Batch):
     value, because the agents' flat penalty and risk gradients are summed
     over each cluster and the sum is applied to every copy."""
 
-    def __init__(self, problem, weights, scaling, cfgs, seeds, init_global=None):
+    def __init__(self, problem, weights, cfgs, seeds, init_global=None):
         super().__init__(problem, cfgs, seeds)
         cmap = self.cmap
         d_vec = cmap.inverse_cluster_sizes()[:, None]
@@ -374,21 +363,20 @@ class CentralizedBatch(_Batch):
 _BATCHES = {"coupled": CoupledBatch, "admm": AdmmBatch, "centralized": CentralizedBatch}
 
 
-def init_batch(problem: MultiAgentProblem, weights, scaling: np.ndarray, cfgs,
-               seeds, init_global=None) -> _Batch:
+def init_batch(problem: MultiAgentProblem, weights, cfgs, seeds, init_global=None) -> _Batch:
     """Batched engine for a grid of (mu, eta) points over all `seeds` at once.
 
     `cfgs` is one EngineConfig, a grid of one, or a sequence of them that
     differ only in `mu` and `eta`; anything else is a ConfigError. Every
     point runs every seed, in column p S + s, and seed s draws from
     `agent_streams(s, N)` for every point, as the per-agent reference in
-    the tests does. `weights` maps each block to its CombinationMatrix
-    and `scaling` is the flat vector of step scalings from
-    `weights.step_scaling`. Local copies start at zero or gathered from
-    `init_global`: one global vector for every point, or a (P, dim)
-    array of one per point. An admm warm start also sets each dual y_k
-    to -grad J_k(w_k), once per point, so that an exact-gradient run
-    started at a stationary point stays there.
+    the tests does. `weights` maps each block to its CombinationMatrix;
+    coupled diffusion derives its step scalings 1/r_l(k) from their
+    Perron vectors (`weights.step_scaling`). Local copies start at zero
+    or gathered from `init_global`: one global vector for every point,
+    or a (P, dim) array of one per point. An admm warm start also sets
+    each dual y_k to -grad J_k(w_k), the exact gradient at the start, so
+    that an exact-gradient run started at a stationary point stays there.
     """
     cfgs = (cfgs,) if isinstance(cfgs, EngineConfig) else tuple(cfgs)
     if not cfgs:
@@ -396,7 +384,7 @@ def init_batch(problem: MultiAgentProblem, weights, scaling: np.ndarray, cfgs,
     for cfg in cfgs:
         if dataclasses.replace(cfg, mu=cfgs[0].mu, eta=cfgs[0].eta) != cfgs[0]:
             raise ConfigError("the engine configs of one grid may differ only in mu and eta")
-    return _BATCHES[cfgs[0].algorithm](problem, weights, scaling, cfgs, seeds, init_global)
+    return _BATCHES[cfgs[0].algorithm](problem, weights, cfgs, seeds, init_global)
 
 
 def suggest_step_size(nu: float, delta: float, delta_p: float = 0.0,

@@ -30,7 +30,7 @@ from .objective import (
     random_quadratic_oracle,
 )
 from .topology import BlockLayout, NetworkSpec, build_clusters, embed_clusters
-from .weights import averaging_weights, metropolis_weights, step_scaling
+from .weights import averaging_weights, metropolis_weights
 
 SCENARIOS = ("unconstrained", "constrained", "tracking", "sweep", "custom")
 WEIGHT_RULES = ("metropolis", "averaging")
@@ -175,11 +175,13 @@ class ScenarioConfig:
                 self.engine(mu, eta)
         if not self.seeds:
             raise ConfigError("seed list must be non-empty")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ConfigError(f"seeds must not repeat, got {list(self.seeds)}")
         if not all(0 <= s < SEED_LIMIT for s in self.seeds + (self.problem_seed,)):
             raise ConfigError("seeds and problem_seed must lie in [0, 2**63)")
         if self.weight_rule not in WEIGHT_RULES:
             raise ConfigError(f"unknown weight rule {self.weight_rule!r}")
-        if self.constrained not in (None, True, False):
+        if self.constrained is not None and not isinstance(self.constrained, bool):
             raise ConfigError(f"constrained must be true or false, got {self.constrained!r}")
         if self.scenario == "tracking" and self.change_point is None:
             raise ConfigError("tracking scenario needs a change_point")
@@ -304,7 +306,6 @@ def build_problem(desc: NetworkDescription, seed: int, constrained: bool = False
         constraints = tuple(() for _ in range(desc.net.agent_count))
     problem = MultiAgentProblem(
         net=desc.net,
-        layout=desc.layout,
         cmap=cmap,
         oracles=oracles,
         constraints=constraints,
@@ -358,7 +359,7 @@ def _fmt(v):
     return v
 
 
-def _run_one(problem, weights, scaling, ecfgs, seeds, refs, log_every: int, init_global,
+def _run_one(problem, weights, ecfgs, seeds, refs, log_every: int, init_global,
              change=None) -> MetricsLog:
     """Run the selected algorithm for every grid point and seed at once,
     logging metrics.
@@ -375,7 +376,7 @@ def _run_one(problem, weights, scaling, ecfgs, seeds, refs, log_every: int, init
     # a diverging run stops with NonFiniteIterate; numpy's overflow warnings
     # on the way there would only add lines to the CLI's one-line error
     with np.errstate(over="ignore", invalid="ignore"):
-        engine = init_batch(problem, weights, scaling, ecfgs, seeds, init_global)
+        engine = init_batch(problem, weights, ecfgs, seeds, init_global)
         log = MetricsLog(problem.cmap)
         references = column_references(problem.cmap, refs, len(seeds))
         iterations = ecfgs[0].iterations
@@ -385,7 +386,7 @@ def _run_one(problem, weights, scaling, ecfgs, seeds, refs, log_every: int, init
                 references = column_references(problem.cmap, change[2], len(seeds))
             engine.step()
             if (i + 1) % log_every == 0 or i + 1 == iterations:
-                log.record(i + 1, engine.view(), *references)
+                log.record(i + 1, engine.w, *references)
     return log
 
 
@@ -406,7 +407,6 @@ def run_scenario(cfg: ScenarioConfig) -> ResultTable:
     base = build_problem(desc, cfg.problem_seed, constrained=cfg.uses_constraints, rho=cfg.rho)
     make = metropolis_weights if cfg.weight_rule == "metropolis" else averaging_weights
     weights = {l: make(base.cmap, base.net, l) for l in range(len(base.cmap.clusters))}
-    scaling = step_scaling(base.cmap, weights)
 
     changed = None
     if cfg.scenario == "tracking":
@@ -424,7 +424,7 @@ def run_scenario(cfg: ScenarioConfig) -> ResultTable:
     if changed is not None:
         change = (cfg.change_point, changed, [references[eta][1] for _, eta in points])
     init_global = [r.w_star for r in refs] if cfg.initial == "reference" else None
-    log = _run_one(base, weights, scaling, [cfg.engine(mu, eta) for mu, eta in points],
+    log = _run_one(base, weights, [cfg.engine(mu, eta) for mu, eta in points],
                    cfg.seeds, refs, cfg.log_every, init_global, change)
 
     table = ResultTable(config=dataclasses.asdict(cfg))

@@ -42,17 +42,17 @@ def db(x: float) -> float:
 def disagreement(w_flat: np.ndarray, cmap: ClusterMap) -> np.ndarray:
     """Per-block max pairwise distance between local copies (0 for singletons).
 
-    Leading axes of `w_flat` (seeds, say) are kept: an (S, n_flat) input
-    gives an (S, L) result. All blocks are done at once on the padded
+    `w_flat` is laid out like the engine state, flat entries first, and
+    its trailing (column) axes lead the result: an (n_flat, C) input
+    gives a (C, L) result. All blocks are done at once on the padded
     cluster layout, whose padding repeats real copies and so adds no
     pairs. Squared distances come from the Gram matrix of the copies
     taken relative to member 0's copy, which keeps them accurate to
     rounding relative to the largest one.
     """
-    w_flat = np.asarray(w_flat, dtype=float)
-    index, lead = cmap.padded_cluster_indices, w_flat.ndim - 1
-    # take copies whole rows: w_flat[..., index] gives the same strides, several times slower
-    copies = w_flat.transpose(lead, *range(lead)).take(index, axis=0)
+    index = cmap.padded_cluster_indices
+    # take copies whole rows: w_flat[index] gives the same array several times slower
+    copies = np.asarray(w_flat, dtype=float).take(index, axis=0)
     copies = copies.transpose(*range(index.ndim, copies.ndim), *range(index.ndim))
     copies -= copies[..., :1, :].copy()
     dist2 = copies @ np.swapaxes(copies, -1, -2)
@@ -83,15 +83,13 @@ def _penalized_optimum(problem: MultiAgentProblem, eta: float, pieces) -> np.nda
     if not (np.isfinite(a).all() and np.isfinite(rhs).all()):
         raise ConfigError(f"eta {eta!r} is too large: the penalized Hessian overflows")
     if float(np.linalg.eigvalsh(a)[0]) <= MIN_EIG:
-        raise SingularSystem("penalized Hessian is not positive definite")
+        raise SingularSystem(f"penalized Hessian is not positive definite at eta {eta!r}")
     w = np.linalg.solve(a, rhs)
-    # checked against the per-agent oracles, not the (H, G) the solve used
-    grad0 = problem.global_risk_gradient(np.zeros_like(w)) + eta * problem.global_penalty_gradient(
-        np.zeros_like(w)
-    )
+    # checked against the per-agent oracles, not the (H, G) the solve used,
+    # relative to the gradient at w = 0, which is -rhs
     grad = problem.global_risk_gradient(w) + eta * problem.global_penalty_gradient(w)
     # hypot scales its arguments: a huge eta does not overflow the norms
-    if math.hypot(*grad) > 1e-8 * (1.0 + math.hypot(*grad0)):
+    if math.hypot(*grad) > 1e-8 * (1.0 + math.hypot(*rhs)):
         raise SimulationError("penalized optimum failed its stationarity check")
     return w
 
@@ -136,25 +134,21 @@ def reference_solution(problem: MultiAgentProblem, eta: float) -> ReferenceSolut
 
 
 def column_references(cmap: ClusterMap, refs, seeds: int) -> tuple[np.ndarray, np.ndarray]:
-    """(w_star, w_o) of every grid point as (n_flat, P S) matrices, in the
-    state's seeds-last layout: point p's references gathered into the flat
-    layout fill its S seed columns p S to p S + S - 1."""
-    def columns(vectors):
-        flat = np.stack([np.asarray(v)[cmap.flat_global_indices] for v in vectors], axis=1)
-        return np.repeat(flat, seeds, axis=1)
-
-    return columns([r.w_star for r in refs]), columns([r.w_o for r in refs])
+    """(w_star, w_o) of every grid point as (n_flat, P S) state columns
+    (`ClusterMap.columns`): point p's fill its S seed columns."""
+    return (cmap.columns([r.w_star for r in refs], seeds),
+            cmap.columns([r.w_o for r in refs], seeds))
 
 
 class MetricsLog:
     """Metric records of a batch of runs, one column per (point, seed).
 
-    `record` takes the (P S, n_flat) local copies of all columns and the
-    (n_flat, P S) references of each column (`column_references`). MSD
-    is the cluster-averaged squared deviation, sum over blocks l of
-    (1/N_l) sum over the cluster of ||ref^l - w_k^l||^2: one weighted sum
-    over flat entries, weight 1/N_l for a copy of block l, against the
-    column's reference.
+    `record` takes the local copies of all columns and the references of
+    each column (`column_references`) in the engine's state layout,
+    (n_flat, P S). MSD is the cluster-averaged squared deviation, sum over
+    blocks l of (1/N_l) sum over the cluster of ||ref^l - w_k^l||^2: one
+    weighted sum over flat entries, weight 1/N_l for a copy of block l,
+    against the column's reference.
     """
 
     def __init__(self, cmap: ClusterMap):
@@ -164,8 +158,8 @@ class MetricsLog:
         self._msd_star, self._msd_o, self._disagreement = [], [], []
 
     def _msd(self, w: np.ndarray, reference: np.ndarray) -> np.ndarray:
-        err = w - reference.T
-        return (err * err) @ self._weight
+        err = w - reference
+        return (err * err).T @ self._weight
 
     def record(self, iteration: int, w: np.ndarray, w_star: np.ndarray, w_o: np.ndarray):
         self.iterations.append(iteration)

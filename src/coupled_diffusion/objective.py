@@ -167,7 +167,6 @@ class MultiAgentProblem:
     """A full problem instance: topology, per-agent oracles, constraints."""
 
     net: NetworkSpec
-    layout: BlockLayout
     cmap: ClusterMap
     oracles: tuple
     constraints: tuple[tuple[ConstraintSpec, ...], ...]
@@ -190,6 +189,10 @@ class MultiAgentProblem:
     @property
     def agent_count(self) -> int:
         return len(self.oracles)
+
+    @property
+    def layout(self) -> BlockLayout:
+        return self.cmap.layout
 
     def global_risk_quadratic(self) -> tuple[np.ndarray, np.ndarray]:
         """Hessian H = sum_k lift(2 R_k) and linear term f = sum_k lift(2 R_k w_ref_k)

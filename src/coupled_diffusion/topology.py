@@ -145,6 +145,13 @@ class ClusterMap:
         """Restrict a global vector to agent k's blocks."""
         return np.asarray(global_vec)[self.global_indices(agent)]
 
+    def columns(self, vectors, copies: int) -> np.ndarray:
+        """(n_flat, P copies) state columns of P global vectors: vector p
+        gathered into the flat layout fills columns p copies to
+        p copies + copies - 1."""
+        flat = np.asarray(vectors, dtype=float)[:, self.flat_global_indices]
+        return np.repeat(flat.T, copies, axis=1)
+
     def inverse_cluster_sizes(self) -> np.ndarray:
         """1/N_l at every flat entry of a copy of block l: the weights that
         average each block's copies over its cluster."""

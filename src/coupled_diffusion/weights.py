@@ -24,7 +24,6 @@ MAX_DENSE_EIG = 100
 class CombinationMatrix:
     """Weights for one cluster together with its spectral data."""
 
-    block: int
     agents: tuple[int, ...]
     matrix: np.ndarray
     perron: np.ndarray
@@ -60,7 +59,7 @@ def metropolis_weights(cmap: ClusterMap, net: NetworkSpec, block: int) -> Combin
                 continue
             a[agents.index(s), j] = 1.0 / max(counts[k], counts[s])
         a[j, j] = 1.0 - a[:, j].sum()
-    return _finish(block, agents, a)
+    return _finish(agents, a)
 
 
 def averaging_weights(cmap: ClusterMap, net: NetworkSpec, block: int) -> CombinationMatrix:
@@ -74,12 +73,12 @@ def averaging_weights(cmap: ClusterMap, net: NetworkSpec, block: int) -> Combina
     for j, k in enumerate(agents):
         for s in nbrs[k]:
             a[agents.index(s), j] = 1.0 / len(nbrs[k])
-    return _finish(block, agents, a)
+    return _finish(agents, a)
 
 
-def _finish(block, agents, a) -> CombinationMatrix:
+def _finish(agents, a) -> CombinationMatrix:
     r, lam2 = perron_vector(a)
-    return CombinationMatrix(block=block, agents=agents, matrix=a, perron=r, lambda2=lam2)
+    return CombinationMatrix(agents=agents, matrix=a, perron=r, lambda2=lam2)
 
 
 def _unit_eigenpair(a: np.ndarray, vectors: bool):

@@ -69,7 +69,7 @@ def single_agent_problem(dim=3, noise_std=0.0, w_ref=None, seed=0):
         basis=oracle.basis, spectrum=oracle.spectrum, w_ref=w_ref, noise_std=noise_std
     )
     return MultiAgentProblem(
-        net=net, layout=layout, cmap=cmap, oracles=(oracle,),
+        net=net, cmap=cmap, oracles=(oracle,),
         constraints=((),), penalty=PenaltyConfig(), true_model=np.asarray(w_ref, float),
     )
 

@@ -57,17 +57,17 @@ def bench():
     return problem, weights, scaling, refs
 
 
-def _steady_runs(problem, weights, scaling, cfg, seeds, ref, sample_every=10):
+def _steady_runs(problem, weights, cfg, seeds, ref, sample_every=10):
     """Per-seed steady-state MSD and max-block disagreement from the final
     10%, all seeds advanced together by the batched engine."""
-    batch = init_batch(problem, weights, scaling, cfg, seeds)
+    batch = init_batch(problem, weights, cfg, seeds)
     start = int(cfg.iterations * 0.9)
     vals, dis = [], []
     for i in range(cfg.iterations):
         batch.step()
         if i >= start and (i - start) % sample_every == 0:
-            vals.append(msd(batch.view(), problem.cmap, ref))
-            dis.append(disagreement(batch.view(), problem.cmap).max(axis=1))
+            vals.append(msd(batch.w.T, problem.cmap, ref))
+            dis.append(disagreement(batch.w, problem.cmap).max(axis=1))
     return np.mean(vals, axis=0), np.mean(dis, axis=0)
 
 
@@ -79,15 +79,14 @@ def ensemble_runs(bench):
     1e-8 of its initial size at the steady window, well below the O(mu)
     floor, so the window average measures the stationary value.
     """
-    problem, weights, scaling, refs = bench
+    problem, weights, _, refs = bench
     nu = problem.strong_convexity()
     out = {}
     t0 = time.perf_counter()
     for mu in (MU_ENSEMBLE, MU_ENSEMBLE / 2):
         iters = int(18.0 / (2 * mu * nu))
         cfg = EngineConfig(mu=mu, eta=0.0, iterations=iters)
-        msds, dis = _steady_runs(problem, weights, scaling, cfg, range(ENSEMBLE_SEEDS),
-                                 refs.w_star)
+        msds, dis = _steady_runs(problem, weights, cfg, range(ENSEMBLE_SEEDS), refs.w_star)
         out[mu] = {"msd": float(np.mean(msds)), "disagreement": float(np.mean(dis))}
     out["elapsed"] = time.perf_counter() - t0
     return out
@@ -102,13 +101,13 @@ def test_criterion_01_oracle_equivalence(bench):
     seeds = (123, 124, 125)
     t0 = time.perf_counter()
     states = [init_state(constrained, seed=seed) for seed in seeds]
-    batch = init_batch(constrained, weights, scaling, cfg, seeds)
+    batch = init_batch(constrained, weights, cfg, seeds)
     dev = 0.0
     for _ in range(500):
         for state in states:
             coupled_diffusion_step(state, constrained, weights, scaling, cfg)
         batch.step()
-        dev = max(dev, float(np.max(np.abs(batch.view() - [st.w for st in states]))))
+        dev = max(dev, float(np.max(np.abs(batch.w.T - [st.w for st in states]))))
     elapsed = time.perf_counter() - t0
     _report(1, dev <= 1e-10 and elapsed < 10.0,
             f"max deviation {dev:.2e} (<=1e-10), runtime {elapsed:.1f}s (<10s)")
@@ -260,13 +259,12 @@ def test_criterion_08_tracking():
     desc = load_network("benchmark20")
     problem = build_problem(desc, 7, constrained=True)
     weights = {l: metropolis_weights(problem.cmap, problem.net, l) for l in range(5)}
-    scaling = step_scaling(problem.cmap, weights)
     eta, mu, total, change = 100.0, 0.001, 4000, 2000
     refs1 = reference_solution(problem, eta)
     problem2 = regenerate_constraints(problem, desc, 7, epoch=0)
     refs2 = reference_solution(problem2, eta)
     cfg = EngineConfig(mu=mu, eta=eta, iterations=total)
-    batch = init_batch(problem, weights, scaling, cfg, range(10))
+    batch = init_batch(problem, weights, cfg, range(10))
     ref = refs1.w_star
     mean = np.empty(total)
     for i in range(total):
@@ -274,7 +272,7 @@ def test_criterion_08_tracking():
             batch.set_constraints(problem2)
             ref = refs2.w_star
         batch.step()
-        mean[i] = np.mean(msd(batch.view(), problem.cmap, ref))
+        mean[i] = np.mean(msd(batch.w.T, problem.cmap, ref))
     pre_db = 10 * np.log10(mean[change - 200 : change].mean())
     jump_db = 10 * np.log10(mean[change])
     recover = next(
@@ -301,19 +299,19 @@ def test_criterion_09_baseline_ordering(bench):
     steady state it does not. This criterion is therefore expected to fail,
     and is kept faithful rather than weakened.
     """
-    problem, weights, scaling, refs = bench
+    problem, weights, _, refs = bench
     mu = 0.001
     cfg_c = EngineConfig(mu=mu, eta=0.0, iterations=3000)
     cfg_a = EngineConfig(mu=mu, eta=0.0, iterations=6000, rho_admm=1.0, algorithm="admm")
 
     def steady(cfg, seeds):
         """Seed mean of each seed's MSD averaged over the final 10%."""
-        batch = init_batch(problem, weights, scaling, cfg, seeds)
+        batch = init_batch(problem, weights, cfg, seeds)
         vals = []
         for i in range(cfg.iterations):
             batch.step()
             if i >= cfg.iterations * 0.9:
-                vals.append(msd(batch.view(), problem.cmap, refs.w_star))
+                vals.append(msd(batch.w.T, problem.cmap, refs.w_star))
         return float(np.mean(np.mean(vals, axis=0)))
 
     c = steady(cfg_c, range(ENSEMBLE_SEEDS))
@@ -328,18 +326,17 @@ def test_criterion_10_eta_plateau():
     at eta=1e4 it drops by > 5 dB. Warm-started at w*(eta), 3 seeds."""
     problem = generate_benchmark_problem(7, constrained=True)
     weights = {l: metropolis_weights(problem.cmap, problem.net, l) for l in range(5)}
-    scaling = step_scaling(problem.cmap, weights)
     mus = (1.5e-5, 1.5e-6)
 
     def steady(mu, eta, iters, seeds=3):
         refs = reference_solution(problem, eta)
         cfg = EngineConfig(mu=mu, eta=eta, iterations=iters)
-        batch = init_batch(problem, weights, scaling, cfg, range(seeds), init_global=refs.w_star)
+        batch = init_batch(problem, weights, cfg, range(seeds), init_global=refs.w_star)
         run = []
         for i in range(iters):
             batch.step()
             if i >= iters * 0.9 and i % 5 == 0:
-                run.append(msd(batch.view(), problem.cmap, refs.w_o))
+                run.append(msd(batch.w.T, problem.cmap, refs.w_o))
         vals = np.mean(run, axis=0)  # one steady value per seed
         return 10.0 * np.log10(np.mean(vals))
 

@@ -53,15 +53,15 @@ TOL = 1e-10
 
 
 def _weights(problem, rule=metropolis_weights):
-    mats = {l: rule(problem.cmap, problem.net, l) for l in range(problem.layout.block_count)}
-    return mats, step_scaling(problem.cmap, mats)
+    return {l: rule(problem.cmap, problem.net, l) for l in range(problem.layout.block_count)}
 
 
 class _PerAgent:
     """The per-agent reference for one seed, with the batched interface."""
 
-    def __init__(self, problem, weights, scaling, cfg, seed, init_global=None):
-        self.problem, self.weights, self.scaling, self.cfg = problem, weights, scaling, cfg
+    def __init__(self, problem, weights, cfg, seed, init_global=None):
+        self.problem, self.weights, self.cfg = problem, weights, cfg
+        self.scaling = step_scaling(problem.cmap, weights)
         cmap = problem.cmap
         if cfg.algorithm == "coupled":
             self.state = init_state(problem, seed, init_global)
@@ -93,9 +93,9 @@ def _max_deviation(problem, cfg, seeds=SEEDS, init_global=None, change=None,
     `change` is an optional (iteration, problem) constraint swap applied
     before the step with that index.
     """
-    weights, scaling = _weights(problem, rule)
-    batch = init_batch(problem, weights, scaling, cfg, seeds, init_global)
-    refs = [_PerAgent(problem, weights, scaling, cfg, seed, init_global) for seed in seeds]
+    weights = _weights(problem, rule)
+    batch = init_batch(problem, weights, cfg, seeds, init_global)
+    refs = [_PerAgent(problem, weights, cfg, seed, init_global) for seed in seeds]
     dev = 0.0
     for i in range(cfg.iterations):
         if change is not None and i == change[0]:
@@ -105,8 +105,8 @@ def _max_deviation(problem, cfg, seeds=SEEDS, init_global=None, change=None,
         batch.step()
         for ref in refs:
             ref.step()
-        assert batch.view().shape == (len(seeds), problem.cmap.total_local_dim)
-        dev = max(dev, float(np.max(np.abs(batch.view() - [ref.view() for ref in refs]))))
+        assert batch.w.shape == (problem.cmap.total_local_dim, len(seeds))
+        dev = max(dev, float(np.max(np.abs(batch.w.T - [ref.view() for ref in refs]))))
     return dev
 
 
@@ -158,18 +158,18 @@ def test_centralized_copies_stay_equal(request, fixture):
     every copy, so every copy of a block stays bitwise equal, with
     stochastic risk gradients and an active penalty step."""
     problem = request.getfixturevalue(fixture)
-    weights, scaling = _weights(problem)
+    weights = _weights(problem)
     cfg = EngineConfig(mu=0.002, eta=50.0, iterations=50, algorithm="centralized")
     start = np.random.default_rng(1).standard_normal(problem.layout.total_dim)
-    batch = init_batch(problem, weights, scaling, cfg, SEEDS, init_global=start)
+    batch = init_batch(problem, weights, cfg, SEEDS, init_global=start)
     cmap = problem.cmap
     for _ in range(cfg.iterations):
         batch.step()
-        w = batch.view()
+        w = batch.w.T
         for l, cluster in enumerate(cmap.clusters):
             copies = w[:, cmap.flat_cluster_indices(l)].reshape(len(SEEDS), len(cluster), -1)
             assert np.array_equal(copies, np.broadcast_to(copies[:, :1], copies.shape))
-    assert np.all(disagreement(batch.view(), cmap) == 0.0)
+    assert np.all(disagreement(batch.w, cmap) == 0.0)
 
 
 def test_bridge_oracles_draw_like_their_inner_oracle(bridged, bridge_net):
@@ -207,14 +207,14 @@ def test_admm_warm_start_stays_at_the_optimum(spread):
     )
     problem = dataclasses.replace(problem, oracles=oracles)
     start = reference_solution(problem, 0.0).w_star
-    weights, scaling = _weights(problem)
+    weights = _weights(problem)
     cfg = EngineConfig(mu=0.002, iterations=10, noise="exact", algorithm="admm")
-    batch = init_batch(problem, weights, scaling, cfg, SEEDS, init_global=start)
+    batch = init_batch(problem, weights, cfg, SEEDS, init_global=start)
     state = init_admm_state(problem, SEEDS[0], start)
     for _ in range(cfg.iterations):
         batch.step()
         admm_linearized_step(state, problem, cfg)
-    assert np.max(msd(batch.view(), problem.cmap, start)) <= 1e-20
+    assert np.max(msd(batch.w.T, problem.cmap, start)) <= 1e-20
     assert msd(state.w, problem.cmap, start) <= 1e-20
 
 
@@ -223,10 +223,10 @@ def _check_noise_chunks(problem, seeds=SEEDS):
     (seed, agent, iteration) reads exactly the per-agent stream's rank + 1
     draws, from one buffer allocated at the first refill. Returns the
     risk-gradient object of the run."""
-    weights, scaling = _weights(problem)
-    risk = init_batch(problem, weights, scaling, EngineConfig(mu=0.001), seeds)._risk
+    weights = _weights(problem)
+    risk = init_batch(problem, weights, EngineConfig(mu=0.001), seeds)._risk
     iterations = 2 * risk.chunk + 3
-    risk = init_batch(problem, weights, scaling,
+    risk = init_batch(problem, weights,
                       EngineConfig(mu=0.001, iterations=iterations), seeds)._risk
     assert risk.chunk > 1 and iterations % risk.chunk != 0
     streams = [agent_streams(seed, problem.agent_count) for seed in seeds]
@@ -269,17 +269,17 @@ def test_noise_chunks_see_the_per_agent_variates_with_bridge_agents(bridged):
 def test_metrics_log_matches_per_seed_metrics(constrained):
     """A grid of two eta points: each column is logged against its own
     point's references."""
-    weights, scaling = _weights(constrained)
+    weights = _weights(constrained)
     etas = (50.0, 10.0)
     refs = [reference_solution(constrained, eta) for eta in etas]
-    batch = init_batch(constrained, weights, scaling,
+    batch = init_batch(constrained, weights,
                        [EngineConfig(mu=0.002, eta=eta) for eta in etas], SEEDS)
     columns = column_references(constrained.cmap, refs, len(SEEDS))
     log = MetricsLog(constrained.cmap)
     for i in range(3):
         batch.step()
-        log.record(i + 1, batch.view(), *columns)
-    w = batch.view()
+        log.record(i + 1, batch.w, *columns)
+    w = batch.w.T
     assert log.iterations == [1, 2, 3]
     assert log.msd_star.shape == (3, len(etas) * len(SEEDS))
     for j in range(len(etas) * len(SEEDS)):
@@ -291,44 +291,44 @@ def test_metrics_log_matches_per_seed_metrics(constrained):
 
 
 def test_batch_rejects_unsupported_problems(constrained):
-    weights, scaling = _weights(constrained)
+    weights = _weights(constrained)
     cons = list(constrained.constraints)
     cons[1] = cons[1] + (inequality(1, np.ones(constrained.cmap.local_dims[1]), 0.5),)
     with_inequality = MultiAgentProblem(
-        net=constrained.net, layout=constrained.layout, cmap=constrained.cmap,
+        net=constrained.net, cmap=constrained.cmap,
         oracles=constrained.oracles, constraints=tuple(cons), penalty=constrained.penalty,
     )
     with pytest.raises(ConfigError):
-        init_batch(with_inequality, weights, scaling, EngineConfig(mu=0.001, eta=1.0), SEEDS)
+        init_batch(with_inequality, weights, EngineConfig(mu=0.001, eta=1.0), SEEDS)
     with pytest.raises(ConfigError):
-        init_batch(constrained, weights, scaling,
+        init_batch(constrained, weights,
                    EngineConfig(mu=0.001, eta=1.0, algorithm="admm"), SEEDS)
 
 
 GATED = {  # every solve and engine set-up reaches constraint_system
-    "constraint_system": lambda p, w, s: p.constraint_system(flat=True),
-    "reference_solution": lambda p, w, s: reference_solution(p, 10.0),
-    "penalized_optimum": lambda p, w, s: penalized_optimum(p, 10.0),
-    "constrained_optimum": lambda p, w, s: constrained_optimum(p),
-    "init_batch": lambda p, w, s: init_batch(p, w, s, EngineConfig(mu=0.001), SEEDS),
+    "constraint_system": lambda p, w: p.constraint_system(flat=True),
+    "reference_solution": lambda p, w: reference_solution(p, 10.0),
+    "penalized_optimum": lambda p, w: penalized_optimum(p, 10.0),
+    "constrained_optimum": lambda p, w: constrained_optimum(p),
+    "init_batch": lambda p, w: init_batch(p, w, EngineConfig(mu=0.001), SEEDS),
 }
 
 
 @pytest.mark.parametrize("kind", ["inequality", "equalty"])
 @pytest.mark.parametrize("call", sorted(GATED))
 def test_non_equality_constraints_are_rejected_at_the_one_gate(constrained, call, kind):
-    weights, scaling = _weights(constrained)
+    weights = _weights(constrained)
     c = inequality(3, np.ones(constrained.cmap.local_dims[3]), 0.5)
     cons = list(constrained.constraints)
     cons[3] = cons[3] + (dataclasses.replace(c, kind=kind),)
     problem = dataclasses.replace(constrained, constraints=tuple(cons))
     with pytest.raises(ConfigError, match=f"agent 3 has a constraint of kind '{kind}'"):
-        GATED[call](problem, weights, scaling)
+        GATED[call](problem, weights)
 
 
 def test_batch_divergence_names_iteration_agent_and_seed(constrained):
-    weights, scaling = _weights(constrained)
-    batch = init_batch(constrained, weights, scaling, EngineConfig(mu=5.0, noise="exact"), SEEDS)
+    weights = _weights(constrained)
+    batch = init_batch(constrained, weights, EngineConfig(mu=5.0, noise="exact"), SEEDS)
     with pytest.raises(NonFiniteIterate) as err:
         for _ in range(2000):
             batch.step()
@@ -343,9 +343,9 @@ def _grid_deviation(problem, cfgs, start=None, change=None):
     the single-point runs, over every iteration. `start` holds one initial global vector
     per point; `change` is an optional (iteration, problem) constraint
     swap applied before the step with that index."""
-    weights, scaling = _weights(problem)
-    grid = init_batch(problem, weights, scaling, cfgs, SEEDS, start)
-    singles = [init_batch(problem, weights, scaling, cfg, SEEDS, None if start is None else start[p])
+    weights = _weights(problem)
+    grid = init_batch(problem, weights, cfgs, SEEDS, start)
+    singles = [init_batch(problem, weights, cfg, SEEDS, None if start is None else start[p])
                for p, cfg in enumerate(cfgs)]
     worst = 0.0
     for i in range(cfgs[0].iterations):
@@ -355,9 +355,9 @@ def _grid_deviation(problem, cfgs, start=None, change=None):
         grid.step()
         for batch in singles:
             batch.step()
-        expect = np.concatenate([batch.view() for batch in singles])
-        assert grid.view().shape == expect.shape
-        worst = max(worst, float(np.max(np.abs(grid.view() - expect)) / np.max(np.abs(expect))))
+        expect = np.concatenate([batch.w for batch in singles], axis=1)
+        assert grid.w.shape == expect.shape
+        worst = max(worst, float(np.max(np.abs(grid.w - expect)) / np.max(np.abs(expect))))
     return worst
 
 
@@ -385,21 +385,21 @@ def test_grid_matches_single_point_runs(algorithm, noise, start):
 
 
 def test_grid_rejects_configs_that_differ_beyond_mu_and_eta(constrained):
-    weights, scaling = _weights(constrained)
+    weights = _weights(constrained)
     base = EngineConfig(mu=0.002, eta=10.0, iterations=50)
     for other in (dict(iterations=60), dict(noise="exact"), dict(algorithm="centralized")):
         with pytest.raises(ConfigError):
-            init_batch(constrained, weights, scaling,
+            init_batch(constrained, weights,
                        [base, dataclasses.replace(base, **other)], SEEDS)
     with pytest.raises(ConfigError):
-        init_batch(constrained, weights, scaling, [], SEEDS)
+        init_batch(constrained, weights, [], SEEDS)
 
 
 def _first_divergence_in_loop_order(problem, cfgs):
     """The NonFiniteIterate that running each point alone, in order, raises."""
-    weights, scaling = _weights(problem)
+    weights = _weights(problem)
     for cfg in cfgs:
-        batch = init_batch(problem, weights, scaling, cfg, SEEDS)
+        batch = init_batch(problem, weights, cfg, SEEDS)
         try:
             for _ in range(cfg.iterations):
                 batch.step()
@@ -421,8 +421,8 @@ def test_grid_divergence_is_raised_in_loop_order(constrained, mus, raised_at_onc
     cfgs = [EngineConfig(mu=mu, iterations=80) for mu in mus]
     expect = _first_divergence_in_loop_order(constrained, cfgs)
     assert expect is not None
-    weights, scaling = _weights(constrained)
-    grid = init_batch(constrained, weights, scaling, cfgs, SEEDS)
+    weights = _weights(constrained)
+    grid = init_batch(constrained, weights, cfgs, SEEDS)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteIterate) as err:
         for _ in range(cfgs[0].iterations):
             grid.step()

@@ -1,10 +1,12 @@
-"""The inputs of the benchmark workloads, loaded from `benchmarks/` as they
-are, so that a library change that breaks a workload fails here before the
-benchmark runs: the generated 200-agent ring of `ring200-tracking` (for
-example a change that loses its bridge agents), and every config the
-workloads write, which the strict config reader must accept, as it must
-the shipped configs."""
+"""The inputs and the set-up path of the benchmark workloads, loaded from
+`benchmarks/` as they are, so that a library change that breaks a workload
+fails here before the benchmark runs: the generated 200-agent ring of
+`ring200-tracking` (for example a change that loses its bridge agents),
+every config the workloads write, which the strict config reader must
+accept, as it must the shipped configs, and each workload's smoke plan
+through the worker's own functions, which call the library by name."""
 
+import argparse
 import importlib.util
 import json
 from pathlib import Path
@@ -15,7 +17,7 @@ import yaml
 
 from coupled_diffusion.engine import EngineConfig, init_batch
 from coupled_diffusion.harness import build_problem, config_from_dict, load_network
-from coupled_diffusion.weights import metropolis_weights, step_scaling
+from coupled_diffusion.weights import metropolis_weights
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCHMARKS = ROOT / "benchmarks"
@@ -42,10 +44,10 @@ def test_ring_workload_network_builds_and_runs(tmp_path, seed):
     weights = {l: metropolis_weights(problem.cmap, problem.net, l)
                for l in range(problem.layout.block_count)}
     cfg = EngineConfig(mu=mu, eta=eta, iterations=20)
-    batch = init_batch(problem, weights, step_scaling(problem.cmap, weights), cfg, (seed,))
+    batch = init_batch(problem, weights, cfg, (seed,))
     for _ in range(cfg.iterations):
         batch.step()
-    assert np.isfinite(batch.view()).all()
+    assert np.isfinite(batch.w).all()
 
 
 def test_workload_and_shipped_configs_pass_the_config_reader():
@@ -55,3 +57,27 @@ def test_workload_and_shipped_configs_pass_the_config_reader():
                for call in workloads.calls(name, 14, smoke, "network.json")]
     for raw in shipped + written:
         config_from_dict(raw)
+
+
+@pytest.fixture(scope="module")
+def worker():
+    """`benchmarks/worker.py`, with `benchmarks/` on sys.path as when it runs."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.syspath_prepend(str(BENCHMARKS))
+        yield _load("worker")
+
+
+@pytest.mark.parametrize("workload", workloads.NAMES)
+def test_workload_smoke_plan_runs_and_sets_up(tmp_path, worker, workload):
+    """Every CLI call of the smoke plan exits 0 and writes its CSV, and the
+    set-up that the benchmark times (`setup_once`: `build_problem(rho=)`,
+    `load_network`, `step_scaling`, `reference_solution`,
+    `regenerate_constraints`, ...) runs and takes a positive time."""
+    plan = worker.prepare(argparse.Namespace(workdir=str(tmp_path), workload=workload,
+                                             seed=1, smoke=True))
+    assert plan["calls"]
+    for call in plan["calls"]:
+        result = worker.run_call(call, tmp_path / call["name"])
+        assert (result["exit"], result["error"]) == (0, None), result
+        assert result["csv_rows"] > 0
+        assert worker.setup_once(call["config"]) > 0.0

@@ -53,7 +53,7 @@ VALID = st.fixed_dictionaries({
     }),
     "scenario": st.fixed_dictionaries({
         "id": st.sampled_from(["unconstrained", "constrained", "tracking", "sweep", "custom"]),
-        "seeds": st.lists(st.integers(0, 3), min_size=1, max_size=2),
+        "seeds": st.lists(st.integers(0, 3), min_size=1, max_size=2, unique=True),
         "log_every": st.integers(1, 2),
         "change_point": st.just(1),
     }),
@@ -66,7 +66,7 @@ OUT_OF_RANGE = {
     ("network", "source"): ["no-such-network.json", "."],
     ("blocks", "dims"): [[1, 1, 1, 1], [0, 2], [-1], [2, 3], [1] * 9],
     ("objective", "problem_seed"): [-1, 2**64, 2.5],
-    ("objective", "constrained"): [2],
+    ("objective", "constrained"): [2, 1],
     ("penalty", "eta"): [-1.0, [0.0, -1.0], 1e300],
     ("penalty", "rho"): [0.0, -1.0],
     ("engine", "mu"): [0.0, -1.0, 5.0, 1e308, [0.001, 1e300]],
@@ -77,7 +77,7 @@ OUT_OF_RANGE = {
     ("engine", "rho_admm"): [0.0, -1.0],
     ("engine", "init"): ["random"],
     ("scenario", "id"): ["nope"],
-    ("scenario", "seeds"): [[], [-1], [2**64], 2.5],
+    ("scenario", "seeds"): [[], [-1], [2**64], 2.5, [1, 1]],
     ("scenario", "log_every"): [0, -1],
     ("scenario", "change_point"): [0, 10**6],
     ("engine", "iteratons"): [10],

@@ -54,7 +54,7 @@ def _consistent_problem(seed=0, n=4, dims=(2, 1), noise_std=0.0):
             o = QuadraticRiskOracle(o.basis, o.spectrum, o.w_ref, noise_std)
         oracles.append(o)
     return MultiAgentProblem(
-        net=net, layout=layout, cmap=cmap, oracles=tuple(oracles),
+        net=net, cmap=cmap, oracles=tuple(oracles),
         constraints=tuple(() for _ in range(n)), penalty=PenaltyConfig(),
         true_model=model,
     ), cmap
@@ -100,13 +100,13 @@ def test_network_form_equivalence_small():
     scal = step_scaling(cmap, mats)
     cfg = EngineConfig(mu=0.01, eta=0.0, iterations=200, noise="stochastic")
     seeds = (17, 18, 19)
-    batch = init_batch(problem, mats, scal, cfg, seeds)
+    batch = init_batch(problem, mats, cfg, seeds)
     states = [init_state(problem, seed) for seed in seeds]
     for _ in range(200):
         batch.step()
         for j, state in enumerate(states):
             coupled_diffusion_step(state, problem, mats, scal, cfg)
-            assert np.max(np.abs(batch.view()[j] - state.w)) <= 1e-12
+            assert np.max(np.abs(batch.w.T[j] - state.w)) <= 1e-12
 
 
 def test_network_form_equivalence_with_penalty():
@@ -116,7 +116,7 @@ def test_network_form_equivalence_with_penalty():
     g = rng.standard_normal(cmap.local_dims[1])
     cons[1].append(equality(1, g / np.linalg.norm(g), 0.3))
     problem = MultiAgentProblem(
-        net=problem.net, layout=problem.layout, cmap=cmap, oracles=problem.oracles,
+        net=problem.net, cmap=cmap, oracles=problem.oracles,
         constraints=tuple(tuple(c) for c in cons), penalty=PenaltyConfig(rho=1.0),
         true_model=problem.true_model,
     )
@@ -124,13 +124,13 @@ def test_network_form_equivalence_with_penalty():
     scal = step_scaling(cmap, mats)
     cfg = EngineConfig(mu=0.005, eta=20.0, iterations=200, noise="stochastic")
     seeds = (5, 6, 7)
-    batch = init_batch(problem, mats, scal, cfg, seeds)
+    batch = init_batch(problem, mats, cfg, seeds)
     states = [init_state(problem, seed) for seed in seeds]
     for _ in range(200):
         batch.step()
         for state in states:
             coupled_diffusion_step(state, problem, mats, scal, cfg)
-    assert np.max(np.abs(batch.view() - np.array([st.w for st in states]))) <= 1e-12
+    assert np.max(np.abs(batch.w.T - np.array([st.w for st in states]))) <= 1e-12
 
 
 def test_combine_matches_neighbor_sums():
@@ -178,12 +178,12 @@ def test_centroid_identity_against_network_form():
     scal = step_scaling(cmap, mats)
     cfg = EngineConfig(mu=0.01, eta=0.0, iterations=20, noise="stochastic")
     state = init_state(problem, 3)
-    batch = init_batch(problem, mats, scal, cfg, (3,))
+    batch = init_batch(problem, mats, cfg, (3,))
     for _ in range(20):
         coupled_diffusion_step(state, problem, mats, scal, cfg)
         batch.step()
     c1 = centroid(state.w, cmap, mats)
-    w = batch.view()[0]
+    w = batch.w.T[0]
     for l, cluster in enumerate(cmap.clusters):
         block = w[cmap.flat_cluster_indices(l)].reshape(len(cluster), cmap.layout.dims[l])
         expect = mats[l].perron @ block
@@ -198,7 +198,7 @@ def test_noise_free_consensus_contraction():
     for o in problem.oracles:
         oracles.append(QuadraticRiskOracle(o.basis, o.spectrum, o.w_ref + 0.5 * rng.standard_normal(o.dim), 0.0))
     problem = MultiAgentProblem(
-        net=problem.net, layout=problem.layout, cmap=cmap, oracles=tuple(oracles),
+        net=problem.net, cmap=cmap, oracles=tuple(oracles),
         constraints=problem.constraints, penalty=problem.penalty,
     )
     mats = _weights(problem)
@@ -256,7 +256,7 @@ def test_centralized_penalized_drift_is_second_order():
     g[0] = 1.0
     cons[0].append(equality(0, g, 0.7))
     problem = MultiAgentProblem(
-        net=problem.net, layout=problem.layout, cmap=cmap, oracles=problem.oracles,
+        net=problem.net, cmap=cmap, oracles=problem.oracles,
         constraints=tuple(tuple(c) for c in cons), penalty=PenaltyConfig(rho=1.0),
         true_model=problem.true_model,
     )

@@ -44,9 +44,12 @@ def test_config_validation_errors():
         ScenarioConfig(scenario="unconstrained", weight_rule="uniform")
     for bad in (dict(seeds=(-1,)), dict(seeds=(2**64,)), dict(problem_seed=2**63),
                 dict(algorithm="sgd"), dict(noise="gaussian"), dict(rho_admm=0.0),
-                dict(constrained="no"), dict(iterations=10**30), dict(iterations=1e30)):
+                dict(constrained="no"), dict(constrained=1), dict(constrained=0),
+                dict(constrained=1.0), dict(iterations=10**30), dict(iterations=1e30)):
         with pytest.raises(ConfigError):
             ScenarioConfig(scenario="unconstrained", **bad)
+    with pytest.raises(ConfigError, match="seeds"):  # a seed run twice counts twice in the means
+        ScenarioConfig(scenario="unconstrained", seeds=(3, 3))
     with pytest.raises(ConfigError):  # admm has no penalty half-step
         ScenarioConfig(scenario="constrained", algorithm="admm", eta_list=(0.0, 10.0))
     assert ScenarioConfig(scenario="constrained", algorithm="admm", eta_list=(0.0,))
@@ -421,6 +424,10 @@ def test_cli_error_null_iterations(tmp_path, capsys):
     pytest.param([], {"engine": {"iteratons": 10}}, "ConfigError", "iteratons", id="unknown-key"),
     pytest.param([], {"engine": {"mu": None}}, "ConfigError", "mu", id="null-mu"),
     pytest.param([], {"penalty": {"rho": 0}}, "ConfigError", "rho", id="zero-rho"),
+    pytest.param(["--seeds", "0,0"], {}, "ConfigError", "seeds", id="repeated-seeds"),
+    # 2 eta G'G swamps the risk Hessian in floating point: not positive definite
+    pytest.param([], {"objective": {"constrained": True}, "penalty": {"eta": [1e17]}},
+                 "SingularSystem", "1e+17", id="huge-eta"),
 ])
 def test_cli_error_on_malformed_arguments(tmp_path, capsys, args, sections, kind, word):
     """A malformed flag or config entry gives one error line that names it."""

@@ -43,7 +43,7 @@ def _quadratic_problem(dim, w_ref, constraints=(), spectrum=None):
         noise_std=0.0,
     )
     return MultiAgentProblem(
-        net=net, layout=layout, cmap=cmap, oracles=(oracle,),
+        net=net, cmap=cmap, oracles=(oracle,),
         constraints=(tuple(constraints),), penalty=PenaltyConfig(rho=1.0),
     )
 
@@ -102,22 +102,22 @@ def _pairwise_disagreement(w, cmap):
     return out
 
 
-def test_disagreement_matches_pairwise_distances(benchmark_problem, benchmark_weights,
-                                                 benchmark_scaling):
+def test_disagreement_matches_pairwise_distances(benchmark_problem, benchmark_weights):
     """Clusters of unequal sizes, so the padded layout repeats copies: a flat
-    vector, and the (S, n_flat) transposed state of a batched run."""
+    vector, and the (n_flat, S) state of a batched run, one result row per
+    column."""
     from coupled_diffusion.engine import EngineConfig, init_batch
 
     cmap = benchmark_problem.cmap
     assert len({len(c) for c in cmap.clusters}) > 1
     w = np.random.default_rng(0).standard_normal(cmap.total_local_dim)
-    batch = init_batch(benchmark_problem, benchmark_weights, benchmark_scaling,
+    batch = init_batch(benchmark_problem, benchmark_weights,
                        EngineConfig(mu=0.002, iterations=5), seeds=(1, 2, 3))
     for _ in range(5):
         batch.step()
-    state = batch.view()
-    assert state.shape == (3, cmap.total_local_dim) and not state.flags.c_contiguous
-    for vector, got in [(w, disagreement(w, cmap))] + list(zip(state, disagreement(state, cmap))):
+    state = batch.w
+    assert state.shape == (cmap.total_local_dim, 3)
+    for vector, got in [(w, disagreement(w, cmap))] + list(zip(state.T, disagreement(state, cmap))):
         want = _pairwise_disagreement(vector, cmap)
         assert np.all(want > 0)
         assert np.all(np.abs(got - want) <= 1e-14 * want)
