@@ -18,7 +18,7 @@ from pathlib import Path
 
 import yaml
 
-from .errors import SimulationError
+from .errors import ConfigError, SimulationError
 from .harness import config_from_dict, emit_results, run_scenario
 
 
@@ -44,19 +44,28 @@ def _parse_args(argv):
 
 
 def _overrides(args) -> dict:
-    """The ScenarioConfig fields that the override flags set."""
+    """The ScenarioConfig fields that the override flags set; a flag given
+    at all, even as an empty string, overrides the config file."""
     fields = {}
-    if args.scenario:
+    if args.scenario is not None:
         fields["scenario"] = args.scenario
-    if args.seeds:
-        fields["seeds"] = [int(s) for s in args.seeds.split(",")]
-    if args.mu:
-        fields["mu_list"] = [float(m) for m in args.mu.split(",")]
-    if args.eta:
-        fields["eta_list"] = [float(e) for e in args.eta.split(",")]
+    for flag, name, parse in (("seeds", "seeds", int), ("mu", "mu_list", float),
+                              ("eta", "eta_list", float)):
+        text = getattr(args, flag)
+        if text is not None:
+            fields[name] = [_parse(flag, parse, v) for v in text.split(",")]
     if args.iters is not None:
-        fields["iterations"] = int(args.iters)
+        fields["iterations"] = _parse("iters", int, args.iters)
     return fields
+
+
+def _parse(flag: str, parse, text: str):
+    """`text` as an int or a float, or a ConfigError that names the flag."""
+    try:
+        return parse(text)
+    except ValueError:
+        kind = "an integer" if parse is int else "a number"
+        raise ConfigError(f"--{flag}: {text!r} is not {kind}") from None
 
 
 def main(argv=None) -> int:

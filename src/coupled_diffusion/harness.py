@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .engine import EngineConfig, init_batch
 from .errors import ConfigError, SingularSystem
-from .metrics import MetricsLog, column_references, db, reference_solution
+from .metrics import MetricsLog, db, reference_solution
 from .objective import (
     MultiAgentProblem,
     PenaltyConfig,
@@ -82,6 +82,7 @@ def load_network(source: str, block_dims=None) -> NetworkDescription:
     net = NetworkSpec(agent_count=_integer(raw["agent_count"], "agent_count"), edges=edges,
                       interest_sets=interest)
     dims = tuple(block_dims) if block_dims else _integers(raw["block_dims"], "block_dims")
+    layout = BlockLayout(dims)  # checks the dims before the owners are counted against them
     owners = raw.get("constraint_owners")
     if owners is not None:
         owners = tuple(o - base for o in _integers(owners, "constraint_owners"))
@@ -89,7 +90,7 @@ def load_network(source: str, block_dims=None) -> NetworkDescription:
             raise ConfigError(
                 f"constraint_owners must name one agent in [{base}, {net.agent_count + base}) "
                 f"per block ({len(dims)} blocks), got {[o + base for o in owners]}")
-    return NetworkDescription(net=net, layout=BlockLayout(dims), constraint_owners=owners)
+    return NetworkDescription(net=net, layout=layout, constraint_owners=owners)
 
 
 def _integer(value, name: str) -> int:
@@ -359,77 +360,66 @@ def _fmt(v):
     return v
 
 
-def _run_one(problem, weights, ecfgs, seeds, refs, log_every: int, init_global,
-             change=None) -> MetricsLog:
-    """Run the selected algorithm for every grid point and seed at once,
-    logging metrics.
-
-    `ecfgs` holds the P grid points' engine settings and `refs` their
-    ReferenceSolutions; the log has one column per (point, seed), point
-    p's seeds in columns p S to p S + S - 1. `init_global` is None or one
-    start per point. `change` is an optional (iteration, problem, refs)
-    triple applied to every column before the step with that index
-    (constraint regeneration). A point that diverges raises the
-    NonFiniteIterate that running the points one by one, in grid order,
-    would raise (see `engine._Batch.step`).
-    """
-    # a diverging run stops with NonFiniteIterate; numpy's overflow warnings
-    # on the way there would only add lines to the CLI's one-line error
-    with np.errstate(over="ignore", invalid="ignore"):
-        engine = init_batch(problem, weights, ecfgs, seeds, init_global)
-        log = MetricsLog(problem.cmap)
-        references = column_references(problem.cmap, refs, len(seeds))
-        iterations = ecfgs[0].iterations
-        for i in range(iterations):
-            if change is not None and i == change[0]:
-                engine.set_constraints(change[1])
-                references = column_references(problem.cmap, change[2], len(seeds))
-            engine.step()
-            if (i + 1) % log_every == 0 or i + 1 == iterations:
-                log.record(i + 1, engine.w, *references)
-    return log
-
-
 def run_scenario(cfg: ScenarioConfig) -> ResultTable:
     """Run every (mu, eta, seed) combination of a scenario and merge logs.
 
     One batched run covers the whole grid; each grid point sees the same
-    draws per seed that a run of that point alone would. Rows come point
-    by point, mu-major as in the config: per-seed rows followed by
-    seed-mean rows (seed column "mean"); means are taken over linear MSD
-    values and converted to dB. The sweep scenario emits only
-    steady-state rows, one per seed and the seed mean, using the mean
-    over the final 10% of records. If some point diverges, the run
-    raises NonFiniteIterate for the first such point in grid order, with
-    its first non-finite iteration, agent and seed.
+    draws per seed that a run of that point alone would. The run is a
+    list of epochs (first iteration, problem): every scenario starts
+    with the base problem at iteration 0, and tracking adds the problem
+    with redrawn constraints at its change point. Each epoch is logged
+    against its own references. Rows come point by point, mu-major as in
+    the config: per-seed rows followed by seed-mean rows (seed column
+    "mean"); means are taken over linear MSD values and converted to dB.
+    The sweep scenario emits only steady-state rows, one per seed and the
+    seed mean, using the mean over the final 10% of records. If some
+    point diverges, the run raises NonFiniteIterate for the first such
+    point in grid order, with its first non-finite iteration, agent and
+    seed (see `engine._Batch.step`).
     """
     desc = load_network(cfg.network, cfg.block_dims)
     base = build_problem(desc, cfg.problem_seed, constrained=cfg.uses_constraints, rho=cfg.rho)
+    cmap = base.cmap
     make = metropolis_weights if cfg.weight_rule == "metropolis" else averaging_weights
     weights = {l: make(base.cmap, base.net, l) for l in range(len(base.cmap.clusters))}
 
-    changed = None
+    epochs = [(0, base)]
     if cfg.scenario == "tracking":
-        changed = regenerate_constraints(base, desc, cfg.problem_seed, epoch=0)
-    # the references depend on eta but not on mu: one solve per distinct eta
-    references = {
-        eta: (reference_solution(base, eta),
-              None if changed is None else reference_solution(changed, eta))
-        for eta in dict.fromkeys(cfg.eta_list)
-    }
+        epochs.append((cfg.change_point,
+                       regenerate_constraints(base, desc, cfg.problem_seed, epoch=0)))
+    # the references depend on eta but not on mu: one solve per epoch and
+    # distinct eta, before the engine is built, so that a config both reject
+    # reports the reference's error
+    references = {(e, eta): reference_solution(problem, eta)
+                  for eta in dict.fromkeys(cfg.eta_list)
+                  for e, (_, problem) in enumerate(epochs)}
 
     points = [(mu, eta) for mu in cfg.mu_list for eta in cfg.eta_list]
-    refs = [references[eta][0] for _, eta in points]
-    change = None
-    if changed is not None:
-        change = (cfg.change_point, changed, [references[eta][1] for _, eta in points])
-    init_global = [r.w_star for r in refs] if cfg.initial == "reference" else None
-    log = _run_one(base, weights, [cfg.engine(mu, eta) for mu, eta in points],
-                   cfg.seeds, refs, cfg.log_every, init_global, change)
+    n_seeds = len(cfg.seeds)
+    init_global = None
+    if cfg.initial == "reference":
+        init_global = [references[0, eta].w_star for _, eta in points]
+    ends = [start for start, _ in epochs[1:]] + [cfg.iterations]
+    # a diverging run stops with NonFiniteIterate; numpy's overflow warnings
+    # on the way there would only add lines to the CLI's one-line error
+    with np.errstate(over="ignore", invalid="ignore"):
+        engine = init_batch(base, weights, [cfg.engine(mu, eta) for mu, eta in points],
+                            cfg.seeds, init_global)
+        log = MetricsLog(cmap)
+        for e, ((start, problem), end) in enumerate(zip(epochs, ends)):
+            if start > 0:  # init_batch has set the first epoch's constraints
+                engine.set_constraints(problem)
+            # one reference column per (point, seed), in the engine's state layout
+            refs = [references[e, eta] for _, eta in points]
+            w_star = cmap.columns([r.w_star for r in refs], n_seeds)
+            w_o = cmap.columns([r.w_o for r in refs], n_seeds)
+            for i in range(start + 1, end + 1):
+                engine.step()
+                if i % cfg.log_every == 0 or i == cfg.iterations:
+                    log.record(i, engine.w, w_star, w_o)
 
     table = ResultTable(config=dataclasses.asdict(cfg))
-    n_seeds = len(cfg.seeds)
-    all_series = (log.msd_star, log.max_disagreement(), log.msd_o)
+    all_series = (log.msd_star, log.disagreement_max, log.msd_o)
     for p, (mu, eta) in enumerate(points):
         iterations = log.iterations
         series = tuple(a[:, p * n_seeds:(p + 1) * n_seeds] for a in all_series)
@@ -457,11 +447,11 @@ def _append_iteration_rows(table, cfg, mu, eta, iterations, msd_star, disagreeme
         )
 
 
-def steady_state(values, fraction: float = 0.1):
-    """Mean of the final `fraction` of a per-iteration series: a float for
-    a 1-D series, one value per column for a (records, columns) array."""
+def steady_state(values):
+    """Mean of the final 10% of a per-iteration series: a float for a 1-D
+    series, one value per column for a (records, columns) array."""
     values = np.asarray(values, dtype=float)
-    tail = max(1, int(round(fraction * values.shape[0])))
+    tail = max(1, int(round(0.1 * values.shape[0])))
     # each column summed on its own, contiguously, rounds like its 1-D mean
     mean = np.ascontiguousarray(values[-tail:].T).mean(-1)
     return float(mean) if values.ndim == 1 else mean

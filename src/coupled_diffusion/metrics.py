@@ -133,29 +133,23 @@ def reference_solution(problem: MultiAgentProblem, eta: float) -> ReferenceSolut
                              w_o=_kkt_solve(*pieces))
 
 
-def column_references(cmap: ClusterMap, refs, seeds: int) -> tuple[np.ndarray, np.ndarray]:
-    """(w_star, w_o) of every grid point as (n_flat, P S) state columns
-    (`ClusterMap.columns`): point p's fill its S seed columns."""
-    return (cmap.columns([r.w_star for r in refs], seeds),
-            cmap.columns([r.w_o for r in refs], seeds))
-
-
 class MetricsLog:
     """Metric records of a batch of runs, one column per (point, seed).
 
     `record` takes the local copies of all columns and the references of
-    each column (`column_references`) in the engine's state layout,
-    (n_flat, P S). MSD is the cluster-averaged squared deviation, sum over
-    blocks l of (1/N_l) sum over the cluster of ||ref^l - w_k^l||^2: one
-    weighted sum over flat entries, weight 1/N_l for a copy of block l,
-    against the column's reference.
+    each column in the engine's state layout, (n_flat, P S), as
+    `ClusterMap.columns` lays them out. MSD is the cluster-averaged squared
+    deviation, sum over blocks l of (1/N_l) sum over the cluster of
+    ||ref^l - w_k^l||^2: one weighted sum over flat entries, weight 1/N_l
+    for a copy of block l, against the column's reference. Disagreement
+    is kept for the worst block only, the one the CSV reports.
     """
 
     def __init__(self, cmap: ClusterMap):
         self.cmap = cmap
         self._weight = cmap.inverse_cluster_sizes()
         self.iterations = []
-        self._msd_star, self._msd_o, self._disagreement = [], [], []
+        self._msd_star, self._msd_o, self._disagreement_max = [], [], []
 
     def _msd(self, w: np.ndarray, reference: np.ndarray) -> np.ndarray:
         err = w - reference
@@ -165,7 +159,7 @@ class MetricsLog:
         self.iterations.append(iteration)
         self._msd_star.append(self._msd(w, w_star))
         self._msd_o.append(self._msd(w, w_o))
-        self._disagreement.append(disagreement(w, self.cmap))
+        self._disagreement_max.append(disagreement(w, self.cmap).max(axis=-1))
 
     @property
     def msd_star(self) -> np.ndarray:
@@ -178,13 +172,9 @@ class MetricsLog:
         return np.array(self._msd_o)
 
     @property
-    def disagreement(self) -> np.ndarray:
-        """(records, columns, blocks) per-block disagreement."""
-        return np.array(self._disagreement)
-
-    def max_disagreement(self) -> np.ndarray:
+    def disagreement_max(self) -> np.ndarray:
         """(records, columns) disagreement of the worst block."""
-        return self.disagreement.max(axis=-1)
+        return np.array(self._disagreement_max)
 
 
 def empirical_rate(msd_values, window: Optional[slice] = None) -> float:

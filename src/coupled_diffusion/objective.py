@@ -149,15 +149,19 @@ def random_orthogonal(dim: int, rng) -> np.ndarray:
     return q * np.sign(np.diag(r))
 
 
-def random_quadratic_oracle(w_ref: np.ndarray, rng, spectrum_range=(1.0, 3.0),
-                            noise_db_range=(-30.0, -20.0)) -> QuadraticRiskOracle:
-    """Random oracle: orthogonal basis, uniform spectrum, noise power drawn
-    uniformly in dB and converted via sigma^2 = 10^(dB/10)."""
+SPECTRUM_RANGE = (1.0, 3.0)  # covariance eigenvalues of a random oracle
+NOISE_DB_RANGE = (-30.0, -20.0)  # its noise power, in dB
+
+
+def random_quadratic_oracle(w_ref: np.ndarray, rng) -> QuadraticRiskOracle:
+    """Random oracle: orthogonal basis, spectrum uniform in SPECTRUM_RANGE,
+    noise power drawn uniformly in NOISE_DB_RANGE (dB) and converted via
+    sigma^2 = 10^(dB/10)."""
     w_ref = np.asarray(w_ref, dtype=float)
     dim = w_ref.shape[0]
     basis = random_orthogonal(dim, rng)
-    spectrum = rng.uniform(*spectrum_range, size=dim)
-    noise_db = rng.uniform(*noise_db_range)
+    spectrum = rng.uniform(*SPECTRUM_RANGE, size=dim)
+    noise_db = rng.uniform(*NOISE_DB_RANGE)
     noise_std = float(np.sqrt(10.0 ** (noise_db / 10.0)))
     return QuadraticRiskOracle(basis=basis, spectrum=spectrum, w_ref=w_ref, noise_std=noise_std)
 

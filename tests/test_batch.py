@@ -27,7 +27,6 @@ from coupled_diffusion.harness import (
 )
 from coupled_diffusion.metrics import (
     MetricsLog,
-    column_references,
     constrained_optimum,
     disagreement,
     penalized_optimum,
@@ -274,11 +273,12 @@ def test_metrics_log_matches_per_seed_metrics(constrained):
     refs = [reference_solution(constrained, eta) for eta in etas]
     batch = init_batch(constrained, weights,
                        [EngineConfig(mu=0.002, eta=eta) for eta in etas], SEEDS)
-    columns = column_references(constrained.cmap, refs, len(SEEDS))
+    w_star = constrained.cmap.columns([r.w_star for r in refs], len(SEEDS))
+    w_o = constrained.cmap.columns([r.w_o for r in refs], len(SEEDS))
     log = MetricsLog(constrained.cmap)
     for i in range(3):
         batch.step()
-        log.record(i + 1, batch.w, *columns)
+        log.record(i + 1, batch.w, w_star, w_o)
     w = batch.w.T
     assert log.iterations == [1, 2, 3]
     assert log.msd_star.shape == (3, len(etas) * len(SEEDS))
@@ -286,8 +286,9 @@ def test_metrics_log_matches_per_seed_metrics(constrained):
         ref = refs[j // len(SEEDS)]
         assert log.msd_star[-1, j] == pytest.approx(msd(w[j], constrained.cmap, ref.w_star), rel=1e-12)
         assert log.msd_o[-1, j] == pytest.approx(msd(w[j], constrained.cmap, ref.w_o), rel=1e-12)
-        assert np.allclose(log.disagreement[-1, j], disagreement(w[j], constrained.cmap), rtol=1e-12)
-    assert np.array_equal(log.max_disagreement(), log.disagreement.max(axis=-1))
+        assert log.disagreement_max[-1, j] == pytest.approx(
+            disagreement(w[j], constrained.cmap).max(), rel=1e-12)
+    assert log.disagreement_max.shape == log.msd_star.shape
 
 
 def test_batch_rejects_unsupported_problems(constrained):

@@ -15,14 +15,19 @@ from coupled_diffusion.harness import (
     CSV_HEADER,
     ResultTable,
     ScenarioConfig,
+    build_problem,
     config_from_dict,
     emit_results,
     load_network,
+    regenerate_constraints,
     run_scenario,
     steady_state,
 )
+from coupled_diffusion.engine import init_batch
+from coupled_diffusion.metrics import reference_solution
+from coupled_diffusion.weights import metropolis_weights
 from conftest import assert_bridge_oracles_draw_like_their_inner_oracle
-from reference import generate_benchmark_problem
+from reference import generate_benchmark_problem, msd
 
 
 def test_config_validation_errors():
@@ -284,14 +289,51 @@ def test_sweep_emits_steady_rows_only():
 
 
 def test_tracking_scenario_shows_jump():
+    """The new constraints and references apply from the first step after
+    the change point, so the jump shows in the record right after it."""
     cfg = ScenarioConfig(
         scenario="tracking", mu_list=(0.002,), eta_list=(100.0,),
-        iterations=700, seeds=(0, 1), change_point=400, log_every=10,
+        iterations=700, seeds=(0, 1), change_point=400, log_every=1,
     )
     table = run_scenario(cfg)
     means = {r[4]: 10 ** (r[5] / 10) for r in table.rows if r[3] == "mean"}
-    assert means[410] > 3 * means[400]  # constraint regeneration bumps the MSD
+    assert means[401] > 3 * means[400]  # constraint regeneration bumps the MSD
     assert means[700] < 0.5 * means[410]  # and the algorithm re-converges
+
+
+def test_tracking_rows_before_the_change_point_are_a_constrained_run():
+    """Up to its change point a tracking run is the constrained run of
+    that many iterations: the same rows, bit for bit, but the scenario."""
+    grid = dict(mu_list=(0.002, 0.001), eta_list=(10.0, 100.0), seeds=(3, 4), log_every=10)
+    tracking = run_scenario(ScenarioConfig(scenario="tracking", iterations=120,
+                                           change_point=60, **grid)).rows
+    constrained = run_scenario(ScenarioConfig(scenario="constrained", iterations=60,
+                                              **grid)).rows
+    before = [r[1:] for r in tracking if r[4] <= 60]
+    assert len(before) == 72 and before == [r[1:] for r in constrained]
+
+
+def test_tracking_swaps_constraints_and_references_after_the_change_point():
+    """A tracking run against the engine driven step by step: the redrawn
+    constraints and their reference both apply from the first step after
+    the change point, so a run that swaps only one of them on time fails."""
+    cfg = ScenarioConfig(scenario="tracking", mu_list=(0.002,), eta_list=(100.0,),
+                         iterations=6, seeds=(0,), change_point=3)
+    desc = load_network(cfg.network)
+    base = build_problem(desc, cfg.problem_seed, constrained=True)
+    changed = regenerate_constraints(base, desc, cfg.problem_seed, epoch=0)
+    weights = {l: metropolis_weights(base.cmap, base.net, l)
+               for l in range(base.layout.block_count)}
+    engine = init_batch(base, weights, cfg.engine(0.002, 100.0), cfg.seeds)
+    want = []
+    for i in range(cfg.iterations):
+        if i == cfg.change_point:
+            engine.set_constraints(changed)
+        engine.step()
+        problem = base if i < cfg.change_point else changed
+        want.append(msd(engine.w[:, 0], base.cmap, reference_solution(problem, 100.0).w_star))
+    got = [10 ** (r[5] / 10) for r in run_scenario(cfg).rows if r[3] == "0"]
+    assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_tracking_set_up_assembles_the_risk_quadratic_once(monkeypatch):
@@ -417,7 +459,16 @@ def test_cli_error_null_iterations(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("args, sections, kind, word", [
-    pytest.param(["--iters", "abc"], {}, "ValueError", "abc", id="iters-abc"),
+    pytest.param(["--iters", "abc"], {}, "ConfigError", "--iters", id="iters-abc"),
+    pytest.param(["--iters", ""], {}, "ConfigError", "--iters", id="iters-empty"),
+    pytest.param(["--seeds", ""], {}, "ConfigError", "--seeds", id="seeds-empty"),
+    pytest.param(["--seeds", "0,x"], {}, "ConfigError", "--seeds", id="seeds-x"),
+    pytest.param(["--mu", ""], {}, "ConfigError", "--mu", id="mu-empty"),
+    pytest.param(["--eta", ""], {}, "ConfigError", "--eta", id="eta-empty"),
+    pytest.param(["--eta", "1,,2"], {}, "ConfigError", "--eta", id="eta-hole"),
+    pytest.param(["--scenario", ""], {}, "ConfigError", "scenario", id="scenario-empty"),
+    pytest.param([], {"blocks": {"dims": [0]}}, "ConfigError", "block dims must be positive",
+                 id="zero-block-dim"),
     pytest.param(None, {}, "ArgumentError", "--config", id="no-config"),
     pytest.param(["--frobnicate"], {}, "ArgumentError", "--frobnicate", id="unknown-flag"),
     pytest.param([], {"solver": {"tol": 1e-6}}, "ConfigError", "solver", id="unknown-section"),
