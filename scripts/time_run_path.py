@@ -1,14 +1,17 @@
 #!/usr/bin/env python3
-"""Per-iteration cost of the run path's three stages on the ring workload.
+"""Cost of the run path's stages on the ring workload.
 
 Runs the `ring200-tracking` scenario of `benchmarks/` (seeded 200-agent
 ring, 2 seeds x 300 iterations, mu 4e-4, eta 1, change point at 150,
-log_every 1) through `run_scenario` with three class methods wrapped by
-timers, and prints one JSON line with the median over repetitions of
+log_every 1) through `run_scenario` with four functions wrapped by
+timers, writes its table with `emit_results` into a temporary
+directory, and prints one JSON line with the median over repetitions of
 
 - `step_us`: `CoupledBatch.step` per iteration, the noise refills included;
 - `refill_us`: `_RiskGradients._refill` per iteration;
-- `record_us`: `MetricsLog.record` per call (one per iteration here).
+- `record_us`: `MetricsLog.record` per call (one per iteration here);
+- `disagreement_us`: `metrics.disagreement` per call, part of `record_us`;
+- `emit_ms`: one `emit_results` call on the run's table (CSV and sidecar).
 
 Set OPENBLAS_NUM_THREADS=1 before running to match the benchmark:
 
@@ -28,12 +31,15 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmarks")]
 
 import ring_network  # noqa: E402
 import workloads  # noqa: E402
-from coupled_diffusion import config_from_dict, run_scenario  # noqa: E402
+from coupled_diffusion import config_from_dict, emit_results, run_scenario  # noqa: E402
+from coupled_diffusion import metrics  # noqa: E402
 from coupled_diffusion.engine import CoupledBatch, _RiskGradients  # noqa: E402
-from coupled_diffusion.metrics import MetricsLog  # noqa: E402
 
+# (owner, attribute) of each timed function; MetricsLog.record looks
+# `disagreement` up in its module, so the module attribute is wrapped
 TIMED = {"step": (CoupledBatch, "step"), "refill": (_RiskGradients, "_refill"),
-         "record": (MetricsLog, "record")}
+         "record": (metrics.MetricsLog, "record"),
+         "disagreement": (metrics, "disagreement")}
 
 
 def _timed(method, totals, name):
@@ -59,20 +65,25 @@ def main():
         cfg = config_from_dict(call["config"])
         iterations = cfg.iterations
         samples = {name: [] for name in TIMED}
+        emit_ms = []
         for _ in range(args.reps):
             totals = dict.fromkeys(TIMED, 0.0)
-            originals = {name: getattr(cls, attr) for name, (cls, attr) in TIMED.items()}
-            for name, (cls, attr) in TIMED.items():
-                setattr(cls, attr, _timed(originals[name], totals, name))
+            originals = {name: getattr(owner, attr) for name, (owner, attr) in TIMED.items()}
+            for name, (owner, attr) in TIMED.items():
+                setattr(owner, attr, _timed(originals[name], totals, name))
             try:
-                run_scenario(cfg)
+                table = run_scenario(cfg)
             finally:
-                for name, (cls, attr) in TIMED.items():
-                    setattr(cls, attr, originals[name])
+                for name, (owner, attr) in TIMED.items():
+                    setattr(owner, attr, originals[name])
             for name, total in totals.items():
                 samples[name].append(1e6 * total / iterations)
+            start = time.perf_counter()
+            emit_results(table, Path(tmp) / "tracking.csv")
+            emit_ms.append(1e3 * (time.perf_counter() - start))
     print(json.dumps({f"{name}_us": round(statistics.median(v), 1) for name, v in samples.items()}
-                     | {"reps": args.reps, "iterations": iterations}))
+                     | {"emit_ms": round(statistics.median(emit_ms), 2), "reps": args.reps,
+                        "iterations": iterations}))
 
 
 if __name__ == "__main__":

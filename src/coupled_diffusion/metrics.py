@@ -42,20 +42,27 @@ def db(x: float) -> float:
 def disagreement(w_flat: np.ndarray, cmap: ClusterMap) -> np.ndarray:
     """Per-block max pairwise distance between local copies (0 for singletons).
 
-    `w_flat` is laid out like the engine state, flat entries first, and
-    its trailing (column) axes lead the result: an (n_flat, C) input
-    gives a (C, L) result. All blocks are done at once on the padded
-    cluster layout, whose padding repeats real copies and so adds no
-    pairs. Squared distances come from the Gram matrix of the copies
-    taken relative to member 0's copy, which keeps them accurate to
-    rounding relative to the largest one.
+    `w_flat` is laid out like the engine state: an (n_flat,) vector gives
+    an (L,) result, and an (n_flat, C) state, one column per run, a
+    (C, L) result. All blocks are done at once on the padded cluster
+    layout, gathered from `w_flat.T` straight into a C-contiguous
+    (C, L, N_max, M_max) array; the padding repeats real copies and so
+    adds no pairs. Squared distances come from the Gram matrix of the
+    copies taken relative to member 0's copy, which keeps them accurate
+    to rounding relative to the largest one.
+
+    Each Gram product is a general matrix product (gemm), whatever C is,
+    so a column's result does not depend on how many columns share the
+    call: numpy hands a product of an array with its own transpose to
+    the symmetric kernel (syrk), which rounds differently, unless the
+    two operands sit in separate buffers.
     """
     index = cmap.padded_cluster_indices
-    # take copies whole rows: w_flat[index] gives the same array several times slower
-    copies = np.asarray(w_flat, dtype=float).take(index, axis=0)
-    copies = copies.transpose(*range(index.ndim, copies.ndim), *range(index.ndim))
+    copies = np.asarray(w_flat, dtype=float).T.take(index, axis=-1)
     copies -= copies[..., :1, :].copy()
-    dist2 = copies @ np.swapaxes(copies, -1, -2)
+    # the copy keeps the transposed operand out of `copies`' buffer, and so
+    # keeps the product on gemm (see above)
+    dist2 = copies @ np.swapaxes(copies, -1, -2).copy()
     sq = np.diagonal(dist2, axis1=-2, axis2=-1).copy()
     dist2 *= -2.0  # in place: this is the largest array here
     dist2 += sq[..., :, None]

@@ -1,6 +1,11 @@
+import importlib.util
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from coupled_diffusion.harness import build_problem, load_network
 from coupled_diffusion.objective import QuadraticRiskOracle
 from coupled_diffusion.topology import BlockLayout, NetworkSpec, build_clusters
 from coupled_diffusion.weights import metropolis_weights, step_scaling
@@ -34,6 +39,33 @@ def bridge_net():
         edges=frozenset({(0, 1), (0, 3), (1, 2), (3, 4)}),
         interest_sets=((0, 2), (0, 1), (0, 2), (0, 1), (0, 3)),
     )
+
+
+BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
+
+
+def load_benchmark_module(name):
+    """A module of `benchmarks/`, loaded from its file as it is."""
+    spec = importlib.util.spec_from_file_location(f"benchmark_{name}", BENCHMARKS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="session")
+def ring_problem(tmp_path_factory):
+    """The constrained problem of the benchmark's generated 200-agent ring
+    (network seed 0, problem seed 7): clusters of 10-20 agents, bridge
+    agents, and copies of dimension 5."""
+    path = tmp_path_factory.mktemp("ring") / "ring.json"
+    path.write_text(json.dumps(load_benchmark_module("ring_network").generate(0)))
+    return build_problem(load_network(str(path)), 7, constrained=True)
+
+
+@pytest.fixture(scope="session")
+def ring_weights(ring_problem):
+    p = ring_problem
+    return {l: metropolis_weights(p.cmap, p.net, l) for l in range(p.layout.block_count)}
 
 
 @pytest.fixture(scope="session")

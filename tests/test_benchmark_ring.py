@@ -7,9 +7,7 @@ accept, as it must the shipped configs, and each workload's smoke plan
 through the worker's own functions, which call the library by name."""
 
 import argparse
-import importlib.util
 import json
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,19 +16,10 @@ import yaml
 from coupled_diffusion.engine import EngineConfig, init_batch
 from coupled_diffusion.harness import build_problem, config_from_dict, load_network
 from coupled_diffusion.weights import metropolis_weights
+from conftest import BENCHMARKS, load_benchmark_module
 
-ROOT = Path(__file__).resolve().parent.parent
-BENCHMARKS = ROOT / "benchmarks"
-
-
-def _load(name):
-    spec = importlib.util.spec_from_file_location(f"benchmark_{name}", BENCHMARKS / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-ring_network, workloads = _load("ring_network"), _load("workloads")
+ROOT = BENCHMARKS.parent
+ring_network, workloads = load_benchmark_module("ring_network"), load_benchmark_module("workloads")
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -64,7 +53,7 @@ def worker():
     """`benchmarks/worker.py`, with `benchmarks/` on sys.path as when it runs."""
     with pytest.MonkeyPatch.context() as patch:
         patch.syspath_prepend(str(BENCHMARKS))
-        yield _load("worker")
+        yield load_benchmark_module("worker")
 
 
 @pytest.mark.parametrize("workload", workloads.NAMES)

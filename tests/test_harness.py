@@ -1,4 +1,6 @@
+import csv
 import dataclasses
+import io
 import json
 import subprocess
 import sys
@@ -359,6 +361,58 @@ def test_emit_results_empty_and_single(tmp_path):
     path2 = tmp_path / "one.csv"
     emit_results(one, path2)
     assert len(path2.read_text().strip().splitlines()) == 2
+
+
+def _csv_writer_bytes(rows) -> bytes:
+    """The reference CSV: `csv.writer` row by row, each float written as
+    repr(float(v)), the form emit_results wrote before it went column-wise."""
+    out = io.StringIO(newline="")
+    writer = csv.writer(out)
+    writer.writerow(CSV_HEADER)
+    for row in rows:
+        writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
+    return out.getvalue().encode()
+
+
+def _odd_value_rows():
+    values = [float("inf"), float("-inf"), float("nan"), -0.0, 5e-324, 1e16, 0.1, -1e-300,
+              np.float64(0.5), np.float64(-0.0), np.float64(1e16), 3, None]
+    rows = []
+    for i in range(1100):  # nine chunks of CSV_CHUNK_ROWS, the last one partial
+        v = values[i % len(values)]
+        w = np.float64(i / 3) if i % 2 else i / 3  # a float column, np.float64 in part
+        negated = None if v is None else -v
+        rows.append(("unconstrained", 0.001, v, "mean" if i % 7 else str(i), i, v, w, negated))
+    return rows
+
+
+@pytest.mark.parametrize("rows", [[], _odd_value_rows()[:1], _odd_value_rows()],
+                         ids=["empty", "one-row", "odd-values"])
+def test_emit_results_writes_the_bytes_of_csv_writer(tmp_path, rows):
+    """inf, -inf, nan, -0.0, the smallest subnormal, 1e16 (repr '1e+16'),
+    np.float64 values (written as the float they equal), ints and None,
+    in float, int, str and mixed columns, across chunk boundaries."""
+    path = tmp_path / "t.csv"
+    emit_results(ResultTable(rows=rows, config={}), path)
+    assert path.read_bytes() == _csv_writer_bytes(rows)
+
+
+@pytest.mark.parametrize("field", ["a,b", 'say "hi"', "two\nlines", "cr\r", None],
+                         ids=["comma", "quote", "newline", "carriage-return", "ragged-row"])
+def test_emit_results_raises_on_a_field_csv_writer_would_quote(tmp_path, field):
+    rows = _odd_value_rows()
+    if field is None:
+        rows[600] = rows[600][:-1]
+    else:
+        rows[600] = rows[600][:3] + (field,) + rows[600][4:]
+    with pytest.raises(ValueError):
+        emit_results(ResultTable(rows=rows, config={}), tmp_path / "t.csv")
+
+
+def test_emit_results_matches_csv_writer_on_a_run(tmp_path):
+    table = run_scenario(_small_cfg())
+    emit_results(table, tmp_path / "run.csv")
+    assert (tmp_path / "run.csv").read_bytes() == _csv_writer_bytes(table.rows)
 
 
 def _write_cfg(tmp_path, scenario="unconstrained", **sections):

@@ -102,17 +102,16 @@ def _pairwise_disagreement(w, cmap):
     return out
 
 
-def test_disagreement_matches_pairwise_distances(benchmark_problem, benchmark_weights):
+def _check_pairwise_distances(problem, weights):
     """Clusters of unequal sizes, so the padded layout repeats copies: a flat
     vector, and the (n_flat, S) state of a batched run, one result row per
     column."""
     from coupled_diffusion.engine import EngineConfig, init_batch
 
-    cmap = benchmark_problem.cmap
+    cmap = problem.cmap
     assert len({len(c) for c in cmap.clusters}) > 1
     w = np.random.default_rng(0).standard_normal(cmap.total_local_dim)
-    batch = init_batch(benchmark_problem, benchmark_weights,
-                       EngineConfig(mu=0.002, iterations=5), seeds=(1, 2, 3))
+    batch = init_batch(problem, weights, EngineConfig(mu=0.002, iterations=5), seeds=(1, 2, 3))
     for _ in range(5):
         batch.step()
     state = batch.w
@@ -121,6 +120,33 @@ def test_disagreement_matches_pairwise_distances(benchmark_problem, benchmark_we
         want = _pairwise_disagreement(vector, cmap)
         assert np.all(want > 0)
         assert np.all(np.abs(got - want) <= 1e-14 * want)
+
+
+def test_disagreement_matches_pairwise_distances(benchmark_problem, benchmark_weights):
+    _check_pairwise_distances(benchmark_problem, benchmark_weights)
+
+
+def test_disagreement_matches_pairwise_distances_on_the_ring(ring_problem, ring_weights):
+    """The benchmark's 200-agent ring: clusters of 10-20 and bridge agents."""
+    _check_pairwise_distances(ring_problem, ring_weights)
+
+
+def test_disagreement_of_a_column_does_not_depend_on_the_batch_width(ring_problem):
+    """A column's disagreement is bit for bit the same whether it comes
+    alone (1-D or one column) or with 2 or 5 columns in one call. The
+    states sit near consensus, as in a run, where rounding shows most.
+    When one column took the symmetric Gram kernel and several the
+    general one, 7 of these 800 blocks differed by 1 ulp."""
+    cmap = ring_problem.cmap
+    rng = np.random.default_rng(3)
+    n_cols = 40
+    w = rng.standard_normal() + 1e-3 * rng.standard_normal((cmap.total_local_dim, n_cols))
+    alone = np.array([disagreement(w[:, c], cmap) for c in range(n_cols)])
+    assert alone.shape == (n_cols, len(cmap.clusters))
+    for width in (1, 2, 5):
+        for start in range(0, n_cols, width):
+            got = disagreement(w[:, start:start + width], cmap)
+            assert np.array_equal(got, alone[start:start + width]), (width, start)
 
 
 def test_penalized_optimum_unconstrained_recovers_model(benchmark_problem):
