@@ -371,8 +371,8 @@ def init_batch(problem: MultiAgentProblem, weights, cfgs, seeds, init_global=Non
     point runs every seed, in column p S + s, and seed s draws from
     `agent_streams(s, N)` for every point, as the per-agent reference in
     the tests does. `weights` maps each block to its CombinationMatrix;
-    coupled diffusion derives its step scalings 1/r_l(k) from their
-    Perron vectors (`weights.step_scaling`). Local copies start at zero
+    coupled diffusion reads its step scalings 1/r_l(k) off them
+    (`weights.step_scaling`). Local copies start at zero
     or gathered from `init_global`: one global vector for every point,
     or a (P, dim) array of one per point. An admm warm start also sets
     each dual y_k to -grad J_k(w_k), the exact gradient at the start, so

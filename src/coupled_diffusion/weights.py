@@ -5,6 +5,15 @@ weights agent k applies to the half-step iterates received from agents s
 in its neighborhood intersected with the cluster. Columns sum to one
 (left-stochastic); Metropolis matrices are also symmetric and therefore
 doubly stochastic.
+
+Both rules have their Perron vector in closed form, so the run path
+makes no eigendecomposition. With n_k agent k's closed cluster
+neighbourhood count (self included), the Perron vector is r_k = w_k / sum w
+with w = 1 (Metropolis: r = 1/N_l) or w = n (averaging: r_k = n_k / sum n).
+Every cluster is connected and both rules put positive weight on the
+diagonal, so every matrix is primitive by construction. The
+second-eigenvalue magnitude, which only the analysis functions need, is
+computed on demand from the matrix.
 """
 
 from __future__ import annotations
@@ -16,113 +25,74 @@ import numpy as np
 from .errors import ConfigError, DisconnectedCluster, NotPrimitive
 from .topology import ClusterMap, NetworkSpec, cluster_connected
 
-PERRON_RESIDUAL_TOL = 1e-10
 MAX_DENSE_EIG = 100
 
 
 @dataclass(frozen=True)
 class CombinationMatrix:
-    """Weights for one cluster together with its spectral data."""
+    """Weights for one cluster, its Perron vector r and the step scalings
+    1/r, each entry computed as one correctly rounded division, so that a
+    Metropolis cluster's scalings equal N_l exactly."""
 
     agents: tuple[int, ...]
     matrix: np.ndarray
     perron: np.ndarray
-    lambda2: float
+    scaling: np.ndarray
 
 
-def _cluster_neighbor_counts(cmap: ClusterMap, net: NetworkSpec, block: int) -> dict[int, list[int]]:
-    """For each cluster member, its neighbors within the cluster (self included)."""
-    members = set(cmap.clusters[block])
-    out = {}
-    for k in cmap.clusters[block]:
-        out[k] = [s for s in net.neighborhood(k) if s in members]
-    return out
-
-
-def _require_connected(cmap: ClusterMap, net: NetworkSpec, block: int):
-    if not cluster_connected(net, cmap.clusters[block]):
+def _closed_neighbourhoods(cmap: ClusterMap, net: NetworkSpec, block: int):
+    """The cluster's agents, its (n, n) closed-neighbourhood indicator
+    (near[i, j] = 1 when agents i and j are equal or adjacent) and the
+    column counts n_k."""
+    agents = cmap.clusters[block]
+    if not cluster_connected(net, agents):
         raise DisconnectedCluster(f"cluster of block {block} is not connected")
+    pos = {k: j for j, k in enumerate(agents)}
+    near = np.zeros((len(agents), len(agents)))
+    for j, k in enumerate(agents):
+        near[[pos[s] for s in net.neighborhood(k) if s in pos], j] = 1.0
+    return agents, near, near.sum(axis=0).astype(int)
 
 
 def metropolis_weights(cmap: ClusterMap, net: NetworkSpec, block: int) -> CombinationMatrix:
     """Metropolis rule: a_sk = 1/max{n_k, n_s} for cluster neighbors s != k,
     self weight fills the column to one. Doubly stochastic and symmetric."""
-    _require_connected(cmap, net, block)
-    agents = cmap.clusters[block]
-    nbrs = _cluster_neighbor_counts(cmap, net, block)
-    counts = {k: len(nbrs[k]) for k in agents}
-    n = len(agents)
-    a = np.zeros((n, n))
-    for j, k in enumerate(agents):
-        for s in nbrs[k]:
-            if s == k:
-                continue
-            a[agents.index(s), j] = 1.0 / max(counts[k], counts[s])
-        a[j, j] = 1.0 - a[:, j].sum()
-    return _finish(agents, a)
+    agents, near, counts = _closed_neighbourhoods(cmap, net, block)
+    np.fill_diagonal(near, 0.0)
+    a = np.where(near > 0, 1.0 / np.maximum.outer(counts, counts), 0.0)
+    # each column summed as its own 1-D array: a.sum(axis=0) rounds some columns differently
+    np.fill_diagonal(a, [1.0 - col.sum() for col in a.T])
+    return _finish(agents, a, np.ones(len(agents), dtype=int))
 
 
 def averaging_weights(cmap: ClusterMap, net: NetworkSpec, block: int) -> CombinationMatrix:
     """Averaging rule: a_sk = 1/n_k for every cluster neighbor s of k.
     Left-stochastic but in general not doubly stochastic."""
-    _require_connected(cmap, net, block)
-    agents = cmap.clusters[block]
-    nbrs = _cluster_neighbor_counts(cmap, net, block)
-    n = len(agents)
-    a = np.zeros((n, n))
-    for j, k in enumerate(agents):
-        for s in nbrs[k]:
-            a[agents.index(s), j] = 1.0 / len(nbrs[k])
-    return _finish(agents, a)
+    agents, near, counts = _closed_neighbourhoods(cmap, net, block)
+    return _finish(agents, near / counts, counts)
 
 
-def _finish(agents, a) -> CombinationMatrix:
-    r, lam2 = perron_vector(a)
-    return CombinationMatrix(agents=agents, matrix=a, perron=r, lambda2=lam2)
-
-
-def _unit_eigenpair(a: np.ndarray, vectors: bool):
-    """Split a dense eigendecomposition at the eigenvalue nearest one.
-
-    Returns that eigenvalue's eigenvector (None unless `vectors`) and the
-    largest magnitude among the other eigenvalues. Raises NotPrimitive when
-    that magnitude reaches one (reducible or periodic matrices); clusters
-    beyond desk scale are rejected.
-    """
-    n = a.shape[0]
-    if n > MAX_DENSE_EIG:
-        raise ConfigError(f"cluster size {n} exceeds dense eigensolver limit {MAX_DENSE_EIG}")
-    eig, vecs = np.linalg.eig(a) if vectors else (np.linalg.eigvals(a), None)
-    unit = int(np.argmin(np.abs(eig - 1.0)))
-    lam2 = float(np.abs(np.delete(eig, unit)).max(initial=0.0))
-    if lam2 >= 1.0 - 1e-10:
-        raise NotPrimitive(f"second eigenvalue magnitude {lam2} is too close to one")
-    return (None if vecs is None else vecs[:, unit]), lam2
-
-
-def perron_vector(a: np.ndarray) -> tuple[np.ndarray, float]:
-    """Positive unit-sum right eigenvector of a left-stochastic matrix at 1,
-    and the second-eigenvalue magnitude, from one eigendecomposition.
-
-    The eigenvector of the eigenvalue nearest one, divided by its sum,
-    which also removes its complex phase. Raises NotPrimitive for reducible
-    or periodic matrices, non-positive entries or a residual above
-    PERRON_RESIDUAL_TOL.
-    """
-    a = np.asarray(a, dtype=float)
-    vec, lam2 = _unit_eigenpair(a, vectors=True)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        x = (vec / vec.sum()).real
-    if not np.all(x > 0):
-        raise NotPrimitive("Perron vector has non-positive entries")
-    if np.max(np.abs(a @ x - x)) > PERRON_RESIDUAL_TOL:
-        raise NotPrimitive("eigenvector residual too large")
-    return x, lam2
+def _finish(agents, a, w) -> CombinationMatrix:
+    """Perron vector w / sum(w) and scalings sum(w) / w of the integer
+    weights w, each a single division."""
+    total = w.sum()
+    return CombinationMatrix(agents=agents, matrix=a, perron=w / total, scaling=total / w)
 
 
 def second_eigenvalue_magnitude(a: np.ndarray) -> float:
-    """Largest |eigenvalue| after removing one instance of the value 1."""
-    return _unit_eigenpair(np.asarray(a, dtype=float), vectors=False)[1]
+    """Largest |eigenvalue| after removing one instance of the value 1.
+
+    Raises NotPrimitive when that magnitude reaches one (reducible or
+    periodic matrices); matrices beyond desk scale are rejected.
+    """
+    a = np.asarray(a, dtype=float)
+    if a.shape[0] > MAX_DENSE_EIG:
+        raise ConfigError(f"cluster size {a.shape[0]} exceeds dense eigensolver limit {MAX_DENSE_EIG}")
+    eig = np.linalg.eigvals(a)
+    lam2 = float(np.abs(np.delete(eig, np.argmin(np.abs(eig - 1.0)))).max(initial=0.0))
+    if lam2 >= 1.0 - 1e-10:
+        raise NotPrimitive(f"second eigenvalue magnitude {lam2} is too close to one")
+    return lam2
 
 
 def step_scaling(cmap: ClusterMap, matrices: dict[int, CombinationMatrix]) -> np.ndarray:
@@ -131,10 +101,10 @@ def step_scaling(cmap: ClusterMap, matrices: dict[int, CombinationMatrix]) -> np
     half-steps reduce to elementwise multiplies."""
     flat = np.empty(cmap.total_local_dim)
     for l, dim in enumerate(cmap.layout.dims):
-        flat[cmap.flat_cluster_indices(l)] = np.repeat(1.0 / matrices[l].perron, dim)
+        flat[cmap.flat_cluster_indices(l)] = np.repeat(matrices[l].scaling, dim)
     return flat
 
 
 def spectral_gap_bound(matrices: dict[int, CombinationMatrix]) -> float:
     """max over clusters of the second-eigenvalue magnitude (rate predictor)."""
-    return max((m.lambda2 for m in matrices.values()), default=0.0)
+    return max((second_eigenvalue_magnitude(m.matrix) for m in matrices.values()), default=0.0)

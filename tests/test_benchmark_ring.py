@@ -1,10 +1,11 @@
 """The inputs and the set-up path of the benchmark workloads, loaded from
 `benchmarks/` as they are, so that a library change that breaks a workload
 fails here before the benchmark runs: the generated 200-agent ring of
-`ring200-tracking` (for example a change that loses its bridge agents),
-every config the workloads write, which the strict config reader must
-accept, as it must the shipped configs, and each workload's smoke plan
-through the worker's own functions, which call the library by name."""
+`ring200-tracking` (for example a change that loses its bridge agents)
+and that ring with one block every agent holds, every config the
+workloads write, which the strict config reader must accept, as it must
+the shipped configs, and each workload's smoke plan through the worker's
+own functions, which call the library by name."""
 
 import argparse
 import json
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 import yaml
 
+from coupled_diffusion.cli import main as cli_main
 from coupled_diffusion.engine import EngineConfig, init_batch
 from coupled_diffusion.harness import build_problem, config_from_dict, load_network
 from coupled_diffusion.weights import metropolis_weights
@@ -37,6 +39,27 @@ def test_ring_workload_network_builds_and_runs(tmp_path, seed):
     for _ in range(cfg.iterations):
         batch.step()
     assert np.isfinite(batch.w).all()
+
+
+def test_ring_with_a_block_every_agent_holds_runs_through_the_cli(tmp_path):
+    """The common-plus-local model: the ring of benchmark seed 1 plus one
+    2-dim block that all 200 agents hold, so one cluster has 200 agents."""
+    raw = ring_network.generate(1)
+    common = len(raw["block_dims"])
+    raw["block_dims"].append(2)
+    raw["interest_sets"] = [s + [common] for s in raw["interest_sets"]]
+    raw["constraint_owners"].append(0)
+    (tmp_path / "ring.json").write_text(json.dumps(raw))
+    config = {"network": {"source": str(tmp_path / "ring.json")},
+              "objective": {"problem_seed": workloads.PROBLEM_SEED},
+              "penalty": {"eta": [workloads.RING_ETA]},
+              "engine": {"mu": [workloads.RING_MU], "iterations": 40},
+              "scenario": {"id": "constrained", "seeds": [0, 1], "log_every": 1}}
+    (tmp_path / "common.yaml").write_text(yaml.safe_dump(config))
+    assert cli_main(["run", "--config", str(tmp_path / "common.yaml"), "--out", str(tmp_path)]) == 0
+    rows = (tmp_path / "constrained.csv").read_text().splitlines()[1:]
+    assert len(rows) == 3 * 40  # two seeds and their mean, every iteration
+    assert all(np.isfinite(float(row.split(",")[5])) for row in rows)
 
 
 def test_workload_and_shipped_configs_pass_the_config_reader():

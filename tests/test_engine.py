@@ -133,6 +133,22 @@ def test_network_form_equivalence_with_penalty():
     assert np.max(np.abs(batch.w.T - np.array([st.w for st in states]))) <= 1e-12
 
 
+def test_block_every_agent_holds_is_atc_diffusion_with_step_n_mu():
+    """One block held by all N agents of a 120-agent cycle: under Metropolis
+    weights (r = 1/N) coupled diffusion is ATC diffusion with step N mu,
+    W <- A'(W - N mu grad J(W)) (Sayed 2014, ch. 7)."""
+    n, mu = 120, 1e-3
+    problem, _ = _consistent_problem(seed=4, n=n, dims=(2,))
+    mats = _weights(problem)
+    batch = init_batch(problem, mats, EngineConfig(mu=mu, noise="exact"), (0,))
+    w = np.zeros((n, 2))
+    for _ in range(20):
+        batch.step()
+        grads = np.array([o.true_gradient(wk) for o, wk in zip(problem.oracles, w)])
+        w = mats[0].matrix.T @ (w - n * mu * grads)
+        assert np.max(np.abs(batch.w[:, 0].reshape(n, 2) - w)) <= 1e-12 * np.max(np.abs(w))
+
+
 def test_combine_matches_neighbor_sums():
     """The per-cluster matrix product equals the literal neighbor sum."""
     problem, cmap = _consistent_problem(seed=6, n=5, dims=(1, 2))

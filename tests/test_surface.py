@@ -27,8 +27,6 @@ KEPT = {  # public, named nowhere outside the tests, and kept on purpose
     "constrained_optimum": "analysis API: criterion 7 solves w_o with it",
     "empirical_rate": "analysis API: criterion 4 fits its contraction factor with it",
     "spectral_gap_bound": "analysis API: criterion 4 bounds that factor with it",
-    "second_eigenvalue_magnitude": "analysis API: lambda2 from the eigenvalues alone; the "
-                                   "weights tests hold perron_vector's lambda2 to it",
 }
 
 
