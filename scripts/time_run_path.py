@@ -11,7 +11,13 @@ directory, and prints one JSON line with the median over repetitions of
 - `refill_us`: `_RiskGradients._refill` per iteration;
 - `record_us`: `MetricsLog.record` per call (one per iteration here);
 - `disagreement_us`: `metrics.disagreement` per call, part of `record_us`;
-- `emit_ms`: one `emit_results` call on the run's table (CSV and sidecar).
+- `emit_ms`: one `emit_results` call on the run's table (CSV and sidecar);
+- `load_ms`, `build_ms`, `weights_ms` and `reference_ms`: the stages of
+  the set-up that `benchmarks/worker.py` times as `setup_s` (all of it
+  but reading the config file), run once more after the run, each timed
+  on its own: `load_network`, `build_problem`, the combination weights
+  with their step scalings, and the reference solves before and after
+  the change point.
 
 Set OPENBLAS_NUM_THREADS=1 before running to match the benchmark:
 
@@ -32,7 +38,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmarks")]
 import ring_network  # noqa: E402
 import workloads  # noqa: E402
 from coupled_diffusion import config_from_dict, emit_results, run_scenario  # noqa: E402
-from coupled_diffusion import metrics  # noqa: E402
+from coupled_diffusion import harness, metrics, weights  # noqa: E402
 from coupled_diffusion.engine import CoupledBatch, _RiskGradients  # noqa: E402
 
 # (owner, attribute) of each timed function; MetricsLog.record looks
@@ -52,6 +58,28 @@ def _timed(method, totals, name):
     return wrapper
 
 
+def _setup_stages(cfg) -> dict:
+    """Wall time of each set-up stage of `cfg`, in ms, in the order the
+    run makes them."""
+    marks = [time.perf_counter()]
+    desc = harness.load_network(cfg.network, cfg.block_dims)
+    marks.append(time.perf_counter())
+    base = harness.build_problem(desc, cfg.problem_seed, constrained=cfg.uses_constraints,
+                                 rho=cfg.rho)
+    marks.append(time.perf_counter())
+    rule = weights.metropolis_weights if cfg.weight_rule == "metropolis" else weights.averaging_weights
+    mats = {l: rule(base.cmap, base.net, l) for l in range(len(base.cmap.clusters))}
+    weights.step_scaling(base.cmap, mats)
+    marks.append(time.perf_counter())
+    changed = harness.regenerate_constraints(base, desc, cfg.problem_seed, epoch=0)
+    for eta in cfg.eta_list:
+        for problem in (base, changed):
+            metrics.reference_solution(problem, eta)
+    marks.append(time.perf_counter())
+    return {name: 1e3 * (end - start) for name, start, end
+            in zip(("load", "build", "weights", "reference"), marks, marks[1:])}
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seed", type=int, default=0, help="benchmark seed of the ring")
@@ -65,7 +93,7 @@ def main():
         cfg = config_from_dict(call["config"])
         iterations = cfg.iterations
         samples = {name: [] for name in TIMED}
-        emit_ms = []
+        emit_ms, stages = [], []
         for _ in range(args.reps):
             totals = dict.fromkeys(TIMED, 0.0)
             originals = {name: getattr(owner, attr) for name, (owner, attr) in TIMED.items()}
@@ -81,9 +109,12 @@ def main():
             start = time.perf_counter()
             emit_results(table, Path(tmp) / "tracking.csv")
             emit_ms.append(1e3 * (time.perf_counter() - start))
+            stages.append(_setup_stages(cfg))
     print(json.dumps({f"{name}_us": round(statistics.median(v), 1) for name, v in samples.items()}
-                     | {"emit_ms": round(statistics.median(emit_ms), 2), "reps": args.reps,
-                        "iterations": iterations}))
+                     | {"emit_ms": round(statistics.median(emit_ms), 2)}
+                     | {f"{name}_ms": round(statistics.median(s[name] for s in stages), 2)
+                        for name in stages[0]}
+                     | {"reps": args.reps, "iterations": iterations}))
 
 
 if __name__ == "__main__":

@@ -81,11 +81,11 @@ def main(argv=None) -> int:
         emit_results(table, out_path)
         print(out_path)
         return 0
-    except (argparse.ArgumentError, SimulationError, OSError, yaml.YAMLError, ValueError) as exc:
-        print(
-            "error: " + json.dumps({"type": type(exc).__name__, "message": str(exc)}),
-            file=sys.stderr,
-        )
+    except (argparse.ArgumentError, SimulationError, OSError, yaml.YAMLError, ValueError,
+            MemoryError) as exc:
+        # numpy raises a private MemoryError subclass for an allocation it refuses
+        kind = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
+        print("error: " + json.dumps({"type": kind, "message": str(exc)}), file=sys.stderr)
         return 2
 
 

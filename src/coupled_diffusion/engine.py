@@ -99,42 +99,38 @@ class _RiskGradients:
     Agent k's quadratic oracle acts on its Q_k flat coordinates through its
     (Q_k, R_k) scaled basis, or in exact mode its (Q_k, Q_k) covariance;
     the zero basis rows of a bridge agent's added blocks give zero
-    gradient entries there. The factors sit zero-padded in an (N, Q, R)
+    gradient entries there. The factors come zero-padded in an (N, Q, R)
     or (N, Q, Q) tensor with Q = max Q_k and R = max R_k, so padded cells
-    add nothing. Stochastic mode pre-draws each (seed, agent) stream's
-    R_k + 1 normals per iteration in chunks: one draw of T (R_k + 1)
-    values equals T successive draws of R_k + 1, so iteration i sees the
-    variates the per-agent reference would. The draws are kept once per
-    seed, (draws, S), and broadcast over the P grid points, whose columns
-    come point-major (p S + s): every point reads its seed's variates.
+    add nothing (`MultiAgentProblem.oracle_stack`). Stochastic mode
+    pre-draws each (seed, agent) stream's R_k + 1 normals per iteration
+    in chunks: one draw of T (R_k + 1) values equals T successive draws
+    of R_k + 1, so iteration i sees the variates the per-agent reference
+    would. The draws are kept once per seed, (draws, S), and broadcast
+    over the P grid points, whose columns come point-major (p S + s):
+    every point reads its seed's variates.
     """
 
     def __init__(self, problem: MultiAgentProblem, seeds, cfg: EngineConfig, points: int):
-        cmap = problem.cmap
         for o in problem.oracles:
             if not isinstance(o, QuadraticRiskOracle):
                 raise ConfigError(
                     f"the batched engine needs quadratic risk oracles, got {type(o).__name__}"
                 )
-        dims, ranks = np.array(cmap.local_dims), np.array([o.rank for o in problem.oracles])
-        width = int(dims.max())
+        stack = problem.oracle_stack()
+        n, width = stack.valid.shape
         self.exact = cfg.noise == "exact"
-        valid = np.arange(width) < dims[:, None]
         # padded cells gather flat entry 0, which meets a zero factor row;
         # the valid cells, in row-major order, are the flat layout itself
-        self.gather = np.where(valid, np.array(cmap.agent_starts)[:, None] + np.arange(width), 0)
-        self.valid = np.flatnonzero(valid)
-        self.factor = np.zeros((len(dims), width, width if self.exact else int(ranks.max())))
-        self.w_ref = np.zeros((len(dims), width, 1))
-        for k, o in enumerate(problem.oracles):
-            f = o.covariance if self.exact else o._scaled_basis
-            self.factor[k, : f.shape[0], : f.shape[1]] = f
-            self.w_ref[k, : o.dim, 0] = o.w_ref
-        self.grads = np.empty(valid.shape + (points * len(seeds),))
+        self.gather = stack.gather
+        self.valid = np.flatnonzero(stack.valid)
+        self.factor = stack.covariance if self.exact else stack.scaled_basis
+        self.w_ref = stack.w_ref.reshape(n, width, 1)
+        self.grads = np.empty((n, width, points * len(seeds)))
         if self.exact:
             return
-        self.noise_std = np.array([[o.noise_std] for o in problem.oracles])
-        self.streams = [agent_streams(seed, len(dims)) for seed in seeds]
+        ranks = stack.ranks
+        self.noise_std = stack.noise_std.reshape(n, 1)
+        self.streams = [agent_streams(seed, n) for seed in seeds]
         self.per_iteration = ranks + 1  # normals each agent draws per iteration
         # column j < R of agent k reads its j-th feature draw (padding reads
         # draw 0, which meets a zero factor column); column R its noise draw

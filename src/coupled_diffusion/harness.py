@@ -26,7 +26,7 @@ from .objective import (
     MultiAgentProblem,
     PenaltyConfig,
     equality,
-    random_quadratic_oracle,
+    random_quadratic_oracles,
 )
 from .topology import BlockLayout, NetworkSpec, build_clusters, embed_clusters
 from .weights import averaging_weights, metropolis_weights
@@ -279,7 +279,8 @@ def build_problem(desc: NetworkDescription, seed: int, constrained: bool = False
 
     The true model is drawn once and normalized to unit norm; each agent
     receives a random orthogonal-basis covariance with spectrum uniform
-    in [1, 3] and noise power uniform in [-30, -20] dB. Disconnected
+    in [1, 3] and noise power uniform in [-30, -20] dB, drawn agent by
+    agent in agent order (`objective.random_quadratic_oracles`). Disconnected
     clusters are embedded first; agents recruited as bridges contribute
     zero cost for the added blocks (zero basis rows in their oracles). The
     constrained variant adds one unit-norm affine equality per block at
@@ -292,13 +293,12 @@ def build_problem(desc: NetworkDescription, seed: int, constrained: bool = False
     rng = _problem_rng(seed, _PROBLEM_TAG)
     model = rng.standard_normal(desc.layout.total_dim)
     model /= np.linalg.norm(model)
-    oracles = []
+    oracles = random_quadratic_oracles(
+        [cmap0.gather_local(model, k) for k in range(net.agent_count)], rng)
     for k in range(net.agent_count):
-        oracle = random_quadratic_oracle(cmap0.gather_local(model, k), rng)
         if net.interest_sets[k] != cmap0.agent_blocks[k]:
             positions = np.isin(cmap.global_indices(k), cmap0.global_indices(k))
-            oracle = oracle.embedded(positions, cmap.local_dims[k])
-        oracles.append(oracle)
+            oracles[k] = oracles[k].embedded(positions, cmap.local_dims[k])
     oracles = tuple(oracles)
     if constrained:
         constraints = _draw_constraints(desc, cmap, _problem_rng(seed, _CONSTRAINT_TAG))
@@ -382,7 +382,13 @@ def _csv_fields(values) -> list:
     "" for None, str(v) for anything else."""
     types = set(map(type, values))
     if all(issubclass(t, float) for t in types):
-        return list(map(float.__repr__, values))  # repr(float(v)), without the float()
+        # repr(float(v)), without the float(); a column that holds one
+        # object, like mu in a grid point's rows, is formatted once. The
+        # test is identity, not equality, as -0.0 == 0.0.
+        first = values[0]
+        if all(v is first for v in values):
+            return [float.__repr__(first)] * len(values)
+        return list(map(float.__repr__, values))
     if type(None) not in types and not any(issubclass(t, float) for t in types):
         return list(map(str, values))
     return [repr(float(v)) if isinstance(v, float) else "" if v is None else str(v)

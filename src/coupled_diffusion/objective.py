@@ -7,7 +7,7 @@ single evaluation serves multiple eta values in sweeps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -143,27 +143,89 @@ class QuadraticRiskOracle:
         return QuadraticRiskOracle(basis, self.spectrum, w_ref, self.noise_std)
 
 
-def random_orthogonal(dim: int, rng) -> np.ndarray:
-    """Haar-ish orthogonal matrix via QR with sign-fixed diagonal."""
-    q, r = np.linalg.qr(rng.standard_normal((dim, dim)))
-    return q * np.sign(np.diag(r))
-
-
 SPECTRUM_RANGE = (1.0, 3.0)  # covariance eigenvalues of a random oracle
 NOISE_DB_RANGE = (-30.0, -20.0)  # its noise power, in dB
 
 
-def random_quadratic_oracle(w_ref: np.ndarray, rng) -> QuadraticRiskOracle:
-    """Random oracle: orthogonal basis, spectrum uniform in SPECTRUM_RANGE,
-    noise power drawn uniformly in NOISE_DB_RANGE (dB) and converted via
-    sigma^2 = 10^(dB/10)."""
-    w_ref = np.asarray(w_ref, dtype=float)
-    dim = w_ref.shape[0]
-    basis = random_orthogonal(dim, rng)
-    spectrum = rng.uniform(*SPECTRUM_RANGE, size=dim)
-    noise_db = rng.uniform(*NOISE_DB_RANGE)
-    noise_std = float(np.sqrt(10.0 ** (noise_db / 10.0)))
-    return QuadraticRiskOracle(basis=basis, spectrum=spectrum, w_ref=w_ref, noise_std=noise_std)
+def random_quadratic_oracles(w_refs, rng) -> list:
+    """One random oracle per vector of `w_refs`: a Haar-ish orthogonal
+    basis, a spectrum uniform in SPECTRUM_RANGE and a noise power drawn
+    uniformly in NOISE_DB_RANGE (dB), converted via sigma^2 = 10^(dB/10).
+
+    The draws come oracle by oracle, in order: the dim x dim normals of
+    the basis, the spectrum, the noise power. The bases of one dimension
+    are then orthogonalized together, by one stacked QR whose R gets a
+    positive diagonal by a sign fix of Q; a stacked QR factors each
+    matrix with the bits of a QR of that matrix alone.
+    """
+    w_refs = [np.asarray(w, dtype=float) for w in w_refs]
+    draws = [(rng.standard_normal((w.shape[0], w.shape[0])),
+              rng.uniform(*SPECTRUM_RANGE, size=w.shape[0]),
+              rng.uniform(*NOISE_DB_RANGE)) for w in w_refs]
+    by_dim = {}
+    for k, w in enumerate(w_refs):
+        by_dim.setdefault(w.shape[0], []).append(k)
+    bases = [None] * len(w_refs)
+    for members in by_dim.values():
+        q, r = np.linalg.qr(np.stack([draws[k][0] for k in members]))
+        q *= np.sign(np.diagonal(r, axis1=-2, axis2=-1))[:, None, :]
+        for k, basis in zip(members, q):
+            bases[k] = basis
+    return [QuadraticRiskOracle(basis, spectrum, w, float(np.sqrt(10.0 ** (noise_db / 10.0))))
+            for basis, (_, spectrum, noise_db), w in zip(bases, draws, w_refs)]
+
+
+@dataclass(frozen=True)
+class OracleStack:
+    """Every agent's quadratic oracle in one zero-padded array per field.
+
+    Agent k's Q_k coordinates fill row k up to Q = max Q_k and its R_k
+    basis columns fill up to R = max R_k; the padding is zero, so padded
+    cells add nothing to a product. The arrays are read-only.
+    """
+
+    covariance: np.ndarray  # (N, Q, Q)
+    scaled_basis: np.ndarray  # (N, Q, R): basis sqrt(spectrum)
+    w_ref: np.ndarray  # (N, Q)
+    noise_std: np.ndarray  # (N,)
+    ranks: np.ndarray  # (N,)
+    # (N, Q) whether a cell is one of the agent's coordinates; the real
+    # cells, in row-major order, are the flat layout itself
+    valid: np.ndarray
+    # (N, Q) flat-layout index of each cell; a padded cell reads entry 0
+    gather: np.ndarray
+
+    def true_gradient(self, z: np.ndarray) -> np.ndarray:
+        """Every agent's exact risk gradient 2 R_k (z_k - w_ref_k) at the
+        padded (N, Q) points z; padded cells read zero."""
+        return 2.0 * (self.covariance @ (z - self.w_ref)[..., None])[..., 0]
+
+
+def stack_oracles(oracles, cmap: ClusterMap) -> OracleStack:
+    """The OracleStack of per-agent quadratic oracles on the flat layout of
+    `cmap`."""
+    dims = np.array(cmap.local_dims)
+    ranks = np.array([o.rank for o in oracles])
+    width, depth = int(dims.max()), int(ranks.max())
+    valid = np.arange(width) < dims[:, None]
+    in_rank = np.arange(depth) < ranks[:, None]
+    covariance = np.zeros((len(dims), width, width))
+    scaled_basis = np.zeros((len(dims), width, depth))
+    w_ref = np.zeros((len(dims), width))
+    # a boolean mask visits the cells in row-major order: agent by agent,
+    # and within an agent in the order of its own arrays
+    covariance[valid[:, :, None] & valid[:, None, :]] = np.concatenate(
+        [o.covariance.ravel() for o in oracles])
+    scaled_basis[valid[:, :, None] & in_rank[:, None, :]] = np.concatenate(
+        [o._scaled_basis.ravel() for o in oracles])
+    w_ref[valid] = np.concatenate([o.w_ref for o in oracles])
+    gather = np.where(valid, np.array(cmap.agent_starts)[:, None] + np.arange(width), 0)
+    stack = OracleStack(covariance=covariance, scaled_basis=scaled_basis, w_ref=w_ref,
+                        noise_std=np.array([o.noise_std for o in oracles], dtype=float),
+                        ranks=ranks, valid=valid, gather=gather)
+    for f in fields(stack):
+        getattr(stack, f.name).flags.writeable = False
+    return stack
 
 
 @dataclass(frozen=True)
@@ -176,7 +238,8 @@ class MultiAgentProblem:
     constraints: tuple[tuple[ConstraintSpec, ...], ...]
     penalty: PenaltyConfig
     true_model: Optional[np.ndarray] = None
-    # (oracles, cmap, H, f) of the last global_risk_quadratic assembly
+    # (oracles, cmap, *values) of the last oracle_stack and global_risk_quadratic
+    _oracle_stack: Optional[tuple] = field(default=None, repr=False, compare=False)
     _risk_quadratic: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -198,29 +261,44 @@ class MultiAgentProblem:
     def layout(self) -> BlockLayout:
         return self.cmap.layout
 
-    def global_risk_quadratic(self) -> tuple[np.ndarray, np.ndarray]:
-        """Hessian H = sum_k lift(2 R_k) and linear term f = sum_k lift(2 R_k w_ref_k)
-        of the aggregate risk, so grad J_glob(w) = H w - f.
-
-        Both are assembled once and are read-only. A problem made from this
-        one by `dataclasses.replace` with the same oracles and cluster map,
-        such as a fresh constraint draw, shares them.
-        """
-        cached = self._risk_quadratic
+    def _derived(self, name: str, build) -> tuple:
+        """The values `build()` derives from the oracles and the cluster map,
+        kept in field `name` and built again only when either changes. A
+        problem made from this one by `dataclasses.replace` with the same
+        oracles and cluster map, such as a fresh constraint draw, shares them."""
+        cached = getattr(self, name)
         if cached is None or cached[0] is not self.oracles or cached[1] is not self.cmap:
-            cached = (self.oracles, self.cmap) + self._assemble_risk_quadratic()
-            object.__setattr__(self, "_risk_quadratic", cached)
+            cached = (self.oracles, self.cmap) + build()
+            object.__setattr__(self, name, cached)
         return cached[2:]
 
+    def oracle_stack(self) -> OracleStack:
+        """The oracles as one padded OracleStack, built once and read-only."""
+        return self._derived("_oracle_stack", lambda: (stack_oracles(self.oracles, self.cmap),))[0]
+
+    def global_risk_quadratic(self) -> tuple[np.ndarray, np.ndarray]:
+        """Hessian H = sum_k lift(2 R_k) and linear term f = sum_k lift(2 R_k w_ref_k)
+        of the aggregate risk, so grad J_glob(w) = H w - f; assembled once
+        and read-only."""
+        return self._derived("_risk_quadratic", self._assemble_risk_quadratic)
+
+    def _global_cells(self, stack: OracleStack) -> np.ndarray:
+        """(N, Q) global-vector index of each cell of the oracle stack."""
+        return self.cmap.flat_global_indices[stack.gather]
+
     def _assemble_risk_quadratic(self) -> tuple[np.ndarray, np.ndarray]:
-        m = self.layout.total_dim
-        hess = np.zeros((m, m))
-        lin = np.zeros(m)
-        for k, o in enumerate(self.oracles):
-            gidx = self.cmap.global_indices(k)
-            cov2 = 2.0 * o.covariance
-            hess[np.ix_(gidx, gidx)] += cov2
-            lin[gidx] += cov2 @ o.w_ref
+        """Each entry sums its agents' terms in agent order, from zero, as
+        adding agent by agent into zeroed arrays would: bincount adds its
+        weights in the order given, and an agent holds each index once."""
+        stack, m = self.oracle_stack(), self.layout.total_dim
+        cells = self._global_cells(stack)
+        pairs = stack.valid[:, :, None] & stack.valid[:, None, :]
+        cov2 = 2.0 * stack.covariance
+        hess = np.bincount((cells[:, :, None] * m + cells[:, None, :])[pairs],
+                           weights=cov2[pairs], minlength=m * m).reshape(m, m)
+        # one product per agent: a padded, batched product rounds differently
+        terms = [c[:q, :q] @ w[:q] for c, w, q in zip(cov2, stack.w_ref, self.cmap.local_dims)]
+        lin = np.bincount(cells[stack.valid], weights=np.concatenate(terms), minlength=m)
         hess.flags.writeable = lin.flags.writeable = False
         return hess, lin
 
@@ -260,11 +338,11 @@ class MultiAgentProblem:
 
     def global_risk_gradient(self, w: np.ndarray) -> np.ndarray:
         """Exact aggregate risk gradient at a global vector."""
-        grad = np.zeros(self.layout.total_dim)
-        for k, o in enumerate(self.oracles):
-            gidx = self.cmap.global_indices(k)
-            grad[gidx] += o.true_gradient(w[gidx])
-        return grad
+        stack = self.oracle_stack()
+        cells = self._global_cells(stack)
+        grad = stack.true_gradient(np.asarray(w, dtype=float)[cells])
+        return np.bincount(cells[stack.valid], weights=grad[stack.valid],
+                           minlength=self.layout.total_dim)
 
     def global_penalty_gradient(self, w: np.ndarray) -> np.ndarray:
         """Exact aggregate penalty gradient at a global vector (no eta)."""

@@ -168,16 +168,15 @@ def build_clusters(net: NetworkSpec, layout: BlockLayout) -> ClusterMap:
     embed_clusters for that.
     """
     L = layout.block_count
+    members = [[] for _ in range(L)]
     for k, blocks in enumerate(net.interest_sets):
         for l in blocks:
             if l >= L or l < 0:
                 raise InvalidBlockIndex(
                     f"agent {k} is interested in block {l}, layout has {L} blocks"
                 )
-    clusters = tuple(
-        tuple(k for k in range(net.agent_count) if l in net.interest_sets[k])
-        for l in range(L)
-    )
+            members[l].append(k)
+    clusters = tuple(map(tuple, members))
     for l, c in enumerate(clusters):
         if not c:
             raise EmptyCluster(f"block {l} appears in no interest set")
@@ -190,9 +189,11 @@ def build_clusters(net: NetworkSpec, layout: BlockLayout) -> ClusterMap:
         [span[layout.global_slice(l)] for blocks in net.interest_sets for l in blocks]
     )
     # an agent holds a block once, so the flat entries of block l, in flat
-    # order, are its copies in cluster order
+    # order, are its copies in cluster order; a stable sort keeps that order
     flat_block = np.repeat(np.arange(L), layout.dims)[flat_global]
-    flat_cluster_idx = tuple(np.flatnonzero(flat_block == l) for l in range(L))
+    by_block = np.argsort(flat_block, kind="stable")
+    ends = np.cumsum(np.bincount(flat_block, minlength=L))
+    flat_cluster_idx = tuple(np.split(by_block, ends[:-1]))
 
     return ClusterMap(
         layout=layout,

@@ -9,7 +9,7 @@ from coupled_diffusion.harness import build_problem, load_network
 from coupled_diffusion.objective import QuadraticRiskOracle
 from coupled_diffusion.topology import BlockLayout, NetworkSpec, build_clusters
 from coupled_diffusion.weights import metropolis_weights, step_scaling
-from reference import generate_benchmark_problem, stochastic_gradient
+from reference import generate_benchmark_problem, random_quadratic_oracle, stochastic_gradient
 
 
 @pytest.fixture(scope="session")
@@ -88,7 +88,7 @@ def benchmark_scaling(benchmark_problem, benchmark_weights):
 
 def single_agent_problem(dim=3, noise_std=0.0, w_ref=None, seed=0):
     """One agent, one block: the classic single-task reduction."""
-    from coupled_diffusion.objective import MultiAgentProblem, PenaltyConfig, random_quadratic_oracle
+    from coupled_diffusion.objective import MultiAgentProblem, PenaltyConfig
 
     net = NetworkSpec(agent_count=1, edges=frozenset(), interest_sets=((0,),))
     layout = BlockLayout((dim,))

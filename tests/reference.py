@@ -14,8 +14,10 @@ import numpy as np
 
 from coupled_diffusion.engine import DIVERGENCE_NORM, EngineConfig, agent_streams
 from coupled_diffusion.errors import NonFiniteIterate
-from coupled_diffusion.harness import build_problem, load_network
+from coupled_diffusion.harness import _PROBLEM_TAG, _problem_rng, build_problem, load_network
 from coupled_diffusion.objective import (
+    NOISE_DB_RANGE,
+    SPECTRUM_RANGE,
     ConstraintSpec,
     MultiAgentProblem,
     PenaltyConfig,
@@ -24,13 +26,74 @@ from coupled_diffusion.objective import (
     ip_penalty,
     penalty_gradient,
 )
-from coupled_diffusion.topology import ClusterMap
+from coupled_diffusion.topology import ClusterMap, build_clusters, embed_clusters
 
 
 def generate_benchmark_problem(seed: int, constrained: bool = False,
                                rho: float = 1.0) -> MultiAgentProblem:
     """The bundled 20-agent, five-block benchmark instance for this seed."""
     return build_problem(load_network("benchmark20"), seed, constrained=constrained, rho=rho)
+
+
+def random_orthogonal(dim: int, rng) -> np.ndarray:
+    """Haar-ish orthogonal matrix via QR with sign-fixed diagonal."""
+    q, r = np.linalg.qr(rng.standard_normal((dim, dim)))
+    return q * np.sign(np.diag(r))
+
+
+def random_quadratic_oracle(w_ref: np.ndarray, rng) -> QuadraticRiskOracle:
+    """One random oracle, one QR: the per-oracle form of
+    `objective.random_quadratic_oracles`, which draws the same values in
+    the same order. Orthogonal basis, spectrum uniform in SPECTRUM_RANGE,
+    noise power drawn uniformly in NOISE_DB_RANGE (dB) and converted via
+    sigma^2 = 10^(dB/10)."""
+    w_ref = np.asarray(w_ref, dtype=float)
+    dim = w_ref.shape[0]
+    basis = random_orthogonal(dim, rng)
+    spectrum = rng.uniform(*SPECTRUM_RANGE, size=dim)
+    noise_db = rng.uniform(*NOISE_DB_RANGE)
+    noise_std = float(np.sqrt(10.0 ** (noise_db / 10.0)))
+    return QuadraticRiskOracle(basis=basis, spectrum=spectrum, w_ref=w_ref, noise_std=noise_std)
+
+
+def per_agent_problem_draw(desc, seed: int):
+    """(true model, oracles) of `build_problem(desc, seed)`, drawn agent by
+    agent with one QR per agent and embedded for the bridge agents."""
+    cmap0 = build_clusters(desc.net, desc.layout)
+    net, cmap = embed_clusters(desc.net, cmap0)
+    rng = _problem_rng(seed, _PROBLEM_TAG)
+    model = rng.standard_normal(desc.layout.total_dim)
+    model /= np.linalg.norm(model)
+    oracles = []
+    for k in range(net.agent_count):
+        oracle = random_quadratic_oracle(cmap0.gather_local(model, k), rng)
+        if net.interest_sets[k] != cmap0.agent_blocks[k]:
+            positions = np.isin(cmap.global_indices(k), cmap0.global_indices(k))
+            oracle = oracle.embedded(positions, cmap.local_dims[k])
+        oracles.append(oracle)
+    return model, oracles
+
+
+def risk_quadratic(problem: MultiAgentProblem) -> tuple[np.ndarray, np.ndarray]:
+    """(H, f) of `MultiAgentProblem.global_risk_quadratic`, added into zeroed
+    arrays agent by agent through `np.ix_`."""
+    m = problem.layout.total_dim
+    hess, lin = np.zeros((m, m)), np.zeros(m)
+    for k, o in enumerate(problem.oracles):
+        gidx = problem.cmap.global_indices(k)
+        cov2 = 2.0 * o.covariance
+        hess[np.ix_(gidx, gidx)] += cov2
+        lin[gidx] += cov2 @ o.w_ref
+    return hess, lin
+
+
+def risk_gradient(problem: MultiAgentProblem, w: np.ndarray) -> np.ndarray:
+    """`MultiAgentProblem.global_risk_gradient`, summed agent by agent."""
+    grad = np.zeros(problem.layout.total_dim)
+    for k, o in enumerate(problem.oracles):
+        gidx = problem.cmap.global_indices(k)
+        grad[gidx] += o.true_gradient(w[gidx])
+    return grad
 
 
 def stochastic_gradient(oracle: QuadraticRiskOracle, zeta: np.ndarray, rng) -> np.ndarray:

@@ -23,7 +23,6 @@ from coupled_diffusion.objective import (
     PenaltyConfig,
     ip_penalty,
     penalty_gradient,
-    random_quadratic_oracle,
 )
 from coupled_diffusion.topology import BlockLayout, NetworkSpec, build_clusters
 from coupled_diffusion.weights import averaging_weights, metropolis_weights, spectral_gap_bound, step_scaling
@@ -34,6 +33,7 @@ from reference import (
     init_state,
     msd,
     penalty_value,
+    random_quadratic_oracle,
 )
 
 # Step sizes for the stochastic ensemble criteria. The O(mu) shift and the

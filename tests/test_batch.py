@@ -306,6 +306,22 @@ def test_batch_rejects_unsupported_problems(constrained):
                    EngineConfig(mu=0.001, eta=1.0, algorithm="admm"), SEEDS)
 
 
+class _OpaqueRisk:
+    """A risk oracle that is not a QuadraticRiskOracle."""
+
+    def __init__(self, dim):
+        self.dim = dim
+
+
+@pytest.mark.parametrize("noise", ["stochastic", "exact"])
+def test_batch_rejects_a_non_quadratic_oracle(constrained, noise):
+    oracles = list(constrained.oracles)
+    oracles[3] = _OpaqueRisk(oracles[3].dim)
+    problem = dataclasses.replace(constrained, oracles=tuple(oracles))
+    with pytest.raises(ConfigError, match="quadratic risk oracles, got _OpaqueRisk"):
+        init_batch(problem, _weights(constrained), EngineConfig(mu=0.001, noise=noise), SEEDS)
+
+
 GATED = {  # every solve and engine set-up reaches constraint_system
     "constraint_system": lambda p, w: p.constraint_system(flat=True),
     "reference_solution": lambda p, w: reference_solution(p, 10.0),

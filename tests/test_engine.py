@@ -9,7 +9,6 @@ from coupled_diffusion.objective import (
     PenaltyConfig,
     QuadraticRiskOracle,
     equality,
-    random_quadratic_oracle,
 )
 from coupled_diffusion.topology import BlockLayout, NetworkSpec, build_clusters
 from coupled_diffusion.weights import metropolis_weights, spectral_gap_bound, step_scaling
@@ -23,6 +22,7 @@ from reference import (
     init_admm_state,
     init_state,
     msd,
+    random_quadratic_oracle,
 )
 
 

@@ -28,8 +28,14 @@ from coupled_diffusion.harness import (
 from coupled_diffusion.engine import init_batch
 from coupled_diffusion.metrics import reference_solution
 from coupled_diffusion.weights import metropolis_weights
-from conftest import assert_bridge_oracles_draw_like_their_inner_oracle
-from reference import generate_benchmark_problem, msd
+from conftest import assert_bridge_oracles_draw_like_their_inner_oracle, load_benchmark_module
+from reference import (
+    generate_benchmark_problem,
+    msd,
+    per_agent_problem_draw,
+    risk_gradient,
+    risk_quadratic,
+)
 
 
 def test_config_validation_errors():
@@ -208,6 +214,56 @@ def test_build_problem_checks_cluster_connectivity_once(tmp_path, monkeypatch):
     problem = build_problem(desc, seed=0)
     assert problem.net is not desc.net  # bridged
     assert len(calls) == desc.layout.block_count
+
+
+def _problem_networks(tmp_path):
+    """benchmark20, example5, the bridged split network and the benchmark's
+    generated 200-agent ring (network seed 1), by name."""
+    ring = tmp_path / "ring.json"
+    ring.write_text(json.dumps(load_benchmark_module("ring_network").generate(1)))
+    return {"benchmark20": load_network("benchmark20"), "example5": load_network("example5"),
+            "split": _split_network(tmp_path), "ring": load_network(str(ring))}
+
+
+@pytest.mark.parametrize("network", ["benchmark20", "example5", "split", "ring"])
+def test_stacked_problem_draw_matches_the_per_agent_draw(tmp_path, network):
+    """build_problem draws its oracles agent by agent and orthogonalizes
+    them by one stacked QR per dimension; the true model, every oracle
+    field and the assembled risk quadratic equal those of drawing agent
+    by agent with one QR each, bit for bit."""
+    desc = _problem_networks(tmp_path)[network]
+    for seed in (0, 7):
+        problem = build_problem(desc, seed, constrained=True)
+        model, oracles = per_agent_problem_draw(desc, seed)
+        assert problem.true_model.tobytes() == model.tobytes()
+        assert len(problem.oracles) == len(oracles)
+        for got, want in zip(problem.oracles, oracles):
+            for name in ("basis", "spectrum", "w_ref", "_scaled_basis", "covariance"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+            assert got.noise_std == want.noise_std
+        hess, lin = problem.global_risk_quadratic()
+        want_hess, want_lin = risk_quadratic(problem)
+        assert hess.tobytes() == want_hess.tobytes() and lin.tobytes() == want_lin.tobytes()
+        # the stationarity check's gradient sums in another order: rounding only
+        w = np.random.default_rng(seed).standard_normal(problem.layout.total_dim)
+        grad, want_grad = problem.global_risk_gradient(w), risk_gradient(problem, w)
+        assert np.max(np.abs(grad - want_grad)) <= 1e-14 * np.max(np.abs(want_grad))
+
+
+@pytest.mark.parametrize("network", ["benchmark20", "example5", "ring"])
+def test_build_problem_makes_one_qr_call_per_local_dimension(tmp_path, monkeypatch, network):
+    """The oracle bases of one local dimension share one np.linalg.qr call."""
+    from coupled_diffusion.topology import build_clusters
+
+    desc = _problem_networks(tmp_path)[network]
+    calls = []
+    qr = np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr", lambda a: calls.append(a.shape) or qr(a))
+    build_problem(desc, seed=0, constrained=True)
+    dims = set(build_clusters(desc.net, desc.layout).local_dims)
+    assert len(dims) > 1
+    assert sorted(shape[-1] for shape in calls) == sorted(dims)
 
 
 def test_bridge_oracles_draw_like_their_inner_oracle(tmp_path):
@@ -409,6 +465,17 @@ def test_emit_results_raises_on_a_field_csv_writer_would_quote(tmp_path, field):
         emit_results(ResultTable(rows=rows, config={}), tmp_path / "t.csv")
 
 
+def test_emit_results_formats_repeated_float_objects_by_identity(tmp_path):
+    """A float column that repeats one object in every row, like mu or eta,
+    or a few objects, writes each object's own text: 0.0 and -0.0 are
+    equal but print apart."""
+    zero, negative_zero, nan = 0.0, -0.0, float("nan")
+    rows = [("sweep", (zero, negative_zero, nan)[i % 3], (negative_zero, zero)[i % 2], "0", i,
+             float(i), negative_zero if i < 200 else zero, np.float64(-0.0)) for i in range(300)]
+    emit_results(ResultTable(rows=rows, config={}), tmp_path / "t.csv")
+    assert (tmp_path / "t.csv").read_bytes() == _csv_writer_bytes(rows)
+
+
 def test_emit_results_matches_csv_writer_on_a_run(tmp_path):
     table = run_scenario(_small_cfg())
     emit_results(table, tmp_path / "run.csv")
@@ -533,6 +600,9 @@ def test_cli_error_null_iterations(tmp_path, capsys):
     # 2 eta G'G swamps the risk Hessian in floating point: not positive definite
     pytest.param([], {"objective": {"constrained": True}, "penalty": {"eta": [1e17]}},
                  "SingularSystem", "1e+17", id="huge-eta"),
+    # arrays of 5e13 entries, far beyond any address space: numpy refuses them at once
+    pytest.param([], {"blocks": {"dims": [10**13] * 5}}, "MemoryError", "Unable to allocate",
+                 id="huge-block-dims"),
 ])
 def test_cli_error_on_malformed_arguments(tmp_path, capsys, args, sections, kind, word):
     """A malformed flag or config entry gives one error line that names it."""

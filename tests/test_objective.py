@@ -14,11 +14,16 @@ from coupled_diffusion.objective import (
     equality,
     ip_penalty,
     penalty_gradient,
-    random_orthogonal,
-    random_quadratic_oracle,
+    random_quadratic_oracles,
 )
 
-from reference import inequality, penalty_value, stochastic_gradient
+from reference import (
+    inequality,
+    penalty_value,
+    random_orthogonal,
+    random_quadratic_oracle,
+    stochastic_gradient,
+)
 
 
 def test_ep_penalty_values():
@@ -123,6 +128,22 @@ def test_oracle_deterministic_per_seed():
     assert np.array_equal(a.basis, b.basis)
     assert np.array_equal(a.spectrum, b.spectrum)
     assert a.noise_std == b.noise_std
+
+
+def test_random_quadratic_oracles_match_one_draw_and_one_qr_per_oracle():
+    """The stacked QR of each dimension gives the bits of one QR per oracle,
+    with dimensions mixed, repeated and of size 1, in any order."""
+    dims = [3, 1, 6, 3, 2, 1, 6, 6, 3, 10]
+    w_refs = [np.random.default_rng(d).standard_normal(d) for d in dims]
+    got = random_quadratic_oracles(w_refs, np.random.default_rng(5))
+    rng = np.random.default_rng(5)
+    want = [random_quadratic_oracle(w, rng) for w in w_refs]
+    for a, b in zip(got, want):
+        for name in ("basis", "spectrum", "w_ref", "_scaled_basis", "covariance"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert x.shape == y.shape and x.tobytes() == y.tobytes(), name
+        assert a.noise_std == b.noise_std
+        assert np.max(np.abs(a.basis.T @ a.basis - np.eye(a.dim))) <= 1e-10
 
 
 def test_zero_residual_sample_is_exact_zero():
