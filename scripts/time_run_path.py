@@ -12,12 +12,16 @@ directory, and prints one JSON line with the median over repetitions of
 - `record_us`: `MetricsLog.record` per call (one per iteration here);
 - `disagreement_us`: `metrics.disagreement` per call, part of `record_us`;
 - `emit_ms`: one `emit_results` call on the run's table (CSV and sidecar);
-- `load_ms`, `build_ms`, `weights_ms` and `reference_ms`: the stages of
-  the set-up that `benchmarks/worker.py` times as `setup_s` (all of it
-  but reading the config file), run once more after the run, each timed
-  on its own: `load_network`, `build_problem`, the combination weights
-  with their step scalings, and the reference solves before and after
-  the change point.
+- `load_ms`, `topology_ms`, `oracles_ms`, `assembly_ms`, `weights_ms`
+  and `reference_ms`: the stages of the set-up that
+  `benchmarks/worker.py` times as `setup_s` (all of it but reading the
+  config file), run once more after the run, each timed on its own:
+  `load_network`; within `build_problem`, the clusters and their
+  embedding (`build_clusters`, `embed_clusters`), the oracle draws
+  (`random_quadratic_oracles`) and the rest of it (true model, bridge
+  oracles, constraints, the oracle stack, H and the strong-convexity
+  check); the combination weights with their step scalings; and the
+  reference solves before and after the change point.
 
 Set OPENBLAS_NUM_THREADS=1 before running to match the benchmark:
 
@@ -58,14 +62,29 @@ def _timed(method, totals, name):
     return wrapper
 
 
+# the stages of build_problem timed on their own: the harness functions it
+# calls, wrapped while it runs
+BUILD_STAGES = {"topology": ("build_clusters", "embed_clusters"),
+                "oracles": ("random_quadratic_oracles",)}
+
+
 def _setup_stages(cfg) -> dict:
     """Wall time of each set-up stage of `cfg`, in ms, in the order the
     run makes them."""
     marks = [time.perf_counter()]
     desc = harness.load_network(cfg.network, cfg.block_dims)
     marks.append(time.perf_counter())
-    base = harness.build_problem(desc, cfg.problem_seed, constrained=cfg.uses_constraints,
-                                 rho=cfg.rho)
+    parts = dict.fromkeys(BUILD_STAGES, 0.0)
+    originals = {attr: getattr(harness, attr) for attrs in BUILD_STAGES.values() for attr in attrs}
+    for stage, attrs in BUILD_STAGES.items():
+        for attr in attrs:
+            setattr(harness, attr, _timed(originals[attr], parts, stage))
+    try:
+        base = harness.build_problem(desc, cfg.problem_seed, constrained=cfg.uses_constraints,
+                                     rho=cfg.rho)
+    finally:
+        for attr, function in originals.items():
+            setattr(harness, attr, function)
     marks.append(time.perf_counter())
     rule = weights.metropolis_weights if cfg.weight_rule == "metropolis" else weights.averaging_weights
     mats = {l: rule(base.cmap, base.net, l) for l in range(len(base.cmap.clusters))}
@@ -76,8 +95,12 @@ def _setup_stages(cfg) -> dict:
         for problem in (base, changed):
             metrics.reference_solution(problem, eta)
     marks.append(time.perf_counter())
-    return {name: 1e3 * (end - start) for name, start, end
-            in zip(("load", "build", "weights", "reference"), marks, marks[1:])}
+    stages = {name: end - start for name, start, end
+              in zip(("load", "build", "weights", "reference"), marks, marks[1:])}
+    assembly = stages.pop("build") - sum(parts.values())
+    ordered = {"load": stages["load"], **parts, "assembly": assembly,
+               "weights": stages["weights"], "reference": stages["reference"]}
+    return {name: 1e3 * seconds for name, seconds in ordered.items()}
 
 
 def main():

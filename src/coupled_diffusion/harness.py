@@ -13,6 +13,7 @@ import dataclasses
 import json
 from dataclasses import dataclass, field
 from importlib import resources
+from itertools import chain
 from pathlib import Path
 from typing import Optional
 
@@ -73,13 +74,14 @@ def load_network(source: str, block_dims=None) -> NetworkDescription:
     if base not in (0, 1):
         raise ConfigError(f"index_base must be 0 or 1, got {base}")
     edges = _integer_lists(raw["edges"], "edges")
-    if any(len(e) != 2 for e in edges):
+    if set(map(len, edges)) - {2}:
         raise ConfigError("network edges must be [agent, agent] pairs")
-    edges = frozenset((a - base, b - base) for a, b in edges)
-    interest = tuple(tuple(l - base for l in s)
-                     for s in _integer_lists(raw["interest_sets"], "interest_sets"))
-    net = NetworkSpec(agent_count=_integer(raw["agent_count"], "agent_count"), edges=edges,
-                      interest_sets=interest)
+    interest = _integer_lists(raw["interest_sets"], "interest_sets")
+    if base:
+        edges = tuple((a - base, b - base) for a, b in edges)
+        interest = tuple(tuple(l - base for l in s) for s in interest)
+    net = NetworkSpec(agent_count=_integer(raw["agent_count"], "agent_count"),
+                      edges=frozenset(edges), interest_sets=interest)
     dims = tuple(block_dims) if block_dims else _integers(raw["block_dims"], "block_dims")
     layout = BlockLayout(dims)  # checks the dims before the owners are counted against them
     owners = raw.get("constraint_owners")
@@ -116,6 +118,8 @@ def _real(value, name: str) -> float:
 def _integers(value, name: str) -> tuple[int, ...]:
     if not isinstance(value, (list, tuple)):
         raise ConfigError(f"{name} must be a list of integers, got {value!r}")
+    if _plain_ints(value):
+        return tuple(value)
     return tuple(_integer(v, name) for v in value)
 
 
@@ -123,7 +127,18 @@ def _integer_lists(value, name: str) -> tuple[tuple[int, ...], ...]:
     """A list of lists of integers, such as edges or interest sets."""
     if not isinstance(value, (list, tuple)):
         raise ConfigError(f"{name} must be a list of lists of integers, got {value!r}")
+    if set(map(type, value)) <= {list, tuple} and _plain_ints(list(chain.from_iterable(value))):
+        return tuple(map(tuple, value))
     return tuple(_integers(v, name) for v in value)
+
+
+def _plain_ints(values) -> bool:
+    """Whether every value is an int of int64 range, not a bool: `_integer`
+    returns such a value as it is. JSON integers, the usual content of a
+    network file, pass in one pass; any other list is checked value by
+    value, and its error names the first value that is not an integer."""
+    return set(map(type, values)) <= {int} and (
+        not values or (-2**63 <= min(values) and max(values) < 2**63))
 
 
 def _as_list(value) -> tuple:
@@ -293,12 +308,16 @@ def build_problem(desc: NetworkDescription, seed: int, constrained: bool = False
     rng = _problem_rng(seed, _PROBLEM_TAG)
     model = rng.standard_normal(desc.layout.total_dim)
     model /= np.linalg.norm(model)
+    local = model[cmap0.flat_global_indices]
     oracles = random_quadratic_oracles(
-        [cmap0.gather_local(model, k) for k in range(net.agent_count)], rng)
-    for k in range(net.agent_count):
-        if net.interest_sets[k] != cmap0.agent_blocks[k]:
-            positions = np.isin(cmap.global_indices(k), cmap0.global_indices(k))
-            oracles[k] = oracles[k].embedded(positions, cmap.local_dims[k])
+        [local[cmap0.flat_slice(k)] for k in range(net.agent_count)], rng)
+    if cmap is not cmap0:
+        # a bridge agent's own coordinates are the entries of its flat slice
+        # that it held before embedding; the keys of both layouts increase
+        before, after = _agent_entry_keys(cmap0), _agent_entry_keys(cmap)
+        own = before[np.searchsorted(before, after).clip(max=len(before) - 1)] == after
+        for k in np.flatnonzero(np.not_equal(cmap.local_dims, cmap0.local_dims)).tolist():
+            oracles[k] = oracles[k].embedded(own[cmap.flat_slice(k)], cmap.local_dims[k])
     oracles = tuple(oracles)
     if constrained:
         constraints = _draw_constraints(desc, cmap, _problem_rng(seed, _CONSTRAINT_TAG))
@@ -316,6 +335,13 @@ def build_problem(desc: NetworkDescription, seed: int, constrained: bool = False
     if nu <= 0.0:
         raise SingularSystem(f"assembled risk Hessian is not strongly convex (nu={nu:.2e})")
     return problem
+
+
+def _agent_entry_keys(cmap) -> np.ndarray:
+    """(agent, global index) of every flat entry as one integer,
+    agent * total_dim + index; increasing along the flat layout."""
+    agents = np.repeat(np.arange(len(cmap.local_dims)), cmap.local_dims)
+    return agents * cmap.layout.total_dim + cmap.flat_global_indices
 
 
 def regenerate_constraints(problem: MultiAgentProblem, desc: NetworkDescription,

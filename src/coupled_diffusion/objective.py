@@ -97,6 +97,10 @@ class QuadraticRiskOracle:
     embedding gives a bridge agent (see `embedded`). The oracle holds the
     risk and its exact gradient; the engine draws the samples of h and of
     the noise (`engine._RiskGradients`).
+
+    The scaled basis `basis sqrt(spectrum)` and the covariance are derived
+    here unless the caller passes them, computed from the same basis and
+    spectrum with the same bits (`random_quadratic_oracles`, `embedded`).
     """
 
     basis: np.ndarray  # orthonormal columns
@@ -110,8 +114,10 @@ class QuadraticRiskOracle:
         object.__setattr__(self, "basis", np.asarray(self.basis, dtype=float))
         object.__setattr__(self, "spectrum", np.asarray(self.spectrum, dtype=float))
         object.__setattr__(self, "w_ref", np.asarray(self.w_ref, dtype=float))
-        object.__setattr__(self, "_scaled_basis", self.basis * np.sqrt(self.spectrum))
-        object.__setattr__(self, "_covariance", (self.basis * self.spectrum) @ self.basis.T)
+        if self._scaled_basis is None:
+            object.__setattr__(self, "_scaled_basis", self.basis * np.sqrt(self.spectrum))
+        if self._covariance is None:
+            object.__setattr__(self, "_covariance", (self.basis * self.spectrum) @ self.basis.T)
 
     @property
     def dim(self) -> int:
@@ -138,9 +144,13 @@ class QuadraticRiskOracle:
         """The same risk on a dim-vector whose `positions` hold this oracle's
         coordinates; the other coordinates get zero basis rows, so they cost
         nothing and the rank does not change."""
-        basis, w_ref = np.zeros((dim, self.rank)), np.zeros(dim)
-        basis[positions], w_ref[positions] = self.basis, self.w_ref
-        return QuadraticRiskOracle(basis, self.spectrum, w_ref, self.noise_std)
+        basis, scaled = np.zeros((dim, self.rank)), np.zeros((dim, self.rank))
+        w_ref, covariance = np.zeros(dim), np.zeros((dim, dim))
+        basis[positions], scaled[positions], w_ref[positions] = (
+            self.basis, self._scaled_basis, self.w_ref)
+        # a zero basis row adds exact zeros to every product it enters
+        covariance[np.ix_(positions, positions)] = self._covariance
+        return QuadraticRiskOracle(basis, self.spectrum, w_ref, self.noise_std, scaled, covariance)
 
 
 SPECTRUM_RANGE = (1.0, 3.0)  # covariance eigenvalues of a random oracle
@@ -153,10 +163,11 @@ def random_quadratic_oracles(w_refs, rng) -> list:
     uniformly in NOISE_DB_RANGE (dB), converted via sigma^2 = 10^(dB/10).
 
     The draws come oracle by oracle, in order: the dim x dim normals of
-    the basis, the spectrum, the noise power. The bases of one dimension
-    are then orthogonalized together, by one stacked QR whose R gets a
-    positive diagonal by a sign fix of Q; a stacked QR factors each
-    matrix with the bits of a QR of that matrix alone.
+    the basis, the spectrum, the noise power. The oracles of one dimension
+    are then built together: one stacked QR, whose R gets a positive
+    diagonal by a sign fix of Q, and one batched product each for the
+    scaled bases and the covariances. A stacked QR or product computes each
+    matrix with the bits of the same call on that matrix alone.
     """
     w_refs = [np.asarray(w, dtype=float) for w in w_refs]
     draws = [(rng.standard_normal((w.shape[0], w.shape[0])),
@@ -165,14 +176,18 @@ def random_quadratic_oracles(w_refs, rng) -> list:
     by_dim = {}
     for k, w in enumerate(w_refs):
         by_dim.setdefault(w.shape[0], []).append(k)
-    bases = [None] * len(w_refs)
+    oracles = [None] * len(w_refs)
     for members in by_dim.values():
         q, r = np.linalg.qr(np.stack([draws[k][0] for k in members]))
         q *= np.sign(np.diagonal(r, axis1=-2, axis2=-1))[:, None, :]
-        for k, basis in zip(members, q):
-            bases[k] = basis
-    return [QuadraticRiskOracle(basis, spectrum, w, float(np.sqrt(10.0 ** (noise_db / 10.0))))
-            for basis, (_, spectrum, noise_db), w in zip(bases, draws, w_refs)]
+        spectra = np.stack([draws[k][1] for k in members])[:, None, :]
+        scaled = q * np.sqrt(spectra)
+        covariances = (q * spectra) @ q.transpose(0, 2, 1)
+        for k, basis, s, c in zip(members, q, scaled, covariances):
+            _, spectrum, noise_db = draws[k]
+            oracles[k] = QuadraticRiskOracle(basis, spectrum, w_refs[k],
+                                             float(np.sqrt(10.0 ** (noise_db / 10.0))), s, c)
+    return oracles
 
 
 @dataclass(frozen=True)
@@ -296,9 +311,15 @@ class MultiAgentProblem:
         cov2 = 2.0 * stack.covariance
         hess = np.bincount((cells[:, :, None] * m + cells[:, None, :])[pairs],
                            weights=cov2[pairs], minlength=m * m).reshape(m, m)
-        # one product per agent: a padded, batched product rounds differently
-        terms = [c[:q, :q] @ w[:q] for c, w, q in zip(cov2, stack.w_ref, self.cmap.local_dims)]
-        lin = np.bincount(cells[stack.valid], weights=np.concatenate(terms), minlength=m)
+        # one batched product per local dimension q on the unpadded (q, q)
+        # blocks, which gives each agent the bits of its own product; a
+        # padded product rounds differently
+        dims = np.asarray(self.cmap.local_dims)
+        terms = np.zeros(stack.w_ref.shape)
+        for q in set(self.cmap.local_dims):
+            agents = np.flatnonzero(dims == q)
+            terms[agents, :q] = (cov2[agents, :q, :q] @ stack.w_ref[agents, :q, None])[..., 0]
+        lin = np.bincount(cells[stack.valid], weights=terms[stack.valid], minlength=m)
         hess.flags.writeable = lin.flags.writeable = False
         return hess, lin
 

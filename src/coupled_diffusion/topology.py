@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -39,10 +39,6 @@ class BlockLayout:
     def total_dim(self) -> int:
         return sum(self.dims)
 
-    def global_slice(self, block: int) -> slice:
-        start = self.offsets[block]
-        return slice(start, start + self.dims[block])
-
 
 @dataclass(frozen=True)
 class NetworkSpec:
@@ -54,42 +50,55 @@ class NetworkSpec:
     _adjacency: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.agent_count < 1:
+        n = self.agent_count
+        if n < 1:
             raise ConfigError("agent_count must be positive")
-        norm = set()
-        for a, b in self.edges:
+        ends = list(chain.from_iterable(self.edges))
+        if ends and not (0 <= min(ends) and max(ends) < n):
+            _raise_for_first_bad_edge(self.edges, n)
+        # walked in increasing order, the edges fill every neighbour list in
+        # increasing order: agent k meets each (a, k) before any (k, b)
+        edges = sorted({(a, b) if a < b else (b, a) for a, b in self.edges})
+        adj = [[] for _ in range(n)]
+        for a, b in edges:
             if a == b:
-                raise ConfigError(f"self-loop edge ({a},{b}) not allowed")
-            if not (0 <= a < self.agent_count and 0 <= b < self.agent_count):
-                raise ConfigError(f"edge ({a},{b}) references unknown agent")
-            norm.add((min(a, b), max(a, b)))
-        object.__setattr__(self, "edges", frozenset(norm))
-        if len(self.interest_sets) != self.agent_count:
+                _raise_for_first_bad_edge(self.edges, n)
+            adj[a].append(b)
+            adj[b].append(a)
+        object.__setattr__(self, "edges", frozenset(edges))
+        if len(self.interest_sets) != n:
             raise ConfigError("need one interest set per agent")
-        if any(len(s) == 0 for s in self.interest_sets):
+        if 0 in map(len, self.interest_sets):
             raise ConfigError("every interest set must be non-empty")
         object.__setattr__(
             self,
             "interest_sets",
-            tuple(tuple(sorted(set(int(l) for l in s))) for s in self.interest_sets),
+            tuple(tuple(sorted(set(map(int, s)))) for s in self.interest_sets),
         )
-        adj = [[] for _ in range(self.agent_count)]
-        for a, b in self.edges:
-            adj[a].append(b)
-            adj[b].append(a)
-        object.__setattr__(self, "_adjacency", tuple(tuple(sorted(n)) for n in adj))
+        object.__setattr__(self, "_adjacency", tuple(map(tuple, adj)))
 
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
         """Sorted neighbor lists, self excluded."""
         return self._adjacency
 
-    def neighborhood(self, agent: int) -> tuple[int, ...]:
-        """Neighbors of `agent` including the agent itself."""
-        return tuple(sorted(self._adjacency[agent] + (agent,)))
-
     def is_connected(self) -> bool:
         seen = _bfs_reach(self.adjacency(), [0])
         return len(seen) == self.agent_count
+
+
+def _raise_for_first_bad_edge(edges, agent_count: int):
+    """The error of the first self-loop or unknown agent, in set order."""
+    for a, b in edges:
+        if a == b:
+            raise ConfigError(f"self-loop edge ({a},{b}) not allowed")
+        if not (0 <= a < agent_count and 0 <= b < agent_count):
+            raise ConfigError(f"edge ({a},{b}) references unknown agent")
+
+
+def _split(values: list, counts) -> tuple[tuple, ...]:
+    """`values` cut into consecutive tuples of the given lengths."""
+    stops = np.cumsum(counts).tolist()
+    return tuple(tuple(values[start:stop]) for start, stop in zip([0] + stops[:-1], stops))
 
 
 @dataclass(frozen=True)
@@ -141,10 +150,6 @@ class ClusterMap:
         """Global-vector indices corresponding to agent k's local vector."""
         return self.flat_global_indices[self.flat_slice(agent)]
 
-    def gather_local(self, global_vec: np.ndarray, agent: int) -> np.ndarray:
-        """Restrict a global vector to agent k's blocks."""
-        return np.asarray(global_vec)[self.global_indices(agent)]
-
     def columns(self, vectors, copies: int) -> np.ndarray:
         """(n_flat, P copies) state columns of P global vectors: vector p
         gathered into the flat layout fills columns p copies to
@@ -168,32 +173,37 @@ def build_clusters(net: NetworkSpec, layout: BlockLayout) -> ClusterMap:
     embed_clusters for that.
     """
     L = layout.block_count
-    members = [[] for _ in range(L)]
-    for k, blocks in enumerate(net.interest_sets):
-        for l in blocks:
-            if l >= L or l < 0:
-                raise InvalidBlockIndex(
-                    f"agent {k} is interested in block {l}, layout has {L} blocks"
-                )
-            members[l].append(k)
-    clusters = tuple(map(tuple, members))
-    for l, c in enumerate(clusters):
-        if not c:
-            raise EmptyCluster(f"block {l} appears in no interest set")
+    # one (agent, block) pair per copy of a block, agent by agent and, within
+    # an agent, in increasing block order: the order of the flat layout
+    flat = list(chain.from_iterable(net.interest_sets))
+    if not (0 <= min(flat) and max(flat) < L):
+        k, l = next((k, l) for k, blocks in enumerate(net.interest_sets)
+                    for l in blocks if not 0 <= l < L)
+        raise InvalidBlockIndex(f"agent {k} is interested in block {l}, layout has {L} blocks")
+    blocks = np.array(flat, dtype=np.intp)
+    blocks_per_agent = np.fromiter(map(len, net.interest_sets), dtype=np.intp,
+                                   count=net.agent_count)
+    agents = np.repeat(np.arange(net.agent_count), blocks_per_agent)
+    sizes = np.bincount(blocks, minlength=L)
+    if not sizes.all():
+        raise EmptyCluster(f"block {int(np.argmin(sizes))} appears in no interest set")
+    # a stable sort by block keeps each cluster in agent order
+    clusters = _split(agents[np.argsort(blocks, kind="stable")].tolist(), sizes)
 
-    local_dims = tuple(
-        sum(layout.dims[l] for l in blocks) for blocks in net.interest_sets
-    )
-    span = np.arange(layout.total_dim)
-    flat_global = np.concatenate(
-        [span[layout.global_slice(l)] for blocks in net.interest_sets for l in blocks]
-    )
+    dims = np.array(layout.dims)
+    copy_dims = dims[blocks]
+    copy_ends = np.cumsum(copy_dims)
+    agent_ends = np.cumsum(blocks_per_agent)
+    local_dims = tuple(np.diff(copy_ends[agent_ends - 1], prepend=0).tolist())
+    # copy p spans global entries offsets[block] + 0 .. dims[block] - 1
+    flat_global = (np.repeat(np.array(layout.offsets)[blocks] - (copy_ends - copy_dims), copy_dims)
+                   + np.arange(copy_ends[-1]))
     # an agent holds a block once, so the flat entries of block l, in flat
     # order, are its copies in cluster order; a stable sort keeps that order
-    flat_block = np.repeat(np.arange(L), layout.dims)[flat_global]
-    by_block = np.argsort(flat_block, kind="stable")
-    ends = np.cumsum(np.bincount(flat_block, minlength=L))
-    flat_cluster_idx = tuple(np.split(by_block, ends[:-1]))
+    by_block = np.argsort(np.repeat(blocks, copy_dims), kind="stable")
+    block_ends = np.cumsum(sizes * dims)
+    flat_cluster_idx = tuple(by_block[start:stop] for start, stop
+                             in zip([0] + block_ends[:-1].tolist(), block_ends.tolist()))
 
     return ClusterMap(
         layout=layout,
@@ -202,20 +212,22 @@ def build_clusters(net: NetworkSpec, layout: BlockLayout) -> ClusterMap:
         local_dims=local_dims,
         agent_starts=tuple(accumulate((0,) + local_dims[:-1])),
         flat_global_indices=flat_global,
-        padded_cluster_indices=_pad_clusters(flat_cluster_idx, clusters, layout.dims),
+        padded_cluster_indices=_pad_clusters(by_block, block_ends - sizes * dims, sizes, dims),
         _flat_cluster_idx=flat_cluster_idx,
     )
 
 
-def _pad_clusters(flat_cluster_idx, clusters, dims) -> np.ndarray:
-    n_max, m_max = max(len(c) for c in clusters), max(dims)
-    out = np.empty((len(clusters), n_max, m_max), dtype=np.intp)
-    for l, idx in enumerate(flat_cluster_idx):
-        n, m = len(clusters[l]), dims[l]
-        out[l] = idx[0]
-        out[l, :, :m] = idx[:m]
-        out[l, :n, :m] = idx.reshape(n, m)
-    return out
+def _pad_clusters(by_block, starts, sizes, dims) -> np.ndarray:
+    """The (L, N_max, M_max) padded index of ClusterMap: cell [l, i, j] holds
+    by_block[starts[l] + i M_l + j] for a real copy entry, member 0's entry
+    j for an extra row and member 0's first entry for an extra column."""
+    rows = np.arange(sizes.max())[None, :, None]
+    cols = np.arange(dims.max())[None, None, :]
+    n, m = sizes[:, None, None], dims[:, None, None]
+    real_col = cols < m
+    row = np.where(real_col & (rows < n), rows, 0)
+    col = np.where(real_col, cols, 0)
+    return by_block[starts[:, None, None] + row * m + col]
 
 
 def _bfs_reach(adj: list[list[int]], sources: list[int], allowed=None) -> set:
@@ -272,27 +284,26 @@ def _bridge_nodes(adj: list[list[int]], cluster: tuple[int, ...]) -> set:
     others = set().union(*comps[1:]) if len(comps) > 1 else set()
     bridges = set()
     while others:
-        # multi-source BFS from the merged component over the full graph
-        dist = {u: 0 for u in merged}
+        # breadth-first from the merged set over the full graph, one level at
+        # a time, up to the first level that holds a node of another component
         parent = {}
-        queue = deque(sorted(merged))
-        while queue:
-            u = queue.popleft()
-            for v in adj[u]:
-                if v not in dist:
-                    dist[v] = dist[u] + 1
-                    parent[v] = u
-                    queue.append(v)
-                elif dist[v] == dist[u] + 1 and parent.get(v, u) > u:
-                    parent[v] = u  # lowest-id predecessor at equal depth
-        reach = [t for t in others if t in dist]
-        if not reach:
-            raise NetworkDisconnected("cluster components lie in different graph components")
-        target = min(reach, key=lambda t: (dist[t], t))
-        node = target
+        level = sorted(merged)
+        reached = []
+        while not reached:
+            found = {}
+            for u in level:  # in increasing id order: the first parent is the lowest
+                for v in adj[u]:
+                    if v not in merged and v not in parent and v not in found:
+                        found[v] = u
+            if not found:
+                raise NetworkDisconnected("cluster components lie in different graph components")
+            parent.update(found)
+            level = sorted(found)
+            reached = [v for v in level if v in others]
+        target = reached[0]
+        node = parent[target]
         while node not in merged:
-            if node != target:
-                bridges.add(node)
+            bridges.add(node)
             node = parent[node]
         # absorb the component that target belongs to, plus new bridges
         comp = next(c for c in comps if target in c)
@@ -317,9 +328,9 @@ def embed_clusters(net: NetworkSpec, cmap: ClusterMap) -> tuple[NetworkSpec, Clu
     if not net.is_connected():
         raise NetworkDisconnected("cannot embed clusters: the full graph is disconnected")
     adj = net.adjacency()
-    sets = [set(s) for s in net.interest_sets]
+    sets = list(net.interest_sets)  # NetworkSpec sorts the blocks added here
     for l in bad:
         for k in _bridge_nodes(adj, cmap.clusters[l]):
-            sets[k].add(l)
+            sets[k] += (l,)
     new = NetworkSpec(net.agent_count, net.edges, tuple(sets))
     return new, build_clusters(new, cmap.layout)

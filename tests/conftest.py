@@ -5,11 +5,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from coupled_diffusion.harness import build_problem, load_network
+from coupled_diffusion.harness import NetworkDescription, build_problem, load_network
 from coupled_diffusion.objective import QuadraticRiskOracle
 from coupled_diffusion.topology import BlockLayout, NetworkSpec, build_clusters
 from coupled_diffusion.weights import metropolis_weights, step_scaling
-from reference import generate_benchmark_problem, random_quadratic_oracle, stochastic_gradient
+from reference import (
+    generate_benchmark_problem,
+    global_slice,
+    random_quadratic_oracle,
+    stochastic_gradient,
+)
 
 
 @pytest.fixture(scope="session")
@@ -60,6 +65,21 @@ def ring_problem(tmp_path_factory):
     path = tmp_path_factory.mktemp("ring") / "ring.json"
     path.write_text(json.dumps(load_benchmark_module("ring_network").generate(0)))
     return build_problem(load_network(str(path)), 7, constrained=True)
+
+
+@pytest.fixture(scope="session")
+def setup_networks(tmp_path_factory, bridge_net):
+    """The networks the set-up's bit-identity tests run on, by name:
+    benchmark20, the bridged five-agent network (two split clusters) and
+    the benchmark's generated 200-agent ring of network seed 1."""
+    path = tmp_path_factory.mktemp("ring1") / "ring.json"
+    path.write_text(json.dumps(load_benchmark_module("ring_network").generate(1)))
+    return {"benchmark20": load_network("benchmark20"),
+            "bridged": NetworkDescription(net=bridge_net, layout=BlockLayout((2, 3, 2, 1))),
+            "ring": load_network(str(path))}
+
+
+SETUP_NETWORKS = ("benchmark20", "bridged", "ring")
 
 
 @pytest.fixture(scope="session")
@@ -122,7 +142,7 @@ def assert_bridge_oracles_draw_like_their_inner_oracle(problem, net):
         added = np.zeros(o.dim, dtype=bool)
         owned = cmap.global_indices(k)
         for l in set(cmap.agent_blocks[k]) - set(before.agent_blocks[k]):
-            block = problem.layout.global_slice(l)
+            block = global_slice(problem.layout, l)
             added |= (owned >= block.start) & (owned < block.stop)
         assert np.array_equal(np.all(o.basis == 0.0, axis=1), added)
         kept = ~added

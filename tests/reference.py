@@ -8,13 +8,27 @@ sees the same variates in either form. Test-only helpers live here too.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from coupled_diffusion import topology
 from coupled_diffusion.engine import DIVERGENCE_NORM, EngineConfig, agent_streams
-from coupled_diffusion.errors import NonFiniteIterate
-from coupled_diffusion.harness import _PROBLEM_TAG, _problem_rng, build_problem, load_network
+from coupled_diffusion.errors import (
+    ConfigError,
+    EmptyCluster,
+    InvalidBlockIndex,
+    NetworkDisconnected,
+    NonFiniteIterate,
+)
+from coupled_diffusion.harness import (
+    _PROBLEM_TAG,
+    _integer,
+    _problem_rng,
+    build_problem,
+    load_network,
+)
 from coupled_diffusion.objective import (
     NOISE_DB_RANGE,
     SPECTRUM_RANGE,
@@ -26,7 +40,24 @@ from coupled_diffusion.objective import (
     ip_penalty,
     penalty_gradient,
 )
-from coupled_diffusion.topology import ClusterMap, build_clusters, embed_clusters
+from coupled_diffusion.topology import (
+    BlockLayout,
+    ClusterMap,
+    NetworkSpec,
+    build_clusters,
+    embed_clusters,
+)
+
+
+def global_slice(layout: BlockLayout, block: int) -> slice:
+    """Position of a block within the global vector."""
+    start = layout.offsets[block]
+    return slice(start, start + layout.dims[block])
+
+
+def gather_local(cmap: ClusterMap, global_vec: np.ndarray, agent: int) -> np.ndarray:
+    """Restrict a global vector to agent k's blocks."""
+    return np.asarray(global_vec)[cmap.global_indices(agent)]
 
 
 def generate_benchmark_problem(seed: int, constrained: bool = False,
@@ -58,7 +89,8 @@ def random_quadratic_oracle(w_ref: np.ndarray, rng) -> QuadraticRiskOracle:
 
 def per_agent_problem_draw(desc, seed: int):
     """(true model, oracles) of `build_problem(desc, seed)`, drawn agent by
-    agent with one QR per agent and embedded for the bridge agents."""
+    agent with one QR per agent; a bridge agent's oracle is rebuilt on its
+    embedded vector, every field computed by the oracle itself."""
     cmap0 = build_clusters(desc.net, desc.layout)
     net, cmap = embed_clusters(desc.net, cmap0)
     rng = _problem_rng(seed, _PROBLEM_TAG)
@@ -66,12 +98,152 @@ def per_agent_problem_draw(desc, seed: int):
     model /= np.linalg.norm(model)
     oracles = []
     for k in range(net.agent_count):
-        oracle = random_quadratic_oracle(cmap0.gather_local(model, k), rng)
+        oracle = random_quadratic_oracle(gather_local(cmap0, model, k), rng)
         if net.interest_sets[k] != cmap0.agent_blocks[k]:
             positions = np.isin(cmap.global_indices(k), cmap0.global_indices(k))
-            oracle = oracle.embedded(positions, cmap.local_dims[k])
+            dim = cmap.local_dims[k]
+            basis, w_ref = np.zeros((dim, oracle.rank)), np.zeros(dim)
+            basis[positions], w_ref[positions] = oracle.basis, oracle.w_ref
+            oracle = QuadraticRiskOracle(basis, oracle.spectrum, w_ref, oracle.noise_std)
         oracles.append(oracle)
     return model, oracles
+
+
+# The set-up as it was written agent by agent, edge by edge and cluster by
+# cluster: the references the array passes of the library are held to, bit
+# for bit.
+
+def integer_lists(value, name: str) -> tuple:
+    """`harness._integer_lists`, value by value."""
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{name} must be a list of lists of integers, got {value!r}")
+    return tuple(integers(v, name) for v in value)
+
+
+def integers(value, name: str) -> tuple:
+    """`harness._integers`, value by value."""
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{name} must be a list of integers, got {value!r}")
+    return tuple(_integer(v, name) for v in value)
+
+
+def network_fields(agent_count: int, edges, interest_sets) -> tuple:
+    """(edges, interest_sets, adjacency) of `NetworkSpec(agent_count, edges,
+    interest_sets)`, normalized edge by edge and agent by agent."""
+    norm = set()
+    for a, b in edges:
+        if a == b:
+            raise ConfigError(f"self-loop edge ({a},{b}) not allowed")
+        if not (0 <= a < agent_count and 0 <= b < agent_count):
+            raise ConfigError(f"edge ({a},{b}) references unknown agent")
+        norm.add((min(a, b), max(a, b)))
+    if len(interest_sets) != agent_count:
+        raise ConfigError("need one interest set per agent")
+    if any(len(s) == 0 for s in interest_sets):
+        raise ConfigError("every interest set must be non-empty")
+    sets = tuple(tuple(sorted(set(int(l) for l in s))) for s in interest_sets)
+    adj = [[] for _ in range(agent_count)]
+    for a, b in norm:
+        adj[a].append(b)
+        adj[b].append(a)
+    return frozenset(norm), sets, tuple(tuple(sorted(n)) for n in adj)
+
+
+def neighborhood(net: NetworkSpec, agent: int) -> tuple:
+    """Neighbors of `agent` including the agent itself."""
+    return tuple(sorted(net.adjacency()[agent] + (agent,)))
+
+
+def cluster_map_fields(net: NetworkSpec, layout: BlockLayout) -> dict:
+    """The index fields of `build_clusters(net, layout)`, built agent by
+    agent and block by block."""
+    L = layout.block_count
+    members = [[] for _ in range(L)]
+    for k, blocks in enumerate(net.interest_sets):
+        for l in blocks:
+            if l >= L or l < 0:
+                raise InvalidBlockIndex(
+                    f"agent {k} is interested in block {l}, layout has {L} blocks")
+            members[l].append(k)
+    clusters = tuple(map(tuple, members))
+    for l, c in enumerate(clusters):
+        if not c:
+            raise EmptyCluster(f"block {l} appears in no interest set")
+    local_dims = tuple(sum(layout.dims[l] for l in blocks) for blocks in net.interest_sets)
+    span = np.arange(layout.total_dim)
+    flat_global = np.concatenate(
+        [span[global_slice(layout, l)] for blocks in net.interest_sets for l in blocks])
+    flat_block = np.repeat(np.arange(L), layout.dims)[flat_global]
+    flat_cluster_idx = [np.flatnonzero(flat_block == l) for l in range(L)]
+    n_max, m_max = max(map(len, clusters)), max(layout.dims)
+    padded = np.empty((L, n_max, m_max), dtype=np.intp)
+    for l, idx in enumerate(flat_cluster_idx):
+        n, m = len(clusters[l]), layout.dims[l]
+        padded[l] = idx[0]
+        padded[l, :, :m] = idx[:m]
+        padded[l, :n, :m] = idx.reshape(n, m)
+    starts = [0]
+    for q in local_dims[:-1]:
+        starts.append(starts[-1] + q)
+    return {"clusters": clusters, "agent_blocks": net.interest_sets, "local_dims": local_dims,
+            "agent_starts": tuple(starts), "flat_global_indices": flat_global,
+            "flat_cluster_indices": flat_cluster_idx, "padded_cluster_indices": padded}
+
+
+def bridge_nodes(adj, cluster) -> set:
+    """`topology._bridge_nodes` with a breadth-first search over the whole
+    graph at every merge, as it was before it stopped at the first level
+    that reaches another component."""
+    comps = topology._components(adj, cluster)
+    comps.sort(key=min)
+    merged = set(comps[0])
+    others = set().union(*comps[1:]) if len(comps) > 1 else set()
+    bridges = set()
+    while others:
+        dist = {u: 0 for u in merged}
+        parent = {}
+        queue = deque(sorted(merged))
+        while queue:
+            u = queue.popleft()
+            for v in adj[u]:
+                if v not in dist:
+                    dist[v] = dist[u] + 1
+                    parent[v] = u
+                    queue.append(v)
+                elif dist[v] == dist[u] + 1 and parent.get(v, u) > u:
+                    parent[v] = u  # lowest-id predecessor at equal depth
+        reach = [t for t in others if t in dist]
+        if not reach:
+            raise NetworkDisconnected("cluster components lie in different graph components")
+        target = min(reach, key=lambda t: (dist[t], t))
+        node = target
+        while node not in merged:
+            if node != target:
+                bridges.add(node)
+            node = parent[node]
+        comp = next(c for c in comps if target in c)
+        merged |= comp | bridges
+        others -= comp
+    return bridges
+
+
+def combination_weights(net: NetworkSpec, cluster, rule: str) -> tuple:
+    """(matrix, Perron vector, scalings) of one cluster's Metropolis or
+    averaging rule, built column by column from each agent's closed
+    neighbourhood, each self weight summed from its column alone."""
+    pos = {k: j for j, k in enumerate(cluster)}
+    near = np.zeros((len(cluster), len(cluster)))
+    for j, k in enumerate(cluster):
+        near[[pos[s] for s in neighborhood(net, k) if s in pos], j] = 1.0
+    counts = near.sum(axis=0).astype(int)
+    if rule == "averaging":
+        a, w = near / counts, counts
+    else:
+        np.fill_diagonal(near, 0.0)
+        a = np.where(near > 0, 1.0 / np.maximum.outer(counts, counts), 0.0)
+        np.fill_diagonal(a, [1.0 - col.sum() for col in a.T])
+        w = np.ones(len(cluster), dtype=int)
+    return a, w / w.sum(), w.sum() / w
 
 
 def risk_quadratic(problem: MultiAgentProblem) -> tuple[np.ndarray, np.ndarray]:
@@ -132,7 +304,7 @@ def msd(w_flat: np.ndarray, cmap: ClusterMap, reference: np.ndarray) -> float:
     lead = w_flat.shape[:-1]
     total = np.zeros(lead) if lead else 0.0
     for l, cluster in enumerate(cmap.clusters):
-        ref_l = reference[cmap.layout.global_slice(l)]
+        ref_l = reference[global_slice(cmap.layout, l)]
         stack = w_flat[..., cmap.flat_cluster_indices(l)].reshape(lead + (len(cluster), -1))
         total = total + ((stack - ref_l) ** 2).sum(axis=(-2, -1)) / len(cluster)
     return total if lead else float(total)
@@ -156,7 +328,7 @@ def init_state(problem: MultiAgentProblem, seed: int, init_global=None) -> RunSt
     if init_global is not None:
         init_global = np.asarray(init_global, dtype=float)
         for k in range(problem.agent_count):
-            w[problem.cmap.flat_slice(k)] = problem.cmap.gather_local(init_global, k)
+            w[problem.cmap.flat_slice(k)] = gather_local(problem.cmap, init_global, k)
     return RunState(
         w=w,
         zeta=np.zeros(n),
@@ -296,18 +468,18 @@ def admm_linearized_step(
     w_new = np.empty_like(state.w)
     for k in range(problem.agent_count):
         sl = cmap.flat_slice(k)
-        z_k = problem.cmap.gather_local(state.z, k)
+        z_k = gather_local(problem.cmap, state.z, k)
         grad = _risk_gradient(problem, k, state.w[sl], state.rngs[k], cfg.noise)
         w_new[sl] = state.w[sl] - cfg.mu * (grad + state.y[sl] + rho * (state.w[sl] - z_k))
 
     for l, cluster in enumerate(cmap.clusters):
         idx = cmap.flat_cluster_indices(l)
         stack = (w_new[idx] + state.y[idx] / rho).reshape(len(cluster), cmap.layout.dims[l])
-        state.z[cmap.layout.global_slice(l)] = stack.mean(axis=0)
+        state.z[global_slice(cmap.layout, l)] = stack.mean(axis=0)
 
     for k in range(problem.agent_count):
         sl = cmap.flat_slice(k)
-        z_k = problem.cmap.gather_local(state.z, k)
+        z_k = gather_local(problem.cmap, state.z, k)
         state.y[sl] += rho * (w_new[sl] - z_k)
 
     state.w = w_new
@@ -322,5 +494,5 @@ def centroid(w_flat: np.ndarray, cmap: ClusterMap, weights) -> np.ndarray:
     out = np.empty(cmap.layout.total_dim)
     for l, cluster in enumerate(cmap.clusters):
         stack = w_flat[cmap.flat_cluster_indices(l)].reshape(len(cluster), -1)
-        out[cmap.layout.global_slice(l)] = weights[l].perron @ stack
+        out[global_slice(cmap.layout, l)] = weights[l].perron @ stack
     return out

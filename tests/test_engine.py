@@ -19,9 +19,12 @@ from reference import (
     centralized_step,
     centroid,
     coupled_diffusion_step,
+    gather_local,
+    global_slice,
     init_admm_state,
     init_state,
     msd,
+    neighborhood,
     random_quadratic_oracle,
 )
 
@@ -49,7 +52,7 @@ def _consistent_problem(seed=0, n=4, dims=(2, 1), noise_std=0.0):
     model = rng.standard_normal(layout.total_dim)
     oracles = []
     for k in range(n):
-        o = random_quadratic_oracle(cmap.gather_local(model, k), rng)
+        o = random_quadratic_oracle(gather_local(cmap, model, k), rng)
         if noise_std is not None:
             o = QuadraticRiskOracle(o.basis, o.spectrum, o.w_ref, noise_std)
         oracles.append(o)
@@ -158,7 +161,7 @@ def test_combine_matches_neighbor_sums():
     state = init_state(problem, 9)
     coupled_diffusion_step(state, problem, mats, scal, cfg)
     psi = state.psi
-    nbrs = {k: set(problem.net.neighborhood(k)) for k in range(5)}
+    nbrs = {k: set(neighborhood(problem.net, k)) for k in range(5)}
     for l, cluster in enumerate(cmap.clusters):
         m = mats[l]
         # row i: the flat positions of cluster member i's copy of block l
@@ -184,7 +187,7 @@ def test_combination_preserves_consensus():
     coupled_diffusion_step(state, problem, mats, scal, cfg)
     for k in range(problem.agent_count):
         assert np.allclose(
-            state.w[cmap.flat_slice(k)], cmap.gather_local(problem.true_model, k), atol=1e-14
+            state.w[cmap.flat_slice(k)], gather_local(cmap, problem.true_model, k), atol=1e-14
         )
 
 
@@ -203,7 +206,7 @@ def test_centroid_identity_against_network_form():
     for l, cluster in enumerate(cmap.clusters):
         block = w[cmap.flat_cluster_indices(l)].reshape(len(cluster), cmap.layout.dims[l])
         expect = mats[l].perron @ block
-        assert np.max(np.abs(c1[cmap.layout.global_slice(l)] - expect)) <= 1e-12
+        assert np.max(np.abs(c1[global_slice(cmap.layout, l)] - expect)) <= 1e-12
 
 
 def test_noise_free_consensus_contraction():
@@ -226,7 +229,7 @@ def test_noise_free_consensus_contraction():
         coupled_diffusion_step(state, problem, mats, scal, cfg)
     w_star = penalized_optimum(problem, 0.0)
     grads = max(
-        np.linalg.norm(scal[cmap.flat_slice(k)] * problem.oracles[k].true_gradient(cmap.gather_local(w_star, k)))
+        np.linalg.norm(scal[cmap.flat_slice(k)] * problem.oracles[k].true_gradient(gather_local(cmap, w_star, k)))
         for k in range(problem.agent_count)
     )
     scale = grads / (1.0 - spectral_gap_bound(mats))
@@ -252,7 +255,7 @@ def test_centralized_per_block_scaling():
     w2 = centralized_step(w, d, problem, cfg)
     grad = problem.global_risk_gradient(w)
     for l in range(problem.layout.block_count):
-        sl = problem.layout.global_slice(l)
+        sl = global_slice(problem.layout, l)
         assert np.allclose(w2[sl], -cfg.mu * d[l] * grad[sl], atol=1e-14)
 
 

@@ -10,11 +10,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
 
 from coupled_diffusion.cli import main as cli_main
 from coupled_diffusion.errors import ConfigError, NonFiniteIterate
 from coupled_diffusion.harness import (
     CSV_HEADER,
+    NetworkDescription,
+    _integer_lists,
     ResultTable,
     ScenarioConfig,
     build_problem,
@@ -29,8 +32,10 @@ from coupled_diffusion.engine import init_batch
 from coupled_diffusion.metrics import reference_solution
 from coupled_diffusion.weights import metropolis_weights
 from conftest import assert_bridge_oracles_draw_like_their_inner_oracle, load_benchmark_module
+from test_topology import connected_networks
 from reference import (
     generate_benchmark_problem,
+    integer_lists,
     msd,
     per_agent_problem_draw,
     risk_gradient,
@@ -225,13 +230,15 @@ def _problem_networks(tmp_path):
             "split": _split_network(tmp_path), "ring": load_network(str(ring))}
 
 
-@pytest.mark.parametrize("network", ["benchmark20", "example5", "split", "ring"])
-def test_stacked_problem_draw_matches_the_per_agent_draw(tmp_path, network):
-    """build_problem draws its oracles agent by agent and orthogonalizes
-    them by one stacked QR per dimension; the true model, every oracle
-    field and the assembled risk quadratic equal those of drawing agent
-    by agent with one QR each, bit for bit."""
-    desc = _problem_networks(tmp_path)[network]
+@pytest.mark.parametrize("network", ["benchmark20", "example5", "split", "ring", "bridged"])
+def test_stacked_problem_draw_matches_the_per_agent_draw(tmp_path, setup_networks, network):
+    """build_problem draws its oracles agent by agent and builds those of
+    one dimension together (one stacked QR, batched products), and embeds
+    the bridge agents' oracles from their fields; the true model, every
+    oracle field and the assembled risk quadratic equal those of drawing
+    agent by agent with one QR each and every field computed by its own
+    oracle, bit for bit."""
+    desc = {**_problem_networks(tmp_path), "bridged": setup_networks["bridged"]}[network]
     for seed in (0, 7):
         problem = build_problem(desc, seed, constrained=True)
         model, oracles = per_agent_problem_draw(desc, seed)
@@ -249,6 +256,24 @@ def test_stacked_problem_draw_matches_the_per_agent_draw(tmp_path, network):
         w = np.random.default_rng(seed).standard_normal(problem.layout.total_dim)
         grad, want_grad = problem.global_risk_gradient(w), risk_gradient(problem, w)
         assert np.max(np.abs(grad - want_grad)) <= 1e-14 * np.max(np.abs(want_grad))
+
+
+@given(connected_networks())
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_problem_draw_matches_the_per_agent_draw_on_random_networks(case):
+    """The oracle fields, bridge oracles included, and H and f of random
+    networks with local dimensions 1-12 are bitwise the per-agent build's."""
+    net, layout = case
+    desc = NetworkDescription(net=net, layout=layout)
+    problem = build_problem(desc, 3)
+    _, oracles = per_agent_problem_draw(desc, 3)
+    for got, want in zip(problem.oracles, oracles):
+        for name in ("basis", "spectrum", "w_ref", "_scaled_basis", "covariance"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+        assert got.noise_std == want.noise_std
+    hess, lin = problem.global_risk_quadratic()
+    want_hess, want_lin = risk_quadratic(problem)
+    assert hess.tobytes() == want_hess.tobytes() and lin.tobytes() == want_lin.tobytes()
 
 
 @pytest.mark.parametrize("network", ["benchmark20", "example5", "ring"])
@@ -569,6 +594,69 @@ def test_cli_error_network_without_edges(tmp_path, capsys):
             "scenario": {"id": "constrained", "seeds": [0]},
         }))
         assert payload["type"] == "ConfigError" and "constraint_owners" in payload["message"]
+
+
+def _with_entry(raw: dict, field: str, entry) -> dict:
+    """`raw` with one integer of `field` replaced by `entry`: the value itself
+    for a scalar, the last value for a list, the last agent of the last
+    pair for edges, the last block of the last set for interest sets."""
+    raw = json.loads(json.dumps(raw))
+    if field in ("agent_count", "index_base"):
+        raw[field] = entry
+    elif field in ("edges", "interest_sets"):
+        raw[field][-1][-1] = entry
+    else:
+        raw[field][-1] = entry
+    return raw
+
+
+@pytest.mark.parametrize("entry", [True, 2.5, "two", None, [1]],
+                         ids=["bool", "float", "string", "null", "nested"])
+@pytest.mark.parametrize("field", ["agent_count", "edges", "interest_sets", "block_dims",
+                                   "constraint_owners", "index_base"])
+def test_cli_error_on_a_network_entry_that_is_not_an_integer(tmp_path, capsys, field, entry):
+    """Every integer of a network file is checked: one that is not gives
+    one error line, a ConfigError naming the field and the entry, as the
+    value-by-value check words it."""
+    bench = json.loads((files("coupled_diffusion.data") / "benchmark20.json").read_text())
+    net = tmp_path / "net.json"
+    net.write_text(json.dumps(_with_entry(bench, field, entry)))
+    payload = _cli_error(capsys, _bad_config(tmp_path, {
+        "network": {"source": str(net)},
+        "scenario": {"id": "unconstrained", "seeds": [0]},
+    }))
+    assert payload == {"type": "ConfigError",
+                       "message": f"{field} must be an integer, got {entry!r}"}
+
+
+@pytest.mark.parametrize("value", [
+    [[0, 1], [2, 3]],
+    [[0, 1.0], [2, 3]],
+    [[0, 1], ["3", 2]],
+    [[0, 2**70], []],
+    [[-2**63, 2**63 - 1]],
+    [[0, 1], [2**63]],
+    [[0, 1], 5],
+    [(0, 1), [2, 3.5]],
+    [[0, True]],
+    [[0, 1e400]],
+    [],
+    [[]],
+    {"a": 1},
+])
+def test_integer_lists_match_the_value_by_value_check(value):
+    """The one-pass check of JSON integers returns, or raises, what the
+    value-by-value check does."""
+    try:
+        want = integer_lists(value, "edges")
+    except ConfigError as err:
+        with pytest.raises(ConfigError) as got:
+            _integer_lists(value, "edges")
+        assert str(got.value) == str(err)
+    else:
+        got = _integer_lists(value, "edges")
+        assert got == want and [list(map(type, row)) for row in got] == [
+            list(map(type, row)) for row in want]
 
 
 def test_cli_error_null_iterations(tmp_path, capsys):

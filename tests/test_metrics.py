@@ -23,7 +23,7 @@ from coupled_diffusion.metrics import db
 from coupled_diffusion.objective import QuadraticRiskOracle
 
 from conftest import single_agent_problem
-from reference import generate_benchmark_problem, msd
+from reference import generate_benchmark_problem, global_slice, msd
 
 
 def _pair_cmap():
@@ -92,7 +92,7 @@ def _pairwise_disagreement(w, cmap):
     each copy read from its agent's local vector."""
     out = np.zeros(len(cmap.clusters))
     for l, cluster in enumerate(cmap.clusters):
-        block = cmap.layout.global_slice(l)
+        block = global_slice(cmap.layout, l)
         copies = []
         for k in cluster:
             owned = cmap.global_indices(k)

@@ -131,9 +131,10 @@ def test_oracle_deterministic_per_seed():
 
 
 def test_random_quadratic_oracles_match_one_draw_and_one_qr_per_oracle():
-    """The stacked QR of each dimension gives the bits of one QR per oracle,
-    with dimensions mixed, repeated and of size 1, in any order."""
-    dims = [3, 1, 6, 3, 2, 1, 6, 6, 3, 10]
+    """The stacked QR and the batched products of each dimension give the
+    bits of one QR and one product per oracle, with dimensions mixed,
+    repeated and of size 1, in any order."""
+    dims = [3, 1, 6, 3, 2, 1, 6, 6, 3, 10, 30, 17, 30, 25, 17]
     w_refs = [np.random.default_rng(d).standard_normal(d) for d in dims]
     got = random_quadratic_oracles(w_refs, np.random.default_rng(5))
     rng = np.random.default_rng(5)

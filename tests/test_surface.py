@@ -12,10 +12,16 @@ Every defaulted parameter of those functions is also passed, by keyword
 or by position, by some call in the same three directories: an option
 that no caller sets is a constant. Calls are matched by the callee's
 name, so a call through a module or an instance counts.
+
+Matching by name cannot tell apart two definitions of one name, so a
+public name defined more than once in `src/` (a method of two classes,
+say) carries an entry in SHARED that says which definitions are used
+where.
 """
 
 import ast
 import re
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -27,6 +33,13 @@ KEPT = {  # public, named nowhere outside the tests, and kept on purpose
     "constrained_optimum": "analysis API: criterion 7 solves w_o with it",
     "empirical_rate": "analysis API: criterion 4 fits its contraction factor with it",
     "spectral_gap_bound": "analysis API: criterion 4 bounds that factor with it",
+}
+
+
+SHARED = {  # public names defined more than once in src/, and why each one stays
+    "true_gradient": "OracleStack.true_gradient is the stationarity check's; "
+                     "QuadraticRiskOracle.true_gradient has no caller in src/, and is kept "
+                     "because criterion 3 calls it as a method; criterion bodies do not change",
 }
 
 
@@ -74,6 +87,11 @@ def test_public_library_code_is_named_outside_the_tests():
     assert sorted(unnamed - set(KEPT)) == [], "test-only: move it beside tests/reference.py"
     # a kept name that is gone from src/, or has found a caller, leaves the list
     assert sorted(set(KEPT) - unnamed) == []
+
+
+def test_a_public_name_defined_twice_in_src_carries_its_reason():
+    counts = Counter(f.name for f, _ in _public_functions())
+    assert sorted(name for name, n in counts.items() if n > 1) == sorted(SHARED)
 
 
 def _defaulted(f, is_method: bool) -> dict:

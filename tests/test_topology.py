@@ -4,7 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coupled_diffusion.topology import BlockLayout, NetworkSpec, build_clusters, embed_clusters, validate_connectivity
-from coupled_diffusion.errors import EmptyCluster, InvalidBlockIndex, NetworkDisconnected
+from coupled_diffusion.topology import _bridge_nodes, _components
+from coupled_diffusion.errors import ConfigError, EmptyCluster, InvalidBlockIndex, NetworkDisconnected
+
+from conftest import SETUP_NETWORKS
+from reference import bridge_nodes as reference_bridge_nodes
+from reference import cluster_map_fields, gather_local, global_slice, network_fields
 
 
 def test_five_agent_clusters(five_agent_net, five_agent_cmap):
@@ -171,7 +176,7 @@ def test_index_machinery(five_agent_cmap):
     w = np.arange(cmap.total_local_dim, dtype=float)
     for l, cluster in enumerate(cmap.clusters):
         gathered = w[cmap.flat_cluster_indices(l)].reshape(len(cluster), cmap.layout.dims[l])
-        block = cmap.layout.global_slice(l)
+        block = global_slice(cmap.layout, l)
         for row, k in enumerate(cluster):
             owned = cmap.global_indices(k)
             expect = w[cmap.flat_slice(k)][(owned >= block.start) & (owned < block.stop)]
@@ -180,5 +185,106 @@ def test_index_machinery(five_agent_cmap):
 
 def test_gather_local(five_agent_cmap):
     g = np.arange(7, dtype=float)  # layout (2,1,3,1)
-    assert np.array_equal(five_agent_cmap.gather_local(g, 1), [0.0, 1.0])
-    assert np.array_equal(five_agent_cmap.gather_local(g, 4), [0.0, 1.0, 6.0])
+    assert np.array_equal(gather_local(five_agent_cmap, g, 1), [0.0, 1.0])
+    assert np.array_equal(gather_local(five_agent_cmap, g, 4), [0.0, 1.0, 6.0])
+
+
+def _raw_form(net):
+    """Edges and interest sets of `net` as an unnormalized input could give
+    them: every other edge reversed, some edges listed both ways, blocks in
+    decreasing order with the first one repeated."""
+    edges = sorted(net.edges)
+    raw_edges = {(b, a) if i % 2 else (a, b) for i, (a, b) in enumerate(edges)}
+    raw_edges |= {(b, a) for a, b in edges[::3]}
+    sets = tuple(tuple(reversed(s)) + s[:1] for s in net.interest_sets)
+    return frozenset(raw_edges), sets
+
+
+def _assert_cluster_map_is_the_reference(cmap, net):
+    want = cluster_map_fields(net, cmap.layout)
+    for name in ("clusters", "agent_blocks", "local_dims", "agent_starts"):
+        assert getattr(cmap, name) == want[name], name
+    for got, expect in [(cmap.flat_global_indices, want["flat_global_indices"]),
+                        (cmap.padded_cluster_indices, want["padded_cluster_indices"])] + [
+            (cmap.flat_cluster_indices(l), idx) for l, idx in enumerate(want["flat_cluster_indices"])]:
+        assert got.dtype == expect.dtype and got.shape == expect.shape
+        assert got.tobytes() == expect.tobytes()
+
+
+@pytest.mark.parametrize("network", SETUP_NETWORKS)
+def test_network_spec_and_cluster_maps_match_the_per_agent_reference(setup_networks, network):
+    """NetworkSpec's normalized edges, interest sets and neighbour lists, and
+    every index of the cluster maps before and after embedding, equal
+    those of the edge-by-edge and agent-by-agent build."""
+    desc = setup_networks[network]
+    edges, sets = _raw_form(desc.net)
+    net = NetworkSpec(desc.net.agent_count, edges, sets)
+    want_edges, want_sets, want_adj = network_fields(desc.net.agent_count, edges, sets)
+    assert net.edges == want_edges and net.interest_sets == want_sets
+    assert net.adjacency() == want_adj
+    assert all(type(v) is int for s in net.interest_sets + net.adjacency() for v in s)
+    assert all(type(v) is int for e in net.edges for v in e)
+    cmap0 = build_clusters(net, desc.layout)
+    _assert_cluster_map_is_the_reference(cmap0, net)
+    net2, cmap = embed_clusters(net, cmap0)
+    _assert_cluster_map_is_the_reference(cmap, net2)
+    assert (net2 is net) == (network == "benchmark20")
+
+
+def _assert_bridges_are_the_reference(net, cmap):
+    adj = net.adjacency()
+    split = [l for l, c in enumerate(cmap.clusters) if len(_components(adj, c)) > 1]
+    for l in split:
+        assert _bridge_nodes(adj, cmap.clusters[l]) == reference_bridge_nodes(adj, cmap.clusters[l])
+    return split
+
+
+@pytest.mark.parametrize("network", SETUP_NETWORKS)
+def test_bridge_sets_match_the_full_search(setup_networks, network):
+    """The breadth-first search that stops at the first level reaching
+    another component picks the bridges of the search over the whole graph."""
+    desc = setup_networks[network]
+    split = _assert_bridges_are_the_reference(desc.net, build_clusters(desc.net, desc.layout))
+    assert len(split) == {"benchmark20": 0, "bridged": 2, "ring": 5}[network]
+
+
+@given(connected_networks())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_bridge_sets_match_the_full_search_on_random_networks(case):
+    net, layout = case
+    _assert_bridges_are_the_reference(net, build_clusters(net, layout))
+
+
+@pytest.mark.parametrize("edges, sets", [
+    ({(0, 0)}, ((0,), (0,))),
+    ({(0, 1), (1, 1)}, ((0,), (0,))),
+    ({(0, 2)}, ((0,), (0,))),
+    ({(-1, 0)}, ((0,), (0,))),
+    ({(0, 2**70)}, ((0,), (0,))),
+    ({(0, 1), (3, 3), (0, 7)}, ((0,), (0,))),
+    ({(0, 1)}, ((0,),)),
+    ({(0, 1)}, ((0,), ())),
+])
+def test_network_spec_errors_match_the_reference(edges, sets):
+    with pytest.raises(ConfigError) as want:
+        network_fields(2, frozenset(edges), sets)
+    with pytest.raises(ConfigError) as got:
+        NetworkSpec(2, frozenset(edges), sets)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("sets", [
+    ((0,), (0, 5)),
+    ((0, -1), (1,)),
+    ((2**70,), (0, 1)),
+    ((0, 3), (2, 9)),
+    ((0,), (0,)),
+    ((1,), (1,)),
+])
+def test_build_clusters_errors_match_the_reference(sets):
+    net = NetworkSpec(agent_count=2, edges=frozenset({(0, 1)}), interest_sets=sets)
+    with pytest.raises((InvalidBlockIndex, EmptyCluster)) as want:
+        cluster_map_fields(net, BlockLayout((1, 2)))
+    with pytest.raises(want.type) as got:
+        build_clusters(net, BlockLayout((1, 2)))
+    assert str(got.value) == str(want.value)

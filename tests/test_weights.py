@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from coupled_diffusion.errors import DisconnectedCluster, NotPrimitive
 from coupled_diffusion.harness import NetworkDescription, build_problem
-from coupled_diffusion.topology import BlockLayout, NetworkSpec, build_clusters
+from coupled_diffusion.topology import BlockLayout, NetworkSpec, build_clusters, embed_clusters
 from coupled_diffusion.weights import (
     averaging_weights,
     metropolis_weights,
@@ -13,7 +13,8 @@ from coupled_diffusion.weights import (
     step_scaling,
 )
 
-from reference import generate_benchmark_problem
+from conftest import SETUP_NETWORKS
+from reference import combination_weights, generate_benchmark_problem
 
 
 def _one_cluster(n, edges):
@@ -201,3 +202,46 @@ def test_perron_matches_null_space_solve(case):
         system = np.vstack([m.matrix - np.eye(n), np.ones((1, n))])
         ref = np.linalg.lstsq(system, np.eye(n + 1)[n], rcond=None)[0]
         assert np.max(np.abs(m.perron - ref)) <= 1e-12
+
+
+RULES = {"metropolis": metropolis_weights, "averaging": averaging_weights}
+
+
+def _assert_weights_are_the_reference(net, cmap):
+    for rule, make in RULES.items():
+        for l, cluster in enumerate(cmap.clusters):
+            m = make(cmap, net, l)
+            assert m.agents == cluster
+            for got, want in zip((m.matrix, m.perron, m.scaling),
+                                 combination_weights(net, cluster, rule)):
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), (rule, l)
+
+
+@pytest.mark.parametrize("network", SETUP_NETWORKS)
+def test_weights_match_the_per_column_reference(setup_networks, network):
+    """Every Metropolis and averaging matrix, Perron vector and scaling of
+    the embedded network is bitwise the column-by-column build's."""
+    desc = setup_networks[network]
+    net, cmap = embed_clusters(desc.net, build_clusters(desc.net, desc.layout))
+    _assert_weights_are_the_reference(net, cmap)
+
+
+def test_weights_of_a_block_every_ring_agent_holds_match_the_reference(setup_networks):
+    """A 200-agent cluster: its column sums run through numpy's pairwise
+    summation in blocks, which a padded or axis-0 sum would not follow."""
+    desc = setup_networks["ring"]
+    n = desc.net.agent_count
+    net = NetworkSpec(n, desc.net.edges, tuple(s + (20,) for s in desc.net.interest_sets))
+    cmap = build_clusters(net, BlockLayout(desc.layout.dims + (2,)))
+    for rule, make in RULES.items():
+        m = make(cmap, net, 20)
+        want = combination_weights(net, cmap.clusters[20], rule)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip((m.matrix, m.perron, m.scaling), want))
+
+
+@given(random_clusters())
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_weights_match_the_per_column_reference_on_random_clusters(case):
+    net, cmap = case
+    _assert_weights_are_the_reference(net, cmap)
