@@ -24,7 +24,9 @@ Digests mode prints the sha256 of the CSV of every workload CLI call
 `benchmarks/worker.py prepare`) and of every shipped config, both as
 shipped and cut to a few seeds and iterations, run through each side's
 CLI in a fresh process: once with BLAS pinned to one thread and once with
-the BLAS thread variables unset.
+the BLAS thread variables unset. Beside each sha256 it records the wall
+time of that CLI process on each side, interpreter start-up included;
+the times are a record, not a gate.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ import statistics
 import subprocess
 import sys
 import tarfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -158,19 +161,23 @@ def pairs_mode(args, sides: dict) -> dict:
     return {f"{args.workload} --seed {args.seed}": result}
 
 
-def cli_sha256(tree: Path, config: Path, extra: list, out: Path, env: dict) -> str:
-    """sha256 of the CSV one CLI call of `tree` writes, or its error."""
+def cli_sha256(tree: Path, config: Path, extra: list, out: Path, env: dict) -> tuple[str, float]:
+    """sha256 of the CSV one CLI call of `tree` writes, or its error, and
+    the call's wall time in seconds."""
+    start = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-m", "coupled_diffusion.cli", "run", "--config", str(config),
          "--out", str(out), *extra],
         cwd=tree, env={**env, "PYTHONPATH": str(tree / "src")}, capture_output=True, text=True)
+    wall = time.perf_counter() - start
     if proc.returncode != 0:
-        return f"error: exit {proc.returncode}: {proc.stderr.strip()[-300:]}"
-    return hashlib.sha256(Path(proc.stdout.strip()).read_bytes()).hexdigest()
+        return f"error: exit {proc.returncode}: {proc.stderr.strip()[-300:]}", wall
+    return hashlib.sha256(Path(proc.stdout.strip()).read_bytes()).hexdigest(), wall
 
 
 def digest_table(tree: Path, work: Path, env: dict) -> dict:
-    """label -> CSV sha256 for every workload call and shipped config run."""
+    """label -> (CSV sha256, wall seconds) for every workload call and
+    shipped config run."""
     table = {}
     for workload in WORKLOADS:
         for seed in DIGEST_SEEDS:
@@ -202,10 +209,12 @@ def digests_mode(sides: dict, work: Path) -> dict:
                          ("blas_threads_default", base_env)):
         tables = {side: digest_table(tree, work / threads / side, env)
                   for side, tree in sides.items()}
-        files = {label: {"parent": tables["parent"].get(label), "change": sha,
-                         "identical": tables["parent"].get(label) == sha
-                         and not sha.startswith("error")}
-                 for label, sha in tables["change"].items()}
+        files = {}
+        for label, (sha, wall) in tables["change"].items():
+            parent_sha, parent_wall = tables["parent"].get(label, (None, None))
+            files[label] = {"parent": parent_sha, "change": sha,
+                            "identical": parent_sha == sha and not sha.startswith("error"),
+                            "wall_s": {"parent": parent_wall, "change": wall}}
         out[threads] = {"files": files,
                         "all_identical": all(f["identical"] for f in files.values())}
     return out

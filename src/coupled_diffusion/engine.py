@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NonFiniteIterate
-from .objective import MultiAgentProblem, QuadraticRiskOracle
+from .objective import MultiAgentProblem, QuadraticRiskOracle, row_penalty_gradient
 from .topology import ClusterMap
 from .weights import step_scaling
 
@@ -205,11 +205,6 @@ class _ClusterMix:
         return mixed.reshape(-1, x.shape[1]).take(self.slot, axis=0)
 
 
-def _penalty_gradient(rows, w: np.ndarray) -> np.ndarray:
-    g, b = rows
-    return g.T @ (2.0 * (g @ w - b))
-
-
 class _Batch:
     """Common part of the batched engines: set-up, the divergence check,
     and the `step` / `set_constraints` interface.
@@ -303,7 +298,7 @@ class CoupledBatch(_Batch):
     def _advance(self):
         zeta = self.w
         if self._rows is not None:
-            zeta = zeta - self._penalty_step * _penalty_gradient(self._rows, zeta)
+            zeta = zeta - self._penalty_step * row_penalty_gradient(self._rows, zeta)
         self.w = self._mix(zeta - self._risk_step * self._risk(zeta))
 
 
@@ -352,7 +347,7 @@ class CentralizedBatch(_Batch):
     def _advance(self):
         psi = self.w
         if self._rows is not None:
-            psi = psi - self._penalty_step * self._sum(_penalty_gradient(self._rows, psi))
+            psi = psi - self._penalty_step * self._sum(row_penalty_gradient(self._rows, psi))
         self.w = psi - self._risk_step * self._sum(self._risk(psi))
 
 

@@ -92,8 +92,8 @@ def _penalized_optimum(problem: MultiAgentProblem, eta: float, pieces) -> np.nda
     if float(np.linalg.eigvalsh(a)[0]) <= MIN_EIG:
         raise SingularSystem(f"penalized Hessian is not positive definite at eta {eta!r}")
     w = np.linalg.solve(a, rhs)
-    # checked against the per-agent oracles, not the (H, G) the solve used,
-    # relative to the gradient at w = 0, which is -rhs
+    # checked against the per-agent oracles and the flat constraint rows, not
+    # the (H, G) the solve used, relative to the gradient at w = 0, which is -rhs
     grad = problem.global_risk_gradient(w) + eta * problem.global_penalty_gradient(w)
     # hypot scales its arguments: a huge eta does not overflow the norms
     if math.hypot(*grad) > 1e-8 * (1.0 + math.hypot(*rhs)):
@@ -102,16 +102,16 @@ def _penalized_optimum(problem: MultiAgentProblem, eta: float, pieces) -> np.nda
 
 
 def constrained_optimum(problem: MultiAgentProblem) -> np.ndarray:
-    """Solution of the equality-constrained quadratic program via its KKT system."""
-    return _kkt_solve(*_quadratic_pieces(problem))
+    """Solution of the equality-constrained quadratic program via its KKT
+    system; without constraints, the penalized optimum at eta 0."""
+    pieces = _quadratic_pieces(problem)
+    if not pieces[2].shape[0]:
+        return _penalized_optimum(problem, 0.0, pieces)
+    return _kkt_solve(*pieces)
 
 
 def _kkt_solve(hess, lin, g, b) -> np.ndarray:
     m, p = hess.shape[0], g.shape[0]
-    if p == 0:
-        if float(np.linalg.eigvalsh(hess)[0]) <= MIN_EIG:
-            raise SingularSystem("risk Hessian is not positive definite")
-        return np.linalg.solve(hess, lin)
     kkt = np.zeros((m + p, m + p))
     kkt[:m, :m] = hess
     kkt[:m, m:] = g.T
@@ -134,10 +134,12 @@ def _kkt_solve(hess, lin, g, b) -> np.ndarray:
 
 def reference_solution(problem: MultiAgentProblem, eta: float) -> ReferenceSolution:
     """Both reference optima for a problem, for metric logging: the penalized
-    one in closed form and the constrained one from its KKT system."""
+    one in closed form and the constrained one from its KKT system. Without
+    constraints the penalty is void and w_o is w_star."""
     pieces = _quadratic_pieces(problem)
-    return ReferenceSolution(w_star=_penalized_optimum(problem, eta, pieces),
-                             w_o=_kkt_solve(*pieces))
+    w_star = _penalized_optimum(problem, eta, pieces)
+    return ReferenceSolution(w_star=w_star,
+                             w_o=_kkt_solve(*pieces) if pieces[2].shape[0] else w_star)
 
 
 class MetricsLog:

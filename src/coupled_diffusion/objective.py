@@ -1,8 +1,10 @@
-"""Per-agent risks, constraints, penalty functions, and gradient oracles.
+"""Per-agent risks, constraints, the penalty gradient, and gradient oracles.
 
-Penalty functions return (value, derivative) pairs and accept scalars or
-arrays. The penalty weight eta is applied by the engine, not here, so a
-single evaluation serves multiple eta values in sweeps.
+The penalty is one affine-equality row per constraint: the lifted rows
+(G, b) of `MultiAgentProblem.constraint_system`, whose summed squared
+residuals ||G w - b||^2 have the gradient `row_penalty_gradient`. The
+penalty weight eta is applied by the engine, not here, so a single
+evaluation serves multiple eta values in sweeps.
 """
 
 from __future__ import annotations
@@ -27,27 +29,6 @@ class PenaltyConfig:
             raise ConfigError("rho must be positive")
 
 
-def ep_penalty(x):
-    """Equality penalty x**2 with derivative 2x."""
-    x = np.asarray(x, dtype=float)
-    return x * x, 2.0 * x
-
-
-def ip_penalty(x, rho: float):
-    """Inequality penalty max(0, x^3 / sqrt(x^2 + rho^2)) and its derivative.
-
-    Zero with zero slope on x <= 0; both value and derivative are
-    continuous at the origin.
-    """
-    x = np.asarray(x, dtype=float)
-    pos = x > 0
-    xp = np.where(pos, x, 0.0)
-    root = np.sqrt(xp * xp + rho * rho)
-    value = np.where(pos, xp**3 / root, 0.0)
-    deriv = np.where(pos, xp * xp * (2 * xp * xp + 3 * rho * rho) / root**3, 0.0)
-    return value, deriv
-
-
 @dataclass(frozen=True)
 class ConstraintSpec:
     """One local affine constraint c'w_k - b = 0 or <= 0 owned by a single
@@ -62,29 +43,17 @@ class ConstraintSpec:
     def __post_init__(self):
         object.__setattr__(self, "coeffs", np.asarray(self.coeffs, dtype=float))
 
-    def evaluate(self, w: np.ndarray) -> tuple[float, np.ndarray]:
-        """Constraint value and gradient at w."""
-        if self.coeffs.shape != w.shape:
-            raise DimensionMismatch(
-                f"constraint expects dim {self.coeffs.shape[0]}, got {w.shape[0]}"
-            )
-        return float(self.coeffs @ w - self.offset), self.coeffs
-
 
 def equality(owner: int, coeffs, offset: float) -> ConstraintSpec:
     return ConstraintSpec(kind="equality", owner=owner, coeffs=coeffs, offset=offset)
 
 
-def penalty_gradient(constraints, w: np.ndarray, cfg: PenaltyConfig) -> np.ndarray:
-    """Gradient of the summed penalty at w (without the eta factor)."""
-    grad = np.zeros_like(np.asarray(w, dtype=float))
-    for c in constraints:
-        val, cgrad = c.evaluate(w)
-        if c.kind == "equality":
-            grad += float(ep_penalty(val)[1]) * cgrad
-        else:
-            grad += float(ip_penalty(val, cfg.rho)[1]) * cgrad
-    return grad
+def row_penalty_gradient(rows, w: np.ndarray) -> np.ndarray:
+    """Gradient G'(2 (G w - b)) of the penalty ||G w - b||^2 of the lifted
+    rows (G, b) at w, without the eta factor; w and b may carry one column
+    per run."""
+    g, b = rows
+    return g.T @ (2.0 * (g @ w - b))
 
 
 @dataclass(frozen=True)
@@ -267,6 +236,11 @@ class MultiAgentProblem:
             for c in cons:
                 if c.owner != k:
                     raise ValueError(f"constraint owned by {c.owner} listed under agent {k}")
+                if c.coeffs.shape != (self.cmap.local_dims[k],):
+                    raise DimensionMismatch(
+                        f"a constraint of agent {k} has {c.coeffs.size} coefficients, "
+                        f"layout expects {self.cmap.local_dims[k]}"
+                    )
 
     @property
     def agent_count(self) -> int:
@@ -330,19 +304,14 @@ class MultiAgentProblem:
         Every run path and reference solve takes its constraints from here,
         so this is where any kind but an affine equality is rejected."""
         cmap = self.cmap
-        width = cmap.total_local_dim if flat else self.layout.total_dim
-        rows, rhs = [], []
-        for k, cons in enumerate(self.constraints):
-            index = cmap.flat_slice(k) if flat else cmap.global_indices(k)
-            for c in cons:
-                if c.kind != "equality":
-                    raise ConfigError(f"agent {k} has a constraint of kind {c.kind!r}; only "
-                                      "affine equality constraints are supported")
-                row = np.zeros(width)
-                row[index] = c.coeffs
-                rows.append(row)
-                rhs.append(c.offset)
-        return np.array(rows).reshape(-1, width), np.array(rhs, dtype=float)
+        cons = [c for agent_cons in self.constraints for c in agent_cons]
+        g = np.zeros((len(cons), cmap.total_local_dim if flat else self.layout.total_dim))
+        for row, c in zip(g, cons):
+            if c.kind != "equality":
+                raise ConfigError(f"agent {c.owner} has a constraint of kind {c.kind!r}; only "
+                                  "affine equality constraints are supported")
+            row[cmap.flat_slice(c.owner) if flat else cmap.global_indices(c.owner)] = c.coeffs
+        return g, np.array([c.offset for c in cons], dtype=float)
 
     def strong_convexity(self) -> float:
         """Smallest eigenvalue of the assembled global risk Hessian."""
@@ -350,12 +319,12 @@ class MultiAgentProblem:
         return float(np.linalg.eigvalsh(hess)[0])
 
     def penalty_lipschitz(self) -> float:
-        """Gradient-Lipschitz bound for the affine-constraint penalties."""
-        worst = 0.0
-        for cons in self.constraints:
-            total = sum(2.0 * float(c.coeffs @ c.coeffs) for c in cons)
-            worst = max(worst, total)
-        return worst
+        """Gradient-Lipschitz bound for the affine-constraint penalties: the
+        largest sum of 2 ||row||^2 over one agent's rows, 0 without rows."""
+        g, _ = self.constraint_system(flat=True)
+        owners = np.array([c.owner for cons in self.constraints for c in cons], dtype=np.intp)
+        return float(np.bincount(owners, weights=2.0 * (g * g).sum(axis=1),
+                                 minlength=self.agent_count).max())
 
     def global_risk_gradient(self, w: np.ndarray) -> np.ndarray:
         """Exact aggregate risk gradient at a global vector."""
@@ -366,11 +335,10 @@ class MultiAgentProblem:
                            minlength=self.layout.total_dim)
 
     def global_penalty_gradient(self, w: np.ndarray) -> np.ndarray:
-        """Exact aggregate penalty gradient at a global vector (no eta)."""
-        grad = np.zeros(self.layout.total_dim)
-        for k, cons in enumerate(self.constraints):
-            if not cons:
-                continue
-            gidx = self.cmap.global_indices(k)
-            grad[gidx] += penalty_gradient(cons, w[gidx], self.penalty)
-        return grad
+        """Exact aggregate penalty gradient at a global vector (no eta): the
+        flat rows applied to the vector's flat layout, each flat entry then
+        added to its global index, so the global G is not used."""
+        flat = self.cmap.flat_global_indices
+        grad = row_penalty_gradient(self.constraint_system(flat=True),
+                                    np.asarray(w, dtype=float)[flat])
+        return np.bincount(flat, weights=grad, minlength=self.layout.total_dim)

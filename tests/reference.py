@@ -17,6 +17,7 @@ from coupled_diffusion import topology
 from coupled_diffusion.engine import DIVERGENCE_NORM, EngineConfig, agent_streams
 from coupled_diffusion.errors import (
     ConfigError,
+    DimensionMismatch,
     EmptyCluster,
     InvalidBlockIndex,
     NetworkDisconnected,
@@ -36,9 +37,6 @@ from coupled_diffusion.objective import (
     MultiAgentProblem,
     PenaltyConfig,
     QuadraticRiskOracle,
-    ep_penalty,
-    ip_penalty,
-    penalty_gradient,
 )
 from coupled_diffusion.topology import (
     BlockLayout,
@@ -284,11 +282,65 @@ def inequality(owner: int, coeffs, offset: float) -> ConstraintSpec:
     return ConstraintSpec(kind="inequality", owner=owner, coeffs=coeffs, offset=offset)
 
 
+def ep_penalty(x):
+    """Equality penalty x**2 with derivative 2x."""
+    x = np.asarray(x, dtype=float)
+    return x * x, 2.0 * x
+
+
+def ip_penalty(x, rho: float):
+    """Inequality penalty max(0, x^3 / sqrt(x^2 + rho^2)) and its derivative.
+
+    Zero with zero slope on x <= 0; both value and derivative are
+    continuous at the origin.
+    """
+    x = np.asarray(x, dtype=float)
+    pos = x > 0
+    xp = np.where(pos, x, 0.0)
+    root = np.sqrt(xp * xp + rho * rho)
+    value = np.where(pos, xp**3 / root, 0.0)
+    deriv = np.where(pos, xp * xp * (2 * xp * xp + 3 * rho * rho) / root**3, 0.0)
+    return value, deriv
+
+
+def evaluate(c: ConstraintSpec, w: np.ndarray) -> tuple[float, np.ndarray]:
+    """Value and gradient of constraint c at its owner's local vector w."""
+    if c.coeffs.shape != w.shape:
+        raise DimensionMismatch(
+            f"constraint expects dim {c.coeffs.shape[0]}, got {w.shape[0]}"
+        )
+    return float(c.coeffs @ w - c.offset), c.coeffs
+
+
+def penalty_gradient(constraints, w: np.ndarray, cfg: PenaltyConfig) -> np.ndarray:
+    """Gradient of the summed penalty at w (without the eta factor),
+    constraint by constraint: the per-constraint form of
+    `objective.row_penalty_gradient`, with the inequality branch that no
+    run path accepts."""
+    grad = np.zeros_like(np.asarray(w, dtype=float))
+    for c in constraints:
+        val, cgrad = evaluate(c, w)
+        if c.kind == "equality":
+            grad += float(ep_penalty(val)[1]) * cgrad
+        else:
+            grad += float(ip_penalty(val, cfg.rho)[1]) * cgrad
+    return grad
+
+
+def global_penalty_gradient(problem: MultiAgentProblem, w: np.ndarray) -> np.ndarray:
+    """`MultiAgentProblem.global_penalty_gradient`, summed agent by agent."""
+    grad = np.zeros(problem.layout.total_dim)
+    for k, cons in enumerate(problem.constraints):
+        gidx = problem.cmap.global_indices(k)
+        grad[gidx] += penalty_gradient(cons, w[gidx], problem.penalty)
+    return grad
+
+
 def penalty_value(constraints, w: np.ndarray, cfg: PenaltyConfig) -> float:
     """Sum of penalty terms at w (without the eta factor)."""
     total = 0.0
     for c in constraints:
-        val, _ = c.evaluate(w)
+        val, _ = evaluate(c, w)
         if c.kind == "equality":
             total += float(ep_penalty(val)[0])
         else:
@@ -417,7 +469,7 @@ def centralized_step(
     d_vec = np.concatenate(
         [np.full(layout.dims[l], float(d)) for l, d in enumerate(d_blocks)]
     )
-    psi = w - (cfg.mu * cfg.eta) * d_vec * problem.global_penalty_gradient(w)
+    psi = w - (cfg.mu * cfg.eta) * d_vec * global_penalty_gradient(problem, w)
     if cfg.noise == "stochastic":
         grad = np.zeros(layout.total_dim)
         for k in range(problem.agent_count):

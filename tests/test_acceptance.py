@@ -18,12 +18,7 @@ from coupled_diffusion.metrics import (
     penalized_optimum,
     reference_solution,
 )
-from coupled_diffusion.objective import (
-    ConstraintSpec,
-    PenaltyConfig,
-    ip_penalty,
-    penalty_gradient,
-)
+from coupled_diffusion.objective import ConstraintSpec, PenaltyConfig
 from coupled_diffusion.topology import BlockLayout, NetworkSpec, build_clusters
 from coupled_diffusion.weights import averaging_weights, metropolis_weights, spectral_gap_bound, step_scaling
 
@@ -31,7 +26,9 @@ from reference import (
     coupled_diffusion_step,
     generate_benchmark_problem,
     init_state,
+    ip_penalty,
     msd,
+    penalty_gradient,
     penalty_value,
     random_quadratic_oracle,
 )

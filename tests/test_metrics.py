@@ -212,6 +212,21 @@ def test_stationarity_check_catches_a_wrong_closed_form(benchmark_problem):
         reference_solution(wrong, 0.0)
 
 
+def test_stationarity_check_does_not_read_the_global_constraint_rows(monkeypatch):
+    """The check applies the flat rows, so a closed form assembled from a
+    global G that disagrees with them fails it."""
+    problem = generate_benchmark_problem(7, constrained=True)
+    lifted = MultiAgentProblem.constraint_system
+
+    def doubled_global_rows(self, flat=False):
+        g, b = lifted(self, flat)
+        return (g, b) if flat else (2.0 * g, b)
+
+    monkeypatch.setattr(MultiAgentProblem, "constraint_system", doubled_global_rows)
+    with pytest.raises(SimulationError, match="failed its stationarity check"):
+        reference_solution(problem, 10.0)
+
+
 def test_empirical_rate_geometric():
     values = 0.9 ** np.arange(60)
     assert empirical_rate(values) == pytest.approx(0.9, abs=1e-6)

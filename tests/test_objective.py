@@ -5,20 +5,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coupled_diffusion.engine import EngineConfig, init_batch
 from coupled_diffusion.errors import DimensionMismatch
+from coupled_diffusion.harness import NetworkDescription, build_problem
 from coupled_diffusion.objective import (
     ConstraintSpec,
     PenaltyConfig,
     QuadraticRiskOracle,
-    ep_penalty,
     equality,
-    ip_penalty,
-    penalty_gradient,
     random_quadratic_oracles,
+    row_penalty_gradient,
 )
+from coupled_diffusion.topology import BlockLayout
+from coupled_diffusion.weights import metropolis_weights
 
 from reference import (
+    ep_penalty,
+    evaluate,
+    generate_benchmark_problem,
+    global_penalty_gradient,
     inequality,
+    ip_penalty,
+    penalty_gradient,
     penalty_value,
     random_orthogonal,
     random_quadratic_oracle,
@@ -110,6 +118,68 @@ def test_dimension_mismatch():
     c = equality(0, np.array([1.0, 0.0]), 0.0)
     with pytest.raises(DimensionMismatch):
         penalty_gradient([c], np.zeros(3), cfg)
+
+
+def test_a_constraint_of_the_wrong_length_is_rejected_with_the_problem(benchmark_problem):
+    cons = list(benchmark_problem.constraints)
+    dim = benchmark_problem.cmap.local_dims[3]
+    cons[3] = (equality(3, np.ones(dim + 1), 0.5),)
+    with pytest.raises(DimensionMismatch,
+                       match=f"constraint of agent 3 has {dim + 1} coefficients, "
+                             f"layout expects {dim}"):
+        dataclasses.replace(benchmark_problem, constraints=tuple(cons))
+
+
+@pytest.fixture(scope="module")
+def constrained_problems(setup_networks, bridge_net):
+    """Constrained problems on the set-up networks, and one whose agent 0
+    owns the constraints of blocks 0 and 2, so that it holds two rows."""
+    problems = {"benchmark20": generate_benchmark_problem(7, constrained=True)}
+    for name in ("bridged", "ring"):
+        problems[name] = build_problem(setup_networks[name], 7, constrained=True)
+    problems["two rows at one agent"] = build_problem(NetworkDescription(
+        net=bridge_net, layout=BlockLayout((2, 3, 2, 1)), constraint_owners=(0, 1, 0, 4)),
+        7, constrained=True)
+    assert len(problems["two rows at one agent"].constraints[0]) == 2
+    return problems
+
+
+PENALTY_PROBLEMS = ("benchmark20", "bridged", "ring", "two rows at one agent")
+
+
+@pytest.mark.parametrize("name", PENALTY_PROBLEMS)
+def test_the_row_form_matches_the_per_constraint_penalty_gradient(constrained_problems, name):
+    """The engine's penalty half-step and the stationarity check's global
+    penalty gradient, both from the lifted rows, against the per-constraint
+    gradients summed agent by agent."""
+    problem = constrained_problems[name]
+    cmap, rng = problem.cmap, np.random.default_rng(11)
+    w = rng.standard_normal(problem.layout.total_dim)
+    want = global_penalty_gradient(problem, w)
+    got = problem.global_penalty_gradient(w)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    weights = {l: metropolis_weights(cmap, problem.net, l) for l in range(len(cmap.clusters))}
+    batch = init_batch(problem, weights, EngineConfig(mu=1e-3, eta=1.0, noise="exact"), (0, 1))
+    flat = rng.standard_normal((cmap.total_local_dim, 2))
+    want = np.concatenate([
+        np.stack([penalty_gradient(cons, flat[cmap.flat_slice(k), j], problem.penalty)
+                  for j in range(2)], axis=1)
+        for k, cons in enumerate(problem.constraints)])
+    got = row_penalty_gradient(batch._rows, flat)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("name", PENALTY_PROBLEMS)
+def test_penalty_lipschitz_is_the_largest_per_agent_row_sum(constrained_problems, name):
+    problem = constrained_problems[name]
+    want = max(sum(2.0 * float(c.coeffs @ c.coeffs) for c in cons)
+               for cons in problem.constraints)
+    assert abs(problem.penalty_lipschitz() - want) <= 1e-15 * want
+
+
+def test_penalty_lipschitz_is_zero_without_constraints(benchmark_problem):
+    assert benchmark_problem.penalty_lipschitz() == 0.0
 
 
 def test_random_orthogonal_and_oracle_fields():
@@ -242,6 +312,6 @@ def test_risk_quadratic_is_shared_read_only_and_follows_the_oracles(benchmark_pr
 def test_inequality_constructor():
     c = inequality(2, np.array([1.0, 1.0]), 0.5)
     assert c.kind == "inequality" and c.owner == 2
-    val, grad = c.evaluate(np.array([1.0, 1.0]))
+    val, grad = evaluate(c, np.array([1.0, 1.0]))
     assert val == pytest.approx(1.5)
     assert np.array_equal(grad, [1.0, 1.0])

@@ -4,7 +4,7 @@ Every public function and method defined in `src/` is named somewhere in
 `src/`, `benchmarks/` or `scripts/` besides its definition; code that
 only the tests call lives beside the reference in `tests/reference.py`.
 Matching is by name: as a variable, an attribute, an import, or a part
-of a dotted-name string such as "objective.penalty_gradient" (the
+of a dotted-name string such as "metrics.reference_solution" (the
 benchmark tracer names its call sites so). A string without a dot is
 data, not a use: the kind name "equality" does not name `equality`.
 
