@@ -17,10 +17,11 @@ directory, and prints one JSON line with the median over repetitions of
   `benchmarks/worker.py` times as `setup_s` (all of it but reading the
   config file), run once more after the run, each timed on its own:
   `load_network`; within `build_problem`, the clusters and their
-  embedding (`build_clusters`, `embed_clusters`), the oracle draws
-  (`random_quadratic_oracles`) and the rest of it (true model, bridge
-  oracles, constraints, the oracle stack, H and the strong-convexity
-  check); the combination weights with their step scalings; and the
+  embedding (`build_clusters`, `embed_clusters`), the oracle draws and
+  their QR (`random_quadratic_oracles`) and the rest of it (true model,
+  bridge oracles, constraints, the oracle stack with every product of
+  oracle fields, H and the strong-convexity check); the combination
+  weights with their step scalings; and the
   reference solves before and after the change point.
 
 Set OPENBLAS_NUM_THREADS=1 before running to match the benchmark:

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NonFiniteIterate
-from .objective import MultiAgentProblem, QuadraticRiskOracle, row_penalty_gradient
+from .objective import MultiAgentProblem, row_penalty_gradient
 from .topology import ClusterMap
 from .weights import step_scaling
 
@@ -101,7 +101,8 @@ class _RiskGradients:
     the zero basis rows of a bridge agent's added blocks give zero
     gradient entries there. The factors come zero-padded in an (N, Q, R)
     or (N, Q, Q) tensor with Q = max Q_k and R = max R_k, so padded cells
-    add nothing (`MultiAgentProblem.oracle_stack`). Stochastic mode
+    add nothing (`MultiAgentProblem.oracle_stack`, which also rejects any
+    oracle but a quadratic one). Stochastic mode
     pre-draws each (seed, agent) stream's R_k + 1 normals per iteration
     in chunks: one draw of T (R_k + 1) values equals T successive draws
     of R_k + 1, so iteration i sees the variates the per-agent reference
@@ -111,11 +112,6 @@ class _RiskGradients:
     """
 
     def __init__(self, problem: MultiAgentProblem, seeds, cfg: EngineConfig, points: int):
-        for o in problem.oracles:
-            if not isinstance(o, QuadraticRiskOracle):
-                raise ConfigError(
-                    f"the batched engine needs quadratic risk oracles, got {type(o).__name__}"
-                )
         stack = problem.oracle_stack()
         n, width = stack.valid.shape
         self.exact = cfg.noise == "exact"

@@ -309,8 +309,7 @@ def build_problem(desc: NetworkDescription, seed: int, constrained: bool = False
     model = rng.standard_normal(desc.layout.total_dim)
     model /= np.linalg.norm(model)
     local = model[cmap0.flat_global_indices]
-    oracles = random_quadratic_oracles(
-        [local[cmap0.flat_slice(k)] for k in range(net.agent_count)], rng)
+    oracles = random_quadratic_oracles(np.split(local, cmap0.agent_starts[1:]), rng)
     if cmap is not cmap0:
         # a bridge agent's own coordinates are the entries of its flat slice
         # that it held before embedding; the keys of both layouts increase

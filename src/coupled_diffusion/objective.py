@@ -63,30 +63,22 @@ class QuadraticRiskOracle:
     Features h are Gaussian with covariance basis @ diag(spectrum) @ basis'.
     The basis is (dim, rank) with orthonormal columns; its zero rows are
     coordinates the risk does not depend on, such as the blocks cluster
-    embedding gives a bridge agent (see `embedded`). The oracle holds the
-    risk and its exact gradient; the engine draws the samples of h and of
-    the noise (`engine._RiskGradients`).
-
-    The scaled basis `basis sqrt(spectrum)` and the covariance are derived
-    here unless the caller passes them, computed from the same basis and
-    spectrum with the same bits (`random_quadratic_oracles`, `embedded`).
+    embedding gives a bridge agent (see `embedded`). The oracle is a plain
+    record of the risk; `stack_oracles` derives the scaled bases,
+    covariances and linear terms that the engine and the reference solves
+    read, and the engine draws the samples of h and of the noise
+    (`engine._RiskGradients`).
     """
 
     basis: np.ndarray  # orthonormal columns
     spectrum: np.ndarray  # diagonal of the covariance eigenvalues
     w_ref: np.ndarray
     noise_std: float
-    _scaled_basis: np.ndarray = field(repr=False, default=None)
-    _covariance: np.ndarray = field(repr=False, default=None)
 
     def __post_init__(self):
         object.__setattr__(self, "basis", np.asarray(self.basis, dtype=float))
         object.__setattr__(self, "spectrum", np.asarray(self.spectrum, dtype=float))
         object.__setattr__(self, "w_ref", np.asarray(self.w_ref, dtype=float))
-        if self._scaled_basis is None:
-            object.__setattr__(self, "_scaled_basis", self.basis * np.sqrt(self.spectrum))
-        if self._covariance is None:
-            object.__setattr__(self, "_covariance", (self.basis * self.spectrum) @ self.basis.T)
 
     @property
     def dim(self) -> int:
@@ -98,12 +90,12 @@ class QuadraticRiskOracle:
 
     @property
     def covariance(self) -> np.ndarray:
-        return self._covariance
+        return (self.basis * self.spectrum) @ self.basis.T
 
     def true_gradient(self, w: np.ndarray) -> np.ndarray:
         if w.shape != self.w_ref.shape:
             raise DimensionMismatch(f"expected dim {self.dim}, got {w.shape}")
-        return 2.0 * (self._covariance @ (w - self.w_ref))
+        return 2.0 * (self.covariance @ (w - self.w_ref))
 
     def risk(self, w: np.ndarray) -> float:
         d = w - self.w_ref
@@ -113,13 +105,9 @@ class QuadraticRiskOracle:
         """The same risk on a dim-vector whose `positions` hold this oracle's
         coordinates; the other coordinates get zero basis rows, so they cost
         nothing and the rank does not change."""
-        basis, scaled = np.zeros((dim, self.rank)), np.zeros((dim, self.rank))
-        w_ref, covariance = np.zeros(dim), np.zeros((dim, dim))
-        basis[positions], scaled[positions], w_ref[positions] = (
-            self.basis, self._scaled_basis, self.w_ref)
-        # a zero basis row adds exact zeros to every product it enters
-        covariance[np.ix_(positions, positions)] = self._covariance
-        return QuadraticRiskOracle(basis, self.spectrum, w_ref, self.noise_std, scaled, covariance)
+        basis, w_ref = np.zeros((dim, self.rank)), np.zeros(dim)
+        basis[positions], w_ref[positions] = self.basis, self.w_ref
+        return QuadraticRiskOracle(basis, self.spectrum, w_ref, self.noise_std)
 
 
 SPECTRUM_RANGE = (1.0, 3.0)  # covariance eigenvalues of a random oracle
@@ -132,10 +120,9 @@ def random_quadratic_oracles(w_refs, rng) -> list:
     uniformly in NOISE_DB_RANGE (dB), converted via sigma^2 = 10^(dB/10).
 
     The draws come oracle by oracle, in order: the dim x dim normals of
-    the basis, the spectrum, the noise power. The oracles of one dimension
-    are then built together: one stacked QR, whose R gets a positive
-    diagonal by a sign fix of Q, and one batched product each for the
-    scaled bases and the covariances. A stacked QR or product computes each
+    the basis, the spectrum, the noise power. The bases of one dimension
+    are then orthogonalized together: one stacked QR, whose R gets a
+    positive diagonal by a sign fix of Q. A stacked QR computes each
     matrix with the bits of the same call on that matrix alone.
     """
     w_refs = [np.asarray(w, dtype=float) for w in w_refs]
@@ -149,13 +136,10 @@ def random_quadratic_oracles(w_refs, rng) -> list:
     for members in by_dim.values():
         q, r = np.linalg.qr(np.stack([draws[k][0] for k in members]))
         q *= np.sign(np.diagonal(r, axis1=-2, axis2=-1))[:, None, :]
-        spectra = np.stack([draws[k][1] for k in members])[:, None, :]
-        scaled = q * np.sqrt(spectra)
-        covariances = (q * spectra) @ q.transpose(0, 2, 1)
-        for k, basis, s, c in zip(members, q, scaled, covariances):
+        for k, basis in zip(members, q):
             _, spectrum, noise_db = draws[k]
             oracles[k] = QuadraticRiskOracle(basis, spectrum, w_refs[k],
-                                             float(np.sqrt(10.0 ** (noise_db / 10.0))), s, c)
+                                             float(np.sqrt(10.0 ** (noise_db / 10.0))))
     return oracles
 
 
@@ -168,8 +152,9 @@ class OracleStack:
     cells add nothing to a product. The arrays are read-only.
     """
 
-    covariance: np.ndarray  # (N, Q, Q)
+    covariance: np.ndarray  # (N, Q, Q): (basis spectrum) basis'
     scaled_basis: np.ndarray  # (N, Q, R): basis sqrt(spectrum)
+    linear: np.ndarray  # (N, Q): 2 covariance w_ref
     w_ref: np.ndarray  # (N, Q)
     noise_std: np.ndarray  # (N,)
     ranks: np.ndarray  # (N,)
@@ -187,24 +172,40 @@ class OracleStack:
 
 def stack_oracles(oracles, cmap: ClusterMap) -> OracleStack:
     """The OracleStack of per-agent quadratic oracles on the flat layout of
-    `cmap`."""
+    `cmap`: the one place that derives the products of oracle fields the
+    library runs on, and the gate that rejects any oracle but a
+    QuadraticRiskOracle."""
+    for o in oracles:
+        if not isinstance(o, QuadraticRiskOracle):
+            raise ConfigError(
+                f"the batched engine needs quadratic risk oracles, got {type(o).__name__}"
+            )
     dims = np.array(cmap.local_dims)
     ranks = np.array([o.rank for o in oracles])
-    width, depth = int(dims.max()), int(ranks.max())
+    n, width, depth = len(dims), int(dims.max()), int(ranks.max())
     valid = np.arange(width) < dims[:, None]
     in_rank = np.arange(depth) < ranks[:, None]
-    covariance = np.zeros((len(dims), width, width))
-    scaled_basis = np.zeros((len(dims), width, depth))
-    w_ref = np.zeros((len(dims), width))
+    basis, spectrum = np.zeros((n, width, depth)), np.zeros((n, depth))
+    w_ref = np.zeros((n, width))
     # a boolean mask visits the cells in row-major order: agent by agent,
     # and within an agent in the order of its own arrays
-    covariance[valid[:, :, None] & valid[:, None, :]] = np.concatenate(
-        [o.covariance.ravel() for o in oracles])
-    scaled_basis[valid[:, :, None] & in_rank[:, None, :]] = np.concatenate(
-        [o._scaled_basis.ravel() for o in oracles])
+    basis[valid[:, :, None] & in_rank[:, None, :]] = np.concatenate(
+        [o.basis.ravel() for o in oracles])
+    spectrum[in_rank] = np.concatenate([o.spectrum for o in oracles])
     w_ref[valid] = np.concatenate([o.w_ref for o in oracles])
+    covariance, linear = np.zeros((n, width, width)), np.zeros((n, width))
+    # one batched product per shape (Q_k, R_k) on the unpadded blocks, which
+    # gives each agent the bits of its own product; a padded product rounds
+    # differently
+    for q, r in set(zip(cmap.local_dims, ranks.tolist())):
+        agents = np.flatnonzero((dims == q) & (ranks == r))
+        b = basis[agents, :q, :r]
+        cov = (b * spectrum[agents, None, :r]) @ b.transpose(0, 2, 1)
+        covariance[agents, :q, :q] = cov
+        linear[agents, :q] = ((2.0 * cov) @ w_ref[agents, :q, None])[..., 0]
     gather = np.where(valid, np.array(cmap.agent_starts)[:, None] + np.arange(width), 0)
-    stack = OracleStack(covariance=covariance, scaled_basis=scaled_basis, w_ref=w_ref,
+    stack = OracleStack(covariance=covariance, scaled_basis=basis * np.sqrt(spectrum)[:, None, :],
+                        linear=linear, w_ref=w_ref,
                         noise_std=np.array([o.noise_std for o in oracles], dtype=float),
                         ranks=ranks, valid=valid, gather=gather)
     for f in fields(stack):
@@ -282,18 +283,9 @@ class MultiAgentProblem:
         stack, m = self.oracle_stack(), self.layout.total_dim
         cells = self._global_cells(stack)
         pairs = stack.valid[:, :, None] & stack.valid[:, None, :]
-        cov2 = 2.0 * stack.covariance
         hess = np.bincount((cells[:, :, None] * m + cells[:, None, :])[pairs],
-                           weights=cov2[pairs], minlength=m * m).reshape(m, m)
-        # one batched product per local dimension q on the unpadded (q, q)
-        # blocks, which gives each agent the bits of its own product; a
-        # padded product rounds differently
-        dims = np.asarray(self.cmap.local_dims)
-        terms = np.zeros(stack.w_ref.shape)
-        for q in set(self.cmap.local_dims):
-            agents = np.flatnonzero(dims == q)
-            terms[agents, :q] = (cov2[agents, :q, :q] @ stack.w_ref[agents, :q, None])[..., 0]
-        lin = np.bincount(cells[stack.valid], weights=terms[stack.valid], minlength=m)
+                           weights=2.0 * stack.covariance[pairs], minlength=m * m).reshape(m, m)
+        lin = np.bincount(cells[stack.valid], weights=stack.linear[stack.valid], minlength=m)
         hess.flags.writeable = lin.flags.writeable = False
         return hess, lin
 

@@ -56,20 +56,21 @@ class NetworkSpec:
         ends = list(chain.from_iterable(self.edges))
         if ends and not (0 <= min(ends) and max(ends) < n):
             _raise_for_first_bad_edge(self.edges, n)
-        # walked in increasing order, the edges fill every neighbour list in
-        # increasing order: agent k meets each (a, k) before any (k, b)
         edges = sorted({(a, b) if a < b else (b, a) for a, b in self.edges})
-        adj = [[] for _ in range(n)]
-        for a, b in edges:
-            if a == b:
-                _raise_for_first_bad_edge(self.edges, n)
-            adj[a].append(b)
-            adj[b].append(a)
-        object.__setattr__(self, "edges", frozenset(edges))
+        if any(a == b for a, b in edges):
+            _raise_for_first_bad_edge(self.edges, n)
         if len(self.interest_sets) != n:
             raise ConfigError("need one interest set per agent")
         if 0 in map(len, self.interest_sets):
             raise ConfigError("every interest set must be non-empty")
+        # allocated only once the interest sets vouch for agent_count;
+        # walked in increasing order, the edges fill every neighbour list in
+        # increasing order: agent k meets each (a, k) before any (k, b)
+        adj = [[] for _ in range(n)]
+        for a, b in edges:
+            adj[a].append(b)
+            adj[b].append(a)
+        object.__setattr__(self, "edges", frozenset(edges))
         object.__setattr__(
             self,
             "interest_sets",
@@ -108,7 +109,7 @@ class ClusterMap:
     For every agent k the local vector w_k stacks the copies w_k^l for
     l in its interest set, in increasing block order. The flat layout
     concatenates all agents' local vectors; its total length is
-    sum_l N_l*M_l = sum_k Q_k. The layout is held by four indexes, built
+    sum_l N_l*M_l = sum_k Q_k. The layout is held by three indexes, built
     in build_clusters; every other position is read off them.
     """
 
@@ -122,12 +123,11 @@ class ClusterMap:
     # vector g is g[flat_global_indices]
     flat_global_indices: np.ndarray = field(repr=False, default=None)
     # (L, N_max, M_max) flat indices of every block's copies at once: block l
-    # fills [l, :N_l, :M_l] with flat_cluster_indices(l) as an (N_l, M_l)
-    # array. Padding repeats real entries so that it adds no new values:
-    # extra rows repeat member 0's row and extra columns repeat member 0's
-    # first entry, in every row.
+    # fills [l, :N_l, :M_l] with one copy per row, rows in cluster order
+    # (`flat_cluster_indices` reads them off). Padding repeats real entries
+    # so that it adds no new values: extra rows repeat member 0's row and
+    # extra columns repeat member 0's first entry, in every row.
     padded_cluster_indices: np.ndarray = field(repr=False, default=None)
-    _flat_cluster_idx: tuple = field(repr=False, default=())
 
     @property
     def total_local_dim(self) -> int:
@@ -144,7 +144,8 @@ class ClusterMap:
         Reshaping the gathered values to (N_l, M_l) puts one local copy
         per row, rows ordered like the sorted cluster.
         """
-        return self._flat_cluster_idx[block]
+        n, m = len(self.clusters[block]), self.layout.dims[block]
+        return self.padded_cluster_indices[block, :n, :m].ravel()
 
     def global_indices(self, agent: int) -> np.ndarray:
         """Global-vector indices corresponding to agent k's local vector."""
@@ -202,8 +203,6 @@ def build_clusters(net: NetworkSpec, layout: BlockLayout) -> ClusterMap:
     # order, are its copies in cluster order; a stable sort keeps that order
     by_block = np.argsort(np.repeat(blocks, copy_dims), kind="stable")
     block_ends = np.cumsum(sizes * dims)
-    flat_cluster_idx = tuple(by_block[start:stop] for start, stop
-                             in zip([0] + block_ends[:-1].tolist(), block_ends.tolist()))
 
     return ClusterMap(
         layout=layout,
@@ -213,7 +212,6 @@ def build_clusters(net: NetworkSpec, layout: BlockLayout) -> ClusterMap:
         agent_starts=tuple(accumulate((0,) + local_dims[:-1])),
         flat_global_indices=flat_global,
         padded_cluster_indices=_pad_clusters(by_block, block_ends - sizes * dims, sizes, dims),
-        _flat_cluster_idx=flat_cluster_idx,
     )
 
 

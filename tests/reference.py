@@ -271,7 +271,7 @@ def stochastic_gradient(oracle: QuadraticRiskOracle, zeta: np.ndarray, rng) -> n
     normals of `rng`: the features h = basis sqrt(spectrum) x, then the
     observation noise. The engine draws the same per iteration and agent."""
     draws = rng.standard_normal(oracle.rank + 1)
-    h = oracle._scaled_basis @ draws[: oracle.rank]
+    h = (oracle.basis * np.sqrt(oracle.spectrum)) @ draws[: oracle.rank]
     y = h @ oracle.w_ref + oracle.noise_std * draws[oracle.rank]
     return 2.0 * (h @ zeta - y) * h
 

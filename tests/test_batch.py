@@ -313,13 +313,23 @@ class _OpaqueRisk:
         self.dim = dim
 
 
-@pytest.mark.parametrize("noise", ["stochastic", "exact"])
-def test_batch_rejects_a_non_quadratic_oracle(constrained, noise):
+QUADRATIC_GATED = {  # every engine set-up and reference solve reaches stack_oracles
+    "stochastic": lambda p, w: init_batch(p, w, EngineConfig(mu=0.001), SEEDS),
+    "exact": lambda p, w: init_batch(p, w, EngineConfig(mu=0.001, noise="exact"), SEEDS),
+    "reference_solution": lambda p, w: reference_solution(p, 10.0),
+    "penalized_optimum": lambda p, w: penalized_optimum(p, 10.0),
+    "global_risk_quadratic": lambda p, w: p.global_risk_quadratic(),
+}
+
+
+@pytest.mark.parametrize("call", list(QUADRATIC_GATED))
+def test_batch_rejects_a_non_quadratic_oracle(constrained, call):
+    weights = _weights(constrained)
     oracles = list(constrained.oracles)
     oracles[3] = _OpaqueRisk(oracles[3].dim)
     problem = dataclasses.replace(constrained, oracles=tuple(oracles))
     with pytest.raises(ConfigError, match="quadratic risk oracles, got _OpaqueRisk"):
-        init_batch(problem, _weights(constrained), EngineConfig(mu=0.001, noise=noise), SEEDS)
+        QUADRATIC_GATED[call](problem, weights)
 
 
 GATED = {  # every solve and engine set-up reaches constraint_system

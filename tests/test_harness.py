@@ -232,12 +232,11 @@ def _problem_networks(tmp_path):
 
 @pytest.mark.parametrize("network", ["benchmark20", "example5", "split", "ring", "bridged"])
 def test_stacked_problem_draw_matches_the_per_agent_draw(tmp_path, setup_networks, network):
-    """build_problem draws its oracles agent by agent and builds those of
-    one dimension together (one stacked QR, batched products), and embeds
-    the bridge agents' oracles from their fields; the true model, every
+    """build_problem draws its oracles agent by agent and orthogonalizes
+    those of one dimension together (one stacked QR), and embeds the
+    bridge agents' oracles from their fields; the true model, every
     oracle field and the assembled risk quadratic equal those of drawing
-    agent by agent with one QR each and every field computed by its own
-    oracle, bit for bit."""
+    agent by agent with one QR each, bit for bit."""
     desc = {**_problem_networks(tmp_path), "bridged": setup_networks["bridged"]}[network]
     for seed in (0, 7):
         problem = build_problem(desc, seed, constrained=True)
@@ -245,7 +244,7 @@ def test_stacked_problem_draw_matches_the_per_agent_draw(tmp_path, setup_network
         assert problem.true_model.tobytes() == model.tobytes()
         assert len(problem.oracles) == len(oracles)
         for got, want in zip(problem.oracles, oracles):
-            for name in ("basis", "spectrum", "w_ref", "_scaled_basis", "covariance"):
+            for name in ("basis", "spectrum", "w_ref", "covariance"):
                 a, b = getattr(got, name), getattr(want, name)
                 assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
             assert got.noise_std == want.noise_std
@@ -262,18 +261,47 @@ def test_stacked_problem_draw_matches_the_per_agent_draw(tmp_path, setup_network
 @settings(max_examples=40, deadline=None, derandomize=True)
 def test_problem_draw_matches_the_per_agent_draw_on_random_networks(case):
     """The oracle fields, bridge oracles included, and H and f of random
-    networks with local dimensions 1-12 are bitwise the per-agent build's."""
+    networks with local dimensions 1-12 are bitwise the per-agent build's,
+    and so are the oracle stack's products."""
     net, layout = case
     desc = NetworkDescription(net=net, layout=layout)
     problem = build_problem(desc, 3)
     _, oracles = per_agent_problem_draw(desc, 3)
     for got, want in zip(problem.oracles, oracles):
-        for name in ("basis", "spectrum", "w_ref", "_scaled_basis", "covariance"):
+        for name in ("basis", "spectrum", "w_ref", "covariance"):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
         assert got.noise_std == want.noise_std
     hess, lin = problem.global_risk_quadratic()
     want_hess, want_lin = risk_quadratic(problem)
     assert hess.tobytes() == want_hess.tobytes() and lin.tobytes() == want_lin.tobytes()
+    assert_stack_holds_each_oracles_products(problem)
+
+
+def assert_stack_holds_each_oracles_products(problem):
+    """The oracle stack's scaled bases, covariances and linear terms are, bit
+    for bit, each oracle's basis sqrt(spectrum), covariance and
+    2 covariance w_ref computed on that oracle alone, zero-padded."""
+    stack = problem.oracle_stack()
+    n, width, depth = stack.scaled_basis.shape
+    want = {"scaled_basis": np.zeros((n, width, depth)),
+            "covariance": np.zeros((n, width, width)), "linear": np.zeros((n, width))}
+    for k, o in enumerate(problem.oracles):
+        want["scaled_basis"][k, :o.dim, :o.rank] = o.basis * np.sqrt(o.spectrum)
+        want["covariance"][k, :o.dim, :o.dim] = o.covariance
+        want["linear"][k, :o.dim] = 2 * o.covariance @ o.w_ref
+    for name, array in want.items():
+        got = getattr(stack, name)
+        assert got.shape == array.shape and got.tobytes() == array.tobytes(), name
+
+
+@pytest.mark.parametrize("network", ["benchmark20", "example5", "split", "ring", "bridged"])
+def test_oracle_stack_products_are_each_oracles_own(tmp_path, setup_networks, network):
+    """stack_oracles derives every product of oracle fields for all agents
+    at once, one batched product per (Q_k, R_k), bridge agents included;
+    each agent gets the bits of its own oracle's product."""
+    desc = {**_problem_networks(tmp_path), "bridged": setup_networks["bridged"]}[network]
+    for seed in (0, 7):
+        assert_stack_holds_each_oracles_products(build_problem(desc, seed, constrained=True))
 
 
 @pytest.mark.parametrize("network", ["benchmark20", "example5", "ring"])
@@ -567,6 +595,19 @@ def _cli_error(capsys, argv) -> dict:
 def test_cli_error_is_machine_readable(tmp_path, capsys):
     payload = _cli_error(capsys, _bad_config(tmp_path, {"scenario": {"id": "nope", "seeds": [0]}}))
     assert payload["type"] == "ConfigError"
+
+
+def test_cli_error_on_an_agent_count_beyond_the_interest_sets(tmp_path, capsys):
+    """A network file whose agent_count far exceeds its interest sets is
+    rejected before anything of that size is allocated."""
+    net = tmp_path / "net.json"
+    net.write_text(json.dumps({"agent_count": 10**12, "block_dims": [1], "edges": [[0, 1]],
+                               "interest_sets": [[0], [0]]}))
+    payload = _cli_error(capsys, _bad_config(tmp_path, {
+        "network": {"source": str(net)},
+        "scenario": {"id": "unconstrained", "seeds": [0]},
+    }))
+    assert payload == {"type": "ConfigError", "message": "need one interest set per agent"}
 
 
 def test_cli_error_network_without_edges(tmp_path, capsys):
