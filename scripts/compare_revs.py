@@ -26,7 +26,9 @@ shipped and cut to a few seeds and iterations, run through each side's
 CLI in a fresh process: once with BLAS pinned to one thread and once with
 the BLAS thread variables unset. Beside each sha256 it records the wall
 time of that CLI process on each side, interpreter start-up included;
-the times are a record, not a gate.
+the times are a record, not a gate. Where the two sides' CSVs differ, it
+also records the largest relative change of any numeric value,
+|change - parent| / max(|change|, |parent|), over the cells of the CSV.
 """
 
 from __future__ import annotations
@@ -161,9 +163,10 @@ def pairs_mode(args, sides: dict) -> dict:
     return {f"{args.workload} --seed {args.seed}": result}
 
 
-def cli_sha256(tree: Path, config: Path, extra: list, out: Path, env: dict) -> tuple[str, float]:
-    """sha256 of the CSV one CLI call of `tree` writes, or its error, and
-    the call's wall time in seconds."""
+def cli_sha256(tree: Path, config: Path, extra: list, out: Path,
+               env: dict) -> tuple[str, float, bytes | None]:
+    """sha256 of the CSV one CLI call of `tree` writes, or its error, the
+    call's wall time in seconds, and the CSV's bytes (None on an error)."""
     start = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-m", "coupled_diffusion.cli", "run", "--config", str(config),
@@ -171,13 +174,37 @@ def cli_sha256(tree: Path, config: Path, extra: list, out: Path, env: dict) -> t
         cwd=tree, env={**env, "PYTHONPATH": str(tree / "src")}, capture_output=True, text=True)
     wall = time.perf_counter() - start
     if proc.returncode != 0:
-        return f"error: exit {proc.returncode}: {proc.stderr.strip()[-300:]}", wall
-    return hashlib.sha256(Path(proc.stdout.strip()).read_bytes()).hexdigest(), wall
+        return f"error: exit {proc.returncode}: {proc.stderr.strip()[-300:]}", wall, None
+    csv = Path(proc.stdout.strip()).read_bytes()
+    return hashlib.sha256(csv).hexdigest(), wall, csv
+
+
+def max_relative_change(parent: bytes, change: bytes) -> float | None:
+    """Largest |c - p| / max(|c|, |p|) over the numeric cells of two CSVs of
+    the same layout; None when the layouts or the non-numeric cells differ."""
+    rows = [text.decode().splitlines() for text in (parent, change)]
+    if len(rows[0]) != len(rows[1]):
+        return None
+    worst = 0.0
+    for line_p, line_c in zip(*rows):
+        cells_p, cells_c = line_p.split(","), line_c.split(",")
+        if len(cells_p) != len(cells_c):
+            return None
+        for p, c in zip(cells_p, cells_c):
+            try:
+                a, b = float(p), float(c)
+            except ValueError:
+                if p != c:
+                    return None
+                continue
+            if a != b:
+                worst = max(worst, abs(b - a) / max(abs(a), abs(b)))
+    return worst
 
 
 def digest_table(tree: Path, work: Path, env: dict) -> dict:
-    """label -> (CSV sha256, wall seconds) for every workload call and
-    shipped config run."""
+    """label -> (CSV sha256, wall seconds, CSV bytes) for every workload call
+    and shipped config run."""
     table = {}
     for workload in WORKLOADS:
         for seed in DIGEST_SEEDS:
@@ -210,10 +237,13 @@ def digests_mode(sides: dict, work: Path) -> dict:
         tables = {side: digest_table(tree, work / threads / side, env)
                   for side, tree in sides.items()}
         files = {}
-        for label, (sha, wall) in tables["change"].items():
-            parent_sha, parent_wall = tables["parent"].get(label, (None, None))
-            files[label] = {"parent": parent_sha, "change": sha,
-                            "identical": parent_sha == sha and not sha.startswith("error"),
+        for label, (sha, wall, csv) in tables["change"].items():
+            parent_sha, parent_wall, parent_csv = tables["parent"].get(label, (None, None, None))
+            identical = parent_sha == sha and csv is not None
+            files[label] = {"parent": parent_sha, "change": sha, "identical": identical,
+                            "max_relative_change": 0.0 if identical else (
+                                max_relative_change(parent_csv, csv)
+                                if csv is not None and parent_csv is not None else None),
                             "wall_s": {"parent": parent_wall, "change": wall}}
         out[threads] = {"files": files,
                         "all_identical": all(f["identical"] for f in files.values())}

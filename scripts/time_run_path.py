@@ -1,15 +1,22 @@
 #!/usr/bin/env python3
-"""Cost of the run path's stages on the ring workload.
+"""Cost of the run path's stages on a benchmark workload.
 
-Runs the `ring200-tracking` scenario of `benchmarks/` (seeded 200-agent
-ring, 2 seeds x 300 iterations, mu 4e-4, eta 1, change point at 150,
-log_every 1) through `run_scenario` with four functions wrapped by
-timers, writes its table with `emit_results` into a temporary
-directory, and prints one JSON line with the median over repetitions of
+Runs the coupled-diffusion call of a workload of `benchmarks/` through
+`run_scenario` with five functions wrapped by timers, writes its table
+with `emit_results` into a temporary directory, and prints one JSON line
+with the median over repetitions of the stages below. The workload is
+`ring200-tracking` (seeded 200-agent ring, 2 seeds x 300 iterations, mu
+4e-4, eta 1, change point at 150, log_every 1) unless `--workload
+b20-sweep` picks benchmark20 with 4 seeds x 600 iterations at two mu and
+two eta, log_every 10 and a warm start, where the risk and penalty
+half-steps dominate.
 
-- `step_us`: `CoupledBatch.step` per iteration, the noise refills included;
+- `step_us`: `CoupledBatch.step` per iteration, the noise refills and
+  the window products included;
 - `refill_us`: `_RiskGradients._refill` per iteration;
-- `record_us`: `MetricsLog.record` per call (one per iteration here);
+- `products_us`: `_RiskGradients._products` per iteration: each window's
+  regressors and targets, formed for several iterations at once;
+- `record_us`: `MetricsLog.record` per call (every `log_every` iterations);
 - `disagreement_us`: `metrics.disagreement` per call, part of `record_us`;
 - `emit_ms`: one `emit_results` call on the run's table (CSV and sidecar);
 - `load_ms`, `topology_ms`, `oracles_ms`, `assembly_ms`, `weights_ms`
@@ -22,11 +29,12 @@ directory, and prints one JSON line with the median over repetitions of
   bridge oracles, constraints, the oracle stack with every product of
   oracle fields, H and the strong-convexity check); the combination
   weights with their step scalings; and the
-  reference solves before and after the change point.
+  reference solves, before and after the change point of a tracking run.
 
 Set OPENBLAS_NUM_THREADS=1 before running to match the benchmark:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 scripts/time_run_path.py --reps 7
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 scripts/time_run_path.py --workload b20-sweep
 """
 
 import argparse
@@ -49,17 +57,22 @@ from coupled_diffusion.engine import CoupledBatch, _RiskGradients  # noqa: E402
 # (owner, attribute) of each timed function; MetricsLog.record looks
 # `disagreement` up in its module, so the module attribute is wrapped
 TIMED = {"step": (CoupledBatch, "step"), "refill": (_RiskGradients, "_refill"),
+         "products": (_RiskGradients, "_products"),
          "record": (metrics.MetricsLog, "record"),
          "disagreement": (metrics, "disagreement")}
+PER_CALL = ("record", "disagreement")  # reported per call, the rest per iteration
+WORKLOADS = ("ring200-tracking", "b20-sweep")
 
 
-def _timed(method, totals, name):
+def _timed(method, totals, name, calls=None):
     def wrapper(*args, **kwargs):
         start = time.perf_counter()
         try:
             return method(*args, **kwargs)
         finally:
             totals[name] += time.perf_counter() - start
+            if calls is not None:
+                calls[name] += 1
     return wrapper
 
 
@@ -91,9 +104,11 @@ def _setup_stages(cfg) -> dict:
     mats = {l: rule(base.cmap, base.net, l) for l in range(len(base.cmap.clusters))}
     weights.step_scaling(base.cmap, mats)
     marks.append(time.perf_counter())
-    changed = harness.regenerate_constraints(base, desc, cfg.problem_seed, epoch=0)
-    for eta in cfg.eta_list:
-        for problem in (base, changed):
+    problems = [base]
+    if cfg.change_point is not None:
+        problems.append(harness.regenerate_constraints(base, desc, cfg.problem_seed, epoch=0))
+    for eta in dict.fromkeys(cfg.eta_list):
+        for problem in problems:
             metrics.reference_solution(problem, eta)
     marks.append(time.perf_counter())
     stages = {name: end - start for name, start, end
@@ -106,39 +121,43 @@ def _setup_stages(cfg) -> dict:
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--seed", type=int, default=0, help="benchmark seed of the ring")
+    ap.add_argument("--workload", choices=WORKLOADS, default=WORKLOADS[0])
+    ap.add_argument("--seed", type=int, default=0, help="benchmark seed of the workload")
     ap.add_argument("--reps", type=int, default=5)
     args = ap.parse_args()
 
     with tempfile.TemporaryDirectory() as tmp:
         network = Path(tmp) / "network.json"
-        network.write_text(json.dumps(ring_network.generate(args.seed)))
-        (call,) = workloads.calls("ring200-tracking", args.seed, network_path=str(network))
+        if args.workload == "ring200-tracking":
+            network.write_text(json.dumps(ring_network.generate(args.seed)))
+        (call,) = workloads.calls(args.workload, args.seed, network_path=str(network))
         cfg = config_from_dict(call["config"])
         iterations = cfg.iterations
         samples = {name: [] for name in TIMED}
         emit_ms, stages = [], []
         for _ in range(args.reps):
-            totals = dict.fromkeys(TIMED, 0.0)
+            totals, calls = dict.fromkeys(TIMED, 0.0), dict.fromkeys(TIMED, 0)
             originals = {name: getattr(owner, attr) for name, (owner, attr) in TIMED.items()}
             for name, (owner, attr) in TIMED.items():
-                setattr(owner, attr, _timed(originals[name], totals, name))
+                setattr(owner, attr, _timed(originals[name], totals, name, calls))
             try:
                 table = run_scenario(cfg)
             finally:
                 for name, (owner, attr) in TIMED.items():
                     setattr(owner, attr, originals[name])
             for name, total in totals.items():
-                samples[name].append(1e6 * total / iterations)
+                per = max(calls[name], 1) if name in PER_CALL else iterations
+                samples[name].append(1e6 * total / per)
             start = time.perf_counter()
-            emit_results(table, Path(tmp) / "tracking.csv")
+            emit_results(table, Path(tmp) / "table.csv")
             emit_ms.append(1e3 * (time.perf_counter() - start))
             stages.append(_setup_stages(cfg))
     print(json.dumps({f"{name}_us": round(statistics.median(v), 1) for name, v in samples.items()}
                      | {"emit_ms": round(statistics.median(emit_ms), 2)}
                      | {f"{name}_ms": round(statistics.median(s[name] for s in stages), 2)
                         for name in stages[0]}
-                     | {"reps": args.reps, "iterations": iterations}))
+                     | {"workload": args.workload, "seed": args.seed, "reps": args.reps,
+                        "iterations": iterations}))
 
 
 if __name__ == "__main__":

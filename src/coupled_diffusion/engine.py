@@ -91,6 +91,12 @@ def agent_streams(seed: int, agent_count: int) -> list:
 # allocated at the first refill and every later refill writes a prefix of it.
 NOISE_CHUNK_BYTES = 256 * 1024
 NOISE_CHUNK_MIN_ITERATIONS = 32
+# The regressors and targets of a window of iterations within one chunk are
+# formed together. A window covers as many of the chunk's iterations as fit
+# in RISK_WINDOW_BYTES, but at least one, so its buffers hold at most
+# max(RISK_WINDOW_BYTES, the bytes of one iteration). They are allocated at
+# the first window, the longest, and later windows write a prefix of them.
+RISK_WINDOW_BYTES = 256 * 1024
 
 
 class _RiskGradients:
@@ -109,6 +115,13 @@ class _RiskGradients:
     would. The draws are kept once per seed, (draws, S), and broadcast
     over the P grid points, whose columns come point-major (p S + s):
     every point reads its seed's variates.
+
+    A sample's regressor h_k = F_k u_k and target y_k = w_ref_k' h_k +
+    sigma_k v_k do not depend on the state, so `_products` forms them for a
+    window of iterations at once, iteration-major: each iteration's
+    products have the shapes, and so the bits, of a product for that
+    iteration alone. An iteration then only takes the inner products h_k'z_k
+    and scales each agent's flat regressor entries by 2 (h_k'z_k - y_k).
     """
 
     def __init__(self, problem: MultiAgentProblem, seeds, cfg: EngineConfig, points: int):
@@ -121,24 +134,35 @@ class _RiskGradients:
         self.valid = np.flatnonzero(stack.valid)
         self.factor = stack.covariance if self.exact else stack.scaled_basis
         self.w_ref = stack.w_ref.reshape(n, width, 1)
-        self.grads = np.empty((n, width, points * len(seeds)))
         if self.exact:
+            self.grads = np.empty((n, width, points * len(seeds)))
             return
-        ranks = stack.ranks
+        ranks, depth, n_seeds = stack.ranks, self.factor.shape[2], len(seeds)
+        self.owner = np.repeat(np.arange(n), stack.valid.sum(axis=1))  # agent of each flat entry
         self.noise_std = stack.noise_std.reshape(n, 1)
         self.streams = [agent_streams(seed, n) for seed in seeds]
         self.per_iteration = ranks + 1  # normals each agent draws per iteration
         # column j < R of agent k reads its j-th feature draw (padding reads
         # draw 0, which meets a zero factor column); column R its noise draw
-        rank_cols = np.arange(self.factor.shape[2])
+        rank_cols = np.arange(depth)
         self.column = np.concatenate(
             [np.where(rank_cols < ranks[:, None], rank_cols, 0), ranks[:, None]], axis=1
         )
         self.chunk = max(NOISE_CHUNK_MIN_ITERATIONS,
-                         NOISE_CHUNK_BYTES // (8 * len(seeds) * int(self.per_iteration.sum())))
+                         NOISE_CHUNK_BYTES // (8 * n_seeds * int(self.per_iteration.sum())))
         self.left = cfg.iterations
         self.used = self.length = 0
         self.buffer = None  # (draws, S): a take of rows gives C-ordered seeds-last draws
+        # (n_flat, P S): entry (e, p S + s) of the state's layout reads cell
+        # (valid_e, s) of an iteration's regressors, raveled from (N Q, S)
+        self.spread = np.tile(self.valid[:, None] * n_seeds + np.arange(n_seeds), points)
+        # one iteration's window bytes: draws and their row index, padded
+        # regressors, targets and the regressors in the state's layout
+        step_bytes = 8 * (n * (depth + 1) * (n_seeds + 1) + (n * width + n) * n_seeds
+                          + self.spread.size)
+        self.window = max(1, RISK_WINDOW_BYTES // step_bytes)
+        self.formed = self.next = 0  # iterations in the current window, and the next one's place
+        self.draws = None  # (W, N, R + 1, S), with the other window buffers
 
     def _refill(self):
         t = min(self.chunk, max(self.left, 1))
@@ -152,28 +176,56 @@ class _RiskGradients:
         self.base = starts[:-1, None] + self.column
         self.used, self.length = 0, t
 
-    def _next_draws(self) -> np.ndarray:
-        """(N, R + 1, S): this iteration's feature draws, then the noise draw."""
-        if self.used == self.length:
-            self._refill()
-        idx = self.base + self.used * self.per_iteration[:, None]
-        self.used += 1
-        return self.buffer.take(idx, axis=0)
+    def _products(self):
+        """Regressors and targets of the chunk's next window of iterations:
+        `regressors` (W, N, Q, S), `targets` (W, N, S), and the regressors
+        in the state's layout, `flat_regressors` (W, n_flat, P S), each
+        seed's repeated for every grid point."""
+        w = min(self.window, self.length - self.used)
+        if self.draws is None:  # the first window is the longest
+            (n, width, depth), n_seeds = self.factor.shape, len(self.streams)
+            self.rows = np.empty((w, n, depth + 1), dtype=np.intp)
+            self.draws = np.empty((w, n, depth + 1, n_seeds))
+            self.regressors = np.empty((w, n, width, n_seeds))
+            self.targets = np.empty((w, n, n_seeds))
+            self.flat_regressors = np.empty((w,) + self.spread.shape)
+        rows, draws = self.rows[:w], self.draws[:w]
+        h, y = self.regressors[:w], self.targets[:w]
+        # iteration used + i of agent k reads rows base_k + (used + i) (R_k + 1)
+        np.multiply(np.arange(self.used, self.used + w)[:, None, None],
+                    self.per_iteration[:, None], out=rows)
+        rows += self.base
+        # the indices lie in the arrays by construction, and "clip" writes
+        # straight into `out` where the default mode would copy
+        self.buffer.take(rows, axis=0, out=draws, mode="clip")
+        np.matmul(self.factor, draws[:, :, :-1], out=h)
+        np.matmul(self.w_ref.transpose(0, 2, 1), h, out=y[:, :, None])
+        noise = draws[:, :, -1]
+        noise *= self.noise_std
+        y += noise
+        h.reshape(w, -1).take(self.spread, axis=1, out=self.flat_regressors[:w], mode="clip")
+        self.used += w
+        self.formed, self.next = w, 0
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         """Gradients at the points x, (n_flat, P S) in and out."""
         # take copies whole rows: x[self.gather] gives the same array several times slower
-        z, g = x.take(self.gather, axis=0), self.grads
+        z = x.take(self.gather, axis=0)
         if self.exact:
-            np.matmul(self.factor, 2.0 * (z - self.w_ref), out=g)
-        else:
-            draws = self._next_draws()
-            h = self.factor @ draws[:, :-1]
-            y = (self.w_ref.transpose(0, 2, 1) @ h)[:, 0] + self.noise_std * draws[:, -1]
-            z = z.reshape(z.shape[:2] + (-1, h.shape[-1]))  # (N, Q, P, S)
-            inner = np.einsum("kips,kis->kps", z, h)
-            np.multiply((2.0 * (inner - y[:, None]))[:, None], h[:, :, None], out=g.reshape(z.shape))
-        return g.reshape(-1, g.shape[-1]).take(self.valid, axis=0)
+            np.matmul(self.factor, 2.0 * (z - self.w_ref), out=self.grads)
+            return self.grads.reshape(-1, x.shape[1]).take(self.valid, axis=0)
+        if self.next == self.formed:
+            if self.used == self.length:
+                self._refill()
+            self._products()
+        i, self.next = self.next, self.next + 1
+        h = self.regressors[i]
+        z = z.reshape(z.shape[:2] + (-1, h.shape[-1]))  # (N, Q, P, S)
+        inner = np.einsum("kips,kis->kps", z, h)
+        g = (2.0 * (inner - self.targets[i][:, None])).take(self.owner, axis=0)
+        g = g.reshape(x.shape)
+        g *= self.flat_regressors[i]
+        return g
 
 
 class _ClusterMix:

@@ -175,10 +175,10 @@ def stack_oracles(oracles, cmap: ClusterMap) -> OracleStack:
     `cmap`: the one place that derives the products of oracle fields the
     library runs on, and the gate that rejects any oracle but a
     QuadraticRiskOracle."""
-    for o in oracles:
+    for k, o in enumerate(oracles):
         if not isinstance(o, QuadraticRiskOracle):
             raise ConfigError(
-                f"the batched engine needs quadratic risk oracles, got {type(o).__name__}"
+                f"agent {k}: the oracle stack needs quadratic risk oracles, got {type(o).__name__}"
             )
     dims = np.array(cmap.local_dims)
     ranks = np.array([o.rank for o in oracles])

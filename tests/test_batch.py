@@ -14,6 +14,7 @@ import pytest
 from coupled_diffusion.engine import (
     NOISE_CHUNK_BYTES,
     NOISE_CHUNK_MIN_ITERATIONS,
+    RISK_WINDOW_BYTES,
     EngineConfig,
     agent_streams,
     init_batch,
@@ -217,36 +218,70 @@ def test_admm_warm_start_stays_at_the_optimum(spread):
     assert msd(state.w, problem.cmap, start) <= 1e-20
 
 
-def _check_noise_chunks(problem, seeds=SEEDS):
-    """An iteration count that is not a multiple of the chunk length: every
-    (seed, agent, iteration) reads exactly the per-agent stream's rank + 1
-    draws, from one buffer allocated at the first refill. Returns the
-    risk-gradient object of the run."""
+def _close(got, expect, scale):
+    """got matches expect to 1e-15 relative to `scale`, the size of the
+    terms that make up expect."""
+    return np.max(np.abs(got - expect)) <= 1e-15 * scale
+
+
+def _buffers(risk):
+    """The noise buffer and the window buffers of a risk-gradient object."""
+    return (risk.buffer, risk.rows, risk.draws, risk.regressors, risk.targets,
+            risk.flat_regressors)
+
+
+def _check_windows(problem, seeds=SEEDS, points=1):
+    """An iteration count that is a multiple of neither the window nor the
+    chunk length: in every iteration, each (seed, agent)'s window regressor
+    and target are F_k u and w_ref_k'h + sigma_k v from the rank + 1 draws
+    (u, v) of its per-agent stream, and the regressors in the state's layout
+    repeat them for every grid point. The noise buffer and the window
+    buffers are allocated once. Returns the risk-gradient object of the run."""
     weights = _weights(problem)
-    risk = init_batch(problem, weights, EngineConfig(mu=0.001), seeds)._risk
-    iterations = 2 * risk.chunk + 3
-    risk = init_batch(problem, weights,
-                      EngineConfig(mu=0.001, iterations=iterations), seeds)._risk
-    assert risk.chunk > 1 and iterations % risk.chunk != 0
+    grid = [EngineConfig(mu=0.001, eta=10.0 * p) for p in range(points)]
+    risk = init_batch(problem, weights, grid, seeds)._risk
+    iterations = 2 * risk.chunk + risk.window + 1
+    grid = [dataclasses.replace(cfg, iterations=iterations) for cfg in grid]
+    risk = init_batch(problem, weights, grid, seeds)._risk
+    assert risk.window > 1 and iterations % risk.chunk and iterations % risk.window
     streams = [agent_streams(seed, problem.agent_count) for seed in seeds]
-    ranks = [o.rank for o in problem.oracles]
+    starts = problem.cmap.agent_starts
+    x = np.zeros((problem.cmap.total_local_dim, points * len(seeds)))
     for i in range(iterations):
-        draws = risk._next_draws()
-        assert draws.flags.c_contiguous  # the layout the risk step's matmul rounds with
+        risk(x)
         if i == 0:
-            buffer = risk.buffer
-        assert risk.buffer is buffer  # refills reuse the first chunk's buffer
+            buffers = _buffers(risk)
+        assert all(a is b for a, b in zip(_buffers(risk), buffers))  # allocated once
+        j = risk.next - 1
+        h, y, flat = risk.regressors[j], risk.targets[j], risk.flat_regressors[j]
         for s, rngs in enumerate(streams):
-            for k, (rng, r) in enumerate(zip(rngs, ranks)):
-                expect = rng.standard_normal(r + 1)
-                assert np.array_equal(draws[k, :r, s], expect[:r])
-                assert draws[k, -1, s] == expect[r]
+            for k, (rng, o) in enumerate(zip(rngs, problem.oracles)):
+                u = rng.standard_normal(o.rank + 1)
+                factor = o.basis * np.sqrt(o.spectrum)
+                expect_h = factor @ u[:-1]
+                assert _close(h[k, :o.dim, s], expect_h, np.max(np.abs(factor) @ np.abs(u[:-1])))
+                assert not h[k, o.dim:, s].any()
+                assert _close(y[k, s], o.w_ref @ expect_h + o.noise_std * u[-1],
+                              np.abs(o.w_ref) @ np.abs(expect_h) + o.noise_std * abs(u[-1]))
+                for p in range(points):
+                    assert np.array_equal(flat[starts[k]:starts[k] + o.dim, p * len(seeds) + s],
+                                          h[k, :o.dim, s])
     assert risk.left == 0  # the last chunk drew only what the run needs
     return risk
 
 
 def test_noise_chunks_see_the_per_agent_variates(constrained):
-    _check_noise_chunks(constrained)
+    _check_windows(constrained, points=2)
+
+
+def test_noise_chunks_see_the_per_agent_variates_with_bridge_agents(bridged):
+    _check_windows(bridged)
+
+
+def test_noise_chunks_see_the_per_agent_variates_of_one_seed_on_a_grid(constrained):
+    """One seed, where a single iteration's product is a matrix-vector
+    product, and three grid points sharing its draws."""
+    _check_windows(constrained, seeds=(SEEDS[0],), points=3)
 
 
 def test_noise_chunks_cover_at_least_the_floor_of_iterations(constrained):
@@ -256,13 +291,28 @@ def test_noise_chunks_cover_at_least_the_floor_of_iterations(constrained):
     seeds = tuple(range(20))
     per_iteration = sum(o.rank + 1 for o in constrained.oracles)
     assert NOISE_CHUNK_BYTES // (8 * len(seeds) * per_iteration) < NOISE_CHUNK_MIN_ITERATIONS
-    risk = _check_noise_chunks(constrained, seeds)
+    risk = _check_windows(constrained, seeds)
     assert risk.chunk == NOISE_CHUNK_MIN_ITERATIONS
     assert risk.buffer.shape == (NOISE_CHUNK_MIN_ITERATIONS * per_iteration, len(seeds))
 
 
-def test_noise_chunks_see_the_per_agent_variates_with_bridge_agents(bridged):
-    _check_noise_chunks(bridged)
+@pytest.mark.parametrize("seeds, points", [(SEEDS, 1), (tuple(range(20)), 4), ((5,), 1)],
+                         ids=["3-seeds", "20-seeds-4-points", "1-seed"])
+def test_risk_windows_stay_within_their_byte_bound(constrained, seeds, points):
+    """The window buffers hold at most max(RISK_WINDOW_BYTES, one
+    iteration's bytes), the first window is the longest, and exact
+    gradients draw nothing and form no windows."""
+    weights = _weights(constrained)
+    grid = [EngineConfig(mu=0.001, eta=10.0 * p, iterations=1000) for p in range(points)]
+    risk = init_batch(constrained, weights, grid, seeds)._risk
+    risk(np.zeros((constrained.cmap.total_local_dim, points * len(seeds))))
+    window = _buffers(risk)[1:]
+    assert all(a.shape[0] == risk.window == risk.formed for a in window)
+    assert sum(a.nbytes for a in window) <= max(RISK_WINDOW_BYTES,
+                                                sum(a[0].nbytes for a in window))
+    exact = init_batch(constrained, weights, dataclasses.replace(grid[0], noise="exact"),
+                       seeds)._risk
+    assert not hasattr(exact, "streams") and not hasattr(exact, "draws")
 
 
 def test_metrics_log_matches_per_seed_metrics(constrained):
@@ -328,7 +378,8 @@ def test_batch_rejects_a_non_quadratic_oracle(constrained, call):
     oracles = list(constrained.oracles)
     oracles[3] = _OpaqueRisk(oracles[3].dim)
     problem = dataclasses.replace(constrained, oracles=tuple(oracles))
-    with pytest.raises(ConfigError, match="quadratic risk oracles, got _OpaqueRisk"):
+    with pytest.raises(ConfigError,
+                       match="^agent 3: .*quadratic risk oracles, got _OpaqueRisk$"):
         QUADRATIC_GATED[call](problem, weights)
 
 
