@@ -25,8 +25,9 @@ Digests mode prints the sha256 of the CSV of every workload CLI call
 shipped and cut to a few seeds and iterations, run through each side's
 CLI in a fresh process: once with BLAS pinned to one thread and once with
 the BLAS thread variables unset. Beside each sha256 it records the wall
-time of that CLI process on each side, interpreter start-up included;
-the times are a record, not a gate. Where the two sides' CSVs differ, it
+time of that CLI process on each side, interpreter start-up included, and
+its peak resident set size (the child's own `ru_maxrss`, from
+`os.wait4`); these are a record, not a gate. Where the two sides' CSVs differ, it
 also records the largest relative change of any numeric value,
 |change - parent| / max(|change|, |parent|), over the cells of the CSV.
 """
@@ -38,11 +39,13 @@ import hashlib
 import json
 import math
 import os
+import resource
 import shutil
 import statistics
 import subprocess
 import sys
 import tarfile
+import tempfile
 import time
 from pathlib import Path
 
@@ -164,19 +167,36 @@ def pairs_mode(args, sides: dict) -> dict:
 
 
 def cli_sha256(tree: Path, config: Path, extra: list, out: Path,
-               env: dict) -> tuple[str, float, bytes | None]:
+               env: dict) -> tuple[str, float, float, Path | None]:
     """sha256 of the CSV one CLI call of `tree` writes, or its error, the
-    call's wall time in seconds, and the CSV's bytes (None on an error)."""
-    start = time.perf_counter()
-    proc = subprocess.run(
-        [sys.executable, "-m", "coupled_diffusion.cli", "run", "--config", str(config),
-         "--out", str(out), *extra],
-        cwd=tree, env={**env, "PYTHONPATH": str(tree / "src")}, capture_output=True, text=True)
-    wall = time.perf_counter() - start
+    call's wall time in seconds, its peak RSS in MiB, and the CSV's path
+    (None on an error).
+
+    Linux counts the peak RSS of the process a child was spawned from in
+    the child's ru_maxrss, so this process keeps no CSV in memory: at
+    about 20 MiB it stays below every CLI call, which imports numpy."""
+    with tempfile.TemporaryFile() as stdout, tempfile.TemporaryFile() as stderr:
+        start = time.perf_counter()
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "coupled_diffusion.cli", "run", "--config", str(config),
+             "--out", str(out), *extra],
+            cwd=tree, env={**env, "PYTHONPATH": str(tree / "src")}, stdout=stdout, stderr=stderr)
+        # wait4, not wait: it returns the resource usage of this child alone
+        _, status, usage = os.wait4(proc.pid, 0)
+        wall = time.perf_counter() - start
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        stdout.seek(0)
+        stderr.seek(0)
+        out_text, err_text = stdout.read().decode(), stderr.read().decode()
+    peak_mib = usage.ru_maxrss / 1024  # KiB on Linux
     if proc.returncode != 0:
-        return f"error: exit {proc.returncode}: {proc.stderr.strip()[-300:]}", wall, None
-    csv = Path(proc.stdout.strip()).read_bytes()
-    return hashlib.sha256(csv).hexdigest(), wall, csv
+        return f"error: exit {proc.returncode}: {err_text.strip()[-300:]}", wall, peak_mib, None
+    csv = Path(out_text.strip())
+    sha = hashlib.sha256()
+    with csv.open("rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            sha.update(chunk)
+    return sha.hexdigest(), wall, peak_mib, csv
 
 
 def max_relative_change(parent: bytes, change: bytes) -> float | None:
@@ -203,8 +223,8 @@ def max_relative_change(parent: bytes, change: bytes) -> float | None:
 
 
 def digest_table(tree: Path, work: Path, env: dict) -> dict:
-    """label -> (CSV sha256, wall seconds, CSV bytes) for every workload call
-    and shipped config run."""
+    """label -> (CSV sha256, wall seconds, peak RSS MiB, CSV path) for every
+    workload call and shipped config run."""
     table = {}
     for workload in WORKLOADS:
         for seed in DIGEST_SEEDS:
@@ -237,16 +257,20 @@ def digests_mode(sides: dict, work: Path) -> dict:
         tables = {side: digest_table(tree, work / threads / side, env)
                   for side, tree in sides.items()}
         files = {}
-        for label, (sha, wall, csv) in tables["change"].items():
-            parent_sha, parent_wall, parent_csv = tables["parent"].get(label, (None, None, None))
+        for label, (sha, wall, rss, csv) in tables["change"].items():
+            parent_sha, parent_wall, parent_rss, parent_csv = tables["parent"].get(
+                label, (None, None, None, None))
             identical = parent_sha == sha and csv is not None
             files[label] = {"parent": parent_sha, "change": sha, "identical": identical,
                             "max_relative_change": 0.0 if identical else (
-                                max_relative_change(parent_csv, csv)
+                                max_relative_change(parent_csv.read_bytes(), csv.read_bytes())
                                 if csv is not None and parent_csv is not None else None),
-                            "wall_s": {"parent": parent_wall, "change": wall}}
+                            "wall_s": {"parent": parent_wall, "change": wall},
+                            "peak_rss_mib": {"parent": parent_rss, "change": rss}}
         out[threads] = {"files": files,
                         "all_identical": all(f["identical"] for f in files.values())}
+    # a check on the peak RSS figures above: this process's own peak
+    out["compare_revs_peak_rss_mib"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     return out
 
 

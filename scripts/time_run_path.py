@@ -1,24 +1,30 @@
 #!/usr/bin/env python3
 """Cost of the run path's stages on a benchmark workload.
 
-Runs the coupled-diffusion call of a workload of `benchmarks/` through
-`run_scenario` with five functions wrapped by timers, writes its table
+Runs every CLI call of a workload of `benchmarks/` through
+`run_scenario` with five functions wrapped by timers, writes each table
 with `emit_results` into a temporary directory, and prints one JSON line
-with the median over repetitions of the stages below. The workload is
-`ring200-tracking` (seeded 200-agent ring, 2 seeds x 300 iterations, mu
-4e-4, eta 1, change point at 150, log_every 1) unless `--workload
-b20-sweep` picks benchmark20 with 4 seeds x 600 iterations at two mu and
-two eta, log_every 10 and a warm start, where the risk and penalty
-half-steps dominate.
+with the median over repetitions of the stages below, summed over the
+workload's calls. The workload is `ring200-tracking` (seeded 200-agent
+ring, 2 seeds x 300 iterations, mu 4e-4, eta 1, change point at 150,
+log_every 1) unless `--workload` picks `b20-sweep` (benchmark20 with 4
+seeds x 600 iterations at two mu and two eta, log_every 10 and a warm
+start, where the risk and penalty half-steps dominate) or
+`b20-unconstrained` (benchmark20, 3 seeds x 400 iterations at two mu,
+eta 0, log_every 1, in three calls: coupled, centralized and admm, where
+metric logging and CSV emission weigh most).
 
-- `step_us`: `CoupledBatch.step` per iteration, the noise refills and
-  the window products included;
+- `step_us`: `_Batch.step` per iteration, of every algorithm, the noise
+  refills and the window products included;
 - `refill_us`: `_RiskGradients._refill` per iteration;
 - `products_us`: `_RiskGradients._products` per iteration: each window's
   regressors and targets, formed for several iterations at once;
-- `record_us`: `MetricsLog.record` per call (every `log_every` iterations);
-- `disagreement_us`: `metrics.disagreement` per call, part of `record_us`;
-- `emit_ms`: one `emit_results` call on the run's table (CSV and sidecar);
+- `record_us`: `MetricsLog.record` per record (every `log_every`
+  iterations);
+- `disagreement_us`: `metrics.disagreement` per record, though one call
+  may serve a window of several records; part of `record_us`, but for a
+  last partial window, which is taken when the log is read;
+- `emit_ms`: `emit_results` on the run's table (CSV and sidecar);
 - `load_ms`, `topology_ms`, `oracles_ms`, `assembly_ms`, `weights_ms`
   and `reference_ms`: the stages of the set-up that
   `benchmarks/worker.py` times as `setup_s` (all of it but reading the
@@ -35,6 +41,7 @@ Set OPENBLAS_NUM_THREADS=1 before running to match the benchmark:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 scripts/time_run_path.py --reps 7
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 scripts/time_run_path.py --workload b20-sweep
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 scripts/time_run_path.py --workload b20-unconstrained
 """
 
 import argparse
@@ -52,16 +59,16 @@ import ring_network  # noqa: E402
 import workloads  # noqa: E402
 from coupled_diffusion import config_from_dict, emit_results, run_scenario  # noqa: E402
 from coupled_diffusion import harness, metrics, weights  # noqa: E402
-from coupled_diffusion.engine import CoupledBatch, _RiskGradients  # noqa: E402
+from coupled_diffusion.engine import _Batch, _RiskGradients  # noqa: E402
 
 # (owner, attribute) of each timed function; MetricsLog.record looks
 # `disagreement` up in its module, so the module attribute is wrapped
-TIMED = {"step": (CoupledBatch, "step"), "refill": (_RiskGradients, "_refill"),
+TIMED = {"step": (_Batch, "step"), "refill": (_RiskGradients, "_refill"),
          "products": (_RiskGradients, "_products"),
          "record": (metrics.MetricsLog, "record"),
          "disagreement": (metrics, "disagreement")}
-PER_CALL = ("record", "disagreement")  # reported per call, the rest per iteration
-WORKLOADS = ("ring200-tracking", "b20-sweep")
+PER_RECORD = ("record", "disagreement")  # reported per record, the rest per iteration
+WORKLOADS = ("ring200-tracking", "b20-sweep", "b20-unconstrained")
 
 
 def _timed(method, totals, name, calls=None):
@@ -130,34 +137,38 @@ def main():
         network = Path(tmp) / "network.json"
         if args.workload == "ring200-tracking":
             network.write_text(json.dumps(ring_network.generate(args.seed)))
-        (call,) = workloads.calls(args.workload, args.seed, network_path=str(network))
-        cfg = config_from_dict(call["config"])
-        iterations = cfg.iterations
+        cfgs = [config_from_dict(call["config"])
+                for call in workloads.calls(args.workload, args.seed, network_path=str(network))]
+        iterations = sum(cfg.iterations for cfg in cfgs)
         samples = {name: [] for name in TIMED}
         emit_ms, stages = [], []
         for _ in range(args.reps):
             totals, calls = dict.fromkeys(TIMED, 0.0), dict.fromkeys(TIMED, 0)
-            originals = {name: getattr(owner, attr) for name, (owner, attr) in TIMED.items()}
-            for name, (owner, attr) in TIMED.items():
-                setattr(owner, attr, _timed(originals[name], totals, name, calls))
-            try:
-                table = run_scenario(cfg)
-            finally:
+            emit_s, rep_stages = 0.0, []
+            for cfg in cfgs:
+                originals = {name: getattr(owner, attr) for name, (owner, attr) in TIMED.items()}
                 for name, (owner, attr) in TIMED.items():
-                    setattr(owner, attr, originals[name])
+                    setattr(owner, attr, _timed(originals[name], totals, name, calls))
+                try:
+                    table = run_scenario(cfg)
+                finally:
+                    for name, (owner, attr) in TIMED.items():
+                        setattr(owner, attr, originals[name])
+                start = time.perf_counter()
+                emit_results(table, Path(tmp) / "table.csv")
+                emit_s += time.perf_counter() - start
+                rep_stages.append(_setup_stages(cfg))
             for name, total in totals.items():
-                per = max(calls[name], 1) if name in PER_CALL else iterations
+                per = max(calls["record"], 1) if name in PER_RECORD else iterations
                 samples[name].append(1e6 * total / per)
-            start = time.perf_counter()
-            emit_results(table, Path(tmp) / "table.csv")
-            emit_ms.append(1e3 * (time.perf_counter() - start))
-            stages.append(_setup_stages(cfg))
+            emit_ms.append(1e3 * emit_s)
+            stages.append({name: sum(s[name] for s in rep_stages) for name in rep_stages[0]})
     print(json.dumps({f"{name}_us": round(statistics.median(v), 1) for name, v in samples.items()}
                      | {"emit_ms": round(statistics.median(emit_ms), 2)}
                      | {f"{name}_ms": round(statistics.median(s[name] for s in stages), 2)
                         for name in stages[0]}
                      | {"workload": args.workload, "seed": args.seed, "reps": args.reps,
-                        "iterations": iterations}))
+                        "calls": len(cfgs), "iterations": iterations}))
 
 
 if __name__ == "__main__":

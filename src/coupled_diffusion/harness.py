@@ -3,8 +3,9 @@
 Runs are deterministic functions of (config, seeds). A scenario run builds
 the topology -> weights -> objective -> engine pipeline, executes one
 batched run that advances every (mu, eta, seed) of the grid at once, and
-slices its log into a result table, point by point in grid order, with
-seed-mean rows marked "mean". Grid points share the draws of each seed.
+slices its log into a result table of one block of columns per point, in
+grid order, with seed-mean rows marked "mean". Grid points share the
+draws of each seed.
 """
 
 from __future__ import annotations
@@ -350,12 +351,43 @@ def regenerate_constraints(problem: MultiAgentProblem, desc: NetworkDescription,
     return dataclasses.replace(problem, constraints=_draw_constraints(desc, problem.cmap, rng))
 
 
+@dataclass(frozen=True)
+class ResultBlock:
+    """One grid point's CSV rows as columns: row (j, r) is (scenario, mu,
+    eta, labels[j], iterations[r], msd_db[j, r], disagreement_max[j, r],
+    dist_wo_db[j, r]). The labels are the seeds' followed by "mean", and
+    each series is a (labels, records) float array."""
+
+    scenario: str
+    mu: float
+    eta: float
+    labels: tuple
+    iterations: np.ndarray
+    msd_db: np.ndarray
+    disagreement_max: np.ndarray
+    dist_wo_db: np.ndarray
+
+
 @dataclass
 class ResultTable:
-    """Rows of (scenario, mu, eta, seed, iteration, msd_db, disagreement_max, dist_wo_db)."""
+    """A run's results: one `ResultBlock` per grid point, in grid order."""
 
-    rows: list = field(default_factory=list)
+    blocks: list = field(default_factory=list)
     config: dict = field(default_factory=dict)
+
+    @property
+    def rows(self) -> list:
+        """The CSV rows as tuples (scenario, mu, eta, seed, iteration,
+        msd_db, disagreement_max, dist_wo_db), block by block; built from
+        the blocks at each read, and writing to it changes no block."""
+        rows = []
+        for b in self.blocks:
+            its = b.iterations.tolist()
+            series = zip(b.msd_db.tolist(), b.disagreement_max.tolist(), b.dist_wo_db.tolist())
+            for label, values in zip(b.labels, series):
+                rows.extend((b.scenario, b.mu, b.eta, label, it, *v)
+                            for it, v in zip(its, zip(*values)))
+        return rows
 
 
 CSV_HEADER = ("scenario", "mu", "eta", "seed", "iteration", "msd_db",
@@ -369,55 +401,47 @@ def emit_results(table: ResultTable, path) -> None:
     """Write the result CSV plus a sidecar metadata file.
 
     The bytes are those of `csv.writer` with floats rendered as
-    `repr(float(v))`, shortest round-trip decimals (an np.float64 too);
-    identical configs therefore produce byte-identical files. Rows are
-    formatted column by column, one chunk of `CSV_CHUNK_ROWS` rows at a
-    time so that the text in memory stays small. Rows must be as wide as
-    the header, and a field that would need quoting (a comma, a quote or
-    a line break) raises ValueError instead of being written.
+    `repr(float(v))`, shortest round-trip decimals; identical configs
+    therefore produce byte-identical files. Each block is formatted
+    straight from its arrays, one label's chunk of `CSV_CHUNK_ROWS`
+    records at a time so that the text in memory stays small. A block
+    whose series are not (labels, records) arrays, or whose scenario or
+    label would need quoting (a comma, a quote or a line break), raises
+    ValueError instead of being written.
     """
     path = Path(path)
-    rows = table.rows
     with path.open("w", newline="") as fh:
         fh.write(",".join(CSV_HEADER) + "\r\n")
-        for start in range(0, len(rows), CSV_CHUNK_ROWS):
-            fh.write(_csv_lines(rows[start:start + CSV_CHUNK_ROWS]))
+        for block in table.blocks:
+            fh.writelines(_block_lines(block))
     meta = {"config": table.config, "version": __version__, "csv_header": list(CSV_HEADER)}
     Path(str(path) + ".meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
-def _csv_lines(rows) -> str:
-    """The CSV text of a non-empty list of rows, each line ending in \\r\\n."""
-    width = len(CSV_HEADER)
-    if set(map(len, rows)) != {width}:
-        raise ValueError(f"every CSV row must have {width} fields, like the header")
-    columns = [_csv_fields(column) for column in zip(*rows)]
-    text = "\r\n".join(map(",".join, zip(*columns))) + "\r\n"
-    # csv.writer would quote a field holding a delimiter, quote or line
-    # break; here each one shows as a count off the layout's own
-    n = len(rows)
-    if ('"' in text or text.count(",") != n * (width - 1)
-            or text.count("\r") != n or text.count("\n") != n):
+def _block_lines(block: ResultBlock):
+    """The CSV text of a block's rows, one chunk of one label's records at
+    a time, each line ending in \\r\\n. The text of the scenario, mu, eta
+    and label is made once per block, and of the iterations once per
+    block; a distance column that is the MSD column itself reuses its
+    text."""
+    shape = (len(block.labels), len(block.iterations))
+    series = (block.msd_db, block.disagreement_max, block.dist_wo_db)
+    if any(np.shape(a) != shape for a in series):
+        raise ValueError(f"a result block's series must be {shape} arrays, one row per label")
+    # csv.writer would quote these; float and int text never needs it
+    if any(set(text) & set(',"\r\n') for text in (block.scenario, *block.labels)):
         raise ValueError("a CSV field holds a comma, a quote or a line break")
-    return text
-
-
-def _csv_fields(values) -> list:
-    """csv.writer's text of one column's values: repr(float(v)) for a float,
-    "" for None, str(v) for anything else."""
-    types = set(map(type, values))
-    if all(issubclass(t, float) for t in types):
-        # repr(float(v)), without the float(); a column that holds one
-        # object, like mu in a grid point's rows, is formatted once. The
-        # test is identity, not equality, as -0.0 == 0.0.
-        first = values[0]
-        if all(v is first for v in values):
-            return [float.__repr__(first)] * len(values)
-        return list(map(float.__repr__, values))
-    if type(None) not in types and not any(issubclass(t, float) for t in types):
-        return list(map(str, values))
-    return [repr(float(v)) if isinstance(v, float) else "" if v is None else str(v)
-            for v in values]
+    head = f"{block.scenario},{float(block.mu)!r},{float(block.eta)!r},"
+    its = list(map(str, block.iterations.tolist()))
+    same = block.dist_wo_db is block.msd_db
+    for j, label in enumerate(block.labels):
+        prefix = f"{head}{label},"
+        for start in range(0, shape[1], CSV_CHUNK_ROWS):
+            cut = slice(start, start + CSV_CHUNK_ROWS)
+            msd, dis = (list(map(float.__repr__, a[j, cut].tolist())) for a in series[:2])
+            dist = msd if same else list(map(float.__repr__, block.dist_wo_db[j, cut].tolist()))
+            lines = map(",".join, zip(its[cut], msd, dis, dist))
+            yield prefix + ("\r\n" + prefix).join(lines) + "\r\n"
 
 
 def run_scenario(cfg: ScenarioConfig) -> ResultTable:
@@ -428,9 +452,10 @@ def run_scenario(cfg: ScenarioConfig) -> ResultTable:
     list of epochs (first iteration, problem): every scenario starts
     with the base problem at iteration 0, and tracking adds the problem
     with redrawn constraints at its change point. Each epoch is logged
-    against its own references. Rows come point by point, mu-major as in
-    the config: per-seed rows followed by seed-mean rows (seed column
-    "mean"); means are taken over linear MSD values and converted to dB.
+    against its own references. The table holds one block per point,
+    mu-major as in the config: per-seed rows followed by seed-mean rows
+    (seed column "mean"); means are taken over linear MSD values and
+    converted to dB.
     The sweep scenario emits only steady-state rows, one per seed and the
     seed mean, using the mean over the final 10% of records. If some
     point diverges, the run raises NonFiniteIterate for the first such
@@ -460,6 +485,9 @@ def run_scenario(cfg: ScenarioConfig) -> ResultTable:
     if cfg.initial == "reference":
         init_global = [references[0, eta].w_star for _, eta in points]
     ends = [start for start, _ in epochs[1:]] + [cfg.iterations]
+    # without constraint rows every w_o is its w_star: one reference array
+    # serves both, and the log takes one MSD for both
+    one_reference = all(r.w_o is r.w_star for r in references.values())
     # a diverging run stops with NonFiniteIterate; numpy's overflow warnings
     # on the way there would only add lines to the CLI's one-line error
     with np.errstate(over="ignore", invalid="ignore"):
@@ -472,39 +500,42 @@ def run_scenario(cfg: ScenarioConfig) -> ResultTable:
             # one reference column per (point, seed), in the engine's state layout
             refs = [references[e, eta] for _, eta in points]
             w_star = cmap.columns([r.w_star for r in refs], n_seeds)
-            w_o = cmap.columns([r.w_o for r in refs], n_seeds)
+            w_o = w_star if one_reference else cmap.columns([r.w_o for r in refs], n_seeds)
             for i in range(start + 1, end + 1):
                 engine.step()
                 if i % cfg.log_every == 0 or i == cfg.iterations:
                     log.record(i, engine.w, w_star, w_o)
 
     table = ResultTable(config=dataclasses.asdict(cfg))
-    all_series = (log.msd_star, log.disagreement_max, log.msd_o)
+    msd_star = log.msd_star
+    msd_o = msd_star if one_reference else log.msd_o
+    series = (msd_star, log.disagreement_max, msd_o)
+    iterations = np.array([cfg.iterations] if cfg.scenario == "sweep" else log.iterations)
+    labels = tuple(map(str, cfg.seeds)) + ("mean",)
     for p, (mu, eta) in enumerate(points):
-        iterations = log.iterations
-        series = tuple(a[:, p * n_seeds:(p + 1) * n_seeds] for a in all_series)
-        if cfg.scenario == "sweep":  # one record: the steady-state tail mean
-            iterations = [cfg.iterations]
-            series = tuple(steady_state(a)[None] for a in series)
-        _append_iteration_rows(table, cfg, mu, eta, iterations, *series)
+        columns = slice(p * n_seeds, (p + 1) * n_seeds)
+        table.blocks.append(_point_block(cfg, mu, eta, labels, iterations, columns, *series))
     return table
 
 
-def _append_iteration_rows(table, cfg, mu, eta, iterations, msd_star, disagreement, msd_o):
-    """Rows of every seed, record by record, then the seed-mean rows; the
-    series are (records, seeds) arrays in the linear domain."""
-    def with_mean(a):  # (records, seeds) -> (seeds + 1, records), seed mean last
+def _point_block(cfg, mu, eta, labels, iterations, columns, msd_star, disagreement,
+                 msd_o) -> ResultBlock:
+    """The block of the grid point whose seeds are `columns` of the log's
+    (records, P S) series, which are in the linear domain. Each series
+    gets its seed mean, taken over linear values, as a last row; the MSDs
+    are then converted to dB. The sweep scenario keeps one record: the
+    steady-state tail mean. An `msd_o` that is `msd_star` itself shares
+    its block array."""
+    def with_mean(a):  # -> (seeds + 1, records), seed mean last
+        a = a[:, columns]
+        if cfg.scenario == "sweep":
+            a = steady_state(a)[None]
         return np.column_stack([a, a.mean(axis=1)]).T
 
-    star = db(with_mean(msd_star)).tolist()
-    dis = with_mean(disagreement).tolist()
-    dist_o = db(with_mean(msd_o)).tolist()
-    labels = [str(seed) for seed in cfg.seeds] + ["mean"]
-    for j, label in enumerate(labels):
-        table.rows.extend(
-            (cfg.scenario, mu, eta, label, it, s, d, o)
-            for it, s, d, o in zip(iterations, star[j], dis[j], dist_o[j])
-        )
+    msd_db = db(with_mean(msd_star))
+    dist_wo_db = msd_db if msd_o is msd_star else db(with_mean(msd_o))
+    return ResultBlock(cfg.scenario, mu, eta, labels, iterations, msd_db,
+                       with_mean(disagreement), dist_wo_db)
 
 
 def steady_state(values):

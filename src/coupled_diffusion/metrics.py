@@ -142,6 +142,14 @@ def reference_solution(problem: MultiAgentProblem, eta: float) -> ReferenceSolut
                              w_o=_kkt_solve(*pieces) if pieces[2].shape[0] else w_star)
 
 
+# `MetricsLog` takes the disagreement of a window of records in one call:
+# as many records as fit in METRIC_WINDOW_BYTES, but at least one, so its
+# window buffer holds at most max(METRIC_WINDOW_BYTES, the bytes of one
+# record's state). A window of one record takes it from the state itself
+# and has no buffer.
+METRIC_WINDOW_BYTES = 32 * 1024
+
+
 class MetricsLog:
     """Metric records of a batch of runs, one column per (point, seed).
 
@@ -150,8 +158,15 @@ class MetricsLog:
     `ClusterMap.columns` lays them out. MSD is the cluster-averaged squared
     deviation, sum over blocks l of (1/N_l) sum over the cluster of
     ||ref^l - w_k^l||^2: one weighted sum over flat entries, weight 1/N_l
-    for a copy of block l, against the column's reference. Disagreement
-    is kept for the worst block only, the one the CSV reports.
+    for a copy of block l, against the column's reference. It is taken at
+    each record; when `w_o` is `w_star` itself, the MSD to it is that
+    same value. Disagreement is kept for the worst block only, the one
+    the CSV reports. It is taken per window of records: each record's
+    state is copied into an (n_flat, K, C) buffer, and a full window is
+    one `disagreement` call on its (n_flat, K C) columns, whose values are
+    those of each record alone, bit for bit, since every column's Gram
+    product is its own. The last, partial window is taken when a series
+    is read.
     """
 
     def __init__(self, cmap: ClusterMap):
@@ -159,6 +174,8 @@ class MetricsLog:
         self._weight = cmap.inverse_cluster_sizes()
         self.iterations = []
         self._msd_star, self._msd_o, self._disagreement_max = [], [], []
+        self._window = None  # (n_flat, K, C), allocated at the first record when K > 1
+        self._pending = 0  # records in the window whose disagreement is still to take
 
     def _msd(self, w: np.ndarray, reference: np.ndarray) -> np.ndarray:
         err = w - reference
@@ -166,9 +183,28 @@ class MetricsLog:
 
     def record(self, iteration: int, w: np.ndarray, w_star: np.ndarray, w_o: np.ndarray):
         self.iterations.append(iteration)
-        self._msd_star.append(self._msd(w, w_star))
-        self._msd_o.append(self._msd(w, w_o))
-        self._disagreement_max.append(disagreement(w, self.cmap).max(axis=-1))
+        msd_star = self._msd(w, w_star)
+        self._msd_star.append(msd_star)
+        self._msd_o.append(msd_star if w_o is w_star else self._msd(w, w_o))
+        if len(self.iterations) == 1:  # the window length is fixed at the first record
+            records = METRIC_WINDOW_BYTES // w.nbytes
+            if records > 1:
+                self._window = np.empty((w.shape[0], records, w.shape[1]))
+        if self._window is None:
+            self._disagreement_max.append(disagreement(w, self.cmap).max(axis=-1))
+            return
+        self._window[:, self._pending] = w
+        self._pending += 1
+        if self._pending == self._window.shape[1]:
+            self._take_window()
+
+    def _take_window(self):
+        """Disagreement of the records in the window, in one call."""
+        n_flat, _, columns = self._window.shape
+        states = self._window[:, :self._pending].reshape(n_flat, self._pending * columns)
+        worst = disagreement(states, self.cmap).max(axis=-1)
+        self._disagreement_max.extend(worst.reshape(self._pending, columns))
+        self._pending = 0
 
     @property
     def msd_star(self) -> np.ndarray:
@@ -183,6 +219,8 @@ class MetricsLog:
     @property
     def disagreement_max(self) -> np.ndarray:
         """(records, columns) disagreement of the worst block."""
+        if self._pending:
+            self._take_window()
         return np.array(self._disagreement_max)
 
 

@@ -27,6 +27,7 @@ from coupled_diffusion.harness import (
     regenerate_constraints,
 )
 from coupled_diffusion.metrics import (
+    METRIC_WINDOW_BYTES,
     MetricsLog,
     constrained_optimum,
     disagreement,
@@ -339,6 +340,83 @@ def test_metrics_log_matches_per_seed_metrics(constrained):
         assert log.disagreement_max[-1, j] == pytest.approx(
             disagreement(w[j], constrained.cmap).max(), rel=1e-12)
     assert log.disagreement_max.shape == log.msd_star.shape
+
+
+@pytest.mark.parametrize("etas, seeds", [((50.0,), (11,)), ((50.0,), (11, 12)),
+                                         ((50.0, 10.0), SEEDS)],
+                         ids=["1-column", "2-columns", "6-columns"])
+def test_metrics_log_windows_match_each_record_alone(etas, seeds):
+    """Every disagreement_max is, bit for bit, `disagreement` of that
+    record's state alone, and every MSD its per-record form: over full
+    windows, a last partial one, and a change of constraints and
+    references inside a window, as at a tracking change point."""
+    desc = load_network("benchmark20")
+    problem = build_problem(desc, 7, constrained=True)
+    changed = regenerate_constraints(problem, desc, 7, epoch=0)
+    cmap = problem.cmap
+    references = []
+    for p in (problem, changed):
+        refs = [reference_solution(p, eta) for eta in etas]
+        references.append((cmap.columns([r.w_star for r in refs], len(seeds)),
+                           cmap.columns([r.w_o for r in refs], len(seeds))))
+    batch = init_batch(problem, _weights(problem),
+                       [EngineConfig(mu=0.002, eta=eta) for eta in etas], seeds)
+    window = METRIC_WINDOW_BYTES // batch.w.nbytes
+    change = window + 2  # the third record of the second window
+    log, records = MetricsLog(cmap), []
+    for i in range(2 * window + 3):  # two full windows and a partial one
+        if i == change:
+            batch.set_constraints(changed)
+        batch.step()
+        w_star, w_o = references[i >= change]
+        log.record(i + 1, batch.w, w_star, w_o)
+        records.append((batch.w, w_star, w_o))
+    assert log._window.shape[1] == window > 1
+    weight = cmap.inverse_cluster_sizes()
+
+    def per_record_msd(w, reference):
+        err = w - reference
+        return (err * err).T @ weight
+
+    msd_star, msd_o, worst = log.msd_star, log.msd_o, log.disagreement_max
+    assert worst.shape == msd_star.shape == (len(records), len(etas) * len(seeds))
+    for r, (w, w_star, w_o) in enumerate(records):
+        np.testing.assert_array_equal(worst[r], disagreement(w, cmap).max(axis=-1))
+        np.testing.assert_array_equal(msd_star[r], per_record_msd(w, w_star))
+        np.testing.assert_array_equal(msd_o[r], per_record_msd(w, w_o))
+
+
+@pytest.mark.parametrize("columns", [2, 40], ids=["window", "window-of-one"])
+def test_metrics_log_keeps_no_reference_to_the_state(constrained, columns):
+    """A caller that overwrites its state array in place after `record`
+    leaves the logged values as they were: a window copies each record's
+    state, and a window of one takes its values at once."""
+    cmap = constrained.cmap
+    rng = np.random.default_rng(5)
+    w = np.empty((cmap.total_local_dim, columns))
+    reference = rng.standard_normal(w.shape)
+    log, worst, msd = MetricsLog(cmap), [], []
+    for i in range(7):  # fewer records than a window of 2 columns holds
+        w[...] = rng.standard_normal(w.shape)
+        log.record(i + 1, w, reference, reference)
+        worst.append(disagreement(w, cmap).max(axis=-1))
+        msd.append(((w - reference) ** 2).T @ cmap.inverse_cluster_sizes())
+    np.testing.assert_array_equal(log.disagreement_max, worst)
+    np.testing.assert_array_equal(log.msd_star, msd)
+    np.testing.assert_array_equal(log.msd_o, msd)
+
+
+@pytest.mark.parametrize("columns", [1, 6, 40, 400])
+def test_metrics_window_stays_within_its_byte_bound(constrained, columns):
+    """The window buffer holds at most max(METRIC_WINDOW_BYTES, one
+    record's state); a window of one record has no buffer."""
+    w = np.zeros((constrained.cmap.total_local_dim, columns))
+    log = MetricsLog(constrained.cmap)
+    log.record(1, w, w, w)
+    if METRIC_WINDOW_BYTES // w.nbytes > 1:
+        assert log._window.nbytes <= max(METRIC_WINDOW_BYTES, w.nbytes)
+    else:
+        assert log._window is None
 
 
 def test_batch_rejects_unsupported_problems(constrained):

@@ -18,6 +18,7 @@ from coupled_diffusion.harness import (
     CSV_HEADER,
     NetworkDescription,
     _integer_lists,
+    ResultBlock,
     ResultTable,
     ScenarioConfig,
     build_problem,
@@ -461,15 +462,42 @@ def test_tracking_set_up_assembles_the_risk_quadratic_once(monkeypatch):
     assert len(calls) == 1
 
 
+def _block(labels, iterations, msd_db, disagreement_max, dist_wo_db=None, scenario="unconstrained",
+           mu=0.001, eta=0.0) -> ResultBlock:
+    """A result block of (labels, records) series; the distance column is
+    the MSD column itself unless given, as in a run without constraints."""
+    msd_db = np.asarray(msd_db, dtype=float)
+    return ResultBlock(scenario, mu, eta, tuple(labels), np.asarray(iterations), msd_db,
+                       np.asarray(disagreement_max, dtype=float),
+                       msd_db if dist_wo_db is None else np.asarray(dist_wo_db, dtype=float))
+
+
 def test_emit_results_empty_and_single(tmp_path):
     path = tmp_path / "empty.csv"
-    emit_results(ResultTable(rows=[], config={}), path)
+    emit_results(ResultTable(config={}), path)
     lines = path.read_text().strip().splitlines()
     assert lines == [",".join(CSV_HEADER)]
-    one = ResultTable(rows=[("unconstrained", 0.001, 0.0, "0", 1, -10.0, 0.5, -10.0)], config={})
+    one = ResultTable(blocks=[_block(["0"], [1], [[-10.0]], [[0.5]])], config={})
+    assert one.rows == [("unconstrained", 0.001, 0.0, "0", 1, -10.0, 0.5, -10.0)]
     path2 = tmp_path / "one.csv"
     emit_results(one, path2)
     assert len(path2.read_text().strip().splitlines()) == 2
+
+
+def test_result_table_rows_are_a_read_only_view_of_its_blocks():
+    block = _block(["3", "mean"], [10, 20], [[1.0, 2.0], [3.0, 4.0]], [[0.1, 0.2], [0.3, 0.4]],
+                   [[5.0, 6.0], [7.0, 8.0]], scenario="tracking", mu=0.002, eta=10.0)
+    table = ResultTable(blocks=[block, block], config={})
+    rows = table.rows
+    assert rows[:4] == [("tracking", 0.002, 10.0, "3", 10, 1.0, 0.1, 5.0),
+                        ("tracking", 0.002, 10.0, "3", 20, 2.0, 0.2, 6.0),
+                        ("tracking", 0.002, 10.0, "mean", 10, 3.0, 0.3, 7.0),
+                        ("tracking", 0.002, 10.0, "mean", 20, 4.0, 0.4, 8.0)]
+    assert rows[4:] == rows[:4]
+    rows.clear()
+    assert len(table.rows) == 8
+    with pytest.raises(AttributeError):
+        table.rows = []
 
 
 def _csv_writer_bytes(rows) -> bytes:
@@ -483,50 +511,83 @@ def _csv_writer_bytes(rows) -> bytes:
     return out.getvalue().encode()
 
 
-def _odd_value_rows():
-    values = [float("inf"), float("-inf"), float("nan"), -0.0, 5e-324, 1e16, 0.1, -1e-300,
-              np.float64(0.5), np.float64(-0.0), np.float64(1e16), 3, None]
-    rows = []
-    for i in range(1100):  # nine chunks of CSV_CHUNK_ROWS, the last one partial
-        v = values[i % len(values)]
-        w = np.float64(i / 3) if i % 2 else i / 3  # a float column, np.float64 in part
-        negated = None if v is None else -v
-        rows.append(("unconstrained", 0.001, v, "mean" if i % 7 else str(i), i, v, w, negated))
-    return rows
+ODD_VALUES = [float("inf"), float("-inf"), float("nan"), -0.0, 5e-324, 1e16, 0.1, -1e-300,
+              np.float64(0.5), np.float64(-0.0), np.float64(1e16)]
 
 
-@pytest.mark.parametrize("rows", [[], _odd_value_rows()[:1], _odd_value_rows()],
+def _odd_value_blocks():
+    """A block of 3 labels by 400 records, each label four chunks of
+    CSV_CHUNK_ROWS records or fewer, so eleven chunk boundaries; then one
+    small block per odd value as mu and as eta. The series cycle through
+    the odd values; the first block's distance column is its MSD column
+    itself, the others' their own arrays."""
+    def cycle(shape, shift):
+        return np.array([ODD_VALUES[(i + shift) % len(ODD_VALUES)]
+                         for i in range(shape[0] * shape[1])]).reshape(shape)
+
+    blocks = [_block(["0", "17", "mean"], range(1, 401), cycle((3, 400), 0),
+                     np.arange(1200).reshape(3, 400) / 3)]
+    for i, value in enumerate(ODD_VALUES):
+        labels = ["mean"] if i % 2 else [str(i), "mean"]
+        records = 1 + i % 3
+        blocks.append(_block(labels, np.arange(records) * 10, cycle((len(labels), records), i),
+                             cycle((len(labels), records), i + 1),
+                             -cycle((len(labels), records), i), scenario="sweep",
+                             mu=value, eta=ODD_VALUES[-1 - i]))
+    return blocks
+
+
+@pytest.mark.parametrize("blocks", [[], _odd_value_blocks()[1:2], _odd_value_blocks()],
                          ids=["empty", "one-row", "odd-values"])
-def test_emit_results_writes_the_bytes_of_csv_writer(tmp_path, rows):
-    """inf, -inf, nan, -0.0, the smallest subnormal, 1e16 (repr '1e+16'),
-    np.float64 values (written as the float they equal), ints and None,
-    in float, int, str and mixed columns, across chunk boundaries."""
+def test_emit_results_writes_the_bytes_of_csv_writer(tmp_path, blocks):
+    """inf, -inf, nan, -0.0, the smallest subnormal, 1e16 (repr '1e+16')
+    and np.float64 values (written as the float they equal), in the
+    series and as mu and eta, across chunk and block boundaries."""
     path = tmp_path / "t.csv"
-    emit_results(ResultTable(rows=rows, config={}), path)
-    assert path.read_bytes() == _csv_writer_bytes(rows)
+    table = ResultTable(blocks=blocks, config={})
+    assert len(table.rows) == sum(len(b.labels) * len(b.iterations) for b in blocks)
+    emit_results(table, path)
+    assert path.read_bytes() == _csv_writer_bytes(table.rows)
 
 
 @pytest.mark.parametrize("field", ["a,b", 'say "hi"', "two\nlines", "cr\r", None],
                          ids=["comma", "quote", "newline", "carriage-return", "ragged-row"])
 def test_emit_results_raises_on_a_field_csv_writer_would_quote(tmp_path, field):
-    rows = _odd_value_rows()
+    """A scenario or seed label that csv.writer would quote raises; so does
+    a block whose series do not match its labels or its iterations, which
+    would make ragged rows."""
+    blocks = _odd_value_blocks()
+    bad = blocks[3]
     if field is None:
-        rows[600] = rows[600][:-1]
+        cases = [dataclasses.replace(bad, msd_db=bad.msd_db[:, :-1]),
+                 dataclasses.replace(bad, disagreement_max=bad.disagreement_max[:-1]),
+                 dataclasses.replace(bad, dist_wo_db=bad.dist_wo_db[:, :, None]),
+                 dataclasses.replace(bad, iterations=bad.iterations[:-1]),
+                 dataclasses.replace(bad, labels=bad.labels + ("extra",))]
     else:
-        rows[600] = rows[600][:3] + (field,) + rows[600][4:]
-    with pytest.raises(ValueError):
-        emit_results(ResultTable(rows=rows, config={}), tmp_path / "t.csv")
+        cases = [dataclasses.replace(bad, scenario=field),
+                 dataclasses.replace(bad, labels=(field,) + bad.labels[1:])]
+    for case in cases:
+        table = ResultTable(blocks=blocks[:3] + [case] + blocks[4:], config={})
+        with pytest.raises(ValueError):
+            emit_results(table, tmp_path / "t.csv")
 
 
 def test_emit_results_formats_repeated_float_objects_by_identity(tmp_path):
-    """A float column that repeats one object in every row, like mu or eta,
-    or a few objects, writes each object's own text: 0.0 and -0.0 are
-    equal but print apart."""
+    """mu and eta, one object repeated in every row of a block, are
+    formatted once per block as that object's own text: 0.0 and -0.0 are
+    equal but print apart, in mu, eta and the series."""
     zero, negative_zero, nan = 0.0, -0.0, float("nan")
-    rows = [("sweep", (zero, negative_zero, nan)[i % 3], (negative_zero, zero)[i % 2], "0", i,
-             float(i), negative_zero if i < 200 else zero, np.float64(-0.0)) for i in range(300)]
-    emit_results(ResultTable(rows=rows, config={}), tmp_path / "t.csv")
-    assert (tmp_path / "t.csv").read_bytes() == _csv_writer_bytes(rows)
+    blocks = [_block(["0", "mean"], range(150), np.full((2, 150), (zero, negative_zero)[i % 2]),
+                     np.full((2, 150), (negative_zero, zero)[i % 2]),
+                     np.full((2, 150), np.float64(-0.0)), scenario="sweep",
+                     mu=(zero, negative_zero, nan)[i % 3], eta=(negative_zero, zero)[i % 2])
+              for i in range(6)]
+    table = ResultTable(blocks=blocks, config={})
+    emit_results(table, tmp_path / "t.csv")
+    text = (tmp_path / "t.csv").read_bytes()
+    assert text == _csv_writer_bytes(table.rows)
+    assert b"sweep,-0.0,0.0,0,0,-0.0,0.0,-0.0\r\n" in text
 
 
 def test_emit_results_matches_csv_writer_on_a_run(tmp_path):
