@@ -2,7 +2,7 @@
 """Cost of the run path's stages on a benchmark workload.
 
 Runs every CLI call of a workload of `benchmarks/` through
-`run_scenario` with five functions wrapped by timers, writes each table
+`run_scenario` with six functions wrapped by timers, writes each table
 with `emit_results` into a temporary directory, and prints one JSON line
 with the median over repetitions of the stages below, summed over the
 workload's calls. The workload is `ring200-tracking` (seeded 200-agent
@@ -25,6 +25,10 @@ metric logging and CSV emission weigh most).
   may serve a window of several records; part of `record_us`, but for a
   last partial window, which is taken when the log is read;
 - `emit_ms`: `emit_results` on the run's table (CSV and sidecar);
+- `init_ms`: `init_batch`, the engine's set-up: the cluster operators,
+  the step vectors and the Philox streams of every (seed, agent). The
+  benchmark's `setup_s` does not time it and `step_us` does not hold it;
+  in the benchmark it is part of `us_per_seed_iter`;
 - `load_ms`, `topology_ms`, `oracles_ms`, `assembly_ms`, `weights_ms`
   and `reference_ms`: the stages of the set-up that
   `benchmarks/worker.py` times as `setup_s` (all of it but reading the
@@ -62,12 +66,15 @@ from coupled_diffusion import harness, metrics, weights  # noqa: E402
 from coupled_diffusion.engine import _Batch, _RiskGradients  # noqa: E402
 
 # (owner, attribute) of each timed function; MetricsLog.record looks
-# `disagreement` up in its module, so the module attribute is wrapped
+# `disagreement` up in its module, and run_scenario `init_batch` in its
+# own, so the module attributes are wrapped
 TIMED = {"step": (_Batch, "step"), "refill": (_RiskGradients, "_refill"),
          "products": (_RiskGradients, "_products"),
          "record": (metrics.MetricsLog, "record"),
-         "disagreement": (metrics, "disagreement")}
-PER_RECORD = ("record", "disagreement")  # reported per record, the rest per iteration
+         "disagreement": (metrics, "disagreement"),
+         "init": (harness, "init_batch")}
+PER_RECORD = ("record", "disagreement")  # reported in us per record
+PER_WORKLOAD = ("init",)  # reported in ms summed over the calls, the rest in us per iteration
 WORKLOADS = ("ring200-tracking", "b20-sweep", "b20-unconstrained")
 
 
@@ -159,11 +166,17 @@ def main():
                 emit_s += time.perf_counter() - start
                 rep_stages.append(_setup_stages(cfg))
             for name, total in totals.items():
+                if name in PER_WORKLOAD:
+                    samples[name].append(1e3 * total)
+                    continue
                 per = max(calls["record"], 1) if name in PER_RECORD else iterations
                 samples[name].append(1e6 * total / per)
             emit_ms.append(1e3 * emit_s)
             stages.append({name: sum(s[name] for s in rep_stages) for name in rep_stages[0]})
-    print(json.dumps({f"{name}_us": round(statistics.median(v), 1) for name, v in samples.items()}
+    print(json.dumps({f"{name}_us": round(statistics.median(v), 1) for name, v in samples.items()
+                      if name not in PER_WORKLOAD}
+                     | {f"{name}_ms": round(statistics.median(samples[name]), 2)
+                        for name in PER_WORKLOAD}
                      | {"emit_ms": round(statistics.median(emit_ms), 2)}
                      | {f"{name}_ms": round(statistics.median(s[name] for s in stages), 2)
                         for name in stages[0]}

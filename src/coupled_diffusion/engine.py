@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NonFiniteIterate
-from .objective import MultiAgentProblem, row_penalty_gradient
+from .objective import MultiAgentProblem, OracleStack, row_penalty_gradient
 from .topology import ClusterMap
 from .weights import step_scaling
 
@@ -99,16 +99,22 @@ NOISE_CHUNK_MIN_ITERATIONS = 32
 RISK_WINDOW_BYTES = 256 * 1024
 
 
+def _exact_gradients(stack: OracleStack, x: np.ndarray) -> np.ndarray:
+    """Every agent's exact risk gradient at the points x, (n_flat, C) in
+    and out: the stack's padded cells gathered from x, and its valid
+    cells, which in row-major order are the flat layout, kept."""
+    return stack.true_gradient(x.take(stack.gather, axis=0))[stack.valid]
+
+
 class _RiskGradients:
-    """Every agent's risk gradient for every column in a few array operations.
+    """Every agent's stochastic risk gradient for every column, in a few array operations.
 
     Agent k's quadratic oracle acts on its Q_k flat coordinates through its
-    (Q_k, R_k) scaled basis, or in exact mode its (Q_k, Q_k) covariance;
-    the zero basis rows of a bridge agent's added blocks give zero
-    gradient entries there. The factors come zero-padded in an (N, Q, R)
-    or (N, Q, Q) tensor with Q = max Q_k and R = max R_k, so padded cells
-    add nothing (`MultiAgentProblem.oracle_stack`, which also rejects any
-    oracle but a quadratic one). Stochastic mode
+    (Q_k, R_k) scaled basis; the zero basis rows of a bridge agent's added
+    blocks give zero gradient entries there. The factors come zero-padded
+    in an (N, Q, R) tensor with Q = max Q_k and R = max R_k, so padded
+    cells add nothing (`MultiAgentProblem.oracle_stack`, which also
+    rejects any oracle but a quadratic one). It
     pre-draws each (seed, agent) stream's R_k + 1 normals per iteration
     in chunks: one draw of T (R_k + 1) values equals T successive draws
     of R_k + 1, so iteration i sees the variates the per-agent reference
@@ -127,18 +133,12 @@ class _RiskGradients:
     def __init__(self, problem: MultiAgentProblem, seeds, cfg: EngineConfig, points: int):
         stack = problem.oracle_stack()
         n, width = stack.valid.shape
-        self.exact = cfg.noise == "exact"
-        # padded cells gather flat entry 0, which meets a zero factor row;
-        # the valid cells, in row-major order, are the flat layout itself
+        # padded cells gather flat entry 0, which meets a zero factor row
         self.gather = stack.gather
-        self.valid = np.flatnonzero(stack.valid)
-        self.factor = stack.covariance if self.exact else stack.scaled_basis
+        self.factor = stack.scaled_basis
         self.w_ref = stack.w_ref.reshape(n, width, 1)
-        if self.exact:
-            self.grads = np.empty((n, width, points * len(seeds)))
-            return
         ranks, depth, n_seeds = stack.ranks, self.factor.shape[2], len(seeds)
-        self.owner = np.repeat(np.arange(n), stack.valid.sum(axis=1))  # agent of each flat entry
+        self.owner = problem.cmap.flat_agents
         self.noise_std = stack.noise_std.reshape(n, 1)
         self.streams = [agent_streams(seed, n) for seed in seeds]
         self.per_iteration = ranks + 1  # normals each agent draws per iteration
@@ -154,8 +154,10 @@ class _RiskGradients:
         self.used = self.length = 0
         self.buffer = None  # (draws, S): a take of rows gives C-ordered seeds-last draws
         # (n_flat, P S): entry (e, p S + s) of the state's layout reads cell
-        # (valid_e, s) of an iteration's regressors, raveled from (N Q, S)
-        self.spread = np.tile(self.valid[:, None] * n_seeds + np.arange(n_seeds), points)
+        # (valid_e, s) of an iteration's regressors, raveled from (N Q, S);
+        # the valid cells, in row-major order, are the flat layout itself
+        valid = np.flatnonzero(stack.valid)
+        self.spread = np.tile(valid[:, None] * n_seeds + np.arange(n_seeds), points)
         # one iteration's window bytes: draws and their row index, padded
         # regressors, targets and the regressors in the state's layout
         step_bytes = 8 * (n * (depth + 1) * (n_seeds + 1) + (n * width + n) * n_seeds
@@ -211,9 +213,6 @@ class _RiskGradients:
         """Gradients at the points x, (n_flat, P S) in and out."""
         # take copies whole rows: x[self.gather] gives the same array several times slower
         z = x.take(self.gather, axis=0)
-        if self.exact:
-            np.matmul(self.factor, 2.0 * (z - self.w_ref), out=self.grads)
-            return self.grads.reshape(-1, x.shape[1]).take(self.valid, axis=0)
         if self.next == self.formed:
             if self.used == self.length:
                 self._refill()
@@ -234,18 +233,17 @@ class _ClusterMix:
     Clusters are padded to the largest cluster and block
     (`ClusterMap.padded_cluster_indices`), so one batched product
     (L, N, N) @ (L, N, M S) does every block; the padded rows and columns
-    of the matrices are zero and padded outputs are dropped.
+    of the matrices are zero and each flat entry reads its own output cell
+    (`ClusterMap.padded_slot`). `values` fills the member cells of the
+    stack of the A_l' in row-major order; a scalar fills them all.
     """
 
-    def __init__(self, cmap: ClusterMap, matrices):
-        self.gather = cmap.padded_cluster_indices
-        n_blocks, n_max, m_max = self.gather.shape
-        self.mats = np.zeros((n_blocks, n_max, n_max))
-        self.slot = np.empty(cmap.total_local_dim, dtype=np.intp)
-        for l, cluster in enumerate(cmap.clusters):
-            n, m = len(cluster), cmap.layout.dims[l]
-            self.mats[l, :n, :n] = np.asarray(matrices[l]).T
-            self.slot[self.gather[l, :n, :m]] = (l * n_max + np.arange(n)[:, None]) * m_max + np.arange(m)
+    def __init__(self, cmap: ClusterMap, values):
+        self.gather, self.slot = cmap.padded_cluster_indices, cmap.padded_slot
+        members = cmap.padded_real[:, :, 0]
+        pairs = members[:, :, None] & members[:, None, :]
+        self.mats = np.zeros(pairs.shape)
+        self.mats[pairs] = values
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         n_blocks, n_max, _ = self.gather.shape
@@ -274,7 +272,11 @@ class _Batch:
         self.iteration = 0
         self._diverged = {}  # grid point -> its first NonFiniteIterate
         self.set_constraints(problem)
-        self._risk = _RiskGradients(problem, self.seeds, cfgs[0], len(cfgs))
+        if cfgs[0].noise == "exact":
+            stack = problem.oracle_stack()
+            self._risk = lambda x: _exact_gradients(stack, x)
+        else:
+            self._risk = _RiskGradients(problem, self.seeds, cfgs[0], len(cfgs))
 
     def _columns(self, per_point) -> np.ndarray:
         """(1, P S): each point's value in each of its seed columns."""
@@ -324,7 +326,7 @@ class _Batch:
             if p in self._diverged or not cols.any():
                 continue
             seed, entry = np.argwhere(cols.T)[0]  # the lowest seed first
-            agent = int(np.searchsorted(self.cmap.agent_starts, entry, side="right")) - 1
+            agent = int(self.cmap.flat_agents[entry])
             self._diverged[p] = NonFiniteIterate(
                 self.iteration, agent,
                 f"non-finite iterate at iteration {self.iteration}, agent {agent}, "
@@ -337,7 +339,8 @@ class CoupledBatch(_Batch):
 
     def __init__(self, problem, weights, cfgs, seeds, init_global=None):
         super().__init__(problem, cfgs, seeds)
-        self._mix = _ClusterMix(self.cmap, {l: m.matrix for l, m in weights.items()})
+        self._mix = _ClusterMix(self.cmap, np.concatenate(
+            [weights[l].matrix.T.ravel() for l in range(self.cmap.layout.block_count)]))
         scaling = step_scaling(self.cmap, weights)
         self._risk_step = scaling[:, None] * self._columns([c.mu for c in cfgs])
         self._penalty_step = scaling[:, None] * self._columns([c.mu * c.eta for c in cfgs])
@@ -356,17 +359,15 @@ class AdmmBatch(_Batch):
 
     def __init__(self, problem, weights, cfgs, seeds, init_global=None):
         super().__init__(problem, cfgs, seeds)
-        self._mean = _ClusterMix(
-            self.cmap, [np.full((len(c), len(c)), 1.0 / len(c)) for c in self.cmap.clusters]
-        )
+        sizes = np.array([len(c) for c in self.cmap.clusters])
+        self._mean = _ClusterMix(self.cmap, np.repeat(1.0 / sizes, sizes * sizes))
         self._mu = self._columns([c.mu for c in cfgs])
         self.w = self._start(init_global)
         self.z = self.w.copy()
         if init_global is None:
             self.y = np.zeros_like(self.w)
         else:  # warm start: y_k = -grad J_k(w_k), z = init_global
-            exact = dataclasses.replace(cfgs[0], noise="exact")
-            self.y = -_RiskGradients(problem, self.seeds, exact, len(cfgs))(self.w)
+            self.y = -_exact_gradients(problem.oracle_stack(), self.w)
 
     def _advance(self):
         rho = self.cfgs[0].rho_admm
@@ -385,11 +386,10 @@ class CentralizedBatch(_Batch):
 
     def __init__(self, problem, weights, cfgs, seeds, init_global=None):
         super().__init__(problem, cfgs, seeds)
-        cmap = self.cmap
-        d_vec = cmap.inverse_cluster_sizes()[:, None]
+        d_vec = self.cmap.inverse_cluster_sizes()[:, None]
         self._risk_step = d_vec * self._columns([c.mu for c in cfgs])
         self._penalty_step = d_vec * self._columns([c.mu * c.eta for c in cfgs])
-        self._sum = _ClusterMix(cmap, [np.ones((len(c), len(c))) for c in cmap.clusters])
+        self._sum = _ClusterMix(self.cmap, 1.0)
         self.w = self._start(init_global)
 
     def _advance(self):

@@ -197,6 +197,10 @@ class ScenarioConfig:
             raise ConfigError("seeds and problem_seed must lie in [0, 2**63)")
         if self.weight_rule not in WEIGHT_RULES:
             raise ConfigError(f"unknown weight rule {self.weight_rule!r}")
+        if self.weight_rule != "metropolis" and self.algorithm != "coupled":
+            # the baselines read no weights; only the default rule passes
+            raise ConfigError(f"weight_rule {self.weight_rule!r} applies only to the coupled "
+                              f"algorithm; algorithm {self.algorithm!r} reads no weights")
         if self.constrained is not None and not isinstance(self.constrained, bool):
             raise ConfigError(f"constrained must be true or false, got {self.constrained!r}")
         if self.scenario == "tracking" and self.change_point is None:
@@ -313,8 +317,10 @@ def build_problem(desc: NetworkDescription, seed: int, constrained: bool = False
     oracles = random_quadratic_oracles(np.split(local, cmap0.agent_starts[1:]), rng)
     if cmap is not cmap0:
         # a bridge agent's own coordinates are the entries of its flat slice
-        # that it held before embedding; the keys of both layouts increase
-        before, after = _agent_entry_keys(cmap0), _agent_entry_keys(cmap)
+        # that it held before embedding; the keys agent * total_dim + global
+        # index of both layouts increase along them
+        before, after = (c.flat_agents * c.layout.total_dim + c.flat_global_indices
+                         for c in (cmap0, cmap))
         own = before[np.searchsorted(before, after).clip(max=len(before) - 1)] == after
         for k in np.flatnonzero(np.not_equal(cmap.local_dims, cmap0.local_dims)).tolist():
             oracles[k] = oracles[k].embedded(own[cmap.flat_slice(k)], cmap.local_dims[k])
@@ -335,13 +341,6 @@ def build_problem(desc: NetworkDescription, seed: int, constrained: bool = False
     if nu <= 0.0:
         raise SingularSystem(f"assembled risk Hessian is not strongly convex (nu={nu:.2e})")
     return problem
-
-
-def _agent_entry_keys(cmap) -> np.ndarray:
-    """(agent, global index) of every flat entry as one integer,
-    agent * total_dim + index; increasing along the flat layout."""
-    agents = np.repeat(np.arange(len(cmap.local_dims)), cmap.local_dims)
-    return agents * cmap.layout.total_dim + cmap.flat_global_indices
 
 
 def regenerate_constraints(problem: MultiAgentProblem, desc: NetworkDescription,
@@ -374,20 +373,6 @@ class ResultTable:
 
     blocks: list = field(default_factory=list)
     config: dict = field(default_factory=dict)
-
-    @property
-    def rows(self) -> list:
-        """The CSV rows as tuples (scenario, mu, eta, seed, iteration,
-        msd_db, disagreement_max, dist_wo_db), block by block; built from
-        the blocks at each read, and writing to it changes no block."""
-        rows = []
-        for b in self.blocks:
-            its = b.iterations.tolist()
-            series = zip(b.msd_db.tolist(), b.disagreement_max.tolist(), b.dist_wo_db.tolist())
-            for label, values in zip(b.labels, series):
-                rows.extend((b.scenario, b.mu, b.eta, label, it, *v)
-                            for it, v in zip(its, zip(*values)))
-        return rows
 
 
 CSV_HEADER = ("scenario", "mu", "eta", "seed", "iteration", "msd_db",

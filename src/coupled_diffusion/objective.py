@@ -166,8 +166,9 @@ class OracleStack:
 
     def true_gradient(self, z: np.ndarray) -> np.ndarray:
         """Every agent's exact risk gradient 2 R_k (z_k - w_ref_k) at the
-        padded (N, Q) points z; padded cells read zero."""
-        return 2.0 * (self.covariance @ (z - self.w_ref)[..., None])[..., 0]
+        padded (N, Q, C) points z, one column per point; padded cells read
+        zero."""
+        return 2.0 * (self.covariance @ (z - self.w_ref[..., None]))
 
 
 def stack_oracles(oracles, cmap: ClusterMap) -> OracleStack:
@@ -322,7 +323,7 @@ class MultiAgentProblem:
         """Exact aggregate risk gradient at a global vector."""
         stack = self.oracle_stack()
         cells = self._global_cells(stack)
-        grad = stack.true_gradient(np.asarray(w, dtype=float)[cells])
+        grad = stack.true_gradient(np.asarray(w, dtype=float)[cells][..., None])[..., 0]
         return np.bincount(cells[stack.valid], weights=grad[stack.valid],
                            minlength=self.layout.total_dim)
 

@@ -109,8 +109,8 @@ class ClusterMap:
     For every agent k the local vector w_k stacks the copies w_k^l for
     l in its interest set, in increasing block order. The flat layout
     concatenates all agents' local vectors; its total length is
-    sum_l N_l*M_l = sum_k Q_k. The layout is held by three indexes, built
-    in build_clusters; every other position is read off them.
+    sum_l N_l*M_l = sum_k Q_k. Its positions are the indexes below, each
+    derived once in build_clusters; every consumer reads them.
     """
 
     layout: BlockLayout
@@ -122,12 +122,18 @@ class ClusterMap:
     # global-vector index of every flat entry: the flat layout of a global
     # vector g is g[flat_global_indices]
     flat_global_indices: np.ndarray = field(repr=False, default=None)
+    # agent of every flat entry
+    flat_agents: np.ndarray = field(repr=False, default=None)
     # (L, N_max, M_max) flat indices of every block's copies at once: block l
-    # fills [l, :N_l, :M_l] with one copy per row, rows in cluster order
-    # (`flat_cluster_indices` reads them off). Padding repeats real entries
-    # so that it adds no new values: extra rows repeat member 0's row and
-    # extra columns repeat member 0's first entry, in every row.
+    # fills [l, :N_l, :M_l] with one copy per row, rows in cluster order.
+    # Padding repeats real entries so that it adds no new values: extra rows
+    # repeat member 0's row and extra columns repeat member 0's first entry,
+    # in every row.
     padded_cluster_indices: np.ndarray = field(repr=False, default=None)
+    # (L, N_max, M_max) mask of its real cells [l, :N_l, :M_l]
+    padded_real: np.ndarray = field(repr=False, default=None)
+    # each flat entry's real cell of padded_cluster_indices, raveled
+    padded_slot: np.ndarray = field(repr=False, default=None)
 
     @property
     def total_local_dim(self) -> int:
@@ -137,15 +143,6 @@ class ClusterMap:
         """Position of agent k's local vector within the flat layout."""
         start = self.agent_starts[agent]
         return slice(start, start + self.local_dims[agent])
-
-    def flat_cluster_indices(self, block: int) -> np.ndarray:
-        """Flat-layout indices of all copies of `block`, cluster order.
-
-        Reshaping the gathered values to (N_l, M_l) puts one local copy
-        per row, rows ordered like the sorted cluster.
-        """
-        n, m = len(self.clusters[block]), self.layout.dims[block]
-        return self.padded_cluster_indices[block, :n, :m].ravel()
 
     def global_indices(self, agent: int) -> np.ndarray:
         """Global-vector indices corresponding to agent k's local vector."""
@@ -158,13 +155,20 @@ class ClusterMap:
         flat = np.asarray(vectors, dtype=float)[:, self.flat_global_indices]
         return np.repeat(flat.T, copies, axis=1)
 
+    def member_values(self, values) -> np.ndarray:
+        """One value per (block, cluster member), given block by block in
+        cluster order, laid out along the flat layout: every entry of agent
+        k's copy of block l holds the value of k in cluster l."""
+        members = self.padded_real[:, :, 0]
+        padded = np.zeros(members.shape)
+        padded[members] = values
+        return padded.take(self.padded_slot // self.padded_real.shape[2])
+
     def inverse_cluster_sizes(self) -> np.ndarray:
         """1/N_l at every flat entry of a copy of block l: the weights that
         average each block's copies over its cluster."""
-        out = np.empty(self.total_local_dim)
-        for l, cluster in enumerate(self.clusters):
-            out[self.flat_cluster_indices(l)] = 1.0 / len(cluster)
-        return out
+        sizes = self.padded_real[:, :, 0].sum(axis=1)
+        return self.member_values(np.repeat(1.0 / sizes, sizes))
 
 
 def build_clusters(net: NetworkSpec, layout: BlockLayout) -> ClusterMap:
@@ -203,6 +207,14 @@ def build_clusters(net: NetworkSpec, layout: BlockLayout) -> ClusterMap:
     # order, are its copies in cluster order; a stable sort keeps that order
     by_block = np.argsort(np.repeat(blocks, copy_dims), kind="stable")
     block_ends = np.cumsum(sizes * dims)
+    padded, real = _pad_clusters(by_block, block_ends - sizes * dims, sizes, dims)
+    # the real cells, in row-major order, hold by_block itself
+    slot = np.empty_like(by_block)
+    slot[by_block] = np.flatnonzero(real)
+    indexes = dict(flat_global_indices=flat_global, flat_agents=np.repeat(agents, copy_dims),
+                   padded_cluster_indices=padded, padded_real=real, padded_slot=slot)
+    for index in indexes.values():  # the engines and metrics share them
+        index.flags.writeable = False
 
     return ClusterMap(
         layout=layout,
@@ -210,22 +222,23 @@ def build_clusters(net: NetworkSpec, layout: BlockLayout) -> ClusterMap:
         agent_blocks=net.interest_sets,
         local_dims=local_dims,
         agent_starts=tuple(accumulate((0,) + local_dims[:-1])),
-        flat_global_indices=flat_global,
-        padded_cluster_indices=_pad_clusters(by_block, block_ends - sizes * dims, sizes, dims),
+        **indexes,
     )
 
 
-def _pad_clusters(by_block, starts, sizes, dims) -> np.ndarray:
-    """The (L, N_max, M_max) padded index of ClusterMap: cell [l, i, j] holds
-    by_block[starts[l] + i M_l + j] for a real copy entry, member 0's entry
-    j for an extra row and member 0's first entry for an extra column."""
+def _pad_clusters(by_block, starts, sizes, dims) -> tuple[np.ndarray, np.ndarray]:
+    """The (L, N_max, M_max) padded index of ClusterMap and its real cells:
+    cell [l, i, j] holds by_block[starts[l] + i M_l + j] for a real copy
+    entry, member 0's entry j for an extra row and member 0's first entry
+    for an extra column."""
     rows = np.arange(sizes.max())[None, :, None]
     cols = np.arange(dims.max())[None, None, :]
     n, m = sizes[:, None, None], dims[:, None, None]
     real_col = cols < m
-    row = np.where(real_col & (rows < n), rows, 0)
+    real = real_col & (rows < n)
+    row = np.where(real, rows, 0)
     col = np.where(real_col, cols, 0)
-    return by_block[starts[:, None, None] + row * m + col]
+    return by_block[starts[:, None, None] + row * m + col], real
 
 
 def _bfs_reach(adj: list[list[int]], sources: list[int], allowed=None) -> set:

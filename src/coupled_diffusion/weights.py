@@ -108,10 +108,8 @@ def step_scaling(cmap: ClusterMap, matrices: dict[int, CombinationMatrix]) -> np
     """The step scalings 1/r_l(k) along the flat layout: every entry of
     agent k's copy of block l holds 1/r_l(k), so that the two gradient
     half-steps reduce to elementwise multiplies."""
-    flat = np.empty(cmap.total_local_dim)
-    for l, dim in enumerate(cmap.layout.dims):
-        flat[cmap.flat_cluster_indices(l)] = np.repeat(matrices[l].scaling, dim)
-    return flat
+    scalings = [matrices[l].scaling for l in range(cmap.layout.block_count)]
+    return cmap.member_values(np.concatenate(scalings))
 
 
 def spectral_gap_bound(matrices: dict[int, CombinationMatrix]) -> float:

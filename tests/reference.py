@@ -188,6 +188,85 @@ def cluster_map_fields(net: NetworkSpec, layout: BlockLayout) -> dict:
             "flat_cluster_indices": flat_cluster_idx, "padded_cluster_indices": padded}
 
 
+def flat_cluster_indices(cmap: ClusterMap, block: int) -> np.ndarray:
+    """Flat-layout indices of all copies of `block`, cluster order: the
+    real cells of that block's `ClusterMap.padded_cluster_indices`.
+
+    Reshaping the gathered values to (N_l, M_l) puts one local copy
+    per row, rows ordered like the sorted cluster.
+    """
+    n, m = len(cmap.clusters[block]), cmap.layout.dims[block]
+    return cmap.padded_cluster_indices[block, :n, :m].ravel()
+
+
+def padded_maps(cmap: ClusterMap) -> tuple:
+    """(real-cell mask, padded slot, agent of each flat entry) of a cluster
+    map, block by block and agent by agent: the per-block forms of
+    `ClusterMap.padded_real`, `padded_slot` and `flat_agents`."""
+    gather = cmap.padded_cluster_indices
+    _, n_max, m_max = gather.shape
+    real = np.zeros(gather.shape, dtype=bool)
+    slot = np.empty(cmap.total_local_dim, dtype=np.intp)
+    for l, cluster in enumerate(cmap.clusters):
+        n, m = len(cluster), cmap.layout.dims[l]
+        real[l, :n, :m] = True
+        slot[gather[l, :n, :m]] = (l * n_max + np.arange(n)[:, None]) * m_max + np.arange(m)
+    agents = np.empty(cmap.total_local_dim, dtype=np.intp)
+    for k in range(len(cmap.local_dims)):
+        agents[cmap.flat_slice(k)] = k
+    return real, slot, agents
+
+
+def inverse_cluster_sizes(cmap: ClusterMap) -> np.ndarray:
+    """`ClusterMap.inverse_cluster_sizes`, block by block."""
+    out = np.empty(cmap.total_local_dim)
+    for l, cluster in enumerate(cmap.clusters):
+        out[flat_cluster_indices(cmap, l)] = 1.0 / len(cluster)
+    return out
+
+
+def step_scaling(cmap: ClusterMap, matrices) -> np.ndarray:
+    """`weights.step_scaling`, block by block."""
+    flat = np.empty(cmap.total_local_dim)
+    for l, dim in enumerate(cmap.layout.dims):
+        flat[flat_cluster_indices(cmap, l)] = np.repeat(matrices[l].scaling, dim)
+    return flat
+
+
+def cluster_operators(cmap: ClusterMap, weights) -> dict:
+    """The (L, N_max, N_max) zero-padded stacks of transposed per-block
+    matrices that the engine's cluster operators multiply by, block by
+    block: the coupled mix of the weights' matrices, the ADMM cluster mean
+    (1/N_l) and the centralized cluster sum (ones)."""
+    n_blocks, n_max, _ = cmap.padded_cluster_indices.shape
+    per_block = {
+        "coupled": [weights[l].matrix for l in range(n_blocks)],
+        "admm": [np.full((len(c), len(c)), 1.0 / len(c)) for c in cmap.clusters],
+        "centralized": [np.ones((len(c), len(c))) for c in cmap.clusters],
+    }
+    stacks = {}
+    for name, matrices in per_block.items():
+        mats = stacks[name] = np.zeros((n_blocks, n_max, n_max))
+        for l, cluster in enumerate(cmap.clusters):
+            n = len(cluster)
+            mats[l, :n, :n] = np.asarray(matrices[l]).T
+    return stacks
+
+
+def table_rows(table) -> list:
+    """The CSV rows of a `ResultTable` as tuples (scenario, mu, eta, seed,
+    iteration, msd_db, disagreement_max, dist_wo_db), block by block; built
+    from the blocks at each call, and writing to it changes no block."""
+    rows = []
+    for b in table.blocks:
+        its = b.iterations.tolist()
+        series = zip(b.msd_db.tolist(), b.disagreement_max.tolist(), b.dist_wo_db.tolist())
+        for label, values in zip(b.labels, series):
+            rows.extend((b.scenario, b.mu, b.eta, label, it, *v)
+                        for it, v in zip(its, zip(*values)))
+    return rows
+
+
 def bridge_nodes(adj, cluster) -> set:
     """`topology._bridge_nodes` with a breadth-first search over the whole
     graph at every merge, as it was before it stopped at the first level
@@ -357,7 +436,7 @@ def msd(w_flat: np.ndarray, cmap: ClusterMap, reference: np.ndarray) -> float:
     total = np.zeros(lead) if lead else 0.0
     for l, cluster in enumerate(cmap.clusters):
         ref_l = reference[global_slice(cmap.layout, l)]
-        stack = w_flat[..., cmap.flat_cluster_indices(l)].reshape(lead + (len(cluster), -1))
+        stack = w_flat[..., flat_cluster_indices(cmap, l)].reshape(lead + (len(cluster), -1))
         total = total + ((stack - ref_l) ** 2).sum(axis=(-2, -1)) / len(cluster)
     return total if lead else float(total)
 
@@ -442,7 +521,7 @@ def coupled_diffusion_step(
         psi[sl] = zeta[sl] - cfg.mu * scaling[sl] * grad
 
     for l, cluster in enumerate(cmap.clusters):
-        idx = cmap.flat_cluster_indices(l)
+        idx = flat_cluster_indices(cmap, l)
         stack = psi[idx].reshape(len(cluster), cmap.layout.dims[l])
         w[idx] = (weights[l].matrix.T @ stack).ravel()
 
@@ -525,7 +604,7 @@ def admm_linearized_step(
         w_new[sl] = state.w[sl] - cfg.mu * (grad + state.y[sl] + rho * (state.w[sl] - z_k))
 
     for l, cluster in enumerate(cmap.clusters):
-        idx = cmap.flat_cluster_indices(l)
+        idx = flat_cluster_indices(cmap, l)
         stack = (w_new[idx] + state.y[idx] / rho).reshape(len(cluster), cmap.layout.dims[l])
         state.z[global_slice(cmap.layout, l)] = stack.mean(axis=0)
 
@@ -545,6 +624,6 @@ def centroid(w_flat: np.ndarray, cmap: ClusterMap, weights) -> np.ndarray:
     with `weights` mapping each block to its CombinationMatrix."""
     out = np.empty(cmap.layout.total_dim)
     for l, cluster in enumerate(cmap.clusters):
-        stack = w_flat[cmap.flat_cluster_indices(l)].reshape(len(cluster), -1)
+        stack = w_flat[flat_cluster_indices(cmap, l)].reshape(len(cluster), -1)
         out[global_slice(cmap.layout, l)] = weights[l].perron @ stack
     return out

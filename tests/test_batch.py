@@ -10,6 +10,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from coupled_diffusion.engine import (
     NOISE_CHUNK_BYTES,
@@ -37,17 +38,23 @@ from coupled_diffusion.metrics import (
 from coupled_diffusion.objective import MultiAgentProblem, QuadraticRiskOracle
 from coupled_diffusion.topology import BlockLayout
 from coupled_diffusion.weights import averaging_weights, metropolis_weights, step_scaling
-from conftest import assert_bridge_oracles_draw_like_their_inner_oracle
+from conftest import SETUP_NETWORKS, assert_bridge_oracles_draw_like_their_inner_oracle
 from reference import (
     admm_linearized_step,
     centralized_step,
+    cluster_operators,
     coupled_diffusion_step,
+    flat_cluster_indices,
     generate_benchmark_problem,
     inequality,
     init_admm_state,
     init_state,
     msd,
+    padded_maps,
 )
+from reference import inverse_cluster_sizes as reference_inverse_cluster_sizes
+from reference import step_scaling as reference_step_scaling
+from test_topology import connected_networks
 
 SEEDS = (11, 12, 13)
 TOL = 1e-10
@@ -168,7 +175,7 @@ def test_centralized_copies_stay_equal(request, fixture):
         batch.step()
         w = batch.w.T
         for l, cluster in enumerate(cmap.clusters):
-            copies = w[:, cmap.flat_cluster_indices(l)].reshape(len(SEEDS), len(cluster), -1)
+            copies = w[:, flat_cluster_indices(cmap, l)].reshape(len(SEEDS), len(cluster), -1)
             assert np.array_equal(copies, np.broadcast_to(copies[:, :1], copies.shape))
     assert np.all(disagreement(batch.w, cmap) == 0.0)
 
@@ -217,6 +224,61 @@ def test_admm_warm_start_stays_at_the_optimum(spread):
         admm_linearized_step(state, problem, cfg)
     assert np.max(msd(batch.w.T, problem.cmap, start)) <= 1e-20
     assert msd(state.w, problem.cmap, start) <= 1e-20
+
+
+def _assert_bitwise(got, want, what):
+    assert got.dtype == want.dtype and got.shape == want.shape, what
+    assert got.tobytes() == want.tobytes(), what
+
+
+# the cluster operator of each algorithm, by its attribute on the batch
+OPERATORS = {"coupled": "_mix", "admm": "_mean", "centralized": "_sum"}
+
+
+def _assert_flat_maps_are_the_reference(problem):
+    """The cluster map's real-cell mask, padded slot and agent-of-entry map,
+    the inverse cluster sizes, the step scalings of both weight rules and
+    the stacks and slots of the three engines' cluster operators are
+    bitwise their block-by-block forms. The engines share the map's
+    indexes, so they are read-only."""
+    cmap = problem.cmap
+    for name in ("flat_global_indices", "flat_agents", "padded_cluster_indices", "padded_real",
+                 "padded_slot"):
+        assert not getattr(cmap, name).flags.writeable, name
+    real, slot, agents = padded_maps(cmap)
+    _assert_bitwise(cmap.padded_real, real, "padded_real")
+    _assert_bitwise(cmap.padded_slot, slot, "padded_slot")
+    _assert_bitwise(cmap.flat_agents, agents, "flat_agents")
+    _assert_bitwise(cmap.inverse_cluster_sizes(), reference_inverse_cluster_sizes(cmap),
+                    "inverse_cluster_sizes")
+    cfg = EngineConfig(mu=0.001, noise="exact")
+    for rule in (metropolis_weights, averaging_weights):
+        weights = _weights(problem, rule)
+        _assert_bitwise(step_scaling(cmap, weights), reference_step_scaling(cmap, weights),
+                        f"step_scaling, {rule.__name__}")
+        stacks = cluster_operators(cmap, weights)
+        for algorithm, attr in OPERATORS.items():
+            batch = init_batch(problem, weights, dataclasses.replace(cfg, algorithm=algorithm),
+                               SEEDS[:1])
+            operator = getattr(batch, attr)
+            _assert_bitwise(operator.mats, stacks[algorithm], f"{algorithm}, {rule.__name__}")
+            _assert_bitwise(operator.slot, slot, f"{algorithm} slot")
+
+
+@pytest.mark.parametrize("network", SETUP_NETWORKS + ("example5",))
+def test_flat_maps_and_cluster_operators_match_the_per_block_reference(setup_networks, network):
+    desc = setup_networks.get(network) or load_network(network)
+    _assert_flat_maps_are_the_reference(build_problem(desc, 3))
+
+
+@given(connected_networks())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_flat_maps_and_cluster_operators_match_the_reference_on_random_networks(case):
+    """Random networks with singleton and unequal clusters, bridged where a
+    cluster is split."""
+    net, layout = case
+    _assert_flat_maps_are_the_reference(
+        build_problem(NetworkDescription(net=net, layout=layout), 3))
 
 
 def _close(got, expect, scale):

@@ -33,8 +33,8 @@ def _fit_scenario(raw):  # only tracking takes a change point, and it stays cons
     return raw
 
 
-# A config that runs, up to the combination the program rejects on purpose
-# (admm with a penalty).
+# A config that runs, up to the combinations the program rejects on purpose
+# (admm with a penalty, averaging weights with either baseline).
 VALID = st.fixed_dictionaries({
     "network": st.fixed_dictionaries({"source": st.sampled_from(["benchmark20", "example5"])}),
     "objective": st.fixed_dictionaries({"problem_seed": st.integers(0, 9),

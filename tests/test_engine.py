@@ -19,6 +19,7 @@ from reference import (
     centralized_step,
     centroid,
     coupled_diffusion_step,
+    flat_cluster_indices,
     gather_local,
     global_slice,
     init_admm_state,
@@ -165,7 +166,7 @@ def test_combine_matches_neighbor_sums():
     for l, cluster in enumerate(cmap.clusters):
         m = mats[l]
         # row i: the flat positions of cluster member i's copy of block l
-        copy = dict(zip(cluster, cmap.flat_cluster_indices(l).reshape(len(cluster), -1)))
+        copy = dict(zip(cluster, flat_cluster_indices(cmap, l).reshape(len(cluster), -1)))
         for k in cluster:
             total = np.zeros(cmap.layout.dims[l])
             for s in cluster:
@@ -204,7 +205,7 @@ def test_centroid_identity_against_network_form():
     c1 = centroid(state.w, cmap, mats)
     w = batch.w.T[0]
     for l, cluster in enumerate(cmap.clusters):
-        block = w[cmap.flat_cluster_indices(l)].reshape(len(cluster), cmap.layout.dims[l])
+        block = w[flat_cluster_indices(cmap, l)].reshape(len(cluster), cmap.layout.dims[l])
         expect = mats[l].perron @ block
         assert np.max(np.abs(c1[global_slice(cmap.layout, l)] - expect)) <= 1e-12
 

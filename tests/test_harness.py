@@ -41,6 +41,7 @@ from reference import (
     per_agent_problem_draw,
     risk_gradient,
     risk_quadratic,
+    table_rows,
 )
 
 
@@ -64,7 +65,10 @@ def test_config_validation_errors():
     for bad in (dict(seeds=(-1,)), dict(seeds=(2**64,)), dict(problem_seed=2**63),
                 dict(algorithm="sgd"), dict(noise="gaussian"), dict(rho_admm=0.0),
                 dict(constrained="no"), dict(constrained=1), dict(constrained=0),
-                dict(constrained=1.0), dict(iterations=10**30), dict(iterations=1e30)):
+                dict(constrained=1.0), dict(iterations=10**30), dict(iterations=1e30),
+                # the baselines read no combination weights
+                dict(algorithm="admm", weight_rule="averaging"),
+                dict(algorithm="centralized", weight_rule="averaging")):
         with pytest.raises(ConfigError):
             ScenarioConfig(scenario="unconstrained", **bad)
     with pytest.raises(ConfigError, match="seeds"):  # a seed run twice counts twice in the means
@@ -84,7 +88,7 @@ def test_seeds_beyond_float_precision_are_accepted_and_run(seed):
         "scenario": {"id": "custom", "seeds": [seed]},
     })
     assert cfg.seeds == (seed,) and cfg.problem_seed == seed
-    seeds_in_rows = {r[3] for r in run_scenario(cfg).rows}
+    seeds_in_rows = {r[3] for r in table_rows(run_scenario(cfg))}
     assert seeds_in_rows == {str(seed), "mean"}
     for bad in (True, 2.5, float("nan"), float("inf"), "x"):
         with pytest.raises(ConfigError, match="must be an integer"):
@@ -344,7 +348,7 @@ def test_run_scenario_deterministic_and_emit_byte_identical(tmp_path):
     cfg = _small_cfg()
     t1 = run_scenario(cfg)
     t2 = run_scenario(cfg)
-    assert t1.rows == t2.rows
+    assert table_rows(t1) == table_rows(t2)
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
     emit_results(t1, p1)
     emit_results(t2, p2)
@@ -357,11 +361,11 @@ def test_run_scenario_deterministic_and_emit_byte_identical(tmp_path):
 def test_result_rows_structure():
     cfg = _small_cfg()
     table = run_scenario(cfg)
-    per_seed = [r for r in table.rows if r[3] != "mean"]
-    means = [r for r in table.rows if r[3] == "mean"]
+    per_seed = [r for r in table_rows(table) if r[3] != "mean"]
+    means = [r for r in table_rows(table) if r[3] == "mean"]
     # 30 logged iterations per run, 2 seeds, plus 30 mean rows
     assert len(per_seed) == 60 and len(means) == 30
-    assert all(r[0] == "unconstrained" for r in table.rows)
+    assert all(r[0] == "unconstrained" for r in table_rows(table))
     assert means[-1][4] == 300
 
 
@@ -373,7 +377,7 @@ def test_smaller_mu_gives_lower_steady_msd():
     table = run_scenario(cfg)
 
     def steady_of(mu):
-        vals = [10 ** (r[5] / 10) for r in table.rows if r[3] == "mean" and r[1] == mu]
+        vals = [10 ** (r[5] / 10) for r in table_rows(table) if r[3] == "mean" and r[1] == mu]
         return steady_state(vals)
 
     assert steady_of(0.001) < steady_of(0.004)
@@ -395,8 +399,8 @@ def test_sweep_emits_steady_rows_only():
         iterations=400, seeds=(0, 1), log_every=10,
     )
     table = run_scenario(cfg)
-    assert len(table.rows) == 3  # two seeds + one mean row
-    assert all(r[4] == 400 for r in table.rows)
+    assert len(table_rows(table)) == 3  # two seeds + one mean row
+    assert all(r[4] == 400 for r in table_rows(table))
     assert cfg.initial == "reference"
 
 
@@ -408,7 +412,7 @@ def test_tracking_scenario_shows_jump():
         iterations=700, seeds=(0, 1), change_point=400, log_every=1,
     )
     table = run_scenario(cfg)
-    means = {r[4]: 10 ** (r[5] / 10) for r in table.rows if r[3] == "mean"}
+    means = {r[4]: 10 ** (r[5] / 10) for r in table_rows(table) if r[3] == "mean"}
     assert means[401] > 3 * means[400]  # constraint regeneration bumps the MSD
     assert means[700] < 0.5 * means[410]  # and the algorithm re-converges
 
@@ -417,10 +421,10 @@ def test_tracking_rows_before_the_change_point_are_a_constrained_run():
     """Up to its change point a tracking run is the constrained run of
     that many iterations: the same rows, bit for bit, but the scenario."""
     grid = dict(mu_list=(0.002, 0.001), eta_list=(10.0, 100.0), seeds=(3, 4), log_every=10)
-    tracking = run_scenario(ScenarioConfig(scenario="tracking", iterations=120,
-                                           change_point=60, **grid)).rows
-    constrained = run_scenario(ScenarioConfig(scenario="constrained", iterations=60,
-                                              **grid)).rows
+    tracking = table_rows(run_scenario(ScenarioConfig(scenario="tracking", iterations=120,
+                                                      change_point=60, **grid)))
+    constrained = table_rows(run_scenario(ScenarioConfig(scenario="constrained", iterations=60,
+                                                         **grid)))
     before = [r[1:] for r in tracking if r[4] <= 60]
     assert len(before) == 72 and before == [r[1:] for r in constrained]
 
@@ -444,7 +448,7 @@ def test_tracking_swaps_constraints_and_references_after_the_change_point():
         engine.step()
         problem = base if i < cfg.change_point else changed
         want.append(msd(engine.w[:, 0], base.cmap, reference_solution(problem, 100.0).w_star))
-    got = [10 ** (r[5] / 10) for r in run_scenario(cfg).rows if r[3] == "0"]
+    got = [10 ** (r[5] / 10) for r in table_rows(run_scenario(cfg)) if r[3] == "0"]
     assert got == pytest.approx(want, rel=1e-12)
 
 
@@ -478,7 +482,7 @@ def test_emit_results_empty_and_single(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines == [",".join(CSV_HEADER)]
     one = ResultTable(blocks=[_block(["0"], [1], [[-10.0]], [[0.5]])], config={})
-    assert one.rows == [("unconstrained", 0.001, 0.0, "0", 1, -10.0, 0.5, -10.0)]
+    assert table_rows(one) == [("unconstrained", 0.001, 0.0, "0", 1, -10.0, 0.5, -10.0)]
     path2 = tmp_path / "one.csv"
     emit_results(one, path2)
     assert len(path2.read_text().strip().splitlines()) == 2
@@ -488,16 +492,14 @@ def test_result_table_rows_are_a_read_only_view_of_its_blocks():
     block = _block(["3", "mean"], [10, 20], [[1.0, 2.0], [3.0, 4.0]], [[0.1, 0.2], [0.3, 0.4]],
                    [[5.0, 6.0], [7.0, 8.0]], scenario="tracking", mu=0.002, eta=10.0)
     table = ResultTable(blocks=[block, block], config={})
-    rows = table.rows
+    rows = table_rows(table)
     assert rows[:4] == [("tracking", 0.002, 10.0, "3", 10, 1.0, 0.1, 5.0),
                         ("tracking", 0.002, 10.0, "3", 20, 2.0, 0.2, 6.0),
                         ("tracking", 0.002, 10.0, "mean", 10, 3.0, 0.3, 7.0),
                         ("tracking", 0.002, 10.0, "mean", 20, 4.0, 0.4, 8.0)]
     assert rows[4:] == rows[:4]
     rows.clear()
-    assert len(table.rows) == 8
-    with pytest.raises(AttributeError):
-        table.rows = []
+    assert len(table_rows(table)) == 8
 
 
 def _csv_writer_bytes(rows) -> bytes:
@@ -545,9 +547,9 @@ def test_emit_results_writes_the_bytes_of_csv_writer(tmp_path, blocks):
     series and as mu and eta, across chunk and block boundaries."""
     path = tmp_path / "t.csv"
     table = ResultTable(blocks=blocks, config={})
-    assert len(table.rows) == sum(len(b.labels) * len(b.iterations) for b in blocks)
+    assert len(table_rows(table)) == sum(len(b.labels) * len(b.iterations) for b in blocks)
     emit_results(table, path)
-    assert path.read_bytes() == _csv_writer_bytes(table.rows)
+    assert path.read_bytes() == _csv_writer_bytes(table_rows(table))
 
 
 @pytest.mark.parametrize("field", ["a,b", 'say "hi"', "two\nlines", "cr\r", None],
@@ -586,14 +588,14 @@ def test_emit_results_formats_repeated_float_objects_by_identity(tmp_path):
     table = ResultTable(blocks=blocks, config={})
     emit_results(table, tmp_path / "t.csv")
     text = (tmp_path / "t.csv").read_bytes()
-    assert text == _csv_writer_bytes(table.rows)
+    assert text == _csv_writer_bytes(table_rows(table))
     assert b"sweep,-0.0,0.0,0,0,-0.0,0.0,-0.0\r\n" in text
 
 
 def test_emit_results_matches_csv_writer_on_a_run(tmp_path):
     table = run_scenario(_small_cfg())
     emit_results(table, tmp_path / "run.csv")
-    assert (tmp_path / "run.csv").read_bytes() == _csv_writer_bytes(table.rows)
+    assert (tmp_path / "run.csv").read_bytes() == _csv_writer_bytes(table_rows(table))
 
 
 def _write_cfg(tmp_path, scenario="unconstrained", **sections):
@@ -787,6 +789,8 @@ def test_cli_error_null_iterations(tmp_path, capsys):
     pytest.param([], {"engine": {"mu": None}}, "ConfigError", "mu", id="null-mu"),
     pytest.param([], {"penalty": {"rho": 0}}, "ConfigError", "rho", id="zero-rho"),
     pytest.param(["--seeds", "0,0"], {}, "ConfigError", "seeds", id="repeated-seeds"),
+    pytest.param([], {"engine": {"algorithm": "centralized", "weight_rule": "averaging"}},
+                 "ConfigError", "weight_rule", id="averaging-centralized"),
     # 2 eta G'G swamps the risk Hessian in floating point: not positive definite
     pytest.param([], {"objective": {"constrained": True}, "penalty": {"eta": [1e17]}},
                  "SingularSystem", "1e+17", id="huge-eta"),
@@ -848,7 +852,8 @@ def test_script_help(script):
 def _point_rows(cfg):
     """The rows of running each (mu, eta) point of `cfg` alone, in grid order."""
     return [row for mu in cfg.mu_list for eta in cfg.eta_list
-            for row in run_scenario(dataclasses.replace(cfg, mu_list=(mu,), eta_list=(eta,))).rows]
+            for row in table_rows(run_scenario(dataclasses.replace(cfg, mu_list=(mu,),
+                                                                   eta_list=(eta,))))]
 
 
 def _linear(row):
@@ -870,7 +875,7 @@ def test_grid_run_matches_single_point_runs(scenario, algorithm, init):
     cfg = ScenarioConfig(scenario=scenario, mu_list=(0.002, 0.001), eta_list=etas,
                          iterations=200, seeds=(3, 4), log_every=10, algorithm=algorithm,
                          init=init, change_point=100 if scenario == "tracking" else None)
-    rows, expect = run_scenario(cfg).rows, _point_rows(cfg)
+    rows, expect = table_rows(run_scenario(cfg)), _point_rows(cfg)
     assert [r[:5] for r in rows] == [r[:5] for r in expect]
     for row, want in zip(rows, expect):
         assert np.allclose(_linear(row), _linear(want), rtol=1e-12, atol=0.0)

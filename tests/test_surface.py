@@ -37,9 +37,11 @@ KEPT = {  # public, named nowhere outside the tests, and kept on purpose
 
 
 SHARED = {  # public names defined more than once in src/, and why each one stays
-    "true_gradient": "OracleStack.true_gradient is the stationarity check's; "
-                     "QuadraticRiskOracle.true_gradient has no caller in src/, and is kept "
-                     "because criterion 3 calls it as a method; criterion bodies do not change",
+    "true_gradient": "OracleStack.true_gradient is the one exact risk gradient of src/: the "
+                     "stationarity check, the engine's exact mode and the ADMM warm start "
+                     "read it; QuadraticRiskOracle.true_gradient has no caller in src/, and is "
+                     "kept because criterion 3 calls it as a method; criterion bodies do not "
+                     "change",
 }
 
 

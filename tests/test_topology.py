@@ -9,7 +9,13 @@ from coupled_diffusion.errors import ConfigError, EmptyCluster, InvalidBlockInde
 
 from conftest import SETUP_NETWORKS
 from reference import bridge_nodes as reference_bridge_nodes
-from reference import cluster_map_fields, gather_local, global_slice, network_fields
+from reference import (
+    cluster_map_fields,
+    flat_cluster_indices,
+    gather_local,
+    global_slice,
+    network_fields,
+)
 
 
 def test_five_agent_clusters(five_agent_net, five_agent_cmap):
@@ -151,7 +157,7 @@ def test_cluster_interest_duality_and_dimension_bookkeeping(case):
     copies = sum(len(c) * layout.dims[l] for l, c in enumerate(cmap.clusters))
     assert copies == sum(cmap.local_dims)
     # flat and stacked layouts are permutations of each other
-    perm = np.concatenate([cmap.flat_cluster_indices(l) for l in range(layout.block_count)])
+    perm = np.concatenate([flat_cluster_indices(cmap, l) for l in range(layout.block_count)])
     assert sorted(perm.tolist()) == list(range(copies))
 
 
@@ -175,7 +181,7 @@ def test_index_machinery(five_agent_cmap):
     assert np.array_equal(cmap.global_indices(3), [0, 1, 3, 4, 5, 6])
     w = np.arange(cmap.total_local_dim, dtype=float)
     for l, cluster in enumerate(cmap.clusters):
-        gathered = w[cmap.flat_cluster_indices(l)].reshape(len(cluster), cmap.layout.dims[l])
+        gathered = w[flat_cluster_indices(cmap, l)].reshape(len(cluster), cmap.layout.dims[l])
         block = global_slice(cmap.layout, l)
         for row, k in enumerate(cluster):
             owned = cmap.global_indices(k)
@@ -206,7 +212,7 @@ def _assert_cluster_map_is_the_reference(cmap, net):
         assert getattr(cmap, name) == want[name], name
     for got, expect in [(cmap.flat_global_indices, want["flat_global_indices"]),
                         (cmap.padded_cluster_indices, want["padded_cluster_indices"])] + [
-            (cmap.flat_cluster_indices(l), idx) for l, idx in enumerate(want["flat_cluster_indices"])]:
+            (flat_cluster_indices(cmap, l), idx) for l, idx in enumerate(want["flat_cluster_indices"])]:
         assert got.dtype == expect.dtype and got.shape == expect.shape
         assert got.tobytes() == expect.tobytes()
 

@@ -14,7 +14,7 @@ from coupled_diffusion.weights import (
 )
 
 from conftest import SETUP_NETWORKS
-from reference import combination_weights, generate_benchmark_problem
+from reference import combination_weights, flat_cluster_indices, generate_benchmark_problem
 
 
 def _one_cluster(n, edges):
@@ -110,9 +110,9 @@ def test_step_scaling_metropolis_and_averaging(five_agent_net, five_agent_cmap):
     scal = step_scaling(five_agent_cmap, mats)
     # Metropolis Perron is uniform, so every copy's scaling equals the cluster size
     for l, cluster in enumerate(five_agent_cmap.clusters):
-        assert np.all(scal[five_agent_cmap.flat_cluster_indices(l)] == len(cluster))
+        assert np.all(scal[flat_cluster_indices(five_agent_cmap, l)] == len(cluster))
     # singleton cluster (block 1, agent 0) scales by exactly one
-    assert scal[five_agent_cmap.flat_cluster_indices(1)].tolist() == [1.0]
+    assert scal[flat_cluster_indices(five_agent_cmap, 1)].tolist() == [1.0]
 
 
 def test_step_scaling_averaging_star():
