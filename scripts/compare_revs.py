@@ -21,10 +21,13 @@ and the medians differ by more than the parent's interquartile range.
 
 Digests mode prints the sha256 of the CSV of every workload CLI call
 (full and smoke, benchmark seeds 1 and 7, configs written by each side's
-`benchmarks/worker.py prepare`) and of every shipped config, both as
-shipped and cut to a few seeds and iterations, run through each side's
-CLI in a fresh process: once with BLAS pinned to one thread and once with
-the BLAS thread variables unset. Beside each sha256 it records the wall
+`benchmarks/worker.py prepare`), of every shipped config, both as
+shipped and cut to a few seeds and iterations, and of short runs of the
+paths that neither takes (PATH_RUNS: exact gradients for each algorithm,
+averaging weights, warm-started baselines, constrained example5), whose
+configs are written once into the work dir for both sides. Each runs
+through each side's CLI in a fresh process: once with BLAS pinned to one
+thread and once with the BLAS thread variables unset. Beside each sha256 it records the wall
 time of that CLI process on each side, interpreter start-up included, and
 its peak resident set size (the child's own `ru_maxrss`, from
 `os.wait4`); these are a record, not a gate. Where the two sides' CSVs differ, it
@@ -62,6 +65,29 @@ SHIPPED_RUNS = [(f"{name}.yaml", name, args) for name, args in (
     ("sweep", ["--seeds", "0,1", "--iters", "3000"]),
 )] + [(f"configs/{name}.yaml (all 20 seeds, as shipped)", name, [])
       for name in ("sweep", "tracking", "unconstrained")]
+
+
+def _path_config(network="benchmark20", eta=10.0, objective=(), **engine) -> dict:
+    """A short constrained run: 2 seeds x 300 iterations of benchmark20,
+    or of `network`, at one (mu, eta) point."""
+    return {"network": {"source": network},
+            "objective": {"problem_seed": 7, **dict(objective)},
+            "penalty": {"eta": [eta]},
+            "engine": {"mu": [0.002], "iterations": 300, **engine},
+            "scenario": {"id": "constrained", "seeds": [0, 1], "log_every": 5}}
+
+
+# (label, config) of the paths no workload call or shipped config takes;
+# ADMM takes no penalty, so it runs at eta 0
+PATH_RUNS = [
+    ("exact-coupled", _path_config(noise="exact")),
+    ("exact-centralized", _path_config(noise="exact", algorithm="centralized")),
+    ("exact-admm", _path_config(eta=0.0, noise="exact", algorithm="admm")),
+    ("averaging-coupled", _path_config(weight_rule="averaging")),
+    ("reference-centralized", _path_config(init="reference", algorithm="centralized")),
+    ("reference-admm", _path_config(eta=0.0, init="reference", algorithm="admm")),
+    ("example5-constrained", _path_config(network="example5", objective={"constrained": True})),
+]
 
 
 def git(*args: str) -> str:
@@ -222,9 +248,9 @@ def max_relative_change(parent: bytes, change: bytes) -> float | None:
     return worst
 
 
-def digest_table(tree: Path, work: Path, env: dict) -> dict:
+def digest_table(tree: Path, work: Path, env: dict, paths: Path) -> dict:
     """label -> (CSV sha256, wall seconds, peak RSS MiB, CSV path) for every
-    workload call and shipped config run."""
+    workload call, shipped config run and path run (configs in `paths`)."""
     table = {}
     for workload in WORKLOADS:
         for seed in DIGEST_SEEDS:
@@ -246,15 +272,22 @@ def digest_table(tree: Path, work: Path, env: dict) -> dict:
         table[label] = cli_sha256(tree, tree / "configs" / f"{name}.yaml", extra,
                                   work / "shipped" / label.replace("/", "-").replace(" ", "-"),
                                   env)
+    for label, _ in PATH_RUNS:
+        table[f"path {label}"] = cli_sha256(tree, paths / f"{label}.yaml", [],
+                                            work / "paths" / label, env)
     return table
 
 
 def digests_mode(sides: dict, work: Path) -> dict:
     base_env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    paths = work / "path_configs"
+    paths.mkdir(parents=True)
+    for label, config in PATH_RUNS:  # YAML reads JSON
+        (paths / f"{label}.yaml").write_text(json.dumps(config))
     out = {}
     for threads, env in (("blas_threads_1", {**base_env, **dict.fromkeys(BLAS_VARS, "1")}),
                          ("blas_threads_default", base_env)):
-        tables = {side: digest_table(tree, work / threads / side, env)
+        tables = {side: digest_table(tree, work / threads / side, env, paths)
                   for side, tree in sides.items()}
         files = {}
         for label, (sha, wall, rss, csv) in tables["change"].items():

@@ -24,6 +24,13 @@ metric logging and CSV emission weigh most).
 - `disagreement_us`: `metrics.disagreement` per record, though one call
   may serve a window of several records; part of `record_us`, but for a
   last partial window, which is taken when the log is read;
+- `noise_buffer_kib` and `window_kib`: the bytes, in KiB, of the noise
+  buffer (`_RiskGradients.buffer`, (T, N, R + 1, S): T iterations of
+  every agent's rank + 1 draws, padded to the largest rank) and of the
+  window buffers (the regressors, targets and flat regressors that
+  `_products` forms) of the run's stochastic engines, the largest over
+  the workload's calls; 0 for exact gradients. Memory, not time: they
+  account for part of the benchmark's `peak_rss_mb`;
 - `emit_ms`: `emit_results` on the run's table (CSV and sidecar);
 - `init_ms`: `init_batch`, the engine's set-up: the cluster operators,
   the step vectors and the Philox streams of every (seed, agent). The
@@ -78,16 +85,31 @@ PER_WORKLOAD = ("init",)  # reported in ms summed over the calls, the rest in us
 WORKLOADS = ("ring200-tracking", "b20-sweep", "b20-unconstrained")
 
 
-def _timed(method, totals, name, calls=None):
+def _timed(method, totals, name, calls=None, results=None):
+    """`method`, its time added to totals[name], its calls counted in
+    `calls` and its results kept in `results`, when given."""
     def wrapper(*args, **kwargs):
         start = time.perf_counter()
         try:
-            return method(*args, **kwargs)
+            result = method(*args, **kwargs)
         finally:
             totals[name] += time.perf_counter() - start
             if calls is not None:
                 calls[name] += 1
+        if results is not None:
+            results.append(result)
+        return result
     return wrapper
+
+
+def _risk_kib(batches) -> dict:
+    """KiB of the noise buffer and of the window buffers of the largest
+    stochastic engine among `batches`."""
+    risks = [b._risk for b in batches if isinstance(b._risk, _RiskGradients)]
+    noise = max((r.buffer.nbytes for r in risks), default=0)
+    window = max((r.regressors.nbytes + r.targets.nbytes + r.flat_regressors.nbytes
+                  for r in risks), default=0)
+    return {"noise_buffer_kib": round(noise / 1024, 1), "window_kib": round(window / 1024, 1)}
 
 
 # the stages of build_problem timed on their own: the harness functions it
@@ -148,19 +170,22 @@ def main():
                 for call in workloads.calls(args.workload, args.seed, network_path=str(network))]
         iterations = sum(cfg.iterations for cfg in cfgs)
         samples = {name: [] for name in TIMED}
-        emit_ms, stages = [], []
+        emit_ms, stages, batches, kib = [], [], [], []
         for _ in range(args.reps):
             totals, calls = dict.fromkeys(TIMED, 0.0), dict.fromkeys(TIMED, 0)
             emit_s, rep_stages = 0.0, []
             for cfg in cfgs:
                 originals = {name: getattr(owner, attr) for name, (owner, attr) in TIMED.items()}
                 for name, (owner, attr) in TIMED.items():
-                    setattr(owner, attr, _timed(originals[name], totals, name, calls))
+                    setattr(owner, attr, _timed(originals[name], totals, name, calls,
+                                                batches if name == "init" else None))
                 try:
                     table = run_scenario(cfg)
                 finally:
                     for name, (owner, attr) in TIMED.items():
                         setattr(owner, attr, originals[name])
+                kib.append(_risk_kib(batches))
+                batches.clear()
                 start = time.perf_counter()
                 emit_results(table, Path(tmp) / "table.csv")
                 emit_s += time.perf_counter() - start
@@ -177,6 +202,7 @@ def main():
                       if name not in PER_WORKLOAD}
                      | {f"{name}_ms": round(statistics.median(samples[name]), 2)
                         for name in PER_WORKLOAD}
+                     | {name: max(k[name] for k in kib) for name in kib[0]}
                      | {"emit_ms": round(statistics.median(emit_ms), 2)}
                      | {f"{name}_ms": round(statistics.median(s[name] for s in stages), 2)
                         for name in stages[0]}

@@ -86,16 +86,19 @@ def agent_streams(seed: int, agent_count: int) -> list:
 # NOISE_CHUNK_MIN_ITERATIONS (or the iterations left, if fewer): a refill
 # makes S*N per-stream draws whatever its length, so the floor keeps that
 # cost per iteration small however many seeds and agents share the budget.
-# The buffer holds at most max(NOISE_CHUNK_BYTES,
-# 8 * NOISE_CHUNK_MIN_ITERATIONS * S * sum_k (R_k + 1)) bytes. It is
-# allocated at the first refill and every later refill writes a prefix of it.
+# The chunk length T is max(NOISE_CHUNK_MIN_ITERATIONS, NOISE_CHUNK_BYTES //
+# (8 S sum_k (R_k + 1))), and the buffer, laid out as the windows read it,
+# holds 8 T N (R + 1) S bytes, R = max_k R_k. It is allocated with the
+# engine and every refill writes a prefix of it.
 NOISE_CHUNK_BYTES = 256 * 1024
 NOISE_CHUNK_MIN_ITERATIONS = 32
 # The regressors and targets of a window of iterations within one chunk are
 # formed together. A window covers as many of the chunk's iterations as fit
 # in RISK_WINDOW_BYTES, but at least one, so its buffers hold at most
-# max(RISK_WINDOW_BYTES, the bytes of one iteration). They are allocated at
-# the first window, the longest, and later windows write a prefix of them.
+# max(RISK_WINDOW_BYTES, the bytes of one iteration). They are allocated
+# with the engine, as long as the first window, the longest, and later
+# windows write a prefix of them; a window's draws are a slice of the
+# noise buffer.
 RISK_WINDOW_BYTES = 256 * 1024
 
 
@@ -118,9 +121,12 @@ class _RiskGradients:
     pre-draws each (seed, agent) stream's R_k + 1 normals per iteration
     in chunks: one draw of T (R_k + 1) values equals T successive draws
     of R_k + 1, so iteration i sees the variates the per-agent reference
-    would. The draws are kept once per seed, (draws, S), and broadcast
-    over the P grid points, whose columns come point-major (p S + s):
-    every point reads its seed's variates.
+    would. The draws are kept once per seed, (T, N, R + 1, S), and
+    broadcast over the P grid points, whose columns come point-major
+    (p S + s): every point reads its seed's variates. Agent k's feature
+    draws fill columns 0..R_k - 1 of its cells and its noise draw column
+    R_k; the cells past them stay zero, and columns R_k..R - 1 meet zero
+    factor columns, so they add nothing.
 
     A sample's regressor h_k = F_k u_k and target y_k = w_ref_k' h_k +
     sigma_k v_k do not depend on the state, so `_products` forms them for a
@@ -137,45 +143,42 @@ class _RiskGradients:
         self.gather = stack.gather
         self.factor = stack.scaled_basis
         self.w_ref = stack.w_ref.reshape(n, width, 1)
-        ranks, depth, n_seeds = stack.ranks, self.factor.shape[2], len(seeds)
+        depth, n_seeds = self.factor.shape[2], len(seeds)
+        self.per_iteration = (stack.ranks + 1).tolist()  # normals each agent draws per iteration
+        # agent k's noise draw, column R_k: cell k (R + 1) + R_k of an
+        # iteration's draws raveled from (N, R + 1, S) to (N (R + 1), S)
+        self.noise_cells = np.arange(n) * (depth + 1) + stack.ranks
         self.owner = problem.cmap.flat_agents
         self.noise_std = stack.noise_std.reshape(n, 1)
         self.streams = [agent_streams(seed, n) for seed in seeds]
-        self.per_iteration = ranks + 1  # normals each agent draws per iteration
-        # column j < R of agent k reads its j-th feature draw (padding reads
-        # draw 0, which meets a zero factor column); column R its noise draw
-        rank_cols = np.arange(depth)
-        self.column = np.concatenate(
-            [np.where(rank_cols < ranks[:, None], rank_cols, 0), ranks[:, None]], axis=1
-        )
         self.chunk = max(NOISE_CHUNK_MIN_ITERATIONS,
-                         NOISE_CHUNK_BYTES // (8 * n_seeds * int(self.per_iteration.sum())))
+                         NOISE_CHUNK_BYTES // (8 * n_seeds * sum(self.per_iteration)))
         self.left = cfg.iterations
         self.used = self.length = 0
-        self.buffer = None  # (draws, S): a take of rows gives C-ordered seeds-last draws
+        # the first chunk is the longest; its padded cells stay zero
+        first = min(self.chunk, cfg.iterations)
+        self.buffer = np.zeros((first, n, depth + 1, n_seeds))
         # (n_flat, P S): entry (e, p S + s) of the state's layout reads cell
         # (valid_e, s) of an iteration's regressors, raveled from (N Q, S);
         # the valid cells, in row-major order, are the flat layout itself
         valid = np.flatnonzero(stack.valid)
         self.spread = np.tile(valid[:, None] * n_seeds + np.arange(n_seeds), points)
-        # one iteration's window bytes: draws and their row index, padded
-        # regressors, targets and the regressors in the state's layout
-        step_bytes = 8 * (n * (depth + 1) * (n_seeds + 1) + (n * width + n) * n_seeds
-                          + self.spread.size)
+        # one iteration's window bytes: padded regressors, targets and the
+        # regressors in the state's layout
+        step_bytes = 8 * ((n * width + n) * n_seeds + self.spread.size)
         self.window = max(1, RISK_WINDOW_BYTES // step_bytes)
         self.formed = self.next = 0  # iterations in the current window, and the next one's place
-        self.draws = None  # (W, N, R + 1, S), with the other window buffers
+        longest = min(self.window, first)
+        self.regressors = np.empty((longest, n, width, n_seeds))
+        self.targets = np.empty((longest, n, n_seeds))
+        self.flat_regressors = np.empty((longest,) + self.spread.shape)
 
     def _refill(self):
         t = min(self.chunk, max(self.left, 1))
         self.left -= t
-        starts = np.concatenate([[0], np.cumsum(t * self.per_iteration)])
-        if self.buffer is None:  # the first chunk is the longest
-            self.buffer = np.empty((int(starts[-1]), len(self.streams)))
         for s, streams in enumerate(self.streams):
-            for rng, a, b in zip(streams, starts[:-1], starts[1:]):
-                self.buffer[a:b, s] = rng.standard_normal(b - a)
-        self.base = starts[:-1, None] + self.column
+            for k, (rng, draws) in enumerate(zip(streams, self.per_iteration)):
+                self.buffer[:t, k, :draws, s] = rng.standard_normal((t, draws))
         self.used, self.length = 0, t
 
     def _products(self):
@@ -184,25 +187,11 @@ class _RiskGradients:
         in the state's layout, `flat_regressors` (W, n_flat, P S), each
         seed's repeated for every grid point."""
         w = min(self.window, self.length - self.used)
-        if self.draws is None:  # the first window is the longest
-            (n, width, depth), n_seeds = self.factor.shape, len(self.streams)
-            self.rows = np.empty((w, n, depth + 1), dtype=np.intp)
-            self.draws = np.empty((w, n, depth + 1, n_seeds))
-            self.regressors = np.empty((w, n, width, n_seeds))
-            self.targets = np.empty((w, n, n_seeds))
-            self.flat_regressors = np.empty((w,) + self.spread.shape)
-        rows, draws = self.rows[:w], self.draws[:w]
+        draws = self.buffer[self.used:self.used + w]  # (W, N, R + 1, S)
         h, y = self.regressors[:w], self.targets[:w]
-        # iteration used + i of agent k reads rows base_k + (used + i) (R_k + 1)
-        np.multiply(np.arange(self.used, self.used + w)[:, None, None],
-                    self.per_iteration[:, None], out=rows)
-        rows += self.base
-        # the indices lie in the arrays by construction, and "clip" writes
-        # straight into `out` where the default mode would copy
-        self.buffer.take(rows, axis=0, out=draws, mode="clip")
         np.matmul(self.factor, draws[:, :, :-1], out=h)
         np.matmul(self.w_ref.transpose(0, 2, 1), h, out=y[:, :, None])
-        noise = draws[:, :, -1]
+        noise = draws.reshape(w, -1, draws.shape[-1]).take(self.noise_cells, axis=1)
         noise *= self.noise_std
         y += noise
         h.reshape(w, -1).take(self.spread, axis=1, out=self.flat_regressors[:w], mode="clip")

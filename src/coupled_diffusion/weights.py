@@ -32,16 +32,16 @@ MAX_DENSE_EIG = 100
 class CombinationMatrix:
     """Weights for one cluster, its Perron vector r and the step scalings
     1/r, each entry computed as one correctly rounded division, so that a
-    Metropolis cluster's scalings equal N_l exactly."""
+    Metropolis cluster's scalings equal N_l exactly. Rows and columns follow
+    the cluster's agents, `ClusterMap.clusters[l]`."""
 
-    agents: tuple[int, ...]
     matrix: np.ndarray
     perron: np.ndarray
     scaling: np.ndarray
 
 
 def _closed_neighbourhoods(cmap: ClusterMap, net: NetworkSpec, block: int):
-    """The cluster's agents, its (n, n) closed-neighbourhood indicator
+    """The cluster's (n, n) closed-neighbourhood indicator
     (near[i, j] = 1 when agents i and j are equal or adjacent) and the
     column counts n_k."""
     agents = cmap.clusters[block]
@@ -59,33 +59,33 @@ def _closed_neighbourhoods(cmap: ClusterMap, net: NetworkSpec, block: int):
                 cols.append(j)
     near = np.eye(len(agents))
     near[rows, cols] = 1.0
-    return agents, near, near.sum(axis=0).astype(int)
+    return near, near.sum(axis=0).astype(int)
 
 
 def metropolis_weights(cmap: ClusterMap, net: NetworkSpec, block: int) -> CombinationMatrix:
     """Metropolis rule: a_sk = 1/max{n_k, n_s} for cluster neighbors s != k,
     self weight fills the column to one. Doubly stochastic and symmetric."""
-    agents, near, counts = _closed_neighbourhoods(cmap, net, block)
+    near, counts = _closed_neighbourhoods(cmap, net, block)
     np.fill_diagonal(near, 0.0)
     a = np.where(near > 0, 1.0 / np.maximum.outer(counts, counts), 0.0)
     # each column summed on its own, contiguously, as a 1-D sum of it would;
     # a.sum(axis=0) or a zero-padded sum rounds some columns differently
     np.fill_diagonal(a, 1.0 - np.ascontiguousarray(a.T).sum(axis=1))
-    return _finish(agents, a, np.ones(len(agents), dtype=int))
+    return _finish(a, np.ones(len(counts), dtype=int))
 
 
 def averaging_weights(cmap: ClusterMap, net: NetworkSpec, block: int) -> CombinationMatrix:
     """Averaging rule: a_sk = 1/n_k for every cluster neighbor s of k.
     Left-stochastic but in general not doubly stochastic."""
-    agents, near, counts = _closed_neighbourhoods(cmap, net, block)
-    return _finish(agents, near / counts, counts)
+    near, counts = _closed_neighbourhoods(cmap, net, block)
+    return _finish(near / counts, counts)
 
 
-def _finish(agents, a, w) -> CombinationMatrix:
+def _finish(a, w) -> CombinationMatrix:
     """Perron vector w / sum(w) and scalings sum(w) / w of the integer
     weights w, each a single division."""
     total = w.sum()
-    return CombinationMatrix(agents=agents, matrix=a, perron=w / total, scaling=total / w)
+    return CombinationMatrix(matrix=a, perron=w / total, scaling=total / w)
 
 
 def second_eigenvalue_magnitude(a: np.ndarray) -> float:

@@ -441,6 +441,21 @@ def msd(w_flat: np.ndarray, cmap: ClusterMap, reference: np.ndarray) -> float:
     return total if lead else float(total)
 
 
+def pairwise_disagreement(w: np.ndarray, cmap: ClusterMap) -> np.ndarray:
+    """Per-block max distance between cluster members' copies, pair by pair,
+    each copy read from its agent's local vector."""
+    out = np.zeros(len(cmap.clusters))
+    for l, cluster in enumerate(cmap.clusters):
+        block = global_slice(cmap.layout, l)
+        copies = []
+        for k in cluster:
+            owned = cmap.global_indices(k)
+            local = w[cmap.flat_slice(k)]
+            copies.append(local[(owned >= block.start) & (owned < block.stop)])
+        out[l] = max(np.linalg.norm(a - b) for a in copies for b in copies)
+    return out
+
+
 @dataclass
 class RunState:
     """All agents' local copies in the flat layout plus scratch and streams."""

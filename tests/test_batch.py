@@ -7,11 +7,13 @@ on shared (seed, agent) noise streams.
 """
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from coupled_diffusion import engine
 from coupled_diffusion.engine import (
     NOISE_CHUNK_BYTES,
     NOISE_CHUNK_MIN_ITERATIONS,
@@ -51,10 +53,11 @@ from reference import (
     init_state,
     msd,
     padded_maps,
+    pairwise_disagreement,
 )
 from reference import inverse_cluster_sizes as reference_inverse_cluster_sizes
 from reference import step_scaling as reference_step_scaling
-from test_topology import connected_networks
+from test_topology import connected_networks, network_files
 
 SEEDS = (11, 12, 13)
 TOL = 1e-10
@@ -94,9 +97,10 @@ class _PerAgent:
         return self.state.w
 
 
-def _max_deviation(problem, cfg, seeds=SEEDS, init_global=None, change=None,
-                   rule=metropolis_weights):
-    """Largest |batched - per-agent| entry over every iteration and seed.
+def _deviation(problem, cfg, seeds=SEEDS, init_global=None, change=None,
+               rule=metropolis_weights):
+    """Largest |batched - per-agent| entry over every iteration and seed,
+    and the largest |per-agent| entry, the scale of the first.
 
     `change` is an optional (iteration, problem) constraint swap applied
     before the step with that index.
@@ -104,7 +108,7 @@ def _max_deviation(problem, cfg, seeds=SEEDS, init_global=None, change=None,
     weights = _weights(problem, rule)
     batch = init_batch(problem, weights, cfg, seeds, init_global)
     refs = [_PerAgent(problem, weights, cfg, seed, init_global) for seed in seeds]
-    dev = 0.0
+    dev = scale = 0.0
     for i in range(cfg.iterations):
         if change is not None and i == change[0]:
             batch.set_constraints(change[1])
@@ -114,8 +118,16 @@ def _max_deviation(problem, cfg, seeds=SEEDS, init_global=None, change=None,
         for ref in refs:
             ref.step()
         assert batch.w.shape == (problem.cmap.total_local_dim, len(seeds))
-        dev = max(dev, float(np.max(np.abs(batch.w.T - [ref.view() for ref in refs]))))
-    return dev
+        want = np.array([ref.view() for ref in refs])
+        dev = max(dev, float(np.max(np.abs(batch.w.T - want))))
+        scale = max(scale, float(np.max(np.abs(want))))
+    return dev, scale
+
+
+def _max_deviation(problem, cfg, seeds=SEEDS, init_global=None, change=None,
+                   rule=metropolis_weights):
+    """Largest |batched - per-agent| entry over every iteration and seed."""
+    return _deviation(problem, cfg, seeds, init_global, change, rule)[0]
 
 
 @pytest.fixture(scope="module")
@@ -281,6 +293,57 @@ def test_flat_maps_and_cluster_operators_match_the_reference_on_random_networks(
         build_problem(NetworkDescription(net=net, layout=layout), 3))
 
 
+# the runs of each random network: coupled and centralized with a penalty,
+# ADMM without, each with stochastic and exact gradients
+RANDOM_NETWORK_RUNS = [(algorithm, eta, noise) for algorithm, eta in
+                       (("coupled", 5.0), ("centralized", 5.0), ("admm", 0.0))
+                       for noise in ("stochastic", "exact")]
+
+
+def test_batch_and_metrics_match_the_reference_on_random_networks(tmp_path):
+    """Random network files (`network_files`) through the loader, the
+    problem build and every engine: each run of RANDOM_NETWORK_RUNS
+    matches the per-agent reference to 1e-12 relative, 2 seeds for 20
+    iterations, and the logged MSD and disagreement of the coupled run are
+    `msd` against both references and the pairwise distances. The
+    examples hold bridge agents, a block every agent holds and unequal
+    oracle ranks."""
+    seen = set()
+
+    @given(network_files())
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    def check(raw):
+        path = tmp_path / "network.json"
+        path.write_text(json.dumps(raw))
+        problem = build_problem(load_network(str(path)), 5, constrained=True)
+        cmap, seeds = problem.cmap, SEEDS[:2]
+        kinds = {"bridged": any(o.rank < o.dim for o in problem.oracles),
+                 "shared": any(len(c) == problem.agent_count for c in cmap.clusters),
+                 "unequal-ranks": len({o.rank for o in problem.oracles}) > 1}
+        seen.update(kind for kind, present in kinds.items() if present)
+        for algorithm, eta, noise in RANDOM_NETWORK_RUNS:
+            cfg = EngineConfig(mu=0.002, eta=eta, iterations=20, noise=noise, algorithm=algorithm)
+            dev, scale = _deviation(problem, cfg, seeds)
+            assert dev <= 1e-12 * scale, (algorithm, noise)
+        ref = reference_solution(problem, 5.0)
+        batch = init_batch(problem, _weights(problem), EngineConfig(mu=0.002, eta=5.0), seeds)
+        references = [cmap.columns([w], len(seeds)) for w in (ref.w_star, ref.w_o)]
+        log, states = MetricsLog(cmap), []
+        for i in range(20):
+            batch.step()
+            log.record(i + 1, batch.w, *references)
+            states.append(batch.w.T.copy())
+        for w, msd_star, msd_o, worst in zip(states, log.msd_star, log.msd_o,
+                                             log.disagreement_max):
+            assert np.allclose(msd_star, msd(w, cmap, ref.w_star), rtol=1e-12, atol=0)
+            assert np.allclose(msd_o, msd(w, cmap, ref.w_o), rtol=1e-12, atol=0)
+            want = np.array([pairwise_disagreement(column, cmap).max() for column in w])
+            assert np.all(np.abs(worst - want) <= 1e-12 * want)
+
+    check()
+    assert seen == {"bridged", "shared", "unequal-ranks"}
+
+
 def _close(got, expect, scale):
     """got matches expect to 1e-15 relative to `scale`, the size of the
     terms that make up expect."""
@@ -289,46 +352,83 @@ def _close(got, expect, scale):
 
 def _buffers(risk):
     """The noise buffer and the window buffers of a risk-gradient object."""
-    return (risk.buffer, risk.rows, risk.draws, risk.regressors, risk.targets,
-            risk.flat_regressors)
+    return risk.buffer, risk.regressors, risk.targets, risk.flat_regressors
+
+
+class _EngineNumpy:
+    """numpy as the engine sees it in `_check_windows`: `empty` fills its
+    arrays with NaN, so that a cell the engine reads before it writes it
+    shows, and `matmul` keeps the right operand of every product."""
+
+    def __init__(self):
+        self.operands = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def empty(self, shape, dtype=float):
+        return np.full(shape, np.nan, dtype)
+
+    def matmul(self, a, b, **kwargs):
+        self.operands.append(b)
+        return np.matmul(a, b, **kwargs)
 
 
 def _check_windows(problem, seeds=SEEDS, points=1):
     """An iteration count that is a multiple of neither the window nor the
-    chunk length: in every iteration, each (seed, agent)'s window regressor
-    and target are F_k u and w_ref_k'h + sigma_k v from the rank + 1 draws
-    (u, v) of its per-agent stream, and the regressors in the state's layout
-    repeat them for every grid point. The noise buffer and the window
-    buffers are allocated once. Returns the risk-gradient object of the run."""
+    chunk length: in every iteration, each (seed, agent)'s cells of the
+    noise buffer hold the rank + 1 draws (u, v) of its per-agent stream,
+    the noise draw v in column rank, and zeros past them, also in the
+    shorter last chunk; its window regressor and target are F_k u and
+    w_ref_k'h + sigma_k v, and the regressors in the state's layout repeat
+    them for every grid point. A window's draws are a slice of the noise
+    buffer, and the noise buffer and the window buffers are allocated
+    once. Returns the risk-gradient object of the run."""
     weights = _weights(problem)
     grid = [EngineConfig(mu=0.001, eta=10.0 * p) for p in range(points)]
     risk = init_batch(problem, weights, grid, seeds)._risk
     iterations = 2 * risk.chunk + risk.window + 1
     grid = [dataclasses.replace(cfg, iterations=iterations) for cfg in grid]
-    risk = init_batch(problem, weights, grid, seeds)._risk
+    spy = _EngineNumpy()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "np", spy)
+        risk = init_batch(problem, weights, grid, seeds)._risk
     assert risk.window > 1 and iterations % risk.chunk and iterations % risk.window
     streams = [agent_streams(seed, problem.agent_count) for seed in seeds]
     starts = problem.cmap.agent_starts
+    buffers = _buffers(risk)
     x = np.zeros((problem.cmap.total_local_dim, points * len(seeds)))
-    for i in range(iterations):
-        risk(x)
-        if i == 0:
-            buffers = _buffers(risk)
-        assert all(a is b for a, b in zip(_buffers(risk), buffers))  # allocated once
-        j = risk.next - 1
-        h, y, flat = risk.regressors[j], risk.targets[j], risk.flat_regressors[j]
-        for s, rngs in enumerate(streams):
-            for k, (rng, o) in enumerate(zip(rngs, problem.oracles)):
-                u = rng.standard_normal(o.rank + 1)
-                factor = o.basis * np.sqrt(o.spectrum)
-                expect_h = factor @ u[:-1]
-                assert _close(h[k, :o.dim, s], expect_h, np.max(np.abs(factor) @ np.abs(u[:-1])))
-                assert not h[k, o.dim:, s].any()
-                assert _close(y[k, s], o.w_ref @ expect_h + o.noise_std * u[-1],
-                              np.abs(o.w_ref) @ np.abs(expect_h) + o.noise_std * abs(u[-1]))
-                for p in range(points):
-                    assert np.array_equal(flat[starts[k]:starts[k] + o.dim, p * len(seeds) + s],
-                                          h[k, :o.dim, s])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "np", spy)
+        for i in range(iterations):
+            risk(x)
+            assert all(a is b for a, b in zip(_buffers(risk), buffers))  # allocated once
+            j = risk.next - 1
+            row = risk.used - risk.formed + j  # the iteration's cells of the noise buffer
+            if j == 0:  # a new window: its first product takes a view of the buffer
+                draws = spy.operands[-2]
+                assert np.shares_memory(draws, risk.buffer)
+                window = risk.buffer[row:risk.used, :, :-1]  # same memory, shape and strides
+                assert draws.__array_interface__ == window.__array_interface__
+            h, y, flat = risk.regressors[j], risk.targets[j], risk.flat_regressors[j]
+            for s, rngs in enumerate(streams):
+                for k, (rng, o) in enumerate(zip(rngs, problem.oracles)):
+                    u = rng.standard_normal(o.rank + 1)
+                    cells = risk.buffer[row, k, :, s]
+                    assert np.array_equal(cells[:o.rank + 1], u)  # the noise draw in column rank
+                    assert not cells[o.rank + 1:].any()
+                    factor = o.basis * np.sqrt(o.spectrum)
+                    expect_h = factor @ u[:-1]
+                    assert _close(h[k, :o.dim, s], expect_h,
+                                  np.max(np.abs(factor) @ np.abs(u[:-1])))
+                    assert not h[k, o.dim:, s].any()
+                    assert _close(y[k, s], o.w_ref @ expect_h + o.noise_std * u[-1],
+                                  np.abs(o.w_ref) @ np.abs(expect_h) + o.noise_std * abs(u[-1]))
+                    for p in range(points):
+                        assert np.array_equal(
+                            flat[starts[k]:starts[k] + o.dim, p * len(seeds) + s],
+                            h[k, :o.dim, s])
+    assert risk.length < risk.chunk  # the run ended in a shorter chunk
     assert risk.left == 0  # the last chunk drew only what the run needs
     return risk
 
@@ -356,7 +456,9 @@ def test_noise_chunks_cover_at_least_the_floor_of_iterations(constrained):
     assert NOISE_CHUNK_BYTES // (8 * len(seeds) * per_iteration) < NOISE_CHUNK_MIN_ITERATIONS
     risk = _check_windows(constrained, seeds)
     assert risk.chunk == NOISE_CHUNK_MIN_ITERATIONS
-    assert risk.buffer.shape == (NOISE_CHUNK_MIN_ITERATIONS * per_iteration, len(seeds))
+    depth = max(o.rank for o in constrained.oracles) + 1
+    assert risk.buffer.shape == (NOISE_CHUNK_MIN_ITERATIONS, constrained.agent_count, depth,
+                                 len(seeds))
 
 
 @pytest.mark.parametrize("seeds, points", [(SEEDS, 1), (tuple(range(20)), 4), ((5,), 1)],
@@ -375,7 +477,7 @@ def test_risk_windows_stay_within_their_byte_bound(constrained, seeds, points):
                                                 sum(a[0].nbytes for a in window))
     exact = init_batch(constrained, weights, dataclasses.replace(grid[0], noise="exact"),
                        seeds)._risk
-    assert not hasattr(exact, "streams") and not hasattr(exact, "draws")
+    assert not hasattr(exact, "streams") and not hasattr(exact, "buffer")
 
 
 def test_metrics_log_matches_per_seed_metrics(constrained):

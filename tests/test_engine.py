@@ -172,7 +172,7 @@ def test_combine_matches_neighbor_sums():
             for s in cluster:
                 if s not in nbrs[k]:
                     continue
-                a = m.matrix[m.agents.index(s), m.agents.index(k)]
+                a = m.matrix[cluster.index(s), cluster.index(k)]
                 total += a * psi[copy[s]]
             assert np.allclose(state.w[copy[k]], total, atol=1e-14)
 

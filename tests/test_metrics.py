@@ -23,7 +23,7 @@ from coupled_diffusion.metrics import db
 from coupled_diffusion.objective import QuadraticRiskOracle
 
 from conftest import single_agent_problem
-from reference import generate_benchmark_problem, global_slice, msd
+from reference import generate_benchmark_problem, msd, pairwise_disagreement
 
 
 def _pair_cmap():
@@ -87,21 +87,6 @@ def test_disagreement_examples():
     assert disagreement(np.array([1.0, 2.0]), single)[0] == 0.0
 
 
-def _pairwise_disagreement(w, cmap):
-    """Per-block max distance between cluster members' copies, pair by pair,
-    each copy read from its agent's local vector."""
-    out = np.zeros(len(cmap.clusters))
-    for l, cluster in enumerate(cmap.clusters):
-        block = global_slice(cmap.layout, l)
-        copies = []
-        for k in cluster:
-            owned = cmap.global_indices(k)
-            local = w[cmap.flat_slice(k)]
-            copies.append(local[(owned >= block.start) & (owned < block.stop)])
-        out[l] = max(np.linalg.norm(a - b) for a in copies for b in copies)
-    return out
-
-
 def _check_pairwise_distances(problem, weights):
     """Clusters of unequal sizes, so the padded layout repeats copies: a flat
     vector, and the (n_flat, S) state of a batched run, one result row per
@@ -117,7 +102,7 @@ def _check_pairwise_distances(problem, weights):
     state = batch.w
     assert state.shape == (cmap.total_local_dim, 3)
     for vector, got in [(w, disagreement(w, cmap))] + list(zip(state.T, disagreement(state, cmap))):
-        want = _pairwise_disagreement(vector, cmap)
+        want = pairwise_disagreement(vector, cmap)
         assert np.all(want > 0)
         assert np.all(np.abs(got - want) <= 1e-14 * want)
 

@@ -17,6 +17,11 @@ Matching by name cannot tell apart two definitions of one name, so a
 public name defined more than once in `src/` (a method of two classes,
 say) carries an entry in SHARED that says which definitions are used
 where.
+
+Every public field of a dataclass defined in `src/` is also read as an
+attribute (`x.field`, not an assignment to it) somewhere in those three
+directories: a field that only the tests read is dead surface, whatever
+writes it.
 """
 
 import ast
@@ -47,6 +52,18 @@ SHARED = {  # public names defined more than once in src/, and why each one stay
 
 KEPT_DEFAULTS = {  # defaulted, set by no caller outside the tests, and kept on purpose
     "empirical_rate.window": "analysis API: criterion 4 fits over slice(10, 150)",
+}
+
+
+KEPT_FIELDS = {  # dataclass fields read nowhere outside the tests, and kept on purpose
+    "CombinationMatrix.perron": "criterion 2 reads each cluster's Perron vector; criterion "
+                                "bodies do not change",
+    "MultiAgentProblem.true_model": "the tests' ground truth: the model the problem's "
+                                    "references are drawn around",
+    "MultiAgentProblem.penalty": "benchmarks/workloads.py writes penalty.rho into every "
+                                 "workload config, so it can leave only in a benchmark change; "
+                                 "ROADMAP item 7 decides whether rho gains inequality rows "
+                                 "or goes",
 }
 
 
@@ -129,3 +146,31 @@ def test_every_defaulted_parameter_is_passed_by_a_caller():
     assert sorted(unset - set(KEPT_DEFAULTS)) == [], "no caller sets it: make it a constant"
     # a kept parameter that is gone from src/, or has found a caller, leaves the list
     assert sorted(set(KEPT_DEFAULTS) - unset) == []
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for decorator in node.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        if (getattr(target, "id", None) or getattr(target, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def _public_fields() -> set:
+    """Every public field of a dataclass defined in src/, as "Class.field"."""
+    return {f"{node.name}.{stmt.target.id}"
+            for tree in _trees("src") for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef) and _is_dataclass(node)
+            for stmt in node.body
+            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+            and not stmt.target.id.startswith("_")}
+
+
+def test_every_public_dataclass_field_is_read_outside_the_tests():
+    read = {node.attr for tree in _trees("src", "benchmarks", "scripts") for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = {name for name in _public_fields() if name.split(".")[1] not in read}
+    assert sorted(unread - set(KEPT_FIELDS)) == [], "read only by the tests: delete the field"
+    # a kept field that is gone from src/, or has found a reader, leaves the list
+    assert sorted(set(KEPT_FIELDS) - unread) == []
+    assert all(reason.strip() for reason in KEPT_FIELDS.values())

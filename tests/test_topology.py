@@ -124,9 +124,12 @@ def test_embed_keeps_connected_clusters_of_a_disconnected_graph():
 
 
 @st.composite
-def connected_networks(draw):
-    n = draw(st.integers(2, 7))
-    blocks = draw(st.integers(1, 4))
+def connected_networks(draw, agents=(2, 7), blocks=(1, 4), dims=(1, 3)):
+    """A connected graph of `agents` (low, high) agents holding random
+    interest sets over `blocks` (low, high) blocks of `dims` (low, high)
+    dimensions, with every block held by some agent."""
+    n = draw(st.integers(*agents))
+    blocks = draw(st.integers(*blocks))
     # random spanning tree plus extra edges keeps the full graph connected
     edges = set()
     for v in range(1, n):
@@ -141,9 +144,32 @@ def connected_networks(draw):
     ]
     for l in range(blocks):  # every block must appear somewhere
         sets[l % n] = sorted(set(sets[l % n]) | {l})
-    dims = tuple(draw(st.integers(1, 3)) for _ in range(blocks))
+    dims = tuple(draw(st.integers(*dims)) for _ in range(blocks))
     net = NetworkSpec(agent_count=n, edges=frozenset(edges), interest_sets=tuple(map(tuple, sets)))
     return net, BlockLayout(dims)
+
+
+@st.composite
+def network_files(draw):
+    """Network dicts in the JSON layout `load_network` reads, for runs of the
+    engine: 3-12 agents and 1-5 blocks of dimension 1-4 on a connected
+    graph (`connected_networks`), so clusters of unequal size, some of them
+    split, which embedding bridges; local dimensions, and so oracle ranks,
+    differ between agents. In some examples every agent holds block 0.
+    Each block's constraint owner is a random member of its cluster, and
+    indices are 0- or 1-based."""
+    net, layout = draw(connected_networks(agents=(3, 12), blocks=(1, 5), dims=(1, 4)))
+    sets = [set(s) for s in net.interest_sets]
+    if draw(st.booleans()):
+        sets = [s | {0} for s in sets]
+    owners = [draw(st.sampled_from([k for k, s in enumerate(sets) if l in s]))
+              for l in range(layout.block_count)]
+    base = draw(st.integers(0, 1))
+    return {"index_base": base, "agent_count": net.agent_count,
+            "edges": [[a + base, b + base] for a, b in sorted(net.edges)],
+            "interest_sets": [sorted(l + base for l in s) for s in sets],
+            "block_dims": list(layout.dims),
+            "constraint_owners": [k + base for k in owners]}
 
 
 @given(connected_networks())
