@@ -24,7 +24,8 @@ Digests mode prints the sha256 of the CSV of every workload CLI call
 `benchmarks/worker.py prepare`), of every shipped config, both as
 shipped and cut to a few seeds and iterations, and of short runs of the
 paths that neither takes (PATH_RUNS: exact gradients for each algorithm,
-averaging weights, warm-started baselines, constrained example5), whose
+averaging weights, warm-started baselines, constrained example5, and
+sweeps with a partial last record and with one seed and point), whose
 configs are written once into the work dir for both sides. Each runs
 through each side's CLI in a fresh process: once with BLAS pinned to one
 thread and once with the BLAS thread variables unset. Beside each sha256 it records the wall
@@ -67,14 +68,15 @@ SHIPPED_RUNS = [(f"{name}.yaml", name, args) for name, args in (
       for name in ("sweep", "tracking", "unconstrained")]
 
 
-def _path_config(network="benchmark20", eta=10.0, objective=(), **engine) -> dict:
+def _path_config(network="benchmark20", eta=10.0, objective=(), scenario=(), **engine) -> dict:
     """A short constrained run: 2 seeds x 300 iterations of benchmark20,
-    or of `network`, at one (mu, eta) point."""
+    or of `network`, at one (mu, eta) point, logged every 5 iterations;
+    `scenario` overrides keys of the scenario section."""
     return {"network": {"source": network},
             "objective": {"problem_seed": 7, **dict(objective)},
             "penalty": {"eta": [eta]},
             "engine": {"mu": [0.002], "iterations": 300, **engine},
-            "scenario": {"id": "constrained", "seeds": [0, 1], "log_every": 5}}
+            "scenario": {"id": "constrained", "seeds": [0, 1], "log_every": 5, **dict(scenario)}}
 
 
 # (label, config) of the paths no workload call or shipped config takes;
@@ -87,6 +89,11 @@ PATH_RUNS = [
     ("reference-centralized", _path_config(init="reference", algorithm="centralized")),
     ("reference-admm", _path_config(eta=0.0, init="reference", algorithm="admm")),
     ("example5-constrained", _path_config(network="example5", objective={"constrained": True})),
+    # a sweep records only its steady-state tail: one whose last record is
+    # partial (305 iterations, log_every 10), and one of one seed and point
+    ("sweep-partial-record", _path_config(iterations=305, scenario={"id": "sweep",
+                                                                     "log_every": 10})),
+    ("sweep-one-seed", _path_config(scenario={"id": "sweep", "seeds": [0]})),
 ]
 
 

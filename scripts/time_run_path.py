@@ -20,7 +20,11 @@ metric logging and CSV emission weigh most).
 - `products_us`: `_RiskGradients._products` per iteration: each window's
   regressors and targets, formed for several iterations at once;
 - `record_us`: `MetricsLog.record` per record (every `log_every`
-  iterations);
+  iterations; a sweep records only the steady-state tail it reports);
+- `records`: the number of `MetricsLog.record` calls of one run of the
+  workload, summed over its calls: 60 per 600 iterations at log_every
+  10 for a scenario that reports every record, 6 for a sweep, whose CSV
+  holds only the mean of the last 10% of them;
 - `disagreement_us`: `metrics.disagreement` per record, though one call
   may serve a window of several records; part of `record_us`, but for a
   last partial window, which is taken when the log is read;
@@ -197,6 +201,7 @@ def main():
                 per = max(calls["record"], 1) if name in PER_RECORD else iterations
                 samples[name].append(1e6 * total / per)
             emit_ms.append(1e3 * emit_s)
+            records = calls["record"]  # the same in every repetition
             stages.append({name: sum(s[name] for s in rep_stages) for name in rep_stages[0]})
     print(json.dumps({f"{name}_us": round(statistics.median(v), 1) for name, v in samples.items()
                       if name not in PER_WORKLOAD}
@@ -207,7 +212,7 @@ def main():
                      | {f"{name}_ms": round(statistics.median(s[name] for s in stages), 2)
                         for name in stages[0]}
                      | {"workload": args.workload, "seed": args.seed, "reps": args.reps,
-                        "calls": len(cfgs), "iterations": iterations}))
+                        "calls": len(cfgs), "iterations": iterations, "records": records}))
 
 
 if __name__ == "__main__":

@@ -442,7 +442,8 @@ def run_scenario(cfg: ScenarioConfig) -> ResultTable:
     (seed column "mean"); means are taken over linear MSD values and
     converted to dB.
     The sweep scenario emits only steady-state rows, one per seed and the
-    seed mean, using the mean over the final 10% of records. If some
+    seed mean, using the mean over the final 10% of records
+    (`steady_tail`); it records only those. If some
     point diverges, the run raises NonFiniteIterate for the first such
     point in grid order, with its first non-finite iteration, agent and
     seed (see `engine._Batch.step`).
@@ -470,6 +471,13 @@ def run_scenario(cfg: ScenarioConfig) -> ResultTable:
     if cfg.initial == "reference":
         init_global = [references[0, eta].w_star for _, eta in points]
     ends = [start for start, _ in epochs[1:]] + [cfg.iterations]
+    # records fall every log_every iterations and at the last; the sweep
+    # reports only the mean of its steady-state tail, so it records no
+    # earlier one
+    first_record = 1
+    if cfg.scenario == "sweep":
+        records = -(-cfg.iterations // cfg.log_every)
+        first_record = min((records - steady_tail(records) + 1) * cfg.log_every, cfg.iterations)
     # without constraint rows every w_o is its w_star: one reference array
     # serves both, and the log takes one MSD for both
     one_reference = all(r.w_o is r.w_star for r in references.values())
@@ -488,7 +496,7 @@ def run_scenario(cfg: ScenarioConfig) -> ResultTable:
             w_o = w_star if one_reference else cmap.columns([r.w_o for r in refs], n_seeds)
             for i in range(start + 1, end + 1):
                 engine.step()
-                if i % cfg.log_every == 0 or i == cfg.iterations:
+                if i >= first_record and (i % cfg.log_every == 0 or i == cfg.iterations):
                     log.record(i, engine.w, w_star, w_o)
 
     table = ResultTable(config=dataclasses.asdict(cfg))
@@ -508,13 +516,14 @@ def _point_block(cfg, mu, eta, labels, iterations, columns, msd_star, disagreeme
     """The block of the grid point whose seeds are `columns` of the log's
     (records, P S) series, which are in the linear domain. Each series
     gets its seed mean, taken over linear values, as a last row; the MSDs
-    are then converted to dB. The sweep scenario keeps one record: the
-    steady-state tail mean. An `msd_o` that is `msd_star` itself shares
-    its block array."""
+    are then converted to dB. The sweep scenario, whose log holds only
+    its steady-state tail, keeps one record: the mean of that tail. An
+    `msd_o` that is `msd_star` itself shares its block array."""
     def with_mean(a):  # -> (seeds + 1, records), seed mean last
         a = a[:, columns]
         if cfg.scenario == "sweep":
-            a = steady_state(a)[None]
+            # each column summed on its own, contiguously, rounds like its 1-D mean
+            a = np.ascontiguousarray(a.T).mean(-1)[None]
         return np.column_stack([a, a.mean(axis=1)]).T
 
     msd_db = db(with_mean(msd_star))
@@ -523,11 +532,7 @@ def _point_block(cfg, mu, eta, labels, iterations, columns, msd_star, disagreeme
                        with_mean(disagreement), dist_wo_db)
 
 
-def steady_state(values):
-    """Mean of the final 10% of a per-iteration series: a float for a 1-D
-    series, one value per column for a (records, columns) array."""
-    values = np.asarray(values, dtype=float)
-    tail = max(1, int(round(0.1 * values.shape[0])))
-    # each column summed on its own, contiguously, rounds like its 1-D mean
-    mean = np.ascontiguousarray(values[-tail:].T).mean(-1)
-    return float(mean) if values.ndim == 1 else mean
+def steady_tail(records: int) -> int:
+    """How many final records of a series of `records` the steady-state
+    mean takes: the last 10%, and at least one."""
+    return max(1, int(round(0.1 * records)))

@@ -46,25 +46,26 @@ def disagreement(w_flat: np.ndarray, cmap: ClusterMap) -> np.ndarray:
     an (L,) result, and an (n_flat, C) state, one column per run, a
     (C, L) result. All blocks are done at once on the padded cluster
     layout, gathered from `w_flat.T` straight into a C-contiguous
-    (C, L, N_max, M_max) array; the padding repeats real copies and so
-    adds no pairs. Squared distances come from the Gram matrix of the
-    copies taken relative to member 0's copy, which keeps them accurate
-    to rounding relative to the largest one.
+    (C, L, N_max, M_max) array. Each copy is first taken relative to
+    member 0's copy, in the flat layout (`ClusterMap.anchor`), which keeps
+    the squared distances accurate to rounding relative to the largest
+    one; the padding repeats member 0's copy, now zero, and so adds no
+    pairs. Squared distances come from the Gram matrix of those copies.
 
     Each Gram product is a general matrix product (gemm), whatever C is,
     so a column's result does not depend on how many columns share the
     call: numpy hands a product of an array with its own transpose to
     the symmetric kernel (syrk), which rounds differently, unless the
-    two operands sit in separate buffers.
+    two operands sit in separate buffers. The transposed operand is
+    scaled by -2, which is exact, so the product is -2 times the Gram
+    matrix bit for bit.
     """
-    index = cmap.padded_cluster_indices
-    copies = np.asarray(w_flat, dtype=float).T.take(index, axis=-1)
-    copies -= copies[..., :1, :].copy()
-    # the copy keeps the transposed operand out of `copies`' buffer, and so
-    # keeps the product on gemm (see above)
-    dist2 = copies @ np.swapaxes(copies, -1, -2).copy()
-    sq = np.diagonal(dist2, axis1=-2, axis2=-1).copy()
-    dist2 *= -2.0  # in place: this is the largest array here
+    w = np.asarray(w_flat, dtype=float)
+    copies = (w - w.take(cmap.anchor, axis=0)).T.take(cmap.padded_cluster_indices, axis=-1)
+    # a C-ordered copy: it keeps the transposed operand out of `copies`'
+    # buffer, and so keeps the product on gemm (see above)
+    dist2 = copies @ np.multiply(np.swapaxes(copies, -1, -2), -2.0, order="C")
+    sq = -0.5 * np.diagonal(dist2, axis1=-2, axis2=-1)
     dist2 += sq[..., :, None]
     dist2 += sq[..., None, :]
     return np.sqrt(np.maximum(dist2.max(axis=(-2, -1)), 0.0))

@@ -134,6 +134,8 @@ class ClusterMap:
     padded_real: np.ndarray = field(repr=False, default=None)
     # each flat entry's real cell of padded_cluster_indices, raveled
     padded_slot: np.ndarray = field(repr=False, default=None)
+    # flat entry of member 0's copy at each flat entry's coordinate
+    anchor: np.ndarray = field(repr=False, default=None)
 
     @property
     def total_local_dim(self) -> int:
@@ -211,8 +213,12 @@ def build_clusters(net: NetworkSpec, layout: BlockLayout) -> ClusterMap:
     # the real cells, in row-major order, hold by_block itself
     slot = np.empty_like(by_block)
     slot[by_block] = np.flatnonzero(real)
+    # member 0's cell in the block and column of each flat entry's cell
+    n_max, m_max = padded.shape[1:]
+    anchor = padded[:, 0].ravel()[slot // (n_max * m_max) * m_max + slot % m_max]
     indexes = dict(flat_global_indices=flat_global, flat_agents=np.repeat(agents, copy_dims),
-                   padded_cluster_indices=padded, padded_real=real, padded_slot=slot)
+                   padded_cluster_indices=padded, padded_real=real, padded_slot=slot,
+                   anchor=anchor)
     for index in indexes.values():  # the engines and metrics share them
         index.flags.writeable = False
 

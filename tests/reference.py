@@ -29,6 +29,7 @@ from coupled_diffusion.harness import (
     _problem_rng,
     build_problem,
     load_network,
+    steady_tail,
 )
 from coupled_diffusion.objective import (
     NOISE_DB_RANGE,
@@ -200,21 +201,24 @@ def flat_cluster_indices(cmap: ClusterMap, block: int) -> np.ndarray:
 
 
 def padded_maps(cmap: ClusterMap) -> tuple:
-    """(real-cell mask, padded slot, agent of each flat entry) of a cluster
-    map, block by block and agent by agent: the per-block forms of
-    `ClusterMap.padded_real`, `padded_slot` and `flat_agents`."""
+    """(real-cell mask, padded slot, agent of each flat entry, member 0's
+    entry at each flat entry's coordinate) of a cluster map, block by
+    block and agent by agent: the per-block forms of
+    `ClusterMap.padded_real`, `padded_slot`, `flat_agents` and `anchor`."""
     gather = cmap.padded_cluster_indices
     _, n_max, m_max = gather.shape
     real = np.zeros(gather.shape, dtype=bool)
     slot = np.empty(cmap.total_local_dim, dtype=np.intp)
+    anchor = np.empty(cmap.total_local_dim, dtype=np.intp)
     for l, cluster in enumerate(cmap.clusters):
         n, m = len(cluster), cmap.layout.dims[l]
         real[l, :n, :m] = True
         slot[gather[l, :n, :m]] = (l * n_max + np.arange(n)[:, None]) * m_max + np.arange(m)
+        anchor[gather[l, :n, :m]] = gather[l, 0, :m]
     agents = np.empty(cmap.total_local_dim, dtype=np.intp)
     for k in range(len(cmap.local_dims)):
         agents[cmap.flat_slice(k)] = k
-    return real, slot, agents
+    return real, slot, agents, anchor
 
 
 def inverse_cluster_sizes(cmap: ClusterMap) -> np.ndarray:
@@ -265,6 +269,18 @@ def table_rows(table) -> list:
             rows.extend((b.scenario, b.mu, b.eta, label, it, *v)
                         for it, v in zip(its, zip(*values)))
     return rows
+
+
+def steady_state(values):
+    """Mean of the final 10% (`harness.steady_tail`) of a full per-record
+    series: a float for a 1-D series, one value per column for a
+    (records, columns) array. The full-record form of the sweep's
+    steady-state rows, whose run records only that tail."""
+    values = np.asarray(values, dtype=float)
+    tail = steady_tail(values.shape[0])
+    # each column summed on its own, contiguously, rounds like its 1-D mean
+    mean = np.ascontiguousarray(values[-tail:].T).mean(-1)
+    return float(mean) if values.ndim == 1 else mean
 
 
 def bridge_nodes(adj, cluster) -> set:
@@ -454,6 +470,23 @@ def pairwise_disagreement(w: np.ndarray, cmap: ClusterMap) -> np.ndarray:
             copies.append(local[(owned >= block.start) & (owned < block.stop)])
         out[l] = max(np.linalg.norm(a - b) for a in copies for b in copies)
     return out
+
+
+def padded_disagreement(w_flat: np.ndarray, cmap: ClusterMap) -> np.ndarray:
+    """`metrics.disagreement` as it was before it took each copy relative
+    to member 0's in the flat layout: the copies gathered into the padded
+    layout, member 0's row subtracted there, the Gram product of the
+    copies with a copy of their transpose, and its diagonal, scaled by -2
+    and added to both sides, each in its own pass."""
+    index = cmap.padded_cluster_indices
+    copies = np.asarray(w_flat, dtype=float).T.take(index, axis=-1)
+    copies -= copies[..., :1, :].copy()
+    dist2 = copies @ np.swapaxes(copies, -1, -2).copy()
+    sq = np.diagonal(dist2, axis1=-2, axis2=-1).copy()
+    dist2 *= -2.0
+    dist2 += sq[..., :, None]
+    dist2 += sq[..., None, :]
+    return np.sqrt(np.maximum(dist2.max(axis=(-2, -1)), 0.0))
 
 
 @dataclass

@@ -248,19 +248,20 @@ OPERATORS = {"coupled": "_mix", "admm": "_mean", "centralized": "_sum"}
 
 
 def _assert_flat_maps_are_the_reference(problem):
-    """The cluster map's real-cell mask, padded slot and agent-of-entry map,
-    the inverse cluster sizes, the step scalings of both weight rules and
-    the stacks and slots of the three engines' cluster operators are
-    bitwise their block-by-block forms. The engines share the map's
+    """The cluster map's real-cell mask, padded slot, agent-of-entry and
+    anchor maps, the inverse cluster sizes, the step scalings of both
+    weight rules and the stacks and slots of the three engines' cluster
+    operators are bitwise their block-by-block forms. The engines share the map's
     indexes, so they are read-only."""
     cmap = problem.cmap
     for name in ("flat_global_indices", "flat_agents", "padded_cluster_indices", "padded_real",
-                 "padded_slot"):
+                 "padded_slot", "anchor"):
         assert not getattr(cmap, name).flags.writeable, name
-    real, slot, agents = padded_maps(cmap)
+    real, slot, agents, anchor = padded_maps(cmap)
     _assert_bitwise(cmap.padded_real, real, "padded_real")
     _assert_bitwise(cmap.padded_slot, slot, "padded_slot")
     _assert_bitwise(cmap.flat_agents, agents, "flat_agents")
+    _assert_bitwise(cmap.anchor, anchor, "anchor")
     _assert_bitwise(cmap.inverse_cluster_sizes(), reference_inverse_cluster_sizes(cmap),
                     "inverse_cluster_sizes")
     cfg = EngineConfig(mu=0.001, noise="exact")

@@ -27,10 +27,9 @@ from coupled_diffusion.harness import (
     load_network,
     regenerate_constraints,
     run_scenario,
-    steady_state,
 )
 from coupled_diffusion.engine import init_batch
-from coupled_diffusion.metrics import reference_solution
+from coupled_diffusion.metrics import db, reference_solution
 from coupled_diffusion.weights import metropolis_weights
 from conftest import assert_bridge_oracles_draw_like_their_inner_oracle, load_benchmark_module
 from test_topology import connected_networks
@@ -41,6 +40,7 @@ from reference import (
     per_agent_problem_draw,
     risk_gradient,
     risk_quadratic,
+    steady_state,
     table_rows,
 )
 
@@ -402,6 +402,68 @@ def test_sweep_emits_steady_rows_only():
     assert len(table_rows(table)) == 3  # two seeds + one mean row
     assert all(r[4] == 400 for r in table_rows(table))
     assert cfg.initial == "reference"
+
+
+def _logged_run(cfg, monkeypatch):
+    """The table of `run_scenario(cfg)` and the run's one `MetricsLog`,
+    which counts its `record` calls in `calls`."""
+    from coupled_diffusion import harness
+    from coupled_diffusion.metrics import MetricsLog
+
+    logs = []
+
+    class CountingLog(MetricsLog):
+        def __init__(self, cmap):
+            super().__init__(cmap)
+            self.calls = 0
+            logs.append(self)
+
+        def record(self, *args):
+            self.calls += 1
+            return super().record(*args)
+
+    monkeypatch.setattr(harness, "MetricsLog", CountingLog)
+    table = run_scenario(cfg)
+    (log,) = logs
+    return table, log
+
+
+@pytest.mark.parametrize("iterations, log_every", [(400, 10), (405, 10), (95, 10), (7, 10)])
+@pytest.mark.parametrize("mu_list, eta_list, seeds", [
+    ((0.002,), (10.0,), (3,)),  # one column: the log takes windows of many records
+    ((0.002, 0.001), (1.0, 10.0), (0, 1)),
+])
+def test_sweep_records_only_the_tail_it_reports(monkeypatch, iterations, log_every, mu_list,
+                                                eta_list, seeds):
+    """A sweep calls `MetricsLog.record` only on the last `steady_tail`
+    records of its schedule, every log_every iterations and the last;
+    its blocks are bitwise those of the full-record run of the same
+    engine (scenario constrained, warm-started), whose every record is
+    logged, reduced with the full-record `steady_state`. The cases hold a
+    partial last record (405), a tail of one record (95) and a single
+    record (7)."""
+    cfg = ScenarioConfig(scenario="sweep", mu_list=mu_list, eta_list=eta_list,
+                         iterations=iterations, seeds=seeds, log_every=log_every)
+    table, log = _logged_run(cfg, monkeypatch)
+    _, full = _logged_run(dataclasses.replace(cfg, scenario="constrained", init="reference"),
+                          monkeypatch)
+    schedule = sorted(set(range(log_every, iterations + 1, log_every)) | {iterations})
+    tail = max(1, round(0.1 * len(schedule)))
+    assert full.iterations == schedule and full.calls == len(schedule)
+    assert log.iterations == schedule[-tail:] and log.calls == tail
+
+    def reduced(series, columns):  # (seeds + 1, 1), the seed mean last
+        a = steady_state(series[:, columns])
+        return np.append(a, a.mean())[:, None]
+
+    n = len(seeds)
+    for p, block in enumerate(table.blocks):
+        columns = slice(p * n, (p + 1) * n)
+        want = (db(reduced(full.msd_star, columns)), reduced(full.disagreement_max, columns),
+                db(reduced(full.msd_o, columns)))
+        for name, expect in zip(("msd_db", "disagreement_max", "dist_wo_db"), want):
+            assert np.array_equal(getattr(block, name), expect, equal_nan=True), (p, name)
+        assert block.iterations.tolist() == [iterations]
 
 
 def test_tracking_scenario_shows_jump():

@@ -1,7 +1,9 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from coupled_diffusion.metrics import (
     constrained_optimum,
@@ -19,11 +21,19 @@ from coupled_diffusion.errors import (
     SingularSystem,
     WindowTooShort,
 )
+from coupled_diffusion.engine import EngineConfig, init_batch
+from coupled_diffusion.harness import build_problem, load_network
 from coupled_diffusion.metrics import db
 from coupled_diffusion.objective import QuadraticRiskOracle
 
 from conftest import single_agent_problem
-from reference import generate_benchmark_problem, msd, pairwise_disagreement
+from reference import (
+    generate_benchmark_problem,
+    msd,
+    padded_disagreement,
+    pairwise_disagreement,
+)
+from test_topology import network_files
 
 
 def _pair_cmap():
@@ -91,8 +101,6 @@ def _check_pairwise_distances(problem, weights):
     """Clusters of unequal sizes, so the padded layout repeats copies: a flat
     vector, and the (n_flat, S) state of a batched run, one result row per
     column."""
-    from coupled_diffusion.engine import EngineConfig, init_batch
-
     cmap = problem.cmap
     assert len({len(c) for c in cmap.clusters}) > 1
     w = np.random.default_rng(0).standard_normal(cmap.total_local_dim)
@@ -132,6 +140,52 @@ def test_disagreement_of_a_column_does_not_depend_on_the_batch_width(ring_proble
         for start in range(0, n_cols, width):
             got = disagreement(w[:, start:start + width], cmap)
             assert np.array_equal(got, alone[start:start + width]), (width, start)
+
+
+def _near_consensus(cmap, columns: int, seed: int) -> np.ndarray:
+    """(n_flat, columns) states whose copies differ by about 1e-3, as in a
+    run, where rounding shows most."""
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal() + 1e-3 * rng.standard_normal((cmap.total_local_dim, columns))
+
+
+def _assert_disagreement_is_the_padded_form(cmap, states):
+    """`disagreement` is bit for bit its padded form, which subtracts
+    member 0's copy after the gather and scales the Gram product after
+    it, on each (n_flat, C) state and on each of its columns alone."""
+    for w in states:
+        assert np.array_equal(disagreement(w, cmap), padded_disagreement(w, cmap))
+        for column in w.T:
+            assert np.array_equal(disagreement(column, cmap), padded_disagreement(column, cmap))
+
+
+@pytest.mark.parametrize("network", ["benchmark", "ring"])
+def test_disagreement_is_its_padded_form_bit_for_bit(request, network):
+    """benchmark20 and the benchmark's bridged 200-agent ring: the states of
+    a short batched run of 3 seeds, and states near consensus."""
+    problem = request.getfixturevalue(f"{network}_problem")
+    weights = request.getfixturevalue(f"{network}_weights")
+    batch = init_batch(problem, weights, EngineConfig(mu=0.002, iterations=5), seeds=(1, 2, 3))
+    states = [_near_consensus(problem.cmap, 5, seed) for seed in range(3)]
+    for _ in range(5):
+        batch.step()
+        states.append(batch.w.copy())
+    _assert_disagreement_is_the_padded_form(problem.cmap, states)
+
+
+def test_disagreement_is_its_padded_form_on_random_networks(tmp_path):
+    """Random network files (`network_files`): clusters of unequal size,
+    singletons and bridge agents."""
+    @given(network_files())
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    def check(raw):
+        path = tmp_path / "network.json"
+        path.write_text(json.dumps(raw))
+        cmap = build_problem(load_network(str(path)), 5).cmap
+        _assert_disagreement_is_the_padded_form(
+            cmap, [_near_consensus(cmap, 4, seed) for seed in range(2)])
+
+    check()
 
 
 def test_penalized_optimum_unconstrained_recovers_model(benchmark_problem):
