@@ -24,9 +24,11 @@ Digests mode prints the sha256 of the CSV of every workload CLI call
 `benchmarks/worker.py prepare`), of every shipped config, both as
 shipped and cut to a few seeds and iterations, and of short runs of the
 paths that neither takes (PATH_RUNS: exact gradients for each algorithm,
-averaging weights, warm-started baselines, constrained example5, and
-sweeps with a partial last record and with one seed and point), whose
-configs are written once into the work dir for both sides. Each runs
+averaging weights, warm-started baselines, constrained example5, a
+tracking run on example5's network without its `constraint_owners`, so
+that each block's first cluster member owns its row, and sweeps with a
+partial last record and with one seed and point), whose configs, and that
+network file, are written once into the work dir for both sides. Each runs
 through each side's CLI in a fresh process: once with BLAS pinned to one
 thread and once with the BLAS thread variables unset. Beside each sha256 it records the wall
 time of that CLI process on each side, interpreter start-up included, and
@@ -79,6 +81,10 @@ def _path_config(network="benchmark20", eta=10.0, objective=(), scenario=(), **e
             "scenario": {"id": "constrained", "seeds": [0, 1], "log_every": 5, **dict(scenario)}}
 
 
+# example5's network file without its constraint_owners, written into the
+# work dir beside the path configs
+DEFAULT_OWNERS_NETWORK = "example5-default-owners.json"
+
 # (label, config) of the paths no workload call or shipped config takes;
 # ADMM takes no penalty, so it runs at eta 0
 PATH_RUNS = [
@@ -89,6 +95,9 @@ PATH_RUNS = [
     ("reference-centralized", _path_config(init="reference", algorithm="centralized")),
     ("reference-admm", _path_config(eta=0.0, init="reference", algorithm="admm")),
     ("example5-constrained", _path_config(network="example5", objective={"constrained": True})),
+    ("example5-default-owners-tracking",
+     _path_config(network=DEFAULT_OWNERS_NETWORK, scenario={"id": "tracking",
+                                                            "change_point": 150})),
     # a sweep records only its steady-state tail: one whose last record is
     # partial (305 iterations, log_every 10), and one of one seed and point
     ("sweep-partial-record", _path_config(iterations=305, scenario={"id": "sweep",
@@ -289,7 +298,13 @@ def digests_mode(sides: dict, work: Path) -> dict:
     base_env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
     paths = work / "path_configs"
     paths.mkdir(parents=True)
+    data = ROOT / "src" / "coupled_diffusion" / "data"
+    network = json.loads((data / "example5.json").read_text())
+    del network["constraint_owners"]
+    (paths / DEFAULT_OWNERS_NETWORK).write_text(json.dumps(network))
     for label, config in PATH_RUNS:  # YAML reads JSON
+        if config["network"]["source"] == DEFAULT_OWNERS_NETWORK:
+            config = {**config, "network": {"source": str(paths / DEFAULT_OWNERS_NETWORK)}}
         (paths / f"{label}.yaml").write_text(json.dumps(config))
     out = {}
     for threads, env in (("blas_threads_1", {**base_env, **dict.fromkeys(BLAS_VARS, "1")}),

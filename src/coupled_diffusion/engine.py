@@ -65,6 +65,9 @@ class EngineConfig:
             raise ConfigError(f"unknown algorithm {self.algorithm!r}")
         if self.algorithm == "admm" and self.eta != 0.0:  # admm has no penalty half-step
             raise ConfigError("algorithm admm does not support penalties; use eta 0")
+        if self.algorithm != "admm" and self.rho_admm != 1.0:  # only the default passes
+            raise ConfigError(f"rho_admm {self.rho_admm!r} applies only to the admm algorithm; "
+                              f"algorithm {self.algorithm!r} has no dual step")
 
 
 def agent_streams(seed: int, agent_count: int) -> list:
@@ -280,12 +283,11 @@ class _Batch:
 
     def set_constraints(self, problem: MultiAgentProblem):
         """Swap in the constraints of `problem` (same network and oracles)
-        for every column: their lifted rows (G, b), or None when the
-        penalty step is void. `constraint_system` rejects any constraint
-        but an affine equality."""
-        g, b = problem.constraint_system(flat=True)
+        for every column: their rows on the flat layout (G, b), or None
+        when the penalty step is void."""
+        rows = problem.constraints
         eta = any(cfg.eta != 0.0 for cfg in self.cfgs)
-        self._rows = (g, b[:, None]) if eta and b.size else None
+        self._rows = (rows.g_flat, rows.offset[:, None]) if eta and rows.offset.size else None
 
     def _advance(self):
         raise NotImplementedError

@@ -25,9 +25,9 @@ from .engine import EngineConfig, init_batch
 from .errors import ConfigError, SingularSystem
 from .metrics import MetricsLog, db, reference_solution
 from .objective import (
+    ConstraintRows,
     MultiAgentProblem,
     PenaltyConfig,
-    equality,
     random_quadratic_oracles,
 )
 from .topology import BlockLayout, NetworkSpec, build_clusters, embed_clusters
@@ -45,11 +45,12 @@ _CONSTRAINT_TAG = 0xC0DE
 
 @dataclass(frozen=True)
 class NetworkDescription:
-    """A loaded topology plus optional constraint-owner metadata."""
+    """A loaded topology, 0-based, plus optional constraint-owner metadata."""
 
     net: NetworkSpec
     layout: BlockLayout
     constraint_owners: Optional[tuple[int, ...]] = None
+    index_base: int = 0
 
 
 def load_network(source: str, block_dims=None) -> NetworkDescription:
@@ -92,7 +93,7 @@ def load_network(source: str, block_dims=None) -> NetworkDescription:
             raise ConfigError(
                 f"constraint_owners must name one agent in [{base}, {net.agent_count + base}) "
                 f"per block ({len(dims)} blocks), got {[o + base for o in owners]}")
-    return NetworkDescription(net=net, layout=layout, constraint_owners=owners)
+    return NetworkDescription(net=net, layout=layout, constraint_owners=owners, index_base=base)
 
 
 def _integer(value, name: str) -> int:
@@ -277,20 +278,20 @@ def _problem_rng(seed: int, tag: int):
     return np.random.Generator(np.random.Philox(key=[int(seed), int(tag)]))
 
 
-def _draw_constraints(desc: NetworkDescription, cmap, rng) -> tuple:
-    """One affine equality per block, owned by the designated cluster member."""
+def _draw_constraints(desc: NetworkDescription, cmap, rng) -> ConstraintRows:
+    """One unit-norm affine equality per block, owned by its designated cluster member."""
     owners = desc.constraint_owners
     if owners is None:
         owners = tuple(c[0] for c in cmap.clusters)
-    per_agent = [[] for _ in range(desc.net.agent_count)]
+    coeffs, offsets = [], []
     for l, owner in enumerate(owners):
         if l not in cmap.agent_blocks[owner]:
-            raise ConfigError(f"constraint_owners: agent {owner} is not in the cluster of block {l}")
+            raise ConfigError(f"constraint_owners: agent {owner + desc.index_base} is not in "
+                              f"the cluster of block {l + desc.index_base}")
         g = rng.standard_normal(cmap.local_dims[owner])
-        g /= np.linalg.norm(g)
-        b = float(rng.uniform(-1.0, 1.0))
-        per_agent[owner].append(equality(owner, g, b))
-    return tuple(tuple(c) for c in per_agent)
+        coeffs.append(g / np.linalg.norm(g))
+        offsets.append(rng.uniform(-1.0, 1.0))
+    return ConstraintRows(cmap, owners, coeffs, offsets)
 
 
 def build_problem(desc: NetworkDescription, seed: int, constrained: bool = False,
@@ -328,7 +329,7 @@ def build_problem(desc: NetworkDescription, seed: int, constrained: bool = False
     if constrained:
         constraints = _draw_constraints(desc, cmap, _problem_rng(seed, _CONSTRAINT_TAG))
     else:
-        constraints = tuple(() for _ in range(desc.net.agent_count))
+        constraints = ConstraintRows(cmap, (), (), ())
     problem = MultiAgentProblem(
         net=desc.net,
         cmap=cmap,

@@ -72,9 +72,9 @@ def disagreement(w_flat: np.ndarray, cmap: ClusterMap) -> np.ndarray:
 
 
 def _quadratic_pieces(problem: MultiAgentProblem):
-    """(H, f, G, b) of the global quadratic program; `constraint_system`
-    rejects any constraint but an affine equality."""
-    return problem.global_risk_quadratic() + problem.constraint_system()
+    """(H, f, G, b) of the global quadratic program."""
+    rows = problem.constraints
+    return problem.global_risk_quadratic() + (rows.g_global, rows.offset)
 
 
 def penalized_optimum(problem: MultiAgentProblem, eta: float) -> np.ndarray:

@@ -1,15 +1,15 @@
 """Per-agent risks, constraints, the penalty gradient, and gradient oracles.
 
-The penalty is one affine-equality row per constraint: the lifted rows
-(G, b) of `MultiAgentProblem.constraint_system`, whose summed squared
-residuals ||G w - b||^2 have the gradient `row_penalty_gradient`. The
-penalty weight eta is applied by the engine, not here, so a single
+A problem's constraints are one `ConstraintRows` record of affine
+equality rows (G, b), lifted once to the flat layout and to the global
+vector. The penalty ||G w - b||^2 has the gradient `row_penalty_gradient`;
+the penalty weight eta is applied by the engine, not here, so a single
 evaluation serves multiple eta values in sweeps.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import InitVar, dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -30,22 +30,50 @@ class PenaltyConfig:
 
 
 @dataclass(frozen=True)
-class ConstraintSpec:
-    """One local affine constraint c'w_k - b = 0 or <= 0 owned by a single
-    agent. Only equalities run: `MultiAgentProblem.constraint_system`
-    rejects any other kind."""
+class ConstraintRows:
+    """Affine equality rows c'w_k = b, each owned by one agent k and
+    given as local_dims[k] coefficients on k's local vector, kept
+    zero-padded to (C, Q max local dim). The rows are sorted by owner,
+    stably; the penalty sums over them in that order. The flat and global
+    G are derived once, and every array is read-only."""
 
-    kind: str  # "equality" | "inequality"
-    owner: int
-    coeffs: np.ndarray
-    offset: float = 0.0
+    cmap: InitVar[ClusterMap]
+    owner: np.ndarray  # (C,)
+    coeffs: np.ndarray  # (C, Q)
+    offset: np.ndarray  # (C,): b
+    g_flat: np.ndarray = field(init=False, repr=False)  # (C, n_flat)
+    g_global: np.ndarray = field(init=False, repr=False)  # (C, M)
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", np.asarray(self.coeffs, dtype=float))
-
-
-def equality(owner: int, coeffs, offset: float) -> ConstraintSpec:
-    return ConstraintSpec(kind="equality", owner=owner, coeffs=coeffs, offset=offset)
+    def __post_init__(self, cmap: ClusterMap):
+        owner = np.array(self.owner, dtype=np.intp)
+        offset = np.array(self.offset, dtype=float)
+        n, count = len(cmap.local_dims), owner.size
+        if not len(self.coeffs) == offset.size == count:
+            raise DimensionMismatch("each constraint row needs one owner, coefficients, offset")
+        outside = owner[(owner < 0) | (owner >= n)]
+        if outside.size:
+            raise ConfigError(f"a constraint names agent {outside[0]}, but there are {n} agents")
+        dims = np.array(cmap.local_dims, dtype=np.intp)[owner]
+        sizes = np.fromiter(map(np.size, self.coeffs), dtype=np.intp, count=count)
+        if np.any(sizes != dims):
+            c = np.argmax(sizes != dims)
+            raise DimensionMismatch(f"a constraint of agent {owner[c]} has {sizes[c]} "
+                                    f"coefficients, layout expects {dims[c]}")
+        valid = np.arange(max(cmap.local_dims)) < dims[:, None]
+        coeffs = np.zeros(valid.shape)
+        coeffs[valid] = np.concatenate([np.zeros(0), *self.coeffs], axis=None)
+        order = np.argsort(owner, kind="stable")
+        owner, offset, coeffs, valid = owner[order], offset[order], coeffs[order], valid[order]
+        rows, cells = np.nonzero(valid)
+        flat = np.array(cmap.agent_starts, dtype=np.intp)[owner[rows]] + cells
+        g_flat = np.zeros((count, cmap.total_local_dim))
+        g_flat[rows, flat] = coeffs[valid]
+        g_global = np.zeros((count, cmap.layout.total_dim))
+        g_global[rows, cmap.flat_global_indices[flat]] = coeffs[valid]
+        for name, value in (("owner", owner), ("coeffs", coeffs), ("offset", offset),
+                            ("g_flat", g_flat), ("g_global", g_global)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
 
 def row_penalty_gradient(rows, w: np.ndarray) -> np.ndarray:
@@ -221,7 +249,7 @@ class MultiAgentProblem:
     net: NetworkSpec
     cmap: ClusterMap
     oracles: tuple
-    constraints: tuple[tuple[ConstraintSpec, ...], ...]
+    constraints: ConstraintRows
     penalty: PenaltyConfig
     true_model: Optional[np.ndarray] = None
     # (oracles, cmap, *values) of the last oracle_stack and global_risk_quadratic
@@ -234,15 +262,6 @@ class MultiAgentProblem:
                 raise DimensionMismatch(
                     f"oracle {k} has dim {o.dim}, layout expects {self.cmap.local_dims[k]}"
                 )
-        for k, cons in enumerate(self.constraints):
-            for c in cons:
-                if c.owner != k:
-                    raise ValueError(f"constraint owned by {c.owner} listed under agent {k}")
-                if c.coeffs.shape != (self.cmap.local_dims[k],):
-                    raise DimensionMismatch(
-                        f"a constraint of agent {k} has {c.coeffs.size} coefficients, "
-                        f"layout expects {self.cmap.local_dims[k]}"
-                    )
 
     @property
     def agent_count(self) -> int:
@@ -290,22 +309,6 @@ class MultiAgentProblem:
         hess.flags.writeable = lin.flags.writeable = False
         return hess, lin
 
-    def constraint_system(self, flat: bool = False) -> tuple[np.ndarray, np.ndarray]:
-        """Lifted equality constraints G w = b, one row per constraint, on the
-        global vector or, with `flat`, on the flat layout of local copies.
-
-        Every run path and reference solve takes its constraints from here,
-        so this is where any kind but an affine equality is rejected."""
-        cmap = self.cmap
-        cons = [c for agent_cons in self.constraints for c in agent_cons]
-        g = np.zeros((len(cons), cmap.total_local_dim if flat else self.layout.total_dim))
-        for row, c in zip(g, cons):
-            if c.kind != "equality":
-                raise ConfigError(f"agent {c.owner} has a constraint of kind {c.kind!r}; only "
-                                  "affine equality constraints are supported")
-            row[cmap.flat_slice(c.owner) if flat else cmap.global_indices(c.owner)] = c.coeffs
-        return g, np.array([c.offset for c in cons], dtype=float)
-
     def strong_convexity(self) -> float:
         """Smallest eigenvalue of the assembled global risk Hessian."""
         hess, _ = self.global_risk_quadratic()
@@ -314,9 +317,8 @@ class MultiAgentProblem:
     def penalty_lipschitz(self) -> float:
         """Gradient-Lipschitz bound for the affine-constraint penalties: the
         largest sum of 2 ||row||^2 over one agent's rows, 0 without rows."""
-        g, _ = self.constraint_system(flat=True)
-        owners = np.array([c.owner for cons in self.constraints for c in cons], dtype=np.intp)
-        return float(np.bincount(owners, weights=2.0 * (g * g).sum(axis=1),
+        owner, g = self.constraints.owner, self.constraints.g_flat
+        return float(np.bincount(owner, weights=2.0 * (g * g).sum(axis=1),
                                  minlength=self.agent_count).max())
 
     def global_risk_gradient(self, w: np.ndarray) -> np.ndarray:
@@ -331,7 +333,6 @@ class MultiAgentProblem:
         """Exact aggregate penalty gradient at a global vector (no eta): the
         flat rows applied to the vector's flat layout, each flat entry then
         added to its global index, so the global G is not used."""
-        flat = self.cmap.flat_global_indices
-        grad = row_penalty_gradient(self.constraint_system(flat=True),
-                                    np.asarray(w, dtype=float)[flat])
+        flat, rows = self.cmap.flat_global_indices, self.constraints
+        grad = row_penalty_gradient((rows.g_flat, rows.offset), np.asarray(w, dtype=float)[flat])
         return np.bincount(flat, weights=grad, minlength=self.layout.total_dim)

@@ -146,10 +146,6 @@ class ClusterMap:
         start = self.agent_starts[agent]
         return slice(start, start + self.local_dims[agent])
 
-    def global_indices(self, agent: int) -> np.ndarray:
-        """Global-vector indices corresponding to agent k's local vector."""
-        return self.flat_global_indices[self.flat_slice(agent)]
-
     def columns(self, vectors, copies: int) -> np.ndarray:
         """(n_flat, P copies) state columns of P global vectors: vector p
         gathered into the flat layout fills columns p copies to

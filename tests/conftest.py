@@ -10,7 +10,9 @@ from coupled_diffusion.objective import QuadraticRiskOracle
 from coupled_diffusion.topology import BlockLayout, NetworkSpec, build_clusters
 from coupled_diffusion.weights import metropolis_weights, step_scaling
 from reference import (
+    constraint_rows,
     generate_benchmark_problem,
+    global_indices,
     global_slice,
     random_quadratic_oracle,
     stochastic_gradient,
@@ -122,7 +124,8 @@ def single_agent_problem(dim=3, noise_std=0.0, w_ref=None, seed=0):
     )
     return MultiAgentProblem(
         net=net, cmap=cmap, oracles=(oracle,),
-        constraints=((),), penalty=PenaltyConfig(), true_model=np.asarray(w_ref, float),
+        constraints=constraint_rows(cmap, ((),)), penalty=PenaltyConfig(),
+        true_model=np.asarray(w_ref, float),
     )
 
 
@@ -140,7 +143,7 @@ def assert_bridge_oracles_draw_like_their_inner_oracle(problem, net):
     for k in bridged:
         o = problem.oracles[k]
         added = np.zeros(o.dim, dtype=bool)
-        owned = cmap.global_indices(k)
+        owned = global_indices(cmap, k)
         for l in set(cmap.agent_blocks[k]) - set(before.agent_blocks[k]):
             block = global_slice(problem.layout, l)
             added |= (owned >= block.start) & (owned < block.stop)

@@ -34,7 +34,7 @@ from coupled_diffusion.harness import (
 from coupled_diffusion.objective import (
     NOISE_DB_RANGE,
     SPECTRUM_RANGE,
-    ConstraintSpec,
+    ConstraintRows,
     MultiAgentProblem,
     PenaltyConfig,
     QuadraticRiskOracle,
@@ -54,9 +54,14 @@ def global_slice(layout: BlockLayout, block: int) -> slice:
     return slice(start, start + layout.dims[block])
 
 
+def global_indices(cmap: ClusterMap, agent: int) -> np.ndarray:
+    """Global-vector indices corresponding to agent k's local vector."""
+    return cmap.flat_global_indices[cmap.flat_slice(agent)]
+
+
 def gather_local(cmap: ClusterMap, global_vec: np.ndarray, agent: int) -> np.ndarray:
     """Restrict a global vector to agent k's blocks."""
-    return np.asarray(global_vec)[cmap.global_indices(agent)]
+    return np.asarray(global_vec)[global_indices(cmap, agent)]
 
 
 def generate_benchmark_problem(seed: int, constrained: bool = False,
@@ -99,7 +104,7 @@ def per_agent_problem_draw(desc, seed: int):
     for k in range(net.agent_count):
         oracle = random_quadratic_oracle(gather_local(cmap0, model, k), rng)
         if net.interest_sets[k] != cmap0.agent_blocks[k]:
-            positions = np.isin(cmap.global_indices(k), cmap0.global_indices(k))
+            positions = np.isin(global_indices(cmap, k), global_indices(cmap0, k))
             dim = cmap.local_dims[k]
             basis, w_ref = np.zeros((dim, oracle.rank)), np.zeros(dim)
             basis[positions], w_ref[positions] = oracle.basis, oracle.w_ref
@@ -345,7 +350,7 @@ def risk_quadratic(problem: MultiAgentProblem) -> tuple[np.ndarray, np.ndarray]:
     m = problem.layout.total_dim
     hess, lin = np.zeros((m, m)), np.zeros(m)
     for k, o in enumerate(problem.oracles):
-        gidx = problem.cmap.global_indices(k)
+        gidx = global_indices(problem.cmap, k)
         cov2 = 2.0 * o.covariance
         hess[np.ix_(gidx, gidx)] += cov2
         lin[gidx] += cov2 @ o.w_ref
@@ -356,7 +361,7 @@ def risk_gradient(problem: MultiAgentProblem, w: np.ndarray) -> np.ndarray:
     """`MultiAgentProblem.global_risk_gradient`, summed agent by agent."""
     grad = np.zeros(problem.layout.total_dim)
     for k, o in enumerate(problem.oracles):
-        gidx = problem.cmap.global_indices(k)
+        gidx = global_indices(problem.cmap, k)
         grad[gidx] += o.true_gradient(w[gidx])
     return grad
 
@@ -371,10 +376,88 @@ def stochastic_gradient(oracle: QuadraticRiskOracle, zeta: np.ndarray, rng) -> n
     return 2.0 * (h @ zeta - y) * h
 
 
+@dataclass(frozen=True)
+class ConstraintSpec:
+    """One local affine constraint c'w_k - b = 0 or <= 0 owned by a single
+    agent: the per-constraint form of a row of `objective.ConstraintRows`.
+    Only equalities become rows (`constraint_rows`)."""
+
+    kind: str  # "equality" | "inequality"
+    owner: int
+    coeffs: np.ndarray
+    offset: float = 0.0
+
+    def __post_init__(self):
+        object.__setattr__(self, "coeffs", np.asarray(self.coeffs, dtype=float))
+
+
+def equality(owner: int, coeffs, offset: float) -> ConstraintSpec:
+    return ConstraintSpec(kind="equality", owner=owner, coeffs=coeffs, offset=offset)
+
+
 def inequality(owner: int, coeffs, offset: float) -> ConstraintSpec:
     """An affine inequality c'w - b <= 0: its penalty and gradient are
-    checked here, but no run path or reference solve accepts it."""
+    checked here, but `constraint_rows` rejects it, so no run path or
+    reference solve can receive one."""
     return ConstraintSpec(kind="inequality", owner=owner, coeffs=coeffs, offset=offset)
+
+
+def constraint_rows(cmap: ClusterMap, constraints) -> ConstraintRows:
+    """The row record of per-agent tuples of ConstraintSpec, rows in agent
+    order and in tuple order within an agent: the gate that rejects any
+    kind but an affine equality."""
+    specs = [c for agent_cons in constraints for c in agent_cons]
+    for c in specs:
+        if c.kind != "equality":
+            raise ConfigError(f"agent {c.owner} has a constraint of kind {c.kind!r}; only "
+                              "affine equality constraints are supported")
+    return ConstraintRows(cmap, [c.owner for c in specs], [c.coeffs for c in specs],
+                          [c.offset for c in specs])
+
+
+def agent_constraints(problem: MultiAgentProblem) -> tuple:
+    """The problem's rows as per-agent tuples of equality ConstraintSpec,
+    each with its owner's unpadded coefficients."""
+    rows, dims = problem.constraints, problem.cmap.local_dims
+    per_agent = [[] for _ in range(problem.agent_count)]
+    for k, coeffs, offset in zip(rows.owner.tolist(), rows.coeffs, rows.offset.tolist()):
+        per_agent[k].append(equality(k, coeffs[: dims[k]], offset))
+    return tuple(map(tuple, per_agent))
+
+
+def draw_constraint_specs(desc, cmap: ClusterMap, rng) -> tuple:
+    """The equalities `harness._draw_constraints` draws from `rng`, as
+    per-agent tuples of ConstraintSpec: the same draws, block by block,
+    each appended to its owner's list."""
+    owners = desc.constraint_owners
+    if owners is None:
+        owners = tuple(c[0] for c in cmap.clusters)
+    per_agent = [[] for _ in range(len(cmap.local_dims))]
+    for owner in owners:
+        g = rng.standard_normal(cmap.local_dims[owner])
+        g /= np.linalg.norm(g)
+        per_agent[owner].append(equality(owner, g, float(rng.uniform(-1.0, 1.0))))
+    return tuple(map(tuple, per_agent))
+
+
+def lifted_rows(cmap: ClusterMap, constraints, flat: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(G, b) of per-agent tuples of ConstraintSpec, row by row, on the flat
+    layout or on the global vector: each row's coefficients written into
+    its owner's flat slice or global indices."""
+    specs = [c for agent_cons in constraints for c in agent_cons]
+    g = np.zeros((len(specs), cmap.total_local_dim if flat else cmap.layout.total_dim))
+    for row, c in zip(g, specs):
+        row[cmap.flat_slice(c.owner) if flat else global_indices(cmap, c.owner)] = c.coeffs
+    return g, np.array([c.offset for c in specs], dtype=float)
+
+
+def penalty_lipschitz(cmap: ClusterMap, constraints) -> float:
+    """`MultiAgentProblem.penalty_lipschitz` from per-agent tuples of
+    ConstraintSpec: the largest sum of 2 ||row||^2 over one agent's rows."""
+    g, _ = lifted_rows(cmap, constraints, flat=True)
+    owners = np.array([c.owner for cons in constraints for c in cons], dtype=np.intp)
+    return float(np.bincount(owners, weights=2.0 * (g * g).sum(axis=1),
+                             minlength=len(cmap.local_dims)).max())
 
 
 def ep_penalty(x):
@@ -425,8 +508,8 @@ def penalty_gradient(constraints, w: np.ndarray, cfg: PenaltyConfig) -> np.ndarr
 def global_penalty_gradient(problem: MultiAgentProblem, w: np.ndarray) -> np.ndarray:
     """`MultiAgentProblem.global_penalty_gradient`, summed agent by agent."""
     grad = np.zeros(problem.layout.total_dim)
-    for k, cons in enumerate(problem.constraints):
-        gidx = problem.cmap.global_indices(k)
+    for k, cons in enumerate(agent_constraints(problem)):
+        gidx = global_indices(problem.cmap, k)
         grad[gidx] += penalty_gradient(cons, w[gidx], problem.penalty)
     return grad
 
@@ -465,7 +548,7 @@ def pairwise_disagreement(w: np.ndarray, cmap: ClusterMap) -> np.ndarray:
         block = global_slice(cmap.layout, l)
         copies = []
         for k in cluster:
-            owned = cmap.global_indices(k)
+            owned = global_indices(cmap, k)
             local = w[cmap.flat_slice(k)]
             copies.append(local[(owned >= block.start) & (owned < block.stop)])
         out[l] = max(np.linalg.norm(a - b) for a in copies for b in copies)
@@ -556,11 +639,11 @@ def coupled_diffusion_step(
 
     np.copyto(zeta, w)
     if cfg.eta != 0.0:
-        for k in range(problem.agent_count):
-            if not problem.constraints[k]:
+        for k, cons in enumerate(agent_constraints(problem)):
+            if not cons:
                 continue
             sl = cmap.flat_slice(k)
-            grad = penalty_gradient(problem.constraints[k], w[sl], problem.penalty)
+            grad = penalty_gradient(cons, w[sl], problem.penalty)
             zeta[sl] = w[sl] - (cfg.mu * cfg.eta) * scaling[sl] * grad
 
     for k in range(problem.agent_count):
@@ -600,7 +683,7 @@ def centralized_step(
     if cfg.noise == "stochastic":
         grad = np.zeros(layout.total_dim)
         for k in range(problem.agent_count):
-            gidx = problem.cmap.global_indices(k)
+            gidx = global_indices(problem.cmap, k)
             grad[gidx] += stochastic_gradient(problem.oracles[k], psi[gidx], rngs[k])
     else:
         grad = problem.global_risk_gradient(psi)

@@ -18,11 +18,12 @@ from coupled_diffusion.metrics import (
     penalized_optimum,
     reference_solution,
 )
-from coupled_diffusion.objective import ConstraintSpec, PenaltyConfig
+from coupled_diffusion.objective import PenaltyConfig
 from coupled_diffusion.topology import BlockLayout, NetworkSpec, build_clusters
 from coupled_diffusion.weights import averaging_weights, metropolis_weights, spectral_gap_bound, step_scaling
 
 from reference import (
+    ConstraintSpec,
     coupled_diffusion_step,
     generate_benchmark_problem,
     init_state,

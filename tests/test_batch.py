@@ -32,7 +32,6 @@ from coupled_diffusion.harness import (
 from coupled_diffusion.metrics import (
     METRIC_WINDOW_BYTES,
     MetricsLog,
-    constrained_optimum,
     disagreement,
     penalized_optimum,
     reference_solution,
@@ -45,6 +44,8 @@ from reference import (
     admm_linearized_step,
     centralized_step,
     cluster_operators,
+    agent_constraints,
+    constraint_rows,
     coupled_diffusion_step,
     flat_cluster_indices,
     generate_benchmark_problem,
@@ -345,6 +346,34 @@ def test_batch_and_metrics_match_the_reference_on_random_networks(tmp_path):
     assert seen == {"bridged", "shared", "unequal-ranks"}
 
 
+def test_constraint_swap_matches_the_reference_on_random_networks(tmp_path):
+    """Random network files (`network_files`), named owners and default
+    ones, with the constraints swapped by `set_constraints` before step 10
+    of 20: coupled and centralized, stochastic and exact, 2 seeds, against
+    the per-agent reference that swaps before the same step, to 1e-12
+    relative."""
+    owners = set()
+
+    @given(network_files())
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    def check(raw):
+        path = tmp_path / "network.json"
+        path.write_text(json.dumps(raw))
+        desc = load_network(str(path))
+        problem = build_problem(desc, 5, constrained=True)
+        change = (10, regenerate_constraints(problem, desc, 5, epoch=0))
+        owners.add("named" if "constraint_owners" in raw else "default")
+        for algorithm in ("coupled", "centralized"):
+            for noise in ("stochastic", "exact"):
+                cfg = EngineConfig(mu=0.002, eta=5.0, iterations=20, noise=noise,
+                                   algorithm=algorithm)
+                dev, scale = _deviation(problem, cfg, SEEDS[:2], change=change)
+                assert dev <= 1e-12 * scale, (algorithm, noise)
+
+    check()
+    assert owners == {"named", "default"}
+
+
 def _close(got, expect, scale):
     """got matches expect to 1e-15 relative to `scale`, the size of the
     terms that make up expect."""
@@ -586,14 +615,13 @@ def test_metrics_window_stays_within_its_byte_bound(constrained, columns):
 
 def test_batch_rejects_unsupported_problems(constrained):
     weights = _weights(constrained)
-    cons = list(constrained.constraints)
+    cons = list(agent_constraints(constrained))
     cons[1] = cons[1] + (inequality(1, np.ones(constrained.cmap.local_dims[1]), 0.5),)
-    with_inequality = MultiAgentProblem(
-        net=constrained.net, cmap=constrained.cmap,
-        oracles=constrained.oracles, constraints=tuple(cons), penalty=constrained.penalty,
-    )
-    with pytest.raises(ConfigError):
-        init_batch(with_inequality, weights, EngineConfig(mu=0.001, eta=1.0), SEEDS)
+    with pytest.raises(ConfigError):  # an inequality never becomes a row
+        MultiAgentProblem(net=constrained.net, cmap=constrained.cmap,
+                          oracles=constrained.oracles,
+                          constraints=constraint_rows(constrained.cmap, cons),
+                          penalty=constrained.penalty)
     with pytest.raises(ConfigError):
         init_batch(constrained, weights,
                    EngineConfig(mu=0.001, eta=1.0, algorithm="admm"), SEEDS)
@@ -626,25 +654,15 @@ def test_batch_rejects_a_non_quadratic_oracle(constrained, call):
         QUADRATIC_GATED[call](problem, weights)
 
 
-GATED = {  # every solve and engine set-up reaches constraint_system
-    "constraint_system": lambda p, w: p.constraint_system(flat=True),
-    "reference_solution": lambda p, w: reference_solution(p, 10.0),
-    "penalized_optimum": lambda p, w: penalized_optimum(p, 10.0),
-    "constrained_optimum": lambda p, w: constrained_optimum(p),
-    "init_batch": lambda p, w: init_batch(p, w, EngineConfig(mu=0.001), SEEDS),
-}
-
-
 @pytest.mark.parametrize("kind", ["inequality", "equalty"])
-@pytest.mark.parametrize("call", sorted(GATED))
-def test_non_equality_constraints_are_rejected_at_the_one_gate(constrained, call, kind):
-    weights = _weights(constrained)
+def test_non_equality_constraints_are_rejected_at_the_one_gate(constrained, kind):
+    """A problem's rows (`ConstraintRows`) carry no kind, so no library call
+    site can receive one: the converter from specs is the one gate."""
     c = inequality(3, np.ones(constrained.cmap.local_dims[3]), 0.5)
-    cons = list(constrained.constraints)
+    cons = list(agent_constraints(constrained))
     cons[3] = cons[3] + (dataclasses.replace(c, kind=kind),)
-    problem = dataclasses.replace(constrained, constraints=tuple(cons))
     with pytest.raises(ConfigError, match=f"agent 3 has a constraint of kind '{kind}'"):
-        GATED[call](problem, weights)
+        constraint_rows(constrained.cmap, cons)
 
 
 def test_batch_divergence_names_iteration_agent_and_seed(constrained):

@@ -34,7 +34,8 @@ def _fit_scenario(raw):  # only tracking takes a change point, and it stays cons
 
 
 # A config that runs, up to the combinations the program rejects on purpose
-# (admm with a penalty, averaging weights with either baseline).
+# (admm with a penalty, averaging weights with either baseline, a rho_admm
+# other than 1 with either non-admm algorithm).
 VALID = st.fixed_dictionaries({
     "network": st.fixed_dictionaries({"source": st.sampled_from(["benchmark20", "example5"])}),
     "objective": st.fixed_dictionaries({"problem_seed": st.integers(0, 9),

@@ -4,12 +4,7 @@ import pytest
 from coupled_diffusion.engine import EngineConfig, init_batch, suggest_step_size
 from coupled_diffusion.errors import NonFiniteIterate
 from coupled_diffusion.metrics import disagreement, penalized_optimum, reference_solution
-from coupled_diffusion.objective import (
-    MultiAgentProblem,
-    PenaltyConfig,
-    QuadraticRiskOracle,
-    equality,
-)
+from coupled_diffusion.objective import MultiAgentProblem, PenaltyConfig, QuadraticRiskOracle
 from coupled_diffusion.topology import BlockLayout, NetworkSpec, build_clusters
 from coupled_diffusion.weights import metropolis_weights, spectral_gap_bound, step_scaling
 
@@ -18,7 +13,9 @@ from reference import (
     admm_linearized_step,
     centralized_step,
     centroid,
+    constraint_rows,
     coupled_diffusion_step,
+    equality,
     flat_cluster_indices,
     gather_local,
     global_slice,
@@ -59,7 +56,7 @@ def _consistent_problem(seed=0, n=4, dims=(2, 1), noise_std=0.0):
         oracles.append(o)
     return MultiAgentProblem(
         net=net, cmap=cmap, oracles=tuple(oracles),
-        constraints=tuple(() for _ in range(n)), penalty=PenaltyConfig(),
+        constraints=constraint_rows(cmap, [() for _ in range(n)]), penalty=PenaltyConfig(),
         true_model=model,
     ), cmap
 
@@ -121,7 +118,7 @@ def test_network_form_equivalence_with_penalty():
     cons[1].append(equality(1, g / np.linalg.norm(g), 0.3))
     problem = MultiAgentProblem(
         net=problem.net, cmap=cmap, oracles=problem.oracles,
-        constraints=tuple(tuple(c) for c in cons), penalty=PenaltyConfig(rho=1.0),
+        constraints=constraint_rows(cmap, cons), penalty=PenaltyConfig(rho=1.0),
         true_model=problem.true_model,
     )
     mats = _weights(problem)
@@ -277,7 +274,7 @@ def test_centralized_penalized_drift_is_second_order():
     cons[0].append(equality(0, g, 0.7))
     problem = MultiAgentProblem(
         net=problem.net, cmap=cmap, oracles=problem.oracles,
-        constraints=tuple(tuple(c) for c in cons), penalty=PenaltyConfig(rho=1.0),
+        constraints=constraint_rows(cmap, cons), penalty=PenaltyConfig(rho=1.0),
         true_model=problem.true_model,
     )
     eta, mu = 50.0, 1e-3

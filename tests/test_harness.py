@@ -34,7 +34,9 @@ from coupled_diffusion.weights import metropolis_weights
 from conftest import assert_bridge_oracles_draw_like_their_inner_oracle, load_benchmark_module
 from test_topology import connected_networks
 from reference import (
+    agent_constraints,
     generate_benchmark_problem,
+    global_indices,
     integer_lists,
     msd,
     per_agent_problem_draw,
@@ -68,7 +70,9 @@ def test_config_validation_errors():
                 dict(constrained=1.0), dict(iterations=10**30), dict(iterations=1e30),
                 # the baselines read no combination weights
                 dict(algorithm="admm", weight_rule="averaging"),
-                dict(algorithm="centralized", weight_rule="averaging")):
+                dict(algorithm="centralized", weight_rule="averaging"),
+                # only admm has a dual step
+                dict(algorithm="coupled", rho_admm=0.5)):
         with pytest.raises(ConfigError):
             ScenarioConfig(scenario="unconstrained", **bad)
     with pytest.raises(ConfigError, match="seeds"):  # a seed run twice counts twice in the means
@@ -147,9 +151,9 @@ def test_benchmark_problem_properties():
     for o in p.oracles:
         assert np.all(o.spectrum >= 1.0) and np.all(o.spectrum <= 3.0)
         assert 1e-3 <= o.noise_std**2 <= 1e-2
-    owners = [c.owner for cons in p.constraints for c in cons]
+    owners = [c.owner for cons in agent_constraints(p) for c in cons]
     assert sorted(owners) == sorted([1, 9, 15, 4, 16])
-    for cons in p.constraints:
+    for cons in agent_constraints(p):
         for c in cons:
             assert np.linalg.norm(c.coeffs) == pytest.approx(1.0, abs=1e-12)
             assert -1.0 <= c.offset <= 1.0
@@ -165,7 +169,7 @@ def test_benchmark_problem_bit_identical_per_seed():
         assert np.array_equal(oa.basis, ob.basis)
         assert np.array_equal(oa.spectrum, ob.spectrum)
         assert oa.noise_std == ob.noise_std
-    for ca, cb in zip(a.constraints, b.constraints):
+    for ca, cb in zip(agent_constraints(a), agent_constraints(b)):
         for x, y in zip(ca, cb):
             assert np.array_equal(x.coeffs, y.coeffs) and x.offset == y.offset
 
@@ -194,7 +198,7 @@ def test_build_problem_embeds_with_zero_cost_bridges(tmp_path):
     assert problem.cmap.clusters[0] == (0, 1, 2)
     assert problem.oracles[1].rank < problem.oracles[1].dim
     grad = problem.oracles[1].true_gradient(np.ones(problem.cmap.local_dims[1]))
-    in_block0 = np.isin(problem.cmap.global_indices(1), [0, 1])  # layout (2, 2)
+    in_block0 = np.isin(global_indices(problem.cmap, 1), [0, 1])  # layout (2, 2)
     assert in_block0.sum() == 2 and np.array_equal(grad[in_block0], [0.0, 0.0])
     assert problem.strong_convexity() > 0
     # the whole pipeline still runs
@@ -760,6 +764,20 @@ def test_cli_error_network_without_edges(tmp_path, capsys):
             "scenario": {"id": "constrained", "seeds": [0]},
         }))
         assert payload["type"] == "ConfigError" and "constraint_owners" in payload["message"]
+    # an owner outside its block's cluster, named as the file numbers agents and blocks
+    for base in (0, 1):
+        net.write_text(json.dumps({
+            "index_base": base, "agent_count": 3, "block_dims": [1, 1],
+            "edges": [[base, base + 1], [base + 1, base + 2]],
+            "interest_sets": [[base], [base, base + 1], [base + 1]],
+            "constraint_owners": [base + 2, base + 1]}))
+        payload = _cli_error(capsys, _bad_config(tmp_path, {
+            "network": {"source": str(net)},
+            "engine": {"iterations": 2},
+            "scenario": {"id": "constrained", "seeds": [0]},
+        }))
+        assert payload == {"type": "ConfigError", "message": f"constraint_owners: agent "
+                           f"{base + 2} is not in the cluster of block {base}"}
 
 
 def _with_entry(raw: dict, field: str, entry) -> dict:

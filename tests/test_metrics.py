@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import json
 
@@ -12,7 +13,7 @@ from coupled_diffusion.metrics import (
     penalized_optimum,
     reference_solution,
 )
-from coupled_diffusion.objective import MultiAgentProblem, PenaltyConfig, equality
+from coupled_diffusion.objective import MultiAgentProblem, PenaltyConfig
 from coupled_diffusion.topology import BlockLayout, NetworkSpec, build_clusters
 from coupled_diffusion.errors import (
     InfeasibleConstraints,
@@ -28,6 +29,8 @@ from coupled_diffusion.objective import QuadraticRiskOracle
 
 from conftest import single_agent_problem
 from reference import (
+    constraint_rows,
+    equality,
     generate_benchmark_problem,
     msd,
     padded_disagreement,
@@ -54,7 +57,7 @@ def _quadratic_problem(dim, w_ref, constraints=(), spectrum=None):
     )
     return MultiAgentProblem(
         net=net, cmap=cmap, oracles=(oracle,),
-        constraints=(tuple(constraints),), penalty=PenaltyConfig(rho=1.0),
+        constraints=constraint_rows(cmap, (constraints,)), penalty=PenaltyConfig(rho=1.0),
     )
 
 
@@ -251,19 +254,14 @@ def test_stationarity_check_catches_a_wrong_closed_form(benchmark_problem):
         reference_solution(wrong, 0.0)
 
 
-def test_stationarity_check_does_not_read_the_global_constraint_rows(monkeypatch):
+def test_stationarity_check_does_not_read_the_global_constraint_rows():
     """The check applies the flat rows, so a closed form assembled from a
     global G that disagrees with them fails it."""
     problem = generate_benchmark_problem(7, constrained=True)
-    lifted = MultiAgentProblem.constraint_system
-
-    def doubled_global_rows(self, flat=False):
-        g, b = lifted(self, flat)
-        return (g, b) if flat else (2.0 * g, b)
-
-    monkeypatch.setattr(MultiAgentProblem, "constraint_system", doubled_global_rows)
+    rows = copy.copy(problem.constraints)
+    object.__setattr__(rows, "g_global", 2.0 * rows.g_global)
     with pytest.raises(SimulationError, match="failed its stationarity check"):
-        reference_solution(problem, 10.0)
+        reference_solution(dataclasses.replace(problem, constraints=rows), 10.0)
 
 
 def test_empirical_rate_geometric():

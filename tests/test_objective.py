@@ -6,13 +6,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coupled_diffusion.engine import EngineConfig, init_batch
-from coupled_diffusion.errors import DimensionMismatch
-from coupled_diffusion.harness import NetworkDescription, build_problem
+from coupled_diffusion.errors import ConfigError, DimensionMismatch
+from coupled_diffusion.harness import (
+    _CONSTRAINT_TAG,
+    NetworkDescription,
+    _problem_rng,
+    build_problem,
+    load_network,
+    regenerate_constraints,
+)
 from coupled_diffusion.objective import (
-    ConstraintSpec,
+    ConstraintRows,
     PenaltyConfig,
     QuadraticRiskOracle,
-    equality,
     random_quadratic_oracles,
     row_penalty_gradient,
 )
@@ -20,13 +26,19 @@ from coupled_diffusion.topology import BlockLayout
 from coupled_diffusion.weights import metropolis_weights
 
 from reference import (
+    ConstraintSpec,
+    agent_constraints,
+    constraint_rows,
+    draw_constraint_specs,
     ep_penalty,
+    equality,
     evaluate,
-    generate_benchmark_problem,
     global_penalty_gradient,
     inequality,
     ip_penalty,
+    lifted_rows,
     penalty_gradient,
+    penalty_lipschitz,
     penalty_value,
     random_orthogonal,
     random_quadratic_oracle,
@@ -121,30 +133,79 @@ def test_dimension_mismatch():
 
 
 def test_a_constraint_of_the_wrong_length_is_rejected_with_the_problem(benchmark_problem):
-    cons = list(benchmark_problem.constraints)
+    cons = list(agent_constraints(benchmark_problem))
     dim = benchmark_problem.cmap.local_dims[3]
     cons[3] = (equality(3, np.ones(dim + 1), 0.5),)
     with pytest.raises(DimensionMismatch,
                        match=f"constraint of agent 3 has {dim + 1} coefficients, "
                              f"layout expects {dim}"):
-        dataclasses.replace(benchmark_problem, constraints=tuple(cons))
+        dataclasses.replace(benchmark_problem,
+                            constraints=constraint_rows(benchmark_problem.cmap, cons))
+
+
+def test_the_row_record_checks_its_owners_and_keeps_rows_owner_major(benchmark_problem):
+    """An owner outside the agents is rejected; rows given out of owner
+    order are sorted by owner, stably, with their offsets."""
+    cmap = benchmark_problem.cmap
+    for owner in (-1, 20):
+        with pytest.raises(ConfigError, match=f"names agent {owner}, but there are 20 agents"):
+            ConstraintRows(cmap, [owner], [np.ones(1)], [0.0])
+    owners = (3, 1, 3)
+    rows = ConstraintRows(cmap, owners, [np.full(cmap.local_dims[k], c + 1.0)
+                                         for c, k in enumerate(owners)], [0.0, 1.0, 2.0])
+    assert rows.owner.tolist() == [1, 3, 3] and rows.offset.tolist() == [1.0, 0.0, 2.0]
+    assert rows.coeffs[:, 0].tolist() == [2.0, 1.0, 3.0]
+    assert rows.coeffs.shape == (3, max(cmap.local_dims))
+    empty = ConstraintRows(cmap, (), (), ())
+    assert empty.g_flat.shape == (0, cmap.total_local_dim)
+    assert empty.g_global.shape == (0, cmap.layout.total_dim)
 
 
 @pytest.fixture(scope="module")
-def constrained_problems(setup_networks, bridge_net):
-    """Constrained problems on the set-up networks, and one whose agent 0
-    owns the constraints of blocks 0 and 2, so that it holds two rows."""
-    problems = {"benchmark20": generate_benchmark_problem(7, constrained=True)}
-    for name in ("bridged", "ring"):
-        problems[name] = build_problem(setup_networks[name], 7, constrained=True)
-    problems["two rows at one agent"] = build_problem(NetworkDescription(
-        net=bridge_net, layout=BlockLayout((2, 3, 2, 1)), constraint_owners=(0, 1, 0, 4)),
-        7, constrained=True)
-    assert len(problems["two rows at one agent"].constraints[0]) == 2
+def constrained_descs(setup_networks, bridge_net):
+    """The set-up networks, example5, and the bridged network with agent 0
+    owning the constraints of blocks 0 and 2, so that it holds two rows;
+    the bridged network names no owners, so each block's first cluster
+    member owns its row."""
+    descs = {name: setup_networks[name] for name in ("benchmark20", "bridged", "ring")}
+    descs["example5"] = load_network("example5")
+    descs["two rows at one agent"] = NetworkDescription(
+        net=bridge_net, layout=BlockLayout((2, 3, 2, 1)), constraint_owners=(0, 1, 0, 4))
+    return descs
+
+
+@pytest.fixture(scope="module")
+def constrained_problems(constrained_descs):
+    """A constrained problem of problem seed 7 on each network."""
+    problems = {name: build_problem(desc, 7, constrained=True)
+                for name, desc in constrained_descs.items()}
+    assert len(agent_constraints(problems["two rows at one agent"])[0]) == 2
     return problems
 
 
 PENALTY_PROBLEMS = ("benchmark20", "bridged", "ring", "two rows at one agent")
+
+
+@pytest.mark.parametrize("epoch", [None, 0])
+@pytest.mark.parametrize("name", PENALTY_PROBLEMS + ("example5",))
+def test_the_row_record_matches_the_per_spec_rows(constrained_descs, constrained_problems,
+                                                  name, epoch):
+    """The record's flat G, global G, b and Lipschitz bound, bit for bit,
+    against the per-spec rows drawn block by block and lifted row by row,
+    for the first draw and a tracking redraw."""
+    desc, problem = constrained_descs[name], constrained_problems[name]
+    tag = _CONSTRAINT_TAG
+    if epoch is not None:
+        problem, tag = regenerate_constraints(problem, desc, 7, epoch), tag + 1 + epoch
+    specs = draw_constraint_specs(desc, problem.cmap, _problem_rng(7, tag))
+    rows, cmap = problem.constraints, problem.cmap
+    g_flat, b = lifted_rows(cmap, specs, flat=True)
+    g_global, _ = lifted_rows(cmap, specs, flat=False)
+    for got, want in ((rows.g_flat, g_flat), (rows.g_global, g_global), (rows.offset, b)):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert not got.flags.writeable
+    assert problem.penalty_lipschitz() == penalty_lipschitz(cmap, specs)
+    assert rows.owner.tolist() == [c.owner for cons in specs for c in cons]
 
 
 @pytest.mark.parametrize("name", PENALTY_PROBLEMS)
@@ -165,7 +226,7 @@ def test_the_row_form_matches_the_per_constraint_penalty_gradient(constrained_pr
     want = np.concatenate([
         np.stack([penalty_gradient(cons, flat[cmap.flat_slice(k), j], problem.penalty)
                   for j in range(2)], axis=1)
-        for k, cons in enumerate(problem.constraints)])
+        for k, cons in enumerate(agent_constraints(problem))])
     got = row_penalty_gradient(batch._rows, flat)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -174,7 +235,7 @@ def test_the_row_form_matches_the_per_constraint_penalty_gradient(constrained_pr
 def test_penalty_lipschitz_is_the_largest_per_agent_row_sum(constrained_problems, name):
     problem = constrained_problems[name]
     want = max(sum(2.0 * float(c.coeffs @ c.coeffs) for c in cons)
-               for cons in problem.constraints)
+               for cons in agent_constraints(problem))
     assert abs(problem.penalty_lipschitz() - want) <= 1e-15 * want
 
 
@@ -299,8 +360,9 @@ def test_risk_quadratic_is_shared_read_only_and_follows_the_oracles(benchmark_pr
     assert not hess.flags.writeable and not lin.flags.writeable
     fresh_hess, fresh_lin = benchmark_problem._assemble_risk_quadratic()
     assert np.array_equal(hess, fresh_hess) and np.array_equal(lin, fresh_lin)
-    swapped = dataclasses.replace(benchmark_problem, constraints=tuple(
-        (equality(k, np.ones(o.dim), 1.0),) for k, o in enumerate(benchmark_problem.oracles)))
+    swapped = dataclasses.replace(benchmark_problem, constraints=constraint_rows(
+        benchmark_problem.cmap,
+        [(equality(k, np.ones(o.dim), 1.0),) for k, o in enumerate(benchmark_problem.oracles)]))
     assert all(a is b for a, b in zip(swapped.global_risk_quadratic(), (hess, lin)))
     doubled = dataclasses.replace(benchmark_problem, oracles=tuple(
         QuadraticRiskOracle(o.basis, 2.0 * o.spectrum, o.w_ref, o.noise_std)

@@ -13,6 +13,7 @@ from reference import (
     cluster_map_fields,
     flat_cluster_indices,
     gather_local,
+    global_indices,
     global_slice,
     network_fields,
 )
@@ -156,8 +157,9 @@ def network_files(draw):
     graph (`connected_networks`), so clusters of unequal size, some of them
     split, which embedding bridges; local dimensions, and so oracle ranks,
     differ between agents. In some examples every agent holds block 0.
-    Each block's constraint owner is a random member of its cluster, and
-    indices are 0- or 1-based."""
+    Each block's constraint owner is a random member of its cluster, or,
+    in some examples, the default one: the file has no
+    `constraint_owners`. Indices are 0- or 1-based."""
     net, layout = draw(connected_networks(agents=(3, 12), blocks=(1, 5), dims=(1, 4)))
     sets = [set(s) for s in net.interest_sets]
     if draw(st.booleans()):
@@ -165,11 +167,13 @@ def network_files(draw):
     owners = [draw(st.sampled_from([k for k, s in enumerate(sets) if l in s]))
               for l in range(layout.block_count)]
     base = draw(st.integers(0, 1))
-    return {"index_base": base, "agent_count": net.agent_count,
-            "edges": [[a + base, b + base] for a, b in sorted(net.edges)],
-            "interest_sets": [sorted(l + base for l in s) for s in sets],
-            "block_dims": list(layout.dims),
-            "constraint_owners": [k + base for k in owners]}
+    raw = {"index_base": base, "agent_count": net.agent_count,
+           "edges": [[a + base, b + base] for a, b in sorted(net.edges)],
+           "interest_sets": [sorted(l + base for l in s) for s in sets],
+           "block_dims": list(layout.dims)}
+    if draw(st.booleans()):
+        raw["constraint_owners"] = [k + base for k in owners]
+    return raw
 
 
 @given(connected_networks())
@@ -204,13 +208,13 @@ def test_index_machinery(five_agent_cmap):
     # (0, 3, 6): its local vector holds block 0 at 0:2, block 2 at 2:5 and
     # block 3 at 5:6, after agents 0-2's local vectors of sizes 3, 2 and 5
     assert cmap.flat_slice(3) == slice(10, 16)
-    assert np.array_equal(cmap.global_indices(3), [0, 1, 3, 4, 5, 6])
+    assert np.array_equal(global_indices(cmap, 3), [0, 1, 3, 4, 5, 6])
     w = np.arange(cmap.total_local_dim, dtype=float)
     for l, cluster in enumerate(cmap.clusters):
         gathered = w[flat_cluster_indices(cmap, l)].reshape(len(cluster), cmap.layout.dims[l])
         block = global_slice(cmap.layout, l)
         for row, k in enumerate(cluster):
-            owned = cmap.global_indices(k)
+            owned = global_indices(cmap, k)
             expect = w[cmap.flat_slice(k)][(owned >= block.start) & (owned < block.stop)]
             assert np.array_equal(gathered[row], expect)
 
