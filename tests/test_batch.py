@@ -32,6 +32,7 @@ from coupled_diffusion.harness import (
 from coupled_diffusion.metrics import (
     METRIC_WINDOW_BYTES,
     MetricsLog,
+    constrained_optimum,
     disagreement,
     penalized_optimum,
     reference_solution,
@@ -654,15 +655,28 @@ def test_batch_rejects_a_non_quadratic_oracle(constrained, call):
         QUADRATIC_GATED[call](problem, weights)
 
 
+GATED = {  # every solve and engine set-up reads the problem's row record
+    "constraint_system": lambda p, w: p.constraints.g_flat,
+    "reference_solution": lambda p, w: reference_solution(p, 10.0),
+    "penalized_optimum": lambda p, w: penalized_optimum(p, 10.0),
+    "constrained_optimum": lambda p, w: constrained_optimum(p),
+    "init_batch": lambda p, w: init_batch(p, w, EngineConfig(mu=0.001), SEEDS),
+}
+
+
 @pytest.mark.parametrize("kind", ["inequality", "equalty"])
-def test_non_equality_constraints_are_rejected_at_the_one_gate(constrained, kind):
-    """A problem's rows (`ConstraintRows`) carry no kind, so no library call
-    site can receive one: the converter from specs is the one gate."""
+@pytest.mark.parametrize("call", sorted(GATED))
+def test_non_equality_constraints_are_rejected_at_the_one_gate(constrained, call, kind):
+    """A problem's rows (`ConstraintRows`) carry no kind, so no call site
+    can receive one: a problem stated with a non-equality spec is stopped
+    by the converter from specs, before any call site runs."""
+    weights = _weights(constrained)
     c = inequality(3, np.ones(constrained.cmap.local_dims[3]), 0.5)
     cons = list(agent_constraints(constrained))
     cons[3] = cons[3] + (dataclasses.replace(c, kind=kind),)
     with pytest.raises(ConfigError, match=f"agent 3 has a constraint of kind '{kind}'"):
-        constraint_rows(constrained.cmap, cons)
+        rows = constraint_rows(constrained.cmap, cons)
+        GATED[call](dataclasses.replace(constrained, constraints=rows), weights)
 
 
 def test_batch_divergence_names_iteration_agent_and_seed(constrained):
