@@ -139,7 +139,7 @@ class _RiskGradients:
     and scales each agent's flat regressor entries by 2 (h_k'z_k - y_k).
     """
 
-    def __init__(self, problem: MultiAgentProblem, seeds, cfg: EngineConfig, points: int):
+    def __init__(self, problem: MultiAgentProblem, seeds, cfg: EngineConfig):
         stack = problem.oracle_stack()
         n, width = stack.valid.shape
         # padded cells gather flat entry 0, which meets a zero factor row
@@ -161,11 +161,11 @@ class _RiskGradients:
         # the first chunk is the longest; its padded cells stay zero
         first = min(self.chunk, cfg.iterations)
         self.buffer = np.zeros((first, n, depth + 1, n_seeds))
-        # (n_flat, P S): entry (e, p S + s) of the state's layout reads cell
+        # (n_flat, S): entry (e, s) of the state's layout reads cell
         # (valid_e, s) of an iteration's regressors, raveled from (N Q, S);
         # the valid cells, in row-major order, are the flat layout itself
         valid = np.flatnonzero(stack.valid)
-        self.spread = np.tile(valid[:, None] * n_seeds + np.arange(n_seeds), points)
+        self.spread = valid[:, None] * n_seeds + np.arange(n_seeds)
         # one iteration's window bytes: padded regressors, targets and the
         # regressors in the state's layout
         step_bytes = 8 * ((n * width + n) * n_seeds + self.spread.size)
@@ -187,8 +187,7 @@ class _RiskGradients:
     def _products(self):
         """Regressors and targets of the chunk's next window of iterations:
         `regressors` (W, N, Q, S), `targets` (W, N, S), and the regressors
-        in the state's layout, `flat_regressors` (W, n_flat, P S), each
-        seed's repeated for every grid point."""
+        in the state's layout, `flat_regressors` (W, n_flat, S)."""
         w = min(self.window, self.length - self.used)
         draws = self.buffer[self.used:self.used + w]  # (W, N, R + 1, S)
         h, y = self.regressors[:w], self.targets[:w]
@@ -214,9 +213,8 @@ class _RiskGradients:
         z = z.reshape(z.shape[:2] + (-1, h.shape[-1]))  # (N, Q, P, S)
         inner = np.einsum("kips,kis->kps", z, h)
         g = (2.0 * (inner - self.targets[i][:, None])).take(self.owner, axis=0)
-        g = g.reshape(x.shape)
-        g *= self.flat_regressors[i]
-        return g
+        g *= self.flat_regressors[i][:, None]  # (n_flat, P, S): each point's seeds
+        return g.reshape(x.shape)
 
 
 class _ClusterMix:
@@ -268,7 +266,7 @@ class _Batch:
             stack = problem.oracle_stack()
             self._risk = lambda x: _exact_gradients(stack, x)
         else:
-            self._risk = _RiskGradients(problem, self.seeds, cfgs[0], len(cfgs))
+            self._risk = _RiskGradients(problem, self.seeds, cfgs[0])
 
     def _columns(self, per_point) -> np.ndarray:
         """(1, P S): each point's value in each of its seed columns."""

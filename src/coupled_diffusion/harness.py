@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import time
 from dataclasses import dataclass, field
 from importlib import resources
 from itertools import chain
@@ -284,10 +285,7 @@ def _draw_constraints(desc: NetworkDescription, cmap, rng) -> ConstraintRows:
     if owners is None:
         owners = tuple(c[0] for c in cmap.clusters)
     coeffs, offsets = [], []
-    for l, owner in enumerate(owners):
-        if l not in cmap.agent_blocks[owner]:
-            raise ConfigError(f"constraint_owners: agent {owner + desc.index_base} is not in "
-                              f"the cluster of block {l + desc.index_base}")
+    for owner in owners:
         g = rng.standard_normal(cmap.local_dims[owner])
         coeffs.append(g / np.linalg.norm(g))
         offsets.append(rng.uniform(-1.0, 1.0))
@@ -305,10 +303,15 @@ def build_problem(desc: NetworkDescription, seed: int, constrained: bool = False
     clusters are embedded first; agents recruited as bridges contribute
     zero cost for the added blocks (zero basis rows in their oracles). The
     constrained variant adds one unit-norm affine equality per block at
-    the owner. Deterministic per seed.
+    the owner; a named owner outside its block's cluster is a ConfigError
+    in either variant. Deterministic per seed.
     """
     cmap0 = build_clusters(desc.net, desc.layout)
     net, cmap = embed_clusters(desc.net, cmap0)
+    for l, owner in enumerate(desc.constraint_owners or ()):
+        if l not in cmap.agent_blocks[owner]:
+            raise ConfigError(f"constraint_owners: agent {owner + desc.index_base} is not in "
+                              f"the cluster of block {l + desc.index_base}")
     if net is not desc.net:
         desc = dataclasses.replace(desc, net=net)
     rng = _problem_rng(seed, _PROBLEM_TAG)
@@ -370,10 +373,12 @@ class ResultBlock:
 
 @dataclass
 class ResultTable:
-    """A run's results: one `ResultBlock` per grid point, in grid order."""
+    """A run's results: one `ResultBlock` per grid point, in grid order, and
+    the seconds of each stage of the run, with its start mark as "start"."""
 
     blocks: list = field(default_factory=list)
     config: dict = field(default_factory=dict)
+    timings: dict = field(default_factory=dict)
 
 
 CSV_HEADER = ("scenario", "mu", "eta", "seed", "iteration", "msd_db",
@@ -394,13 +399,20 @@ def emit_results(table: ResultTable, path) -> None:
     whose series are not (labels, records) arrays, or whose scenario or
     label would need quoting (a comma, a quote or a line break), raises
     ValueError instead of being written.
+    The sidecar adds to the table's `timings` "emit", the CSV write, and
+    "total", from the run's start to the CSV's last byte, in seconds.
     """
     path = Path(path)
+    start = time.perf_counter()
     with path.open("w", newline="") as fh:
         fh.write(",".join(CSV_HEADER) + "\r\n")
         for block in table.blocks:
             fh.writelines(_block_lines(block))
-    meta = {"config": table.config, "version": __version__, "csv_header": list(CSV_HEADER)}
+    end = time.perf_counter()
+    timings = {**table.timings, "emit": end - start}
+    timings["total"] = end - timings.pop("start", start)
+    meta = {"config": table.config, "version": __version__, "csv_header": list(CSV_HEADER),
+            "timings": timings}
     Path(str(path) + ".meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
@@ -447,24 +459,30 @@ def run_scenario(cfg: ScenarioConfig) -> ResultTable:
     (`steady_tail`); it records only those. If some
     point diverges, the run raises NonFiniteIterate for the first such
     point in grid order, with its first non-finite iteration, agent and
-    seed (see `engine._Batch.step`).
+    seed (see `engine._Batch.step`). The table's `timings` split the run
+    at `time.perf_counter()` marks; "metrics" holds each `MetricsLog.record`
+    and the reading of the log, and "build" the tracking redraw.
     """
+    marks = [time.perf_counter()]
     desc = load_network(cfg.network, cfg.block_dims)
+    marks.append(time.perf_counter())
     base = build_problem(desc, cfg.problem_seed, constrained=cfg.uses_constraints, rho=cfg.rho)
-    cmap = base.cmap
-    make = metropolis_weights if cfg.weight_rule == "metropolis" else averaging_weights
-    weights = {l: make(base.cmap, base.net, l) for l in range(len(base.cmap.clusters))}
-
     epochs = [(0, base)]
     if cfg.scenario == "tracking":
         epochs.append((cfg.change_point,
                        regenerate_constraints(base, desc, cfg.problem_seed, epoch=0)))
+    marks.append(time.perf_counter())
+    cmap = base.cmap
+    make = metropolis_weights if cfg.weight_rule == "metropolis" else averaging_weights
+    weights = {l: make(base.cmap, base.net, l) for l in range(len(base.cmap.clusters))}
+    marks.append(time.perf_counter())
     # the references depend on eta but not on mu: one solve per epoch and
     # distinct eta, before the engine is built, so that a config both reject
     # reports the reference's error
     references = {(e, eta): reference_solution(problem, eta)
                   for eta in dict.fromkeys(cfg.eta_list)
                   for e, (_, problem) in enumerate(epochs)}
+    marks.append(time.perf_counter())
 
     points = [(mu, eta) for mu in cfg.mu_list for eta in cfg.eta_list]
     n_seeds = len(cfg.seeds)
@@ -487,7 +505,9 @@ def run_scenario(cfg: ScenarioConfig) -> ResultTable:
     with np.errstate(over="ignore", invalid="ignore"):
         engine = init_batch(base, weights, [cfg.engine(mu, eta) for mu, eta in points],
                             cfg.seeds, init_global)
+        marks.append(time.perf_counter())
         log = MetricsLog(cmap)
+        recording = 0.0
         for e, ((start, problem), end) in enumerate(zip(epochs, ends)):
             if start > 0:  # init_batch has set the first epoch's constraints
                 engine.set_constraints(problem)
@@ -498,17 +518,24 @@ def run_scenario(cfg: ScenarioConfig) -> ResultTable:
             for i in range(start + 1, end + 1):
                 engine.step()
                 if i >= first_record and (i % cfg.log_every == 0 or i == cfg.iterations):
+                    mark = time.perf_counter()
                     log.record(i, engine.w, w_star, w_o)
+                    recording += time.perf_counter() - mark
+        marks.append(time.perf_counter() - recording)  # the records count as metrics
 
-    table = ResultTable(config=dataclasses.asdict(cfg))
     msd_star = log.msd_star
     msd_o = msd_star if one_reference else log.msd_o
     series = (msd_star, log.disagreement_max, msd_o)
+    marks.append(time.perf_counter())
+    table = ResultTable(config=dataclasses.asdict(cfg))
     iterations = np.array([cfg.iterations] if cfg.scenario == "sweep" else log.iterations)
     labels = tuple(map(str, cfg.seeds)) + ("mean",)
     for p, (mu, eta) in enumerate(points):
         columns = slice(p * n_seeds, (p + 1) * n_seeds)
         table.blocks.append(_point_block(cfg, mu, eta, labels, iterations, columns, *series))
+    marks.append(time.perf_counter())
+    stages = ("load", "build", "weights", "reference", "init", "engine", "metrics", "table")
+    table.timings = dict(zip(stages, np.diff(marks).tolist()), start=marks[0])
     return table
 
 

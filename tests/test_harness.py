@@ -1,7 +1,9 @@
 import csv
 import dataclasses
 import io
+import itertools
 import json
+import math
 import subprocess
 import sys
 from importlib.resources import files
@@ -691,6 +693,29 @@ def test_cli_run_and_reproducibility(tmp_path, capsys):
     assert (out1 / "unconstrained.csv.meta.json").exists()
 
 
+# the stages run_scenario times, in run order, and emit_results' CSV write
+TIMED_STAGES = ("load", "build", "weights", "reference", "init", "engine", "metrics", "table",
+                "emit")
+
+
+@pytest.mark.parametrize("scenario", ["unconstrained", "tracking", "sweep"])
+def test_cli_sidecar_times_every_stage(tmp_path, scenario):
+    """The sidecar's `timings` hold each stage and the total, in seconds:
+    every value finite and at least 0, and the stages within the total.
+    The values vary from run to run, so none is checked."""
+    cfg = _write_cfg(tmp_path, scenario, penalty={"eta": [10.0, 50.0]})
+    if scenario == "tracking":
+        raw = yaml.safe_load(cfg.read_text())
+        raw["scenario"]["change_point"] = 60
+        cfg.write_text(yaml.safe_dump(raw))
+    assert cli_main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    meta = json.loads((tmp_path / f"{scenario}.csv.meta.json").read_text())
+    timings = meta["timings"]
+    assert sorted(timings) == sorted(TIMED_STAGES + ("total",))
+    assert all(math.isfinite(t) and t >= 0.0 for t in timings.values())
+    assert sum(timings[stage] for stage in TIMED_STAGES) <= timings["total"]
+
+
 def test_cli_overrides(tmp_path):
     cfg = _write_cfg(tmp_path)
     out = tmp_path / "o3"
@@ -764,8 +789,9 @@ def test_cli_error_network_without_edges(tmp_path, capsys):
             "scenario": {"id": "constrained", "seeds": [0]},
         }))
         assert payload["type"] == "ConfigError" and "constraint_owners" in payload["message"]
-    # an owner outside its block's cluster, named as the file numbers agents and blocks
-    for base in (0, 1):
+    # an owner outside its block's cluster, named as the file numbers agents and
+    # blocks, whether or not the scenario draws constraints
+    for base, scenario in itertools.product((0, 1), ("constrained", "unconstrained")):
         net.write_text(json.dumps({
             "index_base": base, "agent_count": 3, "block_dims": [1, 1],
             "edges": [[base, base + 1], [base + 1, base + 2]],
@@ -774,7 +800,7 @@ def test_cli_error_network_without_edges(tmp_path, capsys):
         payload = _cli_error(capsys, _bad_config(tmp_path, {
             "network": {"source": str(net)},
             "engine": {"iterations": 2},
-            "scenario": {"id": "constrained", "seeds": [0]},
+            "scenario": {"id": scenario, "seeds": [0]},
         }))
         assert payload == {"type": "ConfigError", "message": f"constraint_owners: agent "
                            f"{base + 2} is not in the cluster of block {base}"}

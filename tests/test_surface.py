@@ -22,6 +22,11 @@ Every public field of a dataclass defined in `src/` is also read as an
 attribute (`x.field`, not an assignment to it) somewhere in those three
 directories: a field that only the tests read is dead surface, whatever
 writes it.
+
+Every parameter of every function in `src/`, private ones included, is
+read in its body, where a nested function's reads count: a parameter
+that its function ignores is dead surface that no name matching sees. A
+method's first parameter (self or cls) is not counted.
 """
 
 import ast
@@ -65,6 +70,11 @@ KEPT_FIELDS = {  # dataclass fields read nowhere outside the tests, and kept on 
                                  "ROADMAP item 7 decides whether rho gains inequality rows "
                                  "or goes",
 }
+
+
+KEPT_PARAMETERS = dict.fromkeys(  # parameters that their function does not read, kept on purpose
+    ("AdmmBatch.__init__.weights", "CentralizedBatch.__init__.weights"),
+    "init_batch dispatches one constructor signature to every algorithm's batch")
 
 
 def _trees(*dirs):
@@ -174,3 +184,33 @@ def test_every_public_dataclass_field_is_read_outside_the_tests():
     # a kept field that is gone from src/, or has found a reader, leaves the list
     assert sorted(set(KEPT_FIELDS) - unread) == []
     assert all(reason.strip() for reason in KEPT_FIELDS.values())
+
+
+def _functions(node, prefix="", in_class=False):
+    """(qualified name, definition, is a method) of every function and
+    lambda under `node`, nested ones included."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.ClassDef):
+            yield from _functions(child, f"{prefix}{child.name}.", True)
+        elif isinstance(child, (ast.FunctionDef, ast.Lambda)):
+            name = prefix + getattr(child, "name", "<lambda>")
+            yield name, child, in_class
+            yield from _functions(child, name + ".")
+        else:
+            yield from _functions(child, prefix, in_class)
+
+
+def test_every_parameter_is_read_in_its_body():
+    unread = set()
+    for tree in _trees("src"):
+        for name, f, is_method in _functions(tree):
+            args = f.args
+            params = args.posonlyargs + args.args + args.kwonlyargs + [
+                a for a in (args.vararg, args.kwarg) if a is not None]
+            body = f.body if isinstance(f.body, list) else [f.body]
+            read = {node.id for stmt in body for node in ast.walk(stmt)
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            unread.update(f"{name}.{a.arg}" for a in params[is_method:] if a.arg not in read)
+    assert sorted(unread - set(KEPT_PARAMETERS)) == [], "an unread parameter: delete it"
+    # a kept parameter that is gone from src/, or is read now, leaves the list
+    assert sorted(set(KEPT_PARAMETERS) - unread) == []
