@@ -26,13 +26,14 @@ shipped and cut to a few seeds and iterations, and of short runs of the
 paths that neither takes (PATH_RUNS: exact gradients for each algorithm,
 averaging weights, warm-started baselines, constrained example5, a
 tracking run on example5's network without its `constraint_owners`, so
-that each block's first cluster member owns its row, and sweeps with a
-partial last record and with one seed and point), whose configs, and that
-network file, are written once into the work dir for both sides. Each runs
-through each side's CLI in a fresh process: once with BLAS pinned to one
-thread and once with the BLAS thread variables unset. Beside each sha256 it records the wall
-time of that CLI process on each side, interpreter start-up included, and
-its peak resident set size (the child's own `ru_maxrss`, from
+that each block's first cluster member owns its row, one on example5's
+network numbered from 1, and sweeps with a partial last record and with
+one seed and point), whose configs, and those network files, are written
+once into the work dir for both sides. Each runs through each side's
+CLI in a fresh process: once with BLAS pinned to one thread and once
+with the BLAS thread variables unset. Beside each sha256 it records the
+wall time of that CLI process on each side, interpreter start-up
+included, and its peak resident set size (the child's own `ru_maxrss`, from
 `os.wait4`); these are a record, not a gate. Where the two sides' CSVs differ, it
 also records the largest relative change of any numeric value,
 |change - parent| / max(|change|, |parent|), over the cells of the CSV.
@@ -81,9 +82,11 @@ def _path_config(network="benchmark20", eta=10.0, objective=(), scenario=(), **e
             "scenario": {"id": "constrained", "seeds": [0, 1], "log_every": 5, **dict(scenario)}}
 
 
-# example5's network file without its constraint_owners, written into the
-# work dir beside the path configs
+# example5's network file without its constraint_owners, and numbered from
+# 1 (every agent, block and owner plus 1), both written into the work dir
+# beside the path configs
 DEFAULT_OWNERS_NETWORK = "example5-default-owners.json"
+ONE_BASED_NETWORK = "example5-one-based.json"
 
 # (label, config) of the paths no workload call or shipped config takes;
 # ADMM takes no penalty, so it runs at eta 0
@@ -98,6 +101,8 @@ PATH_RUNS = [
     ("example5-default-owners-tracking",
      _path_config(network=DEFAULT_OWNERS_NETWORK, scenario={"id": "tracking",
                                                             "change_point": 150})),
+    ("example5-one-based-tracking",
+     _path_config(network=ONE_BASED_NETWORK, scenario={"id": "tracking", "change_point": 150})),
     # a sweep records only its steady-state tail: one whose last record is
     # partial (305 iterations, log_every 10), and one of one seed and point
     ("sweep-partial-record", _path_config(iterations=305, scenario={"id": "sweep",
@@ -300,11 +305,16 @@ def digests_mode(sides: dict, work: Path) -> dict:
     paths.mkdir(parents=True)
     data = ROOT / "src" / "coupled_diffusion" / "data"
     network = json.loads((data / "example5.json").read_text())
+    (paths / ONE_BASED_NETWORK).write_text(json.dumps({
+        **network, "index_base": 1, "edges": [[a + 1, b + 1] for a, b in network["edges"]],
+        "interest_sets": [[l + 1 for l in s] for s in network["interest_sets"]],
+        "constraint_owners": [k + 1 for k in network["constraint_owners"]]}))
     del network["constraint_owners"]
     (paths / DEFAULT_OWNERS_NETWORK).write_text(json.dumps(network))
     for label, config in PATH_RUNS:  # YAML reads JSON
-        if config["network"]["source"] == DEFAULT_OWNERS_NETWORK:
-            config = {**config, "network": {"source": str(paths / DEFAULT_OWNERS_NETWORK)}}
+        source = config["network"]["source"]
+        if source in (DEFAULT_OWNERS_NETWORK, ONE_BASED_NETWORK):
+            config = {**config, "network": {"source": str(paths / source)}}
         (paths / f"{label}.yaml").write_text(json.dumps(config))
     out = {}
     for threads, env in (("blas_threads_1", {**base_env, **dict.fromkeys(BLAS_VARS, "1")}),

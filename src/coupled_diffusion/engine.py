@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NonFiniteIterate
-from .objective import MultiAgentProblem, OracleStack, row_penalty_gradient
+from .objective import MultiAgentProblem, row_penalty_gradient
 from .topology import ClusterMap
 from .weights import step_scaling
 
@@ -103,13 +103,6 @@ NOISE_CHUNK_MIN_ITERATIONS = 32
 # windows write a prefix of them; a window's draws are a slice of the
 # noise buffer.
 RISK_WINDOW_BYTES = 256 * 1024
-
-
-def _exact_gradients(stack: OracleStack, x: np.ndarray) -> np.ndarray:
-    """Every agent's exact risk gradient at the points x, (n_flat, C) in
-    and out: the stack's padded cells gathered from x, and its valid
-    cells, which in row-major order are the flat layout, kept."""
-    return stack.true_gradient(x.take(stack.gather, axis=0))[stack.valid]
 
 
 class _RiskGradients:
@@ -263,8 +256,7 @@ class _Batch:
         self._diverged = {}  # grid point -> its first NonFiniteIterate
         self.set_constraints(problem)
         if cfgs[0].noise == "exact":
-            stack = problem.oracle_stack()
-            self._risk = lambda x: _exact_gradients(stack, x)
+            self._risk = problem.oracle_stack().true_gradient
         else:
             self._risk = _RiskGradients(problem, self.seeds, cfgs[0])
 
@@ -356,7 +348,7 @@ class AdmmBatch(_Batch):
         if init_global is None:
             self.y = np.zeros_like(self.w)
         else:  # warm start: y_k = -grad J_k(w_k), z = init_global
-            self.y = -_exact_gradients(problem.oracle_stack(), self.w)
+            self.y = -problem.oracle_stack().true_gradient(self.w)
 
     def _advance(self):
         rho = self.cfgs[0].rho_admm

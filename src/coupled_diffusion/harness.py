@@ -31,7 +31,8 @@ from .objective import (
     PenaltyConfig,
     random_quadratic_oracles,
 )
-from .topology import BlockLayout, NetworkSpec, build_clusters, embed_clusters
+from .topology import (BlockLayout, NetworkSpec, build_clusters, check_blocks, check_edges,
+                       embed_clusters)
 from .weights import averaging_weights, metropolis_weights
 
 SCENARIOS = ("unconstrained", "constrained", "tracking", "sweep", "custom")
@@ -80,13 +81,16 @@ def load_network(source: str, block_dims=None) -> NetworkDescription:
     if set(map(len, edges)) - {2}:
         raise ConfigError("network edges must be [agent, agent] pairs")
     interest = _integer_lists(raw["interest_sets"], "interest_sets")
-    if base:
+    n, sets = _integer(raw["agent_count"], "agent_count"), interest
+    if base:  # the edges checked in the file's own numbers, which an error then names
+        check_edges(edges, n, base)
         edges = tuple((a - base, b - base) for a, b in edges)
-        interest = tuple(tuple(l - base for l in s) for s in interest)
-    net = NetworkSpec(agent_count=_integer(raw["agent_count"], "agent_count"),
-                      edges=frozenset(edges), interest_sets=interest)
+        sets = tuple(tuple(l - base for l in s) for s in interest)
+    net = NetworkSpec(agent_count=n, edges=frozenset(edges), interest_sets=sets)
     dims = tuple(block_dims) if block_dims else _integers(raw["block_dims"], "block_dims")
     layout = BlockLayout(dims)  # checks the dims before the owners are counted against them
+    if base:  # and the blocks, once the layout counts them
+        check_blocks(interest, layout.block_count, base)
     owners = raw.get("constraint_owners")
     if owners is not None:
         owners = tuple(o - base for o in _integers(owners, "constraint_owners"))

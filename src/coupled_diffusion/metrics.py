@@ -71,20 +71,11 @@ def disagreement(w_flat: np.ndarray, cmap: ClusterMap) -> np.ndarray:
     return np.sqrt(np.maximum(dist2.max(axis=(-2, -1)), 0.0))
 
 
-def _quadratic_pieces(problem: MultiAgentProblem):
-    """(H, f, G, b) of the global quadratic program."""
-    rows = problem.constraints
-    return problem.global_risk_quadratic() + (rows.g_global, rows.offset)
-
-
 def penalized_optimum(problem: MultiAgentProblem, eta: float) -> np.ndarray:
     """Minimizer of the aggregate risk plus eta-weighted penalties, from the
     closed form (H + 2 eta G'G) w = f + 2 eta G'b."""
-    return _penalized_optimum(problem, eta, _quadratic_pieces(problem))
-
-
-def _penalized_optimum(problem: MultiAgentProblem, eta: float, pieces) -> np.ndarray:
-    hess, lin, g, b = pieces
+    hess, lin = problem.global_risk_quadratic()
+    g, b = problem.constraints.g_global, problem.constraints.offset
     with np.errstate(over="ignore", invalid="ignore"):  # checked just below
         a = hess + 2.0 * eta * g.T @ g
         rhs = lin + 2.0 * eta * g.T @ b
@@ -94,10 +85,9 @@ def _penalized_optimum(problem: MultiAgentProblem, eta: float, pieces) -> np.nda
         raise SingularSystem(f"penalized Hessian is not positive definite at eta {eta!r}")
     w = np.linalg.solve(a, rhs)
     # checked against the per-agent oracles and the flat constraint rows, not
-    # the (H, G) the solve used, relative to the gradient at w = 0, which is -rhs
-    grad = problem.global_risk_gradient(w) + eta * problem.global_penalty_gradient(w)
+    # the (H, G) the solve used, relative to the gradient at w = 0, which is -rhs;
     # hypot scales its arguments: a huge eta does not overflow the norms
-    if math.hypot(*grad) > 1e-8 * (1.0 + math.hypot(*rhs)):
+    if math.hypot(*problem.global_gradient(w, eta)) > STATIONARITY_TOL * (1.0 + math.hypot(*rhs)):
         raise SimulationError("penalized optimum failed its stationarity check")
     return w
 
@@ -105,14 +95,11 @@ def _penalized_optimum(problem: MultiAgentProblem, eta: float, pieces) -> np.nda
 def constrained_optimum(problem: MultiAgentProblem) -> np.ndarray:
     """Solution of the equality-constrained quadratic program via its KKT
     system; without constraints, the penalized optimum at eta 0."""
-    pieces = _quadratic_pieces(problem)
-    if not pieces[2].shape[0]:
-        return _penalized_optimum(problem, 0.0, pieces)
-    return _kkt_solve(*pieces)
-
-
-def _kkt_solve(hess, lin, g, b) -> np.ndarray:
-    m, p = hess.shape[0], g.shape[0]
+    g, b = problem.constraints.g_global, problem.constraints.offset
+    if not b.size:
+        return penalized_optimum(problem, 0.0)
+    hess, lin = problem.global_risk_quadratic()
+    m, p = hess.shape[0], b.size
     kkt = np.zeros((m + p, m + p))
     kkt[:m, :m] = hess
     kkt[:m, m:] = g.T
@@ -137,10 +124,9 @@ def reference_solution(problem: MultiAgentProblem, eta: float) -> ReferenceSolut
     """Both reference optima for a problem, for metric logging: the penalized
     one in closed form and the constrained one from its KKT system. Without
     constraints the penalty is void and w_o is w_star."""
-    pieces = _quadratic_pieces(problem)
-    w_star = _penalized_optimum(problem, eta, pieces)
-    return ReferenceSolution(w_star=w_star,
-                             w_o=_kkt_solve(*pieces) if pieces[2].shape[0] else w_star)
+    w_star = penalized_optimum(problem, eta)
+    w_o = constrained_optimum(problem) if problem.constraints.offset.size else w_star
+    return ReferenceSolution(w_star=w_star, w_o=w_o)
 
 
 # `MetricsLog` takes the disagreement of a window of records in one call:

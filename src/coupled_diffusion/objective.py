@@ -3,8 +3,8 @@
 A problem's constraints are one `ConstraintRows` record of affine
 equality rows (G, b), lifted once to the flat layout and to the global
 vector. The penalty ||G w - b||^2 has the gradient `row_penalty_gradient`;
-the penalty weight eta is applied by the engine, not here, so a single
-evaluation serves multiple eta values in sweeps.
+the penalty weight eta is applied by the engine and `global_gradient`, not
+here, so a single evaluation serves multiple eta values in sweeps.
 """
 
 from __future__ import annotations
@@ -192,11 +192,13 @@ class OracleStack:
     # (N, Q) flat-layout index of each cell; a padded cell reads entry 0
     gather: np.ndarray
 
-    def true_gradient(self, z: np.ndarray) -> np.ndarray:
-        """Every agent's exact risk gradient 2 R_k (z_k - w_ref_k) at the
-        padded (N, Q, C) points z, one column per point; padded cells read
-        zero."""
-        return 2.0 * (self.covariance @ (z - self.w_ref[..., None]))
+    def true_gradient(self, x: np.ndarray) -> np.ndarray:
+        """Every agent's exact risk gradient 2 R_k (x_k - w_ref_k) at the
+        points x, (n_flat, C) in and out, one column per point: the padded
+        cells gathered from x, and the valid cells, which in row-major
+        order are the flat layout, kept."""
+        z = x.take(self.gather, axis=0)
+        return (2.0 * (self.covariance @ (z - self.w_ref[..., None])))[self.valid]
 
 
 def stack_oracles(oracles, cmap: ClusterMap) -> OracleStack:
@@ -292,16 +294,12 @@ class MultiAgentProblem:
         and read-only."""
         return self._derived("_risk_quadratic", self._assemble_risk_quadratic)
 
-    def _global_cells(self, stack: OracleStack) -> np.ndarray:
-        """(N, Q) global-vector index of each cell of the oracle stack."""
-        return self.cmap.flat_global_indices[stack.gather]
-
     def _assemble_risk_quadratic(self) -> tuple[np.ndarray, np.ndarray]:
         """Each entry sums its agents' terms in agent order, from zero, as
         adding agent by agent into zeroed arrays would: bincount adds its
         weights in the order given, and an agent holds each index once."""
         stack, m = self.oracle_stack(), self.layout.total_dim
-        cells = self._global_cells(stack)
+        cells = self.cmap.flat_global_indices[stack.gather]  # (N, Q) global index of each cell
         pairs = stack.valid[:, :, None] & stack.valid[:, None, :]
         hess = np.bincount((cells[:, :, None] * m + cells[:, None, :])[pairs],
                            weights=2.0 * stack.covariance[pairs], minlength=m * m).reshape(m, m)
@@ -321,18 +319,14 @@ class MultiAgentProblem:
         return float(np.bincount(owner, weights=2.0 * (g * g).sum(axis=1),
                                  minlength=self.agent_count).max())
 
-    def global_risk_gradient(self, w: np.ndarray) -> np.ndarray:
-        """Exact aggregate risk gradient at a global vector."""
-        stack = self.oracle_stack()
-        cells = self._global_cells(stack)
-        grad = stack.true_gradient(np.asarray(w, dtype=float)[cells][..., None])[..., 0]
-        return np.bincount(cells[stack.valid], weights=grad[stack.valid],
-                           minlength=self.layout.total_dim)
-
-    def global_penalty_gradient(self, w: np.ndarray) -> np.ndarray:
-        """Exact aggregate penalty gradient at a global vector (no eta): the
-        flat rows applied to the vector's flat layout, each flat entry then
-        added to its global index, so the global G is not used."""
+    def global_gradient(self, w: np.ndarray, eta: float) -> np.ndarray:
+        """Exact gradient of the aggregate risk plus eta times the penalty at
+        a global vector: the oracle stack's risk gradients and the flat
+        rows' penalty gradient, both on the vector's flat layout, each flat
+        entry then added to its global index, so neither H nor the global
+        G is used."""
         flat, rows = self.cmap.flat_global_indices, self.constraints
-        grad = row_penalty_gradient((rows.g_flat, rows.offset), np.asarray(w, dtype=float)[flat])
+        x = np.asarray(w, dtype=float)[flat]
+        grad = self.oracle_stack().true_gradient(x[:, None])[:, 0]
+        grad += eta * row_penalty_gradient((rows.g_flat, rows.offset), x)
         return np.bincount(flat, weights=grad, minlength=self.layout.total_dim)

@@ -1,7 +1,8 @@
 """Agent graph, block partition, interest sets, and cluster machinery.
 
-Agents and blocks are 0-indexed everywhere in this module. Loaders that
-accept 1-based external files normalize before constructing these types.
+Agents and blocks are 0-indexed everywhere in this module but in the
+`base` of `check_edges` and `check_blocks`, which loaders of 1-based files
+call before they normalize to construct these types.
 All types are immutable after construction and safe to share across
 concurrent runs.
 """
@@ -53,12 +54,8 @@ class NetworkSpec:
         n = self.agent_count
         if n < 1:
             raise ConfigError("agent_count must be positive")
-        ends = list(chain.from_iterable(self.edges))
-        if ends and not (0 <= min(ends) and max(ends) < n):
-            _raise_for_first_bad_edge(self.edges, n)
+        check_edges(self.edges, n, 0)
         edges = sorted({(a, b) if a < b else (b, a) for a, b in self.edges})
-        if any(a == b for a, b in edges):
-            _raise_for_first_bad_edge(self.edges, n)
         if len(self.interest_sets) != n:
             raise ConfigError("need one interest set per agent")
         if 0 in map(len, self.interest_sets):
@@ -87,13 +84,31 @@ class NetworkSpec:
         return len(seen) == self.agent_count
 
 
-def _raise_for_first_bad_edge(edges, agent_count: int):
-    """The error of the first self-loop or unknown agent, in set order."""
-    for a, b in edges:
-        if a == b:
-            raise ConfigError(f"self-loop edge ({a},{b}) not allowed")
-        if not (0 <= a < agent_count and 0 <= b < agent_count):
-            raise ConfigError(f"edge ({a},{b}) references unknown agent")
+def check_edges(edges, agent_count: int, base: int):
+    """The error of the first self-loop or edge to an unknown agent, in
+    iteration order, with agents numbered from `base`; good edges cost one
+    min/max pass and one pass for self-loops."""
+    ends, agents = list(chain.from_iterable(edges)), range(base, agent_count + base)
+    if ends and not (base <= min(ends) and max(ends) < agents.stop) or any(
+            a == b for a, b in edges):
+        for a, b in edges:
+            if a == b:
+                raise ConfigError(f"self-loop edge ({a},{b}) not allowed")
+            if a not in agents or b not in agents:
+                raise ConfigError(f"edge ({a},{b}) references unknown agent")
+
+
+def check_blocks(interest_sets, block_count: int, base: int):
+    """The error of the first block outside the layout, agent by agent, or
+    else of the first block that no interest set holds, with agents and
+    blocks numbered from `base`; good sets cost one set of their blocks."""
+    blocks, held = range(base, block_count + base), set(chain.from_iterable(interest_sets))
+    if held == set(blocks):
+        return
+    for k, l in ((k, l) for k, s in enumerate(interest_sets) for l in s if l not in blocks):
+        raise InvalidBlockIndex(f"agent {k + base} is interested in block {l}, "
+                                f"layout has {block_count} blocks")
+    raise EmptyCluster(f"block {min(set(blocks) - held)} appears in no interest set")
 
 
 def _split(values: list, counts) -> tuple[tuple, ...]:
@@ -180,16 +195,14 @@ def build_clusters(net: NetworkSpec, layout: BlockLayout) -> ClusterMap:
     # an agent, in increasing block order: the order of the flat layout
     flat = list(chain.from_iterable(net.interest_sets))
     if not (0 <= min(flat) and max(flat) < L):
-        k, l = next((k, l) for k, blocks in enumerate(net.interest_sets)
-                    for l in blocks if not 0 <= l < L)
-        raise InvalidBlockIndex(f"agent {k} is interested in block {l}, layout has {L} blocks")
+        check_blocks(net.interest_sets, L, 0)
     blocks = np.array(flat, dtype=np.intp)
     blocks_per_agent = np.fromiter(map(len, net.interest_sets), dtype=np.intp,
                                    count=net.agent_count)
     agents = np.repeat(np.arange(net.agent_count), blocks_per_agent)
     sizes = np.bincount(blocks, minlength=L)
     if not sizes.all():
-        raise EmptyCluster(f"block {int(np.argmin(sizes))} appears in no interest set")
+        check_blocks(net.interest_sets, L, 0)
     # a stable sort by block keeps each cluster in agent order
     clusters = _split(agents[np.argsort(blocks, kind="stable")].tolist(), sizes)
 

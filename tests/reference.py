@@ -358,7 +358,7 @@ def risk_quadratic(problem: MultiAgentProblem) -> tuple[np.ndarray, np.ndarray]:
 
 
 def risk_gradient(problem: MultiAgentProblem, w: np.ndarray) -> np.ndarray:
-    """`MultiAgentProblem.global_risk_gradient`, summed agent by agent."""
+    """The risk part of `MultiAgentProblem.global_gradient`, summed agent by agent."""
     grad = np.zeros(problem.layout.total_dim)
     for k, o in enumerate(problem.oracles):
         gidx = global_indices(problem.cmap, k)
@@ -506,7 +506,8 @@ def penalty_gradient(constraints, w: np.ndarray, cfg: PenaltyConfig) -> np.ndarr
 
 
 def global_penalty_gradient(problem: MultiAgentProblem, w: np.ndarray) -> np.ndarray:
-    """`MultiAgentProblem.global_penalty_gradient`, summed agent by agent."""
+    """The penalty part of `MultiAgentProblem.global_gradient`, without eta,
+    summed agent by agent."""
     grad = np.zeros(problem.layout.total_dim)
     for k, cons in enumerate(agent_constraints(problem)):
         gidx = global_indices(problem.cmap, k)
@@ -686,7 +687,7 @@ def centralized_step(
             gidx = global_indices(problem.cmap, k)
             grad[gidx] += stochastic_gradient(problem.oracles[k], psi[gidx], rngs[k])
     else:
-        grad = problem.global_risk_gradient(psi)
+        grad = risk_gradient(problem, psi)
     return psi - cfg.mu * d_vec * grad
 
 

@@ -18,6 +18,7 @@ from reference import (
     equality,
     flat_cluster_indices,
     gather_local,
+    global_penalty_gradient,
     global_slice,
     init_admm_state,
     init_state,
@@ -241,7 +242,7 @@ def test_centralized_matches_plain_gradient_descent():
     manual = np.zeros_like(w)
     for _ in range(30):
         w = centralized_step(w, [1.0] * problem.layout.block_count, problem, cfg)
-        manual = manual - cfg.mu * problem.global_risk_gradient(manual)
+        manual = manual - cfg.mu * problem.global_gradient(manual, 0.0)
         assert np.allclose(w, manual, atol=1e-13)
 
 
@@ -251,7 +252,7 @@ def test_centralized_per_block_scaling():
     d = [1.0 / len(c) for c in cmap.clusters]
     w = np.zeros(problem.layout.total_dim)
     w2 = centralized_step(w, d, problem, cfg)
-    grad = problem.global_risk_gradient(w)
+    grad = problem.global_gradient(w, 0.0)
     for l in range(problem.layout.block_count):
         sl = global_slice(problem.layout, l)
         assert np.allclose(w2[sl], -cfg.mu * d[l] * grad[sl], atol=1e-14)
@@ -282,7 +283,7 @@ def test_centralized_penalized_drift_is_second_order():
     w_star = penalized_optimum(problem, eta)
     w2 = centralized_step(w_star.copy(), [1.0] * problem.layout.block_count, problem, cfg)
     hess, _ = problem.global_risk_quadratic()
-    p = problem.global_penalty_gradient(w_star)
+    p = global_penalty_gradient(problem, w_star)
     # drift = mu^2 eta H D p for the quadratic risk, exactly
     assert np.allclose(w2 - w_star, mu**2 * eta * hess @ p, atol=1e-12)
 

@@ -147,6 +147,27 @@ def test_load_one_based_network(tmp_path):
     assert desc.net.interest_sets == ((0,), (0, 1), (1,))
 
 
+def test_a_one_based_copy_of_example5_writes_example5s_csv(tmp_path):
+    """A tracking run on example5's file numbered from 1, every agent, block
+    and owner plus 1, writes the bytes of the run on example5's own file."""
+    raw = json.loads((files("coupled_diffusion.data") / "example5.json").read_text())
+    copy = tmp_path / "example5-one-based.json"
+    copy.write_text(json.dumps({
+        **raw, "index_base": 1, "edges": [[a + 1, b + 1] for a, b in raw["edges"]],
+        "interest_sets": [[l + 1 for l in s] for s in raw["interest_sets"]],
+        "constraint_owners": [k + 1 for k in raw["constraint_owners"]]}))
+    written = []
+    for source in ("example5", str(copy)):
+        cfg = config_from_dict({
+            "network": {"source": source}, "objective": {"problem_seed": 7},
+            "penalty": {"eta": [10.0]}, "engine": {"mu": [0.002], "iterations": 300},
+            "scenario": {"id": "tracking", "seeds": [0, 1], "log_every": 5,
+                         "change_point": 150}})
+        emit_results(run_scenario(cfg), tmp_path / "run.csv")
+        written.append((tmp_path / "run.csv").read_bytes())
+    assert written[0] == written[1]
+
+
 def test_benchmark_problem_properties():
     p = generate_benchmark_problem(11, constrained=True)
     assert np.linalg.norm(p.true_model) == pytest.approx(1.0, abs=1e-12)
@@ -264,7 +285,7 @@ def test_stacked_problem_draw_matches_the_per_agent_draw(tmp_path, setup_network
         assert hess.tobytes() == want_hess.tobytes() and lin.tobytes() == want_lin.tobytes()
         # the stationarity check's gradient sums in another order: rounding only
         w = np.random.default_rng(seed).standard_normal(problem.layout.total_dim)
-        grad, want_grad = problem.global_risk_gradient(w), risk_gradient(problem, w)
+        grad, want_grad = problem.global_gradient(w, 0.0), risk_gradient(problem, w)
         assert np.max(np.abs(grad - want_grad)) <= 1e-14 * np.max(np.abs(want_grad))
 
 
@@ -804,6 +825,33 @@ def test_cli_error_network_without_edges(tmp_path, capsys):
         }))
         assert payload == {"type": "ConfigError", "message": f"constraint_owners: agent "
                            f"{base + 2} is not in the cluster of block {base}"}
+
+
+ONE_BASED_FAULTS = [  # edges, interest sets, block dims of a 2-agent 1-based file; its error
+    ([[1, 3]], [[1], [1]], [1], "ConfigError", "edge (1,3) references unknown agent"),
+    ([[0, 1]], [[1], [1]], [1], "ConfigError", "edge (0,1) references unknown agent"),
+    ([[2, 2]], [[1], [1]], [1], "ConfigError", "self-loop edge (2,2) not allowed"),
+    ([[1, 2]], [[2], [1]], [1], "InvalidBlockIndex",
+     "agent 1 is interested in block 2, layout has 1 blocks"),
+    ([[1, 2]], [[1], [1]], [1, 1], "EmptyCluster", "block 2 appears in no interest set"),
+]
+
+
+@pytest.mark.parametrize("edges, interest, dims, kind, message", ONE_BASED_FAULTS,
+                         ids=["agent-past-the-end", "agent-0", "self-loop", "block-past-the-end",
+                              "block-no-agent-holds"])
+def test_cli_error_names_a_one_based_file_in_its_own_numbers(tmp_path, capsys, edges, interest,
+                                                             dims, kind, message):
+    """An unknown agent, a self-loop, a block outside the layout and a block
+    no agent holds are named as a 1-based file numbers them."""
+    net = tmp_path / "net.json"
+    net.write_text(json.dumps({"index_base": 1, "agent_count": 2, "block_dims": dims,
+                               "edges": edges, "interest_sets": interest}))
+    payload = _cli_error(capsys, _bad_config(tmp_path, {
+        "network": {"source": str(net)},
+        "scenario": {"id": "unconstrained", "seeds": [0]},
+    }))
+    assert payload == {"type": kind, "message": message}
 
 
 def _with_entry(raw: dict, field: str, entry) -> dict:

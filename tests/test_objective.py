@@ -15,6 +15,7 @@ from coupled_diffusion.harness import (
     load_network,
     regenerate_constraints,
 )
+from coupled_diffusion.metrics import constrained_optimum, penalized_optimum, reference_solution
 from coupled_diffusion.objective import (
     ConstraintRows,
     PenaltyConfig,
@@ -42,6 +43,7 @@ from reference import (
     penalty_value,
     random_orthogonal,
     random_quadratic_oracle,
+    risk_gradient,
     stochastic_gradient,
 )
 
@@ -208,18 +210,41 @@ def test_the_row_record_matches_the_per_spec_rows(constrained_descs, constrained
     assert rows.owner.tolist() == [c.owner for cons in specs for c in cons]
 
 
+@pytest.mark.parametrize("eta", [0.0, 1.0, 1e4])
 @pytest.mark.parametrize("name", PENALTY_PROBLEMS)
-def test_the_row_form_matches_the_per_constraint_penalty_gradient(constrained_problems, name):
-    """The engine's penalty half-step and the stationarity check's global
-    penalty gradient, both from the lifted rows, against the per-constraint
-    gradients summed agent by agent."""
+def test_the_global_gradient_matches_the_per_agent_sum(constrained_problems, name, eta):
+    """The stationarity check's gradient, formed on the flat layout from the
+    oracle stack and the flat rows, against the per-agent risk gradients
+    plus eta times the per-constraint penalty gradients, summed agent by
+    agent."""
     problem = constrained_problems[name]
-    cmap, rng = problem.cmap, np.random.default_rng(11)
-    w = rng.standard_normal(problem.layout.total_dim)
-    want = global_penalty_gradient(problem, w)
-    got = problem.global_penalty_gradient(w)
+    w = np.random.default_rng(11).standard_normal(problem.layout.total_dim)
+    want = risk_gradient(problem, w) + eta * global_penalty_gradient(problem, w)
+    got = problem.global_gradient(w, eta)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
+
+@pytest.mark.parametrize("name", PENALTY_PROBLEMS + ("example5",))
+def test_reference_solution_is_the_two_optima(constrained_problems, name):
+    """`reference_solution` gives the bits of `penalized_optimum` and of
+    `constrained_optimum`; without rows its w_o is its w_star array."""
+    problem = constrained_problems[name]
+    refs = reference_solution(problem, 10.0)
+    assert refs.w_star.tobytes() == penalized_optimum(problem, 10.0).tobytes()
+    assert refs.w_o.tobytes() == constrained_optimum(problem).tobytes()
+    assert refs.w_o is not refs.w_star
+    free = dataclasses.replace(problem, constraints=ConstraintRows(problem.cmap, (), (), ()))
+    refs = reference_solution(free, 10.0)
+    assert refs.w_o is refs.w_star
+    assert refs.w_star.tobytes() == penalized_optimum(free, 10.0).tobytes()
+
+
+@pytest.mark.parametrize("name", PENALTY_PROBLEMS)
+def test_the_row_form_matches_the_per_constraint_penalty_gradient(constrained_problems, name):
+    """The engine's penalty half-step, from the flat rows, against the
+    per-constraint gradients of each agent."""
+    problem = constrained_problems[name]
+    cmap, rng = problem.cmap, np.random.default_rng(11)
     weights = {l: metropolis_weights(cmap, problem.net, l) for l in range(len(cmap.clusters))}
     batch = init_batch(problem, weights, EngineConfig(mu=1e-3, eta=1.0, noise="exact"), (0, 1))
     flat = rng.standard_normal((cmap.total_local_dim, 2))

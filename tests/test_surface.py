@@ -20,8 +20,9 @@ where.
 
 Every public field of a dataclass defined in `src/` is also read as an
 attribute (`x.field`, not an assignment to it) somewhere in those three
-directories: a field that only the tests read is dead surface, whatever
-writes it.
+directories, outside the `__post_init__` of the field's own class: a
+field that only the tests, or its own constructor, read is dead surface,
+whatever writes it.
 
 Every parameter of every function in `src/`, private ones included, is
 read in its body, where a nested function's reads count: a parameter
@@ -39,19 +40,17 @@ DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)+")
 KEPT = {  # public, named nowhere outside the tests, and kept on purpose
     "risk": "criterion 3 calls QuadraticRiskOracle.risk as a method; criterion bodies "
             "do not change",
-    "penalized_optimum": "analysis API: criterion 7 solves w*(eta) with it",
-    "constrained_optimum": "analysis API: criterion 7 solves w_o with it",
     "empirical_rate": "analysis API: criterion 4 fits its contraction factor with it",
     "spectral_gap_bound": "analysis API: criterion 4 bounds that factor with it",
 }
 
 
 SHARED = {  # public names defined more than once in src/, and why each one stays
-    "true_gradient": "OracleStack.true_gradient is the one exact risk gradient of src/: the "
-                     "stationarity check, the engine's exact mode and the ADMM warm start "
-                     "read it; QuadraticRiskOracle.true_gradient has no caller in src/, and is "
-                     "kept because criterion 3 calls it as a method; criterion bodies do not "
-                     "change",
+    "true_gradient": "OracleStack.true_gradient, flat in and out, is the one exact risk "
+                     "gradient of src/: the stationarity check, the engine's exact mode and "
+                     "the ADMM warm start read it; QuadraticRiskOracle.true_gradient has no "
+                     "caller in src/, and is kept because criterion 3 calls it as a method; "
+                     "criterion bodies do not change",
 }
 
 
@@ -69,6 +68,9 @@ KEPT_FIELDS = {  # dataclass fields read nowhere outside the tests, and kept on 
                                  "workload config, so it can leave only in a benchmark change; "
                                  "ROADMAP item 7 decides whether rho gains inequality rows "
                                  "or goes",
+    "ConstraintRows.coeffs": "the per-agent rows of tests/reference.py (agent_constraints) "
+                             "read it; ROADMAP item 5's owner-batched rows will be its first "
+                             "run-path reader",
 }
 
 
@@ -166,20 +168,34 @@ def _is_dataclass(node: ast.ClassDef) -> bool:
     return False
 
 
+def _dataclasses() -> list:
+    """The class definition of every dataclass of src/."""
+    return [node for tree in _trees("src") for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef) and _is_dataclass(node)]
+
+
 def _public_fields() -> set:
     """Every public field of a dataclass defined in src/, as "Class.field"."""
-    return {f"{node.name}.{stmt.target.id}"
-            for tree in _trees("src") for node in ast.walk(tree)
-            if isinstance(node, ast.ClassDef) and _is_dataclass(node)
+    return {f"{node.name}.{stmt.target.id}" for node in _dataclasses()
             for stmt in node.body
             if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
             and not stmt.target.id.startswith("_")}
 
 
+def _reads(node) -> Counter:
+    """The attribute names read under `node`, with their counts."""
+    return Counter(n.attr for n in ast.walk(node)
+                   if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load))
+
+
 def test_every_public_dataclass_field_is_read_outside_the_tests():
-    read = {node.attr for tree in _trees("src", "benchmarks", "scripts") for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
-    unread = {name for name in _public_fields() if name.split(".")[1] not in read}
+    read = sum(map(_reads, _trees("src", "benchmarks", "scripts")), Counter())
+    # the reads of each class's own __post_init__, which are its constructor's
+    own = {node.name: sum((_reads(f) for f in node.body
+                           if getattr(f, "name", None) == "__post_init__"), Counter())
+           for node in _dataclasses()}
+    unread = {f"{cls}.{attr}" for cls, attr in (name.split(".") for name in _public_fields())
+              if read[attr] == own[cls][attr]}
     assert sorted(unread - set(KEPT_FIELDS)) == [], "read only by the tests: delete the field"
     # a kept field that is gone from src/, or has found a reader, leaves the list
     assert sorted(set(KEPT_FIELDS) - unread) == []
