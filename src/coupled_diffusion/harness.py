@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .engine import EngineConfig, init_batch
-from .errors import ConfigError, SingularSystem
+from .errors import ConfigError
 from .metrics import MetricsLog, db, reference_solution
 from .objective import (
     ConstraintRows,
@@ -308,7 +308,9 @@ def build_problem(desc: NetworkDescription, seed: int, constrained: bool = False
     zero cost for the added blocks (zero basis rows in their oracles). The
     constrained variant adds one unit-norm affine equality per block at
     the owner; a named owner outside its block's cluster is a ConfigError
-    in either variant. Deterministic per seed.
+    in either variant. Deterministic per seed. Every global coordinate is
+    some agent's own, so the risk Hessian H is positive definite by
+    construction: its smallest eigenvalue is at least 2 * objective.SPECTRUM_RANGE[0].
     """
     cmap0 = build_clusters(desc.net, desc.layout)
     net, cmap = embed_clusters(desc.net, cmap0)
@@ -316,8 +318,6 @@ def build_problem(desc: NetworkDescription, seed: int, constrained: bool = False
         if l not in cmap.agent_blocks[owner]:
             raise ConfigError(f"constraint_owners: agent {owner + desc.index_base} is not in "
                               f"the cluster of block {l + desc.index_base}")
-    if net is not desc.net:
-        desc = dataclasses.replace(desc, net=net)
     rng = _problem_rng(seed, _PROBLEM_TAG)
     model = rng.standard_normal(desc.layout.total_dim)
     model /= np.linalg.norm(model)
@@ -338,16 +338,16 @@ def build_problem(desc: NetworkDescription, seed: int, constrained: bool = False
     else:
         constraints = ConstraintRows(cmap, (), (), ())
     problem = MultiAgentProblem(
-        net=desc.net,
+        net=net,
         cmap=cmap,
         oracles=oracles,
         constraints=constraints,
         penalty=PenaltyConfig(rho=rho),
         true_model=model,
     )
-    nu = problem.strong_convexity()
-    if nu <= 0.0:
-        raise SingularSystem(f"assembled risk Hessian is not strongly convex (nu={nu:.2e})")
+    # assembled here, so that the problems `regenerate_constraints` makes from
+    # this one by `dataclasses.replace` copy the cache instead of each building it
+    problem.global_risk_quadratic()
     return problem
 
 

@@ -94,10 +94,9 @@ def penalized_optimum(problem: MultiAgentProblem, eta: float) -> np.ndarray:
 
 def constrained_optimum(problem: MultiAgentProblem) -> np.ndarray:
     """Solution of the equality-constrained quadratic program via its KKT
-    system; without constraints, the penalized optimum at eta 0."""
+    system; without constraints that system is H w = f, and its solution
+    the penalized optimum at eta 0."""
     g, b = problem.constraints.g_global, problem.constraints.offset
-    if not b.size:
-        return penalized_optimum(problem, 0.0)
     hess, lin = problem.global_risk_quadratic()
     m, p = hess.shape[0], b.size
     kkt = np.zeros((m + p, m + p))
@@ -132,8 +131,7 @@ def reference_solution(problem: MultiAgentProblem, eta: float) -> ReferenceSolut
 # `MetricsLog` takes the disagreement of a window of records in one call:
 # as many records as fit in METRIC_WINDOW_BYTES, but at least one, so its
 # window buffer holds at most max(METRIC_WINDOW_BYTES, the bytes of one
-# record's state). A window of one record takes it from the state itself
-# and has no buffer.
+# record's state).
 METRIC_WINDOW_BYTES = 32 * 1024
 
 
@@ -161,7 +159,7 @@ class MetricsLog:
         self._weight = cmap.inverse_cluster_sizes()
         self.iterations = []
         self._msd_star, self._msd_o, self._disagreement_max = [], [], []
-        self._window = None  # (n_flat, K, C), allocated at the first record when K > 1
+        self._window = None  # (n_flat, K, C), allocated at the first record
         self._pending = 0  # records in the window whose disagreement is still to take
 
     def _msd(self, w: np.ndarray, reference: np.ndarray) -> np.ndarray:
@@ -174,12 +172,8 @@ class MetricsLog:
         self._msd_star.append(msd_star)
         self._msd_o.append(msd_star if w_o is w_star else self._msd(w, w_o))
         if len(self.iterations) == 1:  # the window length is fixed at the first record
-            records = METRIC_WINDOW_BYTES // w.nbytes
-            if records > 1:
-                self._window = np.empty((w.shape[0], records, w.shape[1]))
-        if self._window is None:
-            self._disagreement_max.append(disagreement(w, self.cmap).max(axis=-1))
-            return
+            records = max(1, METRIC_WINDOW_BYTES // w.nbytes)
+            self._window = np.empty((w.shape[0], records, w.shape[1]))
         self._window[:, self._pending] = w
         self._pending += 1
         if self._pending == self._window.shape[1]:

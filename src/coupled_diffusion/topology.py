@@ -133,24 +133,24 @@ class ClusterMap:
     agent_blocks: tuple[tuple[int, ...], ...]
     local_dims: tuple[int, ...]
     # start of each agent's local vector within the flat layout
-    agent_starts: tuple[int, ...] = field(repr=False, default=())
+    agent_starts: tuple[int, ...] = field(repr=False)
     # global-vector index of every flat entry: the flat layout of a global
     # vector g is g[flat_global_indices]
-    flat_global_indices: np.ndarray = field(repr=False, default=None)
+    flat_global_indices: np.ndarray = field(repr=False)
     # agent of every flat entry
-    flat_agents: np.ndarray = field(repr=False, default=None)
+    flat_agents: np.ndarray = field(repr=False)
     # (L, N_max, M_max) flat indices of every block's copies at once: block l
     # fills [l, :N_l, :M_l] with one copy per row, rows in cluster order.
     # Padding repeats real entries so that it adds no new values: extra rows
     # repeat member 0's row and extra columns repeat member 0's first entry,
     # in every row.
-    padded_cluster_indices: np.ndarray = field(repr=False, default=None)
+    padded_cluster_indices: np.ndarray = field(repr=False)
     # (L, N_max, M_max) mask of its real cells [l, :N_l, :M_l]
-    padded_real: np.ndarray = field(repr=False, default=None)
+    padded_real: np.ndarray = field(repr=False)
     # each flat entry's real cell of padded_cluster_indices, raveled
-    padded_slot: np.ndarray = field(repr=False, default=None)
+    padded_slot: np.ndarray = field(repr=False)
     # flat entry of member 0's copy at each flat entry's coordinate
-    anchor: np.ndarray = field(repr=False, default=None)
+    anchor: np.ndarray = field(repr=False)
 
     @property
     def total_local_dim(self) -> int:

@@ -309,8 +309,8 @@ def test_batch_and_metrics_match_the_reference_on_random_networks(tmp_path):
     matches the per-agent reference to 1e-12 relative, 2 seeds for 20
     iterations, and the logged MSD and disagreement of the coupled run are
     `msd` against both references and the pairwise distances. The
-    examples hold bridge agents, a block every agent holds and unequal
-    oracle ranks."""
+    examples hold bridge agents, a block every agent holds, an agent that
+    holds every block and unequal oracle ranks."""
     seen = set()
 
     @given(network_files())
@@ -322,7 +322,9 @@ def test_batch_and_metrics_match_the_reference_on_random_networks(tmp_path):
         cmap, seeds = problem.cmap, SEEDS[:2]
         kinds = {"bridged": any(o.rank < o.dim for o in problem.oracles),
                  "shared": any(len(c) == problem.agent_count for c in cmap.clusters),
-                 "unequal-ranks": len({o.rank for o in problem.oracles}) > 1}
+                 "unequal-ranks": len({o.rank for o in problem.oracles}) > 1,
+                 "hub": problem.layout.block_count > 1 and any(
+                     len(b) == problem.layout.block_count for b in cmap.agent_blocks)}
         seen.update(kind for kind, present in kinds.items() if present)
         for algorithm, eta, noise in RANDOM_NETWORK_RUNS:
             cfg = EngineConfig(mu=0.002, eta=eta, iterations=20, noise=noise, algorithm=algorithm)
@@ -344,7 +346,7 @@ def test_batch_and_metrics_match_the_reference_on_random_networks(tmp_path):
             assert np.all(np.abs(worst - want) <= 1e-12 * want)
 
     check()
-    assert seen == {"bridged", "shared", "unequal-ranks"}
+    assert seen == {"bridged", "shared", "unequal-ranks", "hub"}
 
 
 def test_constraint_swap_matches_the_reference_on_random_networks(tmp_path):
@@ -583,7 +585,7 @@ def test_metrics_log_windows_match_each_record_alone(etas, seeds):
 def test_metrics_log_keeps_no_reference_to_the_state(constrained, columns):
     """A caller that overwrites its state array in place after `record`
     leaves the logged values as they were: a window copies each record's
-    state, and a window of one takes its values at once."""
+    state, a window of one record too."""
     cmap = constrained.cmap
     rng = np.random.default_rng(5)
     w = np.empty((cmap.total_local_dim, columns))
@@ -602,14 +604,13 @@ def test_metrics_log_keeps_no_reference_to_the_state(constrained, columns):
 @pytest.mark.parametrize("columns", [1, 6, 40, 400])
 def test_metrics_window_stays_within_its_byte_bound(constrained, columns):
     """The window buffer holds at most max(METRIC_WINDOW_BYTES, one
-    record's state); a window of one record has no buffer."""
+    record's state); a state too wide for two records in the bound gets a
+    buffer of one record."""
     w = np.zeros((constrained.cmap.total_local_dim, columns))
     log = MetricsLog(constrained.cmap)
     log.record(1, w, w, w)
-    if METRIC_WINDOW_BYTES // w.nbytes > 1:
-        assert log._window.nbytes <= max(METRIC_WINDOW_BYTES, w.nbytes)
-    else:
-        assert log._window is None
+    assert log._window.nbytes <= max(METRIC_WINDOW_BYTES, w.nbytes)
+    assert log._window.shape[1] == max(1, METRIC_WINDOW_BYTES // w.nbytes)
 
 
 def test_batch_rejects_unsupported_problems(constrained):

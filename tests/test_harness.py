@@ -32,9 +32,10 @@ from coupled_diffusion.harness import (
 )
 from coupled_diffusion.engine import init_batch
 from coupled_diffusion.metrics import db, reference_solution
+from coupled_diffusion.objective import SPECTRUM_RANGE
 from coupled_diffusion.weights import metropolis_weights
 from conftest import assert_bridge_oracles_draw_like_their_inner_oracle, load_benchmark_module
-from test_topology import connected_networks
+from test_topology import connected_networks, network_files
 from reference import (
     agent_constraints,
     generate_benchmark_problem,
@@ -351,6 +352,49 @@ def test_build_problem_makes_one_qr_call_per_local_dimension(tmp_path, monkeypat
     assert sorted(shape[-1] for shape in calls) == sorted(dims)
 
 
+def _assert_risk_hessian_is_positive_definite(problem):
+    """Every global coordinate is some agent's own, and each own covariance
+    has its eigenvalues in SPECTRUM_RANGE, so that of H is at least twice
+    the lowest (1e-12 relative slack)."""
+    assert problem.strong_convexity() >= 2.0 * SPECTRUM_RANGE[0] * (1.0 - 1e-12)
+
+
+@pytest.mark.parametrize("network", ["benchmark20", "example5", "split", "ring"])
+def test_the_risk_hessian_is_positive_definite_by_construction(tmp_path, network):
+    desc = _problem_networks(tmp_path)[network]
+    for seed in (0, 7):
+        _assert_risk_hessian_is_positive_definite(build_problem(desc, seed, constrained=True))
+
+
+def test_the_risk_hessian_is_positive_definite_on_random_networks(tmp_path):
+    """Random network files (`network_files`), hubs and bridge agents included."""
+    @given(network_files())
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    def check(raw):
+        path = tmp_path / "network.json"
+        path.write_text(json.dumps(raw))
+        desc = load_network(str(path))
+        for seed in (5, 7):
+            _assert_risk_hessian_is_positive_definite(build_problem(desc, seed))
+
+    check()
+
+
+@pytest.mark.parametrize("network", ["benchmark20", "ring"])
+def test_build_problem_makes_no_eigendecomposition(tmp_path, monkeypatch, network):
+    """H is positive definite by construction, so the build does not check it."""
+    desc = _problem_networks(tmp_path)[network]
+    calls = []
+
+    def counted(solve):
+        return lambda *args, **kwargs: calls.append(solve.__name__) or solve(*args, **kwargs)
+
+    for name in ("eig", "eigh", "eigvals", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counted(getattr(np.linalg, name)))
+    build_problem(desc, seed=0, constrained=True)
+    assert calls == []
+
+
 def test_bridge_oracles_draw_like_their_inner_oracle(tmp_path):
     from coupled_diffusion.harness import build_problem
 
@@ -542,8 +586,8 @@ def test_tracking_swaps_constraints_and_references_after_the_change_point():
 
 
 def test_tracking_set_up_assembles_the_risk_quadratic_once(monkeypatch):
-    """`strong_convexity` and the references before and after the change
-    point, for every eta, share one assembly of the global risk quadratic."""
+    """The build and the references before and after the change point,
+    for every eta, share one assembly of the global risk quadratic."""
     from coupled_diffusion.objective import MultiAgentProblem
 
     calls = []
@@ -915,6 +959,47 @@ def test_integer_lists_match_the_value_by_value_check(value):
         got = _integer_lists(value, "edges")
         assert got == want and [list(map(type, row)) for row in got] == [
             list(map(type, row)) for row in want]
+
+
+BENCHMARK20 = json.loads((files("coupled_diffusion.data") / "benchmark20.json").read_text())
+
+
+@pytest.mark.parametrize("network, sections, message", [
+    pytest.param([BENCHMARK20], {}, "network {path}: expected a JSON object", id="network-list"),
+    pytest.param({**BENCHMARK20, "index_base": 2}, {}, "index_base must be 0 or 1, got 2",
+                 id="index-base-2"),
+    pytest.param({**BENCHMARK20, "edges": [[0, 1, 1]]}, {},
+                 "network edges must be [agent, agent] pairs", id="edge-of-three"),
+    pytest.param({**BENCHMARK20, "agent_count": 0}, {}, "agent_count must be positive",
+                 id="no-agents"),
+    pytest.param(None, {"scenario": {"log_every": 0}}, "log_every must be at least 1",
+                 id="log-every-0"),
+    pytest.param(None, {"engine": {"init": "warm"}}, "unknown init 'warm'", id="init-warm"),
+    pytest.param(None, {"penalty": {"rho": math.inf}}, "rho must be a finite number, got inf",
+                 id="rho-inf"),
+    pytest.param(None, {"penalty": {"rho": True}}, "rho must be a finite number, got True",
+                 id="rho-true"),
+])
+def test_cli_error_names_a_malformed_input_exactly(tmp_path, capsys, network, sections, message):
+    """A malformed network file (`network`, when given) or config entry
+    gives one ConfigError line with exactly this message."""
+    raw = yaml.safe_load(_write_cfg(tmp_path).read_text())
+    if network is not None:
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps(network))
+        raw["network"]["source"] = str(path)
+        message = message.format(path=path)
+    for name, entries in sections.items():
+        raw[name].update(entries)
+    payload = _cli_error(capsys, _bad_config(tmp_path, raw))
+    assert payload == {"type": "ConfigError", "message": message}
+
+
+def test_cli_error_on_a_config_that_is_not_a_mapping(tmp_path, capsys):
+    cfg = tmp_path / "list.yaml"
+    cfg.write_text(yaml.safe_dump([{"scenario": {"id": "unconstrained"}}]))
+    payload = _cli_error(capsys, ["run", "--config", str(cfg), "--out", str(tmp_path)])
+    assert payload == {"type": "ConfigError", "message": "a config holds a mapping of sections"}
 
 
 def test_cli_error_null_iterations(tmp_path, capsys):

@@ -218,7 +218,15 @@ def test_constrained_optimum_symmetric_example():
 
 def test_constrained_optimum_empty_constraints_matches_penalized():
     problem = _quadratic_problem(3, [1.0, -2.0, 0.5])
-    assert np.allclose(constrained_optimum(problem), penalized_optimum(problem, 0.0), atol=1e-10)
+    assert constrained_optimum(problem).tobytes() == penalized_optimum(problem, 0.0).tobytes()
+
+
+def test_constrained_optimum_rejects_a_zero_row():
+    """A zero row with offset 0 holds everywhere, but leaves its multiplier
+    free: the KKT matrix is singular, and the system consistent."""
+    problem = _quadratic_problem(2, [1.0, 0.0], [equality(0, np.zeros(2), 0.0)])
+    with pytest.raises(SingularSystem, match="^KKT system is singular$"):
+        constrained_optimum(problem)
 
 
 def test_constrained_optimum_infeasible():

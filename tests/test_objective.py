@@ -145,6 +145,20 @@ def test_a_constraint_of_the_wrong_length_is_rejected_with_the_problem(benchmark
                             constraints=constraint_rows(benchmark_problem.cmap, cons))
 
 
+def test_the_row_record_needs_one_offset_per_row(benchmark_problem):
+    cmap = benchmark_problem.cmap
+    with pytest.raises(DimensionMismatch, match="each constraint row needs one owner"):
+        ConstraintRows(cmap, [1, 3], [np.ones(cmap.local_dims[k]) for k in (1, 3)], [0.0])
+
+
+def test_an_oracle_of_the_wrong_dimension_is_rejected_with_the_problem(benchmark_problem):
+    first, *rest = benchmark_problem.oracles
+    other = next(o for o in rest if o.dim != first.dim)
+    with pytest.raises(DimensionMismatch, match=f"^oracle 0 has dim {other.dim}, layout "
+                                                f"expects {first.dim}$"):
+        dataclasses.replace(benchmark_problem, oracles=(other, *rest))
+
+
 def test_the_row_record_checks_its_owners_and_keeps_rows_owner_major(benchmark_problem):
     """An owner outside the agents is rejected; rows given out of owner
     order are sorted by owner, stably, with their offsets."""

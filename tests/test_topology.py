@@ -156,7 +156,8 @@ def network_files(draw):
     engine: 3-12 agents and 1-5 blocks of dimension 1-4 on a connected
     graph (`connected_networks`), so clusters of unequal size, some of them
     split, which embedding bridges; local dimensions, and so oracle ranks,
-    differ between agents. In some examples every agent holds block 0.
+    differ between agents. In some examples every agent holds block 0, and
+    in some one agent, a hub, holds every block.
     Each block's constraint owner is a random member of its cluster, or,
     in some examples, the default one: the file has no
     `constraint_owners`. Indices are 0- or 1-based."""
@@ -164,6 +165,8 @@ def network_files(draw):
     sets = [set(s) for s in net.interest_sets]
     if draw(st.booleans()):
         sets = [s | {0} for s in sets]
+    if draw(st.booleans()):
+        sets[draw(st.integers(0, net.agent_count - 1))] = set(range(layout.block_count))
     owners = [draw(st.sampled_from([k for k, s in enumerate(sets) if l in s]))
               for l in range(layout.block_count)]
     base = draw(st.integers(0, 1))
