@@ -71,12 +71,12 @@ SHIPPED_RUNS = [(f"{name}.yaml", name, args) for name, args in (
       for name in ("sweep", "tracking", "unconstrained")]
 
 
-def _path_config(network="benchmark20", eta=10.0, objective=(), scenario=(), **engine) -> dict:
+def _path_config(network="benchmark20", eta=10.0, scenario=(), **engine) -> dict:
     """A short constrained run: 2 seeds x 300 iterations of benchmark20,
     or of `network`, at one (mu, eta) point, logged every 5 iterations;
     `scenario` overrides keys of the scenario section."""
     return {"network": {"source": network},
-            "objective": {"problem_seed": 7, **dict(objective)},
+            "objective": {"problem_seed": 7},
             "penalty": {"eta": [eta]},
             "engine": {"mu": [0.002], "iterations": 300, **engine},
             "scenario": {"id": "constrained", "seeds": [0, 1], "log_every": 5, **dict(scenario)}}
@@ -89,15 +89,18 @@ DEFAULT_OWNERS_NETWORK = "example5-default-owners.json"
 ONE_BASED_NETWORK = "example5-one-based.json"
 
 # (label, config) of the paths no workload call or shipped config takes;
-# ADMM takes no penalty, so it runs at eta 0
+# ADMM takes no penalty, so it runs at eta 0, and exact gradients draw no
+# samples, so they run one seed
+EXACT_SEEDS = {"seeds": [0]}
 PATH_RUNS = [
-    ("exact-coupled", _path_config(noise="exact")),
-    ("exact-centralized", _path_config(noise="exact", algorithm="centralized")),
-    ("exact-admm", _path_config(eta=0.0, noise="exact", algorithm="admm")),
+    ("exact-coupled", _path_config(noise="exact", scenario=EXACT_SEEDS)),
+    ("exact-centralized", _path_config(noise="exact", algorithm="centralized",
+                                       scenario=EXACT_SEEDS)),
+    ("exact-admm", _path_config(eta=0.0, noise="exact", algorithm="admm", scenario=EXACT_SEEDS)),
     ("averaging-coupled", _path_config(weight_rule="averaging")),
     ("reference-centralized", _path_config(init="reference", algorithm="centralized")),
     ("reference-admm", _path_config(eta=0.0, init="reference", algorithm="admm")),
-    ("example5-constrained", _path_config(network="example5", objective={"constrained": True})),
+    ("example5-constrained", _path_config(network="example5")),
     ("example5-default-owners-tracking",
      _path_config(network=DEFAULT_OWNERS_NETWORK, scenario={"id": "tracking",
                                                             "change_point": 150})),

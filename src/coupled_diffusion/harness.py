@@ -35,7 +35,7 @@ from .topology import (BlockLayout, NetworkSpec, build_clusters, check_blocks, c
                        embed_clusters)
 from .weights import averaging_weights, metropolis_weights
 
-SCENARIOS = ("unconstrained", "constrained", "tracking", "sweep", "custom")
+SCENARIOS = ("unconstrained", "constrained", "tracking", "sweep")
 WEIGHT_RULES = ("metropolis", "averaging")
 SEED_LIMIT = 2**63  # seeds become Philox keys, read as signed 64-bit integers
 BUILTIN_NETWORKS = ("benchmark20", "example5")
@@ -171,7 +171,6 @@ class ScenarioConfig:
     change_point: Optional[int] = None
     log_every: int = 1
     init: Optional[str] = None  # zeros | reference; sweep defaults to reference
-    constrained: Optional[bool] = None
 
     def __post_init__(self):
         self.mu_list = tuple(_real(m, "mu") for m in _as_list(self.mu_list))
@@ -207,16 +206,17 @@ class ScenarioConfig:
             # the baselines read no weights; only the default rule passes
             raise ConfigError(f"weight_rule {self.weight_rule!r} applies only to the coupled "
                               f"algorithm; algorithm {self.algorithm!r} reads no weights")
-        if self.constrained is not None and not isinstance(self.constrained, bool):
-            raise ConfigError(f"constrained must be true or false, got {self.constrained!r}")
         if self.scenario == "tracking" and self.change_point is None:
             raise ConfigError("tracking scenario needs a change_point")
         if self.scenario != "tracking" and self.change_point is not None:
             raise ConfigError(f"change_point applies only to the tracking scenario, "
                               f"not to {self.scenario!r}")
-        if self.scenario == "tracking" and self.constrained is False:
-            raise ConfigError("the tracking scenario redraws its constraints at the change "
-                              "point, so it cannot run with constrained: false")
+        if not self.uses_constraints and any(self.eta_list):
+            raise ConfigError(f"eta {next(filter(None, self.eta_list))!r} applies only to a "
+                              f"scenario with constraint rows; scenario {self.scenario!r} has none")
+        if self.noise == "exact" and len(self.seeds) > 1:
+            raise ConfigError(f"noise 'exact' draws no samples, so every seed gives the same "
+                              f"rows; give one seed, got {list(self.seeds)}")
         if self.change_point is not None and not (0 < self.change_point < self.iterations):
             raise ConfigError("change_point must lie strictly inside the iteration budget")
         if self.log_every < 1:
@@ -231,9 +231,7 @@ class ScenarioConfig:
 
     @property
     def uses_constraints(self) -> bool:
-        if self.constrained is not None:
-            return self.constrained
-        return self.scenario in ("constrained", "tracking", "sweep")
+        return self.scenario != "unconstrained"
 
     @property
     def initial(self) -> str:
@@ -247,7 +245,7 @@ class ScenarioConfig:
 CONFIG_KEYS = {
     "network": {"source": "network"},
     "blocks": {"dims": "block_dims"},
-    "objective": {"problem_seed": "problem_seed", "constrained": "constrained"},
+    "objective": {"problem_seed": "problem_seed"},
     "penalty": {"eta": "eta_list", "rho": "rho"},
     "engine": {"mu": "mu_list", "iterations": "iterations", "weight_rule": "weight_rule",
                "algorithm": "algorithm", "noise": "noise", "rho_admm": "rho_admm",

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from coupled_diffusion.cli import main as cli_main
 from coupled_diffusion.errors import ConfigError, NonFiniteIterate
 from coupled_diffusion.harness import (
+    CONFIG_KEYS,
     CSV_HEADER,
     NetworkDescription,
     _integer_lists,
@@ -61,16 +62,13 @@ def test_config_validation_errors():
         ScenarioConfig(scenario="tracking", change_point=500, iterations=100)
     with pytest.raises(ConfigError):  # only tracking has a change point
         ScenarioConfig(scenario="constrained", change_point=20, iterations=100)
-    with pytest.raises(ConfigError):  # tracking redraws its constraints
-        ScenarioConfig(scenario="tracking", change_point=20, iterations=100, constrained=False)
     with pytest.raises(ConfigError):
         ScenarioConfig(scenario="unconstrained", mu_list=())
     with pytest.raises(ConfigError):
         ScenarioConfig(scenario="unconstrained", weight_rule="uniform")
     for bad in (dict(seeds=(-1,)), dict(seeds=(2**64,)), dict(problem_seed=2**63),
                 dict(algorithm="sgd"), dict(noise="gaussian"), dict(rho_admm=0.0),
-                dict(constrained="no"), dict(constrained=1), dict(constrained=0),
-                dict(constrained=1.0), dict(iterations=10**30), dict(iterations=1e30),
+                dict(iterations=10**30), dict(iterations=1e30),
                 # the baselines read no combination weights
                 dict(algorithm="admm", weight_rule="averaging"),
                 dict(algorithm="centralized", weight_rule="averaging"),
@@ -92,14 +90,14 @@ def test_seeds_beyond_float_precision_are_accepted_and_run(seed):
         "network": {"source": "example5"},
         "objective": {"problem_seed": seed},
         "engine": {"iterations": 2},
-        "scenario": {"id": "custom", "seeds": [seed]},
+        "scenario": {"id": "unconstrained", "seeds": [seed]},
     })
     assert cfg.seeds == (seed,) and cfg.problem_seed == seed
     seeds_in_rows = {r[3] for r in table_rows(run_scenario(cfg))}
     assert seeds_in_rows == {str(seed), "mean"}
     for bad in (True, 2.5, float("nan"), float("inf"), "x"):
         with pytest.raises(ConfigError, match="must be an integer"):
-            ScenarioConfig(scenario="custom", seeds=(bad,))
+            ScenarioConfig(scenario="unconstrained", seeds=(bad,))
 
 
 def test_config_from_sections():
@@ -731,7 +729,7 @@ def test_emit_results_matches_csv_writer_on_a_run(tmp_path):
     assert (tmp_path / "run.csv").read_bytes() == _csv_writer_bytes(table_rows(table))
 
 
-def _write_cfg(tmp_path, scenario="unconstrained", **sections):
+def _write_cfg(tmp_path, scenario="unconstrained", /, **sections):
     """A small config file; `sections` entries are merged into its sections."""
     raw = {
         "network": {"source": "benchmark20"},
@@ -768,11 +766,9 @@ def test_cli_sidecar_times_every_stage(tmp_path, scenario):
     """The sidecar's `timings` hold each stage and the total, in seconds:
     every value finite and at least 0, and the stages within the total.
     The values vary from run to run, so none is checked."""
-    cfg = _write_cfg(tmp_path, scenario, penalty={"eta": [10.0, 50.0]})
-    if scenario == "tracking":
-        raw = yaml.safe_load(cfg.read_text())
-        raw["scenario"]["change_point"] = 60
-        cfg.write_text(yaml.safe_dump(raw))
+    eta = [0.0] if scenario == "unconstrained" else [10.0, 50.0]  # no rows, no penalty
+    cfg = _write_cfg(tmp_path, scenario, penalty={"eta": eta},
+                     scenario={"change_point": 60} if scenario == "tracking" else {})
     assert cli_main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 0
     meta = json.loads((tmp_path / f"{scenario}.csv.meta.json").read_text())
     timings = meta["timings"]
@@ -979,6 +975,12 @@ BENCHMARK20 = json.loads((files("coupled_diffusion.data") / "benchmark20.json").
                  id="rho-inf"),
     pytest.param(None, {"penalty": {"rho": True}}, "rho must be a finite number, got True",
                  id="rho-true"),
+    # the scenario id alone decides whether a run draws constraint rows
+    pytest.param(None, {"scenario": {"id": "custom"}}, "unknown scenario 'custom'",
+                 id="scenario-custom"),
+    pytest.param(None, {"objective": {"constrained": True}},
+                 "unknown key 'constrained' in config section 'objective'",
+                 id="objective-constrained"),
 ])
 def test_cli_error_names_a_malformed_input_exactly(tmp_path, capsys, network, sections, message):
     """A malformed network file (`network`, when given) or config entry
@@ -1031,7 +1033,7 @@ def test_cli_error_null_iterations(tmp_path, capsys):
     pytest.param([], {"engine": {"algorithm": "centralized", "weight_rule": "averaging"}},
                  "ConfigError", "weight_rule", id="averaging-centralized"),
     # 2 eta G'G swamps the risk Hessian in floating point: not positive definite
-    pytest.param([], {"objective": {"constrained": True}, "penalty": {"eta": [1e17]}},
+    pytest.param([], {"scenario": {"id": "constrained"}, "penalty": {"eta": [1e17]}},
                  "SingularSystem", "1e+17", id="huge-eta"),
     # arrays of 5e13 entries, far beyond any address space: numpy refuses them at once
     pytest.param([], {"blocks": {"dims": [10**13] * 5}}, "MemoryError", "Unable to allocate",
@@ -1043,6 +1045,62 @@ def test_cli_error_on_malformed_arguments(tmp_path, capsys, args, sections, kind
         "run", "--config", str(_write_cfg(tmp_path, **sections)), *args]
     payload = _cli_error(capsys, argv)
     assert payload["type"] == kind and word in payload["message"]
+
+
+# Every "applies only when" rule of the config layer: the key it restricts,
+# the extra CLI arguments and config entries of a run that breaks it, and
+# the run's exact error text. The keys no rule names apply to every run.
+ONLY_WHEN_RULES = {
+    "weight_rule->coupled": (
+        ("engine", "weight_rule"), [], {"engine": {"algorithm": "admm",
+                                                   "weight_rule": "averaging"}},
+        "weight_rule 'averaging' applies only to the coupled algorithm; algorithm 'admm' reads "
+        "no weights"),
+    "rho_admm->admm": (
+        ("engine", "rho_admm"), [], {"engine": {"rho_admm": 0.5}},
+        "rho_admm 0.5 applies only to the admm algorithm; algorithm 'coupled' has no dual step"),
+    "admm->eta-0": (
+        ("penalty", "eta"), [], {"engine": {"algorithm": "admm"}, "penalty": {"eta": [10.0]},
+                                 "scenario": {"id": "constrained"}},
+        "algorithm admm does not support penalties; use eta 0"),
+    "change_point->tracking": (
+        ("scenario", "change_point"), [], {"scenario": {"change_point": 60}},
+        "change_point applies only to the tracking scenario, not to 'unconstrained'"),
+    "tracking->change_point": (
+        ("scenario", "change_point"), [], {"scenario": {"id": "tracking"}},
+        "tracking scenario needs a change_point"),
+    "eta->rows": (
+        ("penalty", "eta"), ["--eta", "0,10"], {},
+        "eta 10.0 applies only to a scenario with constraint rows; scenario 'unconstrained' "
+        "has none"),
+    "exact->one-seed": (
+        ("scenario", "seeds"), [], {"engine": {"noise": "exact"}, "scenario": {"seeds": [0, 1]}},
+        "noise 'exact' draws no samples, so every seed gives the same rows; give one seed, "
+        "got [0, 1]"),
+}
+UNIVERSAL_KEYS = {
+    ("network", "source"), ("blocks", "dims"), ("objective", "problem_seed"),
+    ("penalty", "rho"),  # read by no run yet: inequality rows (ROADMAP item 7) give it a rule
+    ("engine", "mu"), ("engine", "iterations"), ("engine", "algorithm"), ("engine", "noise"),
+    ("engine", "init"), ("scenario", "id"), ("scenario", "log_every"),
+}
+
+
+def test_every_config_key_is_universal_or_named_by_a_rule():
+    """A new config key must choose: it applies to every run, or a rule of
+    ONLY_WHEN_RULES says when it applies."""
+    restricted = {key for key, *_ in ONLY_WHEN_RULES.values()}
+    assert restricted.isdisjoint(UNIVERSAL_KEYS)
+    assert restricted | UNIVERSAL_KEYS == {(section, key) for section, keys in CONFIG_KEYS.items()
+                                           for key in keys}
+
+
+@pytest.mark.parametrize("rule", sorted(ONLY_WHEN_RULES))
+def test_cli_error_on_a_key_outside_its_rule(tmp_path, capsys, rule):
+    _, args, sections, message = ONLY_WHEN_RULES[rule]
+    argv = ["run", "--config", str(_write_cfg(tmp_path, **sections)), "--out", str(tmp_path),
+            *args]
+    assert _cli_error(capsys, argv) == {"type": "ConfigError", "message": message}
 
 
 def test_cli_help_exits_zero(capsys):
