@@ -27,9 +27,10 @@ paths that neither takes (PATH_RUNS: exact gradients for each algorithm,
 averaging weights, warm-started baselines, constrained example5, a
 tracking run on example5's network without its `constraint_owners`, so
 that each block's first cluster member owns its row, one on example5's
-network numbered from 1, and sweeps with a partial last record and with
-one seed and point), whose configs, and those network files, are written
-once into the work dir for both sides. Each runs through each side's
+network numbered from 1, a benchmark20 tracking run at two eta, and
+sweeps with a partial last record and with one seed and point), whose
+configs, and those network files, are written once into the work dir
+for both sides. Each runs through each side's
 CLI in a fresh process: once with BLAS pinned to one thread and once
 with the BLAS thread variables unset. Beside each sha256 it records the
 wall time of that CLI process on each side, interpreter start-up
@@ -71,13 +72,13 @@ SHIPPED_RUNS = [(f"{name}.yaml", name, args) for name, args in (
       for name in ("sweep", "tracking", "unconstrained")]
 
 
-def _path_config(network="benchmark20", eta=10.0, scenario=(), **engine) -> dict:
+def _path_config(network="benchmark20", eta=(10.0,), scenario=(), **engine) -> dict:
     """A short constrained run: 2 seeds x 300 iterations of benchmark20,
-    or of `network`, at one (mu, eta) point, logged every 5 iterations;
-    `scenario` overrides keys of the scenario section."""
+    or of `network`, at mu 0.002 and each eta of `eta`, logged every 5
+    iterations; `scenario` overrides keys of the scenario section."""
     return {"network": {"source": network},
             "objective": {"problem_seed": 7},
-            "penalty": {"eta": [eta]},
+            "penalty": {"eta": list(eta)},
             "engine": {"mu": [0.002], "iterations": 300, **engine},
             "scenario": {"id": "constrained", "seeds": [0, 1], "log_every": 5, **dict(scenario)}}
 
@@ -96,10 +97,11 @@ PATH_RUNS = [
     ("exact-coupled", _path_config(noise="exact", scenario=EXACT_SEEDS)),
     ("exact-centralized", _path_config(noise="exact", algorithm="centralized",
                                        scenario=EXACT_SEEDS)),
-    ("exact-admm", _path_config(eta=0.0, noise="exact", algorithm="admm", scenario=EXACT_SEEDS)),
+    ("exact-admm", _path_config(eta=(0.0,), noise="exact", algorithm="admm",
+                                scenario=EXACT_SEEDS)),
     ("averaging-coupled", _path_config(weight_rule="averaging")),
     ("reference-centralized", _path_config(init="reference", algorithm="centralized")),
-    ("reference-admm", _path_config(eta=0.0, init="reference", algorithm="admm")),
+    ("reference-admm", _path_config(eta=(0.0,), init="reference", algorithm="admm")),
     ("example5-constrained", _path_config(network="example5")),
     ("example5-default-owners-tracking",
      _path_config(network=DEFAULT_OWNERS_NETWORK, scenario={"id": "tracking",
@@ -111,6 +113,9 @@ PATH_RUNS = [
     ("sweep-partial-record", _path_config(iterations=305, scenario={"id": "sweep",
                                                                      "log_every": 10})),
     ("sweep-one-seed", _path_config(scenario={"id": "sweep", "seeds": [0]})),
+    # two epochs at two eta: each epoch's w_o is solved once and serves both points
+    ("tracking-two-eta", _path_config(eta=(10.0, 100.0), scenario={"id": "tracking",
+                                                                    "change_point": 150})),
 ]
 
 

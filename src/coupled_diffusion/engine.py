@@ -273,11 +273,11 @@ class _Batch:
 
     def set_constraints(self, problem: MultiAgentProblem):
         """Swap in the constraints of `problem` (same network and oracles)
-        for every column: their rows on the flat layout (G, b), or None
-        when the penalty step is void."""
+        for every column: their rows on the flat layout (G, b), or None when
+        every eta is 0. No rows give a zero penalty step, bitwise as eta 0 does."""
         rows = problem.constraints
         eta = any(cfg.eta != 0.0 for cfg in self.cfgs)
-        self._rows = (rows.g_flat, rows.offset[:, None]) if eta and rows.offset.size else None
+        self._rows = (rows.g_flat, rows.offset[:, None]) if eta else None
 
     def _advance(self):
         raise NotImplementedError

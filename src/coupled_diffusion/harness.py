@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .engine import EngineConfig, init_batch
 from .errors import ConfigError
-from .metrics import MetricsLog, db, reference_solution
+from .metrics import MetricsLog, db, penalized_optimum, reference_solution
 from .objective import (
     ConstraintRows,
     MultiAgentProblem,
@@ -202,6 +202,9 @@ class ScenarioConfig:
             raise ConfigError("seeds and problem_seed must lie in [0, 2**63)")
         if self.weight_rule not in WEIGHT_RULES:
             raise ConfigError(f"unknown weight rule {self.weight_rule!r}")
+        if self.rho != 1.0:  # no scenario draws a row that reads it; only the default passes
+            raise ConfigError(f"rho {self.rho!r} applies only to inequality constraint rows; "
+                              "no scenario draws any")
         if self.weight_rule != "metropolis" and self.algorithm != "coupled":
             # the baselines read no weights; only the default rule passes
             raise ConfigError(f"weight_rule {self.weight_rule!r} applies only to the coupled "
@@ -478,19 +481,20 @@ def run_scenario(cfg: ScenarioConfig) -> ResultTable:
     make = metropolis_weights if cfg.weight_rule == "metropolis" else averaging_weights
     weights = {l: make(base.cmap, base.net, l) for l in range(len(base.cmap.clusters))}
     marks.append(time.perf_counter())
-    # the references depend on eta but not on mu: one solve per epoch and
-    # distinct eta, before the engine is built, so that a config both reject
-    # reports the reference's error
-    references = {(e, eta): reference_solution(problem, eta)
-                  for eta in dict.fromkeys(cfg.eta_list)
-                  for e, (_, problem) in enumerate(epochs)}
+    # w_star depends on the epoch and eta, w_o on the epoch alone: both at
+    # the first eta, w_star at each further one, before the engine is built,
+    # so that a config both reject reports the reference's error
+    eta0 = cfg.eta_list[0]
+    first = [reference_solution(problem, eta0) for _, problem in epochs]
+    w_stars = {(e, eta): first[e].w_star if eta == eta0 else penalized_optimum(problem, eta)
+               for eta in dict.fromkeys(cfg.eta_list) for e, (_, problem) in enumerate(epochs)}
     marks.append(time.perf_counter())
 
     points = [(mu, eta) for mu in cfg.mu_list for eta in cfg.eta_list]
     n_seeds = len(cfg.seeds)
     init_global = None
     if cfg.initial == "reference":
-        init_global = [references[0, eta].w_star for _, eta in points]
+        init_global = [w_stars[0, eta] for _, eta in points]
     ends = [start for start, _ in epochs[1:]] + [cfg.iterations]
     # records fall every log_every iterations and at the last; the sweep
     # reports only the mean of its steady-state tail, so it records no
@@ -499,9 +503,6 @@ def run_scenario(cfg: ScenarioConfig) -> ResultTable:
     if cfg.scenario == "sweep":
         records = -(-cfg.iterations // cfg.log_every)
         first_record = min((records - steady_tail(records) + 1) * cfg.log_every, cfg.iterations)
-    # without constraint rows every w_o is its w_star: one reference array
-    # serves both, and the log takes one MSD for both
-    one_reference = all(r.w_o is r.w_star for r in references.values())
     # a diverging run stops with NonFiniteIterate; numpy's overflow warnings
     # on the way there would only add lines to the CLI's one-line error
     with np.errstate(over="ignore", invalid="ignore"):
@@ -513,10 +514,9 @@ def run_scenario(cfg: ScenarioConfig) -> ResultTable:
         for e, ((start, problem), end) in enumerate(zip(epochs, ends)):
             if start > 0:  # init_batch has set the first epoch's constraints
                 engine.set_constraints(problem)
-            # one reference column per (point, seed), in the engine's state layout
-            refs = [references[e, eta] for _, eta in points]
-            w_star = cmap.columns([r.w_star for r in refs], n_seeds)
-            w_o = w_star if one_reference else cmap.columns([r.w_o for r in refs], n_seeds)
+            # the state's layout: w_star per (point, seed), w_o one column for all
+            w_star = cmap.columns([w_stars[e, eta] for _, eta in points], n_seeds)
+            w_o = cmap.columns([first[e].w_o], 1) if cfg.uses_constraints else w_star
             for i in range(start + 1, end + 1):
                 engine.step()
                 if i >= first_record and (i % cfg.log_every == 0 or i == cfg.iterations):
@@ -526,7 +526,7 @@ def run_scenario(cfg: ScenarioConfig) -> ResultTable:
         marks.append(time.perf_counter() - recording)  # the records count as metrics
 
     msd_star = log.msd_star
-    msd_o = msd_star if one_reference else log.msd_o
+    msd_o = log.msd_o if cfg.uses_constraints else msd_star
     series = (msd_star, log.disagreement_max, msd_o)
     marks.append(time.perf_counter())
     table = ResultTable(config=dataclasses.asdict(cfg))

@@ -138,20 +138,20 @@ METRIC_WINDOW_BYTES = 32 * 1024
 class MetricsLog:
     """Metric records of a batch of runs, one column per (point, seed).
 
-    `record` takes the local copies of all columns and the references of
-    each column in the engine's state layout, (n_flat, P S), as
-    `ClusterMap.columns` lays them out. MSD is the cluster-averaged squared
-    deviation, sum over blocks l of (1/N_l) sum over the cluster of
-    ||ref^l - w_k^l||^2: one weighted sum over flat entries, weight 1/N_l
-    for a copy of block l, against the column's reference. It is taken at
-    each record; when `w_o` is `w_star` itself, the MSD to it is that
-    same value. Disagreement is kept for the worst block only, the one
-    the CSV reports. It is taken per window of records: each record's
-    state is copied into an (n_flat, K, C) buffer, and a full window is
-    one `disagreement` call on its (n_flat, K C) columns, whose values are
-    those of each record alone, bit for bit, since every column's Gram
-    product is its own. The last, partial window is taken when a series
-    is read.
+    `record` takes the local copies of all columns and the references in
+    the engine's state layout, (n_flat, P S), as `ClusterMap.columns` lays
+    them out, or one column that serves all, as w_o, which no eta moves.
+    MSD is the cluster-averaged squared deviation, sum over blocks l of
+    (1/N_l) sum over the cluster of ||ref^l - w_k^l||^2: one weighted sum
+    over flat entries, weight 1/N_l for a copy of block l, against the
+    column's reference. It is taken at each record; when `w_o` is `w_star`
+    itself, the MSD to it is that same value. Disagreement is kept for the
+    worst block only, the one the CSV reports. It is taken per window of
+    records: each record's state is copied into an (n_flat, K, C) buffer,
+    and a full window is one `disagreement` call on its (n_flat, K C)
+    columns, whose values are those of each record alone, bit for bit,
+    since every column's Gram product is its own. The last, partial window
+    is taken when a series is read.
     """
 
     def __init__(self, cmap: ClusterMap):

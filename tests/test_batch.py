@@ -194,6 +194,23 @@ def test_centralized_copies_stay_equal(request, fixture):
     assert np.all(disagreement(batch.w, cmap) == 0.0)
 
 
+@pytest.mark.parametrize("algorithm", ["coupled", "centralized"])
+def test_a_penalty_without_rows_steps_bitwise_as_eta_zero(algorithm):
+    """On a problem without constraint rows, eta 10 runs the penalty step
+    on zero rows, whose gradient is zero, and eta 0 skips it: every
+    iterate of the two is the same to the bit."""
+    problem = generate_benchmark_problem(7)
+    weights = _weights(problem)
+    runs = [init_batch(problem, weights, EngineConfig(mu=0.002, eta=eta, iterations=30,
+                                                      algorithm=algorithm), SEEDS)
+            for eta in (0.0, 10.0)]
+    assert runs[0]._rows is None and runs[1]._rows[0].shape[0] == 0
+    for _ in range(30):
+        for batch in runs:
+            batch.step()
+        _assert_bitwise(runs[1].w, runs[0].w, algorithm)
+
+
 def test_bridge_oracles_draw_like_their_inner_oracle(bridged, bridge_net):
     assert_bridge_oracles_draw_like_their_inner_oracle(bridged, bridge_net)
 
@@ -544,7 +561,9 @@ def test_metrics_log_windows_match_each_record_alone(etas, seeds):
     """Every disagreement_max is, bit for bit, `disagreement` of that
     record's state alone, and every MSD its per-record form: over full
     windows, a last partial one, and a change of constraints and
-    references inside a window, as at a tracking change point."""
+    references inside a window, as at a tracking change point. A w_o
+    given as one column, which every column shares, as the run passes
+    it, gives bitwise the MSDs of its per-column copies."""
     desc = load_network("benchmark20")
     problem = build_problem(desc, 7, constrained=True)
     changed = regenerate_constraints(problem, desc, 7, epoch=0)
@@ -553,18 +572,20 @@ def test_metrics_log_windows_match_each_record_alone(etas, seeds):
     for p in (problem, changed):
         refs = [reference_solution(p, eta) for eta in etas]
         references.append((cmap.columns([r.w_star for r in refs], len(seeds)),
-                           cmap.columns([r.w_o for r in refs], len(seeds))))
+                           cmap.columns([r.w_o for r in refs], len(seeds)),
+                           cmap.columns([refs[0].w_o], 1)))
     batch = init_batch(problem, _weights(problem),
                        [EngineConfig(mu=0.002, eta=eta) for eta in etas], seeds)
     window = METRIC_WINDOW_BYTES // batch.w.nbytes
     change = window + 2  # the third record of the second window
-    log, records = MetricsLog(cmap), []
+    log, shared, records = MetricsLog(cmap), MetricsLog(cmap), []
     for i in range(2 * window + 3):  # two full windows and a partial one
         if i == change:
             batch.set_constraints(changed)
         batch.step()
-        w_star, w_o = references[i >= change]
+        w_star, w_o, w_o_column = references[i >= change]
         log.record(i + 1, batch.w, w_star, w_o)
+        shared.record(i + 1, batch.w, w_star, w_o_column)
         records.append((batch.w, w_star, w_o))
     assert log._window.shape[1] == window > 1
     weight = cmap.inverse_cluster_sizes()
@@ -579,6 +600,7 @@ def test_metrics_log_windows_match_each_record_alone(etas, seeds):
         np.testing.assert_array_equal(worst[r], disagreement(w, cmap).max(axis=-1))
         np.testing.assert_array_equal(msd_star[r], per_record_msd(w, w_star))
         np.testing.assert_array_equal(msd_o[r], per_record_msd(w, w_o))
+    assert shared.msd_o.tobytes() == msd_o.tobytes()
 
 
 @pytest.mark.parametrize("columns", [2, 40], ids=["window", "window-of-one"])

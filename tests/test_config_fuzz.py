@@ -39,7 +39,8 @@ def _fit_scenario(raw):
 
 # A config that runs, up to the combinations the program rejects on purpose
 # (admm with a penalty, averaging weights with either baseline, a rho_admm
-# other than 1 with either non-admm algorithm).
+# other than 1 with either non-admm algorithm, a rho other than 1, which
+# only inequality rows would read).
 VALID = st.fixed_dictionaries({
     "network": st.fixed_dictionaries({"source": st.sampled_from(["benchmark20", "example5"])}),
     "objective": st.fixed_dictionaries({"problem_seed": st.integers(0, 9)}),

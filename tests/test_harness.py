@@ -105,7 +105,7 @@ def test_config_from_sections():
         "network": {"source": "benchmark20"},
         "blocks": {"dims": [5, 5, 5, 5, 5]},
         "objective": {"problem_seed": 3},
-        "penalty": {"eta": [10.0], "rho": 0.5},
+        "penalty": {"eta": [10.0], "rho": 1.0},
         "engine": {"mu": [0.001], "iterations": 50, "weight_rule": "averaging"},
         "scenario": {"id": "constrained", "seeds": [1, 2]},
     }
@@ -113,7 +113,7 @@ def test_config_from_sections():
     assert cfg.scenario == "constrained"
     assert cfg.mu_list == (0.001,)
     assert cfg.eta_list == (10.0,)
-    assert cfg.rho == 0.5
+    assert cfg.rho == 1.0
     assert cfg.block_dims == (5, 5, 5, 5, 5)
     assert cfg.weight_rule == "averaging"
     assert cfg.uses_constraints
@@ -597,6 +597,37 @@ def test_tracking_set_up_assembles_the_risk_quadratic_once(monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("scenario, etas, solves", [
+    pytest.param("tracking", (10.0, 100.0), (2, 4), id="tracking"),
+    pytest.param("sweep", (10.0, 100.0), (1, 2), id="sweep"),
+    pytest.param("unconstrained", (0.0,), (0, 1), id="unconstrained"),
+])
+def test_run_solves_each_reference_once_for_what_it_depends_on(monkeypatch, scenario, etas,
+                                                                solves):
+    """w_o depends on an epoch's rows alone, w_star on the epoch and eta: a
+    run makes one KKT solve per epoch with rows, and one penalized solve
+    per epoch and distinct eta."""
+    from coupled_diffusion import harness, metrics
+
+    calls = dict.fromkeys(("constrained_optimum", "penalized_optimum"), 0)
+    solvers = {name: getattr(metrics, name) for name in calls}
+
+    def counted(name):
+        def solve(*args):
+            calls[name] += 1
+            return solvers[name](*args)
+        return solve
+
+    # each wrapped where it is looked up: reference_solution's in metrics, the run's in harness
+    for module, name in ((metrics, "constrained_optimum"), (metrics, "penalized_optimum"),
+                         (harness, "penalized_optimum")):
+        monkeypatch.setattr(module, name, counted(name))
+    run_scenario(ScenarioConfig(scenario=scenario, mu_list=(0.002,), eta_list=etas,
+                                iterations=4, seeds=(0,),
+                                change_point=2 if scenario == "tracking" else None))
+    assert (calls["constrained_optimum"], calls["penalized_optimum"]) == solves
+
+
 def _block(labels, iterations, msd_db, disagreement_max, dist_wo_db=None, scenario="unconstrained",
            mu=0.001, eta=0.0) -> ResultBlock:
     """A result block of (labels, records) series; the distance column is
@@ -1073,6 +1104,9 @@ ONLY_WHEN_RULES = {
         ("penalty", "eta"), ["--eta", "0,10"], {},
         "eta 10.0 applies only to a scenario with constraint rows; scenario 'unconstrained' "
         "has none"),
+    "rho->inequality-rows": (
+        ("penalty", "rho"), [], {"penalty": {"rho": 0.5}},
+        "rho 0.5 applies only to inequality constraint rows; no scenario draws any"),
     "exact->one-seed": (
         ("scenario", "seeds"), [], {"engine": {"noise": "exact"}, "scenario": {"seeds": [0, 1]}},
         "noise 'exact' draws no samples, so every seed gives the same rows; give one seed, "
@@ -1080,7 +1114,6 @@ ONLY_WHEN_RULES = {
 }
 UNIVERSAL_KEYS = {
     ("network", "source"), ("blocks", "dims"), ("objective", "problem_seed"),
-    ("penalty", "rho"),  # read by no run yet: inequality rows (ROADMAP item 7) give it a rule
     ("engine", "mu"), ("engine", "iterations"), ("engine", "algorithm"), ("engine", "noise"),
     ("engine", "init"), ("scenario", "id"), ("scenario", "log_every"),
 }
