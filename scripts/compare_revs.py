@@ -27,11 +27,11 @@ paths that neither takes (PATH_RUNS: exact gradients for each algorithm,
 averaging weights, warm-started baselines, constrained example5, a
 tracking run on example5's network without its `constraint_owners`, so
 that each block's first cluster member owns its row, one on example5's
-network numbered from 1, a benchmark20 tracking run at two eta, and
-sweeps with a partial last record and with one seed and point), whose
-configs, and those network files, are written once into the work dir
-for both sides. Each runs through each side's
-CLI in a fresh process: once with BLAS pinned to one thread and once
+network numbered from 1, a benchmark20 tracking run at two eta,
+sweeps with a partial last record and with one seed and point, and a
+run of one seed at two mu), whose configs, and those network files, are
+written once into the work dir for both sides. Each runs through each
+side's CLI in a fresh process: once with BLAS pinned to one thread and once
 with the BLAS thread variables unset. Beside each sha256 it records the
 wall time of that CLI process on each side, interpreter start-up
 included, and its peak resident set size (the child's own `ru_maxrss`, from
@@ -113,6 +113,8 @@ PATH_RUNS = [
     ("sweep-partial-record", _path_config(iterations=305, scenario={"id": "sweep",
                                                                      "log_every": 10})),
     ("sweep-one-seed", _path_config(scenario={"id": "sweep", "seeds": [0]})),
+    # one seed at two mu: a state of two columns, one per grid point
+    ("grid-one-seed", _path_config(mu=[0.002, 0.001], scenario={"seeds": [0]})),
     # two epochs at two eta: each epoch's w_o is solved once and serves both points
     ("tracking-two-eta", _path_config(eta=(10.0, 100.0), scenario={"id": "tracking",
                                                                     "change_point": 150})),

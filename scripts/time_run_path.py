@@ -6,7 +6,7 @@ Runs every CLI call of a workload of `benchmarks/` through
 directory, and prints one JSON line with the median over repetitions of
 the figures below, summed over the workload's calls. Most of them are
 the stage times that the run takes itself and that `emit_results` writes
-under `timings` in the `.meta.json` sidecar; the rest come from six
+under `timings` in the `.meta.json` sidecar; the rest come from seven
 functions timed, and the records counted, while the run goes. The
 workload is `ring200-tracking` (seeded 200-agent ring, 2 seeds x 300
 iterations, mu 4e-4, eta 1, change point at 150, log_every 1) unless
@@ -20,6 +20,9 @@ emission weigh most).
 - `step_us`: the run's "engine" stage per iteration: every `_Batch.step`
   of every algorithm, the noise refills and the window products
   included, and the run loop around them;
+- `risk_us`: `_RiskGradients.__call__` per iteration, less its refills
+  and products: the state-dependent half of the risk gradient, the inner
+  products and the scaling of the flat regressors;
 - `refill_us`: `_RiskGradients._refill` per iteration;
 - `products_us`: `_RiskGradients._products` per iteration: each window's
   regressors and targets, formed for several iterations at once;
@@ -36,8 +39,9 @@ emission weigh most).
 - `noise_buffer_kib` and `window_kib`: the bytes, in KiB, of the noise
   buffer (`_RiskGradients.buffer`, (T, N, R + 1, S): T iterations of
   every agent's rank + 1 draws, padded to the largest rank) and of the
-  window buffers (the regressors, targets and flat regressors that
-  `_products` forms) of the run's stochastic engines, the largest over
+  window buffers (the regressors and targets per seed, and the flat
+  regressors and column targets per state column, that `_products`
+  forms) of the run's stochastic engines, the largest over
   the workload's calls; 0 for exact gradients. Memory, not time: they
   account for part of the benchmark's `peak_rss_mb`;
 - `emit_ms`: the sidecar's "emit", the CSV write of `emit_results`;
@@ -91,7 +95,8 @@ from coupled_diffusion.engine import _RiskGradients  # noqa: E402
 # looks `disagreement` up in its module, and build_problem its stages in
 # its own, so the module attributes are wrapped. The records are counted,
 # not timed: the run's "metrics" stage times them
-WRAPPED = [(_RiskGradients, "_refill", "refill"), (_RiskGradients, "_products", "products"),
+WRAPPED = [(_RiskGradients, "__call__", "risk"),
+           (_RiskGradients, "_refill", "refill"), (_RiskGradients, "_products", "products"),
            (metrics, "disagreement", "disagreement"),
            (harness, "build_clusters", "topology"), (harness, "embed_clusters", "topology"),
            (harness, "random_quadratic_oracles", "oracles"),
@@ -122,7 +127,7 @@ def _risk_kib(risks) -> dict:
     of the stochastic engines' `risks`."""
     noise = max((r.buffer.nbytes for r in risks), default=0)
     window = max((r.regressors.nbytes + r.targets.nbytes + r.flat_regressors.nbytes
-                  for r in risks), default=0)
+                  + r.column_targets.nbytes for r in risks), default=0)
     return {"noise_buffer_kib": round(noise / 1024, 1), "window_kib": round(window / 1024, 1)}
 
 
@@ -131,6 +136,7 @@ def _figures(stages, totals, iterations, records) -> dict:
     wrapped functions' totals, in seconds summed over the calls."""
     per_iteration, per_record = 1e6 / iterations, 1e6 / records
     return {"step_us": stages["engine"] * per_iteration,
+            "risk_us": (totals["risk"] - totals["refill"] - totals["products"]) * per_iteration,
             "refill_us": totals["refill"] * per_iteration,
             "products_us": totals["products"] * per_iteration,
             "record_us": stages["metrics"] * per_record,

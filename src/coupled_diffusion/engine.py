@@ -117,57 +117,66 @@ class _RiskGradients:
     pre-draws each (seed, agent) stream's R_k + 1 normals per iteration
     in chunks: one draw of T (R_k + 1) values equals T successive draws
     of R_k + 1, so iteration i sees the variates the per-agent reference
-    would. The draws are kept once per seed, (T, N, R + 1, S), and
-    broadcast over the P grid points, whose columns come point-major
-    (p S + s): every point reads its seed's variates. Agent k's feature
-    draws fill columns 0..R_k - 1 of its cells and its noise draw column
-    R_k; the cells past them stay zero, and columns R_k..R - 1 meet zero
-    factor columns, so they add nothing.
+    would. The draws are kept once per seed, (T, N, R + 1, S), and shared
+    by the P grid points, whose columns come point-major (p S + s): every
+    point reads its seed's variates. Agent k's feature draws fill columns
+    0..R_k - 1 of its cells and its noise draw column R_k; the cells past
+    them stay zero, and columns R_k..R - 1 meet zero factor columns, so
+    they add nothing.
 
     A sample's regressor h_k = F_k u_k and target y_k = w_ref_k' h_k +
     sigma_k v_k do not depend on the state, so `_products` forms them for a
-    window of iterations at once, iteration-major: each iteration's
-    products have the shapes, and so the bits, of a product for that
-    iteration alone. An iteration then only takes the inner products h_k'z_k
-    and scales each agent's flat regressor entries by 2 (h_k'z_k - y_k).
+    window of iterations at once, iteration-major and once per seed: each
+    iteration's products have the shapes, and so the bits, of a product
+    for that iteration alone. It then writes them per state column: the
+    regressors in the state's layout, (n_flat, P S), and the targets,
+    (N, P S), column p S + s holding seed s's values. An iteration works
+    in the state's own layout with operands of its shape: the inner
+    products h_k'z_k are one in-order sum of each agent's flat entries per
+    column (`np.bincount`, which reads no padded cell), and each agent's
+    flat regressor entries are scaled by 2 (h_k'z_k - y_k).
     """
 
-    def __init__(self, problem: MultiAgentProblem, seeds, cfg: EngineConfig):
+    def __init__(self, problem: MultiAgentProblem, seeds, cfgs):
         stack = problem.oracle_stack()
         n, width = stack.valid.shape
-        # padded cells gather flat entry 0, which meets a zero factor row
-        self.gather = stack.gather
         self.factor = stack.scaled_basis
         self.w_ref = stack.w_ref.reshape(n, width, 1)
-        depth, n_seeds = self.factor.shape[2], len(seeds)
+        depth, n_seeds, n_points = self.factor.shape[2], len(seeds), len(cfgs)
+        columns = n_points * n_seeds
         self.per_iteration = (stack.ranks + 1).tolist()  # normals each agent draws per iteration
         # agent k's noise draw, column R_k: cell k (R + 1) + R_k of an
         # iteration's draws raveled from (N, R + 1, S) to (N (R + 1), S)
         self.noise_cells = np.arange(n) * (depth + 1) + stack.ranks
         self.owner = problem.cmap.flat_agents
+        # entry (e, c) of the state adds into (agent of e, c) of the (N, P S) inner products
+        self.bins = (self.owner[:, None] * columns + np.arange(columns)).ravel()
         self.noise_std = stack.noise_std.reshape(n, 1)
         self.streams = [agent_streams(seed, n) for seed in seeds]
         self.chunk = max(NOISE_CHUNK_MIN_ITERATIONS,
                          NOISE_CHUNK_BYTES // (8 * n_seeds * sum(self.per_iteration)))
-        self.left = cfg.iterations
+        self.left = cfgs[0].iterations
         self.used = self.length = 0
         # the first chunk is the longest; its padded cells stay zero
-        first = min(self.chunk, cfg.iterations)
+        first = min(self.chunk, cfgs[0].iterations)
         self.buffer = np.zeros((first, n, depth + 1, n_seeds))
-        # (n_flat, S): entry (e, s) of the state's layout reads cell
-        # (valid_e, s) of an iteration's regressors, raveled from (N Q, S);
-        # the valid cells, in row-major order, are the flat layout itself
+        # state column p S + s reads seed s; (n_flat, P S): entry (e, c) of
+        # the state's layout reads cell (valid_e, s) of an iteration's
+        # regressors, raveled from (N Q, S); the valid cells, in row-major
+        # order, are the flat layout itself
+        self.seed_of = np.tile(np.arange(n_seeds), n_points)
         valid = np.flatnonzero(stack.valid)
-        self.spread = valid[:, None] * n_seeds + np.arange(n_seeds)
-        # one iteration's window bytes: padded regressors, targets and the
-        # regressors in the state's layout
-        step_bytes = 8 * ((n * width + n) * n_seeds + self.spread.size)
+        self.spread = valid[:, None] * n_seeds + self.seed_of
+        # one iteration's window bytes: padded regressors and targets per
+        # seed, and the regressors and targets per state column
+        step_bytes = 8 * ((n * width + n) * n_seeds + self.spread.size + n * columns)
         self.window = max(1, RISK_WINDOW_BYTES // step_bytes)
         self.formed = self.next = 0  # iterations in the current window, and the next one's place
         longest = min(self.window, first)
         self.regressors = np.empty((longest, n, width, n_seeds))
         self.targets = np.empty((longest, n, n_seeds))
         self.flat_regressors = np.empty((longest,) + self.spread.shape)
+        self.column_targets = np.empty((longest, n, columns))
 
     def _refill(self):
         t = min(self.chunk, max(self.left, 1))
@@ -178,9 +187,10 @@ class _RiskGradients:
         self.used, self.length = 0, t
 
     def _products(self):
-        """Regressors and targets of the chunk's next window of iterations:
-        `regressors` (W, N, Q, S), `targets` (W, N, S), and the regressors
-        in the state's layout, `flat_regressors` (W, n_flat, S)."""
+        """Regressors and targets of the chunk's next window of iterations,
+        per seed: `regressors` (W, N, Q, S) and `targets` (W, N, S); and per
+        state column: the regressors in the state's layout,
+        `flat_regressors` (W, n_flat, P S), and `column_targets` (W, N, P S)."""
         w = min(self.window, self.length - self.used)
         draws = self.buffer[self.used:self.used + w]  # (W, N, R + 1, S)
         h, y = self.regressors[:w], self.targets[:w]
@@ -190,24 +200,23 @@ class _RiskGradients:
         noise *= self.noise_std
         y += noise
         h.reshape(w, -1).take(self.spread, axis=1, out=self.flat_regressors[:w], mode="clip")
+        y.take(self.seed_of, axis=2, out=self.column_targets[:w], mode="clip")
         self.used += w
         self.formed, self.next = w, 0
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         """Gradients at the points x, (n_flat, P S) in and out."""
-        # take copies whole rows: x[self.gather] gives the same array several times slower
-        z = x.take(self.gather, axis=0)
         if self.next == self.formed:
             if self.used == self.length:
                 self._refill()
             self._products()
         i, self.next = self.next, self.next + 1
-        h = self.regressors[i]
-        z = z.reshape(z.shape[:2] + (-1, h.shape[-1]))  # (N, Q, P, S)
-        inner = np.einsum("kips,kis->kps", z, h)
-        g = (2.0 * (inner - self.targets[i][:, None])).take(self.owner, axis=0)
-        g *= self.flat_regressors[i][:, None]  # (n_flat, P, S): each point's seeds
-        return g.reshape(x.shape)
+        h, y = self.flat_regressors[i], self.column_targets[i]
+        # each (agent, column) sum adds the agent's flat entries in order
+        inner = np.bincount(self.bins, weights=(x * h).ravel(), minlength=y.size)
+        g = (2.0 * (inner.reshape(y.shape) - y)).take(self.owner, axis=0)
+        g *= h
+        return g
 
 
 class _ClusterMix:
@@ -258,7 +267,7 @@ class _Batch:
         if cfgs[0].noise == "exact":
             self._risk = problem.oracle_stack().true_gradient
         else:
-            self._risk = _RiskGradients(problem, self.seeds, cfgs[0])
+            self._risk = _RiskGradients(problem, self.seeds, cfgs)
 
     def _columns(self, per_point) -> np.ndarray:
         """(1, P S): each point's value in each of its seed columns."""

@@ -402,7 +402,7 @@ def _close(got, expect, scale):
 
 def _buffers(risk):
     """The noise buffer and the window buffers of a risk-gradient object."""
-    return risk.buffer, risk.regressors, risk.targets, risk.flat_regressors
+    return risk.buffer, risk.regressors, risk.targets, risk.flat_regressors, risk.column_targets
 
 
 class _EngineNumpy:
@@ -430,15 +430,17 @@ def _check_windows(problem, seeds=SEEDS, points=1):
     noise buffer hold the rank + 1 draws (u, v) of its per-agent stream,
     the noise draw v in column rank, and zeros past them, also in the
     shorter last chunk; its window regressor and target are F_k u and
-    w_ref_k'h + sigma_k v, and the regressors in the state's layout hold
-    them once per seed, shared by every grid point. A window's draws are a
-    slice of the noise buffer, and the noise buffer and the window
-    buffers are allocated once. Returns the risk-gradient object of the
-    run."""
+    w_ref_k'h + sigma_k v, and every state column p S + s of the
+    regressors in the state's layout and of the column targets holds seed
+    s's, for every grid point p. A window's draws are a slice of the noise
+    buffer, and the noise buffer and the window buffers are allocated
+    once. Returns the risk-gradient object of the run."""
     weights = _weights(problem)
     grid = [EngineConfig(mu=0.001, eta=10.0 * p) for p in range(points)]
     risk = init_batch(problem, weights, grid, seeds)._risk
     iterations = 2 * risk.chunk + risk.window + 1
+    while not (iterations % risk.chunk and iterations % risk.window):
+        iterations += 1
     grid = [dataclasses.replace(cfg, iterations=iterations) for cfg in grid]
     spy = _EngineNumpy()
     with pytest.MonkeyPatch.context() as mp:
@@ -461,7 +463,8 @@ def _check_windows(problem, seeds=SEEDS, points=1):
                 assert np.shares_memory(draws, risk.buffer)
                 window = risk.buffer[row:risk.used, :, :-1]  # same memory, shape and strides
                 assert draws.__array_interface__ == window.__array_interface__
-            h, y, flat = risk.regressors[j], risk.targets[j], risk.flat_regressors[j]
+            h, y = risk.regressors[j], risk.targets[j]
+            flat, column_y = risk.flat_regressors[j], risk.column_targets[j]
             for s, rngs in enumerate(streams):
                 for k, (rng, o) in enumerate(zip(rngs, problem.oracles)):
                     u = rng.standard_normal(o.rank + 1)
@@ -475,7 +478,11 @@ def _check_windows(problem, seeds=SEEDS, points=1):
                     assert not h[k, o.dim:, s].any()
                     assert _close(y[k, s], o.w_ref @ expect_h + o.noise_std * u[-1],
                                   np.abs(o.w_ref) @ np.abs(expect_h) + o.noise_std * abs(u[-1]))
-                    assert np.array_equal(flat[starts[k]:starts[k] + o.dim, s], h[k, :o.dim, s])
+                    for p in range(points):
+                        column = p * len(seeds) + s
+                        assert np.array_equal(flat[starts[k]:starts[k] + o.dim, column],
+                                              h[k, :o.dim, s])
+                        assert column_y[k, column] == y[k, s]
     assert risk.length < risk.chunk  # the run ended in a shorter chunk
     assert risk.left == 0  # the last chunk drew only what the run needs
     return risk
@@ -493,6 +500,33 @@ def test_noise_chunks_see_the_per_agent_variates_of_one_seed_on_a_grid(constrain
     """One seed, where a single iteration's product is a matrix-vector
     product, and three grid points sharing its draws."""
     _check_windows(constrained, seeds=(SEEDS[0],), points=3)
+
+
+@pytest.mark.parametrize("seeds", [(SEEDS[0],), SEEDS], ids=["1-seed", "3-seeds"])
+def test_a_grid_point_has_the_risk_gradient_of_its_one_point_batch(constrained, seeds):
+    """Each point of a 3-point grid gets, bitwise, the risk gradient that a
+    1-point batch of the same seeds gives at the same state, in every
+    iteration, across a window boundary within a chunk and a chunk
+    boundary: its columns' inner products add the same products in the
+    same order, however many columns the state has."""
+    weights = _weights(constrained)
+    grid = [EngineConfig(mu=0.001, eta=10.0 * p) for p in range(3)]
+    shape = init_batch(constrained, weights, grid, seeds)._risk
+    one = init_batch(constrained, weights, grid[0], seeds)._risk
+    assert shape.window <= one.window < shape.chunk == one.chunk
+    iterations = shape.chunk + one.window + 1
+    grid = [dataclasses.replace(cfg, iterations=iterations) for cfg in grid]
+    risk = init_batch(constrained, weights, grid, seeds)._risk
+    alone = [init_batch(constrained, weights, cfg, seeds)._risk for cfg in grid]
+    rng = np.random.default_rng(3)
+    for _ in range(iterations):
+        x = rng.standard_normal((constrained.cmap.total_local_dim, len(grid) * len(seeds)))
+        g = risk(x)
+        for p, point in enumerate(alone):
+            columns = slice(p * len(seeds), (p + 1) * len(seeds))
+            _assert_bitwise(g[:, columns], point(np.ascontiguousarray(x[:, columns])),
+                            f"point {p}")
+    assert risk.length < risk.chunk  # the run crossed a chunk boundary
 
 
 def test_noise_chunks_cover_at_least_the_floor_of_iterations(constrained):
